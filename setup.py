@@ -1,30 +1,21 @@
-"""Build shim: compiles the optional Cython core.
+"""Build shim: compiles the optional C kernel ``src/procasphere/_core.c``.
 
-The package works without the extension (pure-Python fallback), so any
-failure here downgrades to a source-only install instead of aborting.
+The package works without the extension (pure-Python twin, bit-identical),
+so ``optional=True`` turns a failed compile into a source-only install
+instead of an error.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "procasphere._core",
-                ["src/procasphere/_core.pyx"],
-                # -ffp-contract=off: the pure backend must be bit-identical,
-                # so fused multiply-adds are off the table.
-                extra_compile_args=["-O2", "-ffp-contract=off"],
-            )
-        ],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - exercised only on broken toolchains
-    import sys
-
-    print(f"procasphere: building without compiled core ({exc})", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "procasphere._core",
+            ["src/procasphere/_core.c"],
+            # -ffp-contract=off: the pure backend must be bit-identical,
+            # so fused multiply-adds are off the table.
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

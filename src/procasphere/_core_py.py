@@ -1,10 +1,10 @@
 """Pure-Python kernel: scaled Riccati-Bessel chains and mode determinants.
 
-Reference twin of the compiled core (``_core.pyx``).  The two modules are
-kept in operation-for-operation lockstep so every double they produce is
-bit-identical; any edit here must be mirrored there, in order.  The flat
-tuple-passing style (no classes, no numpy) is deliberate: it transcribes
-one-to-one into C doubles.
+Reference twin of the compiled core, the hand-written C kernel
+``_core.c``.  The two are kept in operation-for-operation lockstep so every
+double they produce is bit-identical; any edit here must be mirrored there,
+in order.  The flat tuple-passing style (no classes, no numpy) is
+deliberate: it transcribes one-to-one into C doubles.
 
 Scaled values travel as (mantissa, scale) pairs meaning m * exp(k) with
 |m| in [1, e) and k integer-valued, so scale arithmetic is exact.
@@ -18,7 +18,6 @@ BACKEND = "pure"
 E64I = float.fromhex("0x1.969d47321e4ccp-93")
 E64 = float.fromhex("0x1.425982cf597cdp+92")
 _E = 2.718281828459045
-_LN2 = 0.6931471805599453
 _BIG = 1e250
 _TINY = 1e-250
 # Exponent gap beyond which an addend is below one ulp of the other term.

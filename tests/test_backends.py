@@ -3,9 +3,23 @@
 The two implementations share expression shapes on purpose; every public
 kernel entry point must agree to the last bit, so that results never depend
 on which backend happened to import.
+
+The compiled kernel under test is built here from ``_core.c`` with the
+flags of setup.py plus strict warnings, and loaded by file path, so these
+tests need only a C compiler, not an installed extension, and leave the
+package's backend choice alone.
 """
 
+import importlib.util
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +27,30 @@ from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
 
-compiled = pytest.importorskip(
-    "procasphere._core", reason="compiled kernel not built here")
+# extra_compile_args of setup.py, then warnings as errors.
+BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror"]
 
 
-def test_backend_tags():
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler found to build the compiled kernel")
+    src = Path(pure.__file__).with_name("_core.c")
+    out = (tmp_path_factory.mktemp("core")
+           / ("_core" + sysconfig.get_config_var("EXT_SUFFIX")))
+    cmd = [*cc, *BUILD_FLAGS, "-shared", "-fPIC",
+           "-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out),
+           "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("procasphere._core", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backend_tags(compiled):
     assert pure.BACKEND == "pure"
     assert compiled.BACKEND == "compiled"
 
@@ -31,7 +64,7 @@ scales = st.integers(min_value=-100000, max_value=100000).map(float)
 
 @settings(max_examples=250, deadline=None)
 @given(mantissas, scales, mantissas, scales)
-def test_scalar_primitives_bit_identical(m1, k1, m2, k2):
+def test_scalar_primitives_bit_identical(compiled, m1, k1, m2, k2):
     assert pure.sr_norm(m1 * 2.5, k1) == compiled.sr_norm(m1 * 2.5, k1)
     assert pure.sr_mul(m1, k1, m2, k2) == compiled.sr_mul(m1, k1, m2, k2)
     assert pure.sr_div(m1, k1, m2, k2) == compiled.sr_div(m1, k1, m2, k2)
@@ -43,11 +76,11 @@ def test_scalar_primitives_bit_identical(m1, k1, m2, k2):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1e8),
        st.floats(min_value=0.0, max_value=1e8))
-def test_gamma_arg_bit_identical(xi, mu):
+def test_gamma_arg_bit_identical(compiled, xi, mu):
     assert pure.gamma_arg(xi, mu) == compiled.gamma_arg(xi, mu)
 
 
-def test_family_bit_identical_on_grid():
+def test_family_bit_identical_on_grid(compiled):
     for l in (0, 1, 2, 7, 40, 400, 1000):
         for z in (0.001, 0.03, 0.5, 3.0, 12.0, 29.9, 30.1, 60.0, 300.0,
                   1500.0, 20000.0):
@@ -56,7 +89,7 @@ def test_family_bit_identical_on_grid():
             assert pure.e_pair(l, z) == compiled.e_pair(l, z), (l, z)
 
 
-def test_log_delta_bit_identical_on_grid():
+def test_log_delta_bit_identical_on_grid(compiled):
     for l in (1, 3, 10, 25):
         for xi in (0.05, 1.0, 8.0):
             for mu in (0.0, 0.7, 3.0):
@@ -67,7 +100,7 @@ def test_log_delta_bit_identical_on_grid():
                         assert a == b, (l, xi, mu, ratio, mode)
 
 
-def test_log_delta_nodes_bit_identical():
+def test_log_delta_nodes_bit_identical(compiled):
     xs = [0.01 * (1.35 ** i) for i in range(40)]
     for mode in (0, 1, 2):
         a = pure.log_delta_nodes(4, 0.5, 1.6, mode, xs)
@@ -78,7 +111,7 @@ def test_log_delta_nodes_bit_identical():
             assert v == pure.log_delta_point(4, x, 0.5, 1.6, mode)
 
 
-def test_massless_tm_bit_identical():
+def test_massless_tm_bit_identical(compiled):
     for l in (1, 2, 9, 30):
         for xi in (0.02, 0.8, 12.0):
             for ratio in (1.15, 1.9):
@@ -88,18 +121,58 @@ def test_massless_tm_bit_identical():
                 assert (pure.log1m_scaled(*a) == compiled.log1m_scaled(*b))
 
 
-def test_rho_routes_bit_identical():
+def test_rho_routes_bit_identical(compiled):
     for l, xi, mu, ratio in ((1, 0.4, 0.0, 1.5), (6, 2.5, 1.2, 1.25),
                              (15, 9.0, 0.3, 2.0)):
         assert pure.rho_te(l, xi, mu, ratio) == compiled.rho_te(l, xi, mu, ratio)
         assert pure.rho_tm(l, xi, mu, ratio) == compiled.rho_tm(l, xi, mu, ratio)
 
 
-def test_default_backend_is_compiled():
-    import os
+def test_non_integer_order_raises(compiled):
+    # An order is an index: truncating 3.5 to 3 would answer another question.
+    for kernel in (pure, compiled):
+        with pytest.raises(TypeError):
+            kernel.log_delta_point(3.5, 1.0, 0.5, 1.5, 2)
+        with pytest.raises(TypeError):
+            kernel.s_pair(2.9, 1.0)
 
+
+def test_log_delta_nodes_from_two_threads(compiled):
+    # The compiled batch runs without the GIL; two threads at once on
+    # different waves must each get the serial answer.
+    jobs = [(4, 0.5, 1.6, 2, [0.01 * (1.35 ** i) for i in range(15)]),
+            (30, 2.0, 1.05, 1, [0.2 * (1.3 ** i) for i in range(15)])]
+    expected = [pure.log_delta_nodes(*job) for job in jobs]
+    assert [compiled.log_delta_nodes(*job) for job in jobs] == expected
+    start = threading.Barrier(len(jobs))
+    got = [[] for _ in jobs]
+
+    def run(i):
+        start.wait()
+        for _ in range(50):
+            got[i].append(compiled.log_delta_nodes(*jobs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(expected):
+        assert got[i] == [want] * 50
+
+
+def test_default_backend_is_compiled():
     if os.environ.get("PROCASPHERE_PURE"):
         pytest.skip("pure backend forced via PROCASPHERE_PURE")
+    built = pytest.importorskip(
+        "procasphere._core", reason="compiled kernel not built in place")
     from procasphere.backend import active_backend, kernel
     assert active_backend() == "compiled"
-    assert kernel is compiled
+    assert kernel is built
