@@ -443,16 +443,6 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     return out;
 }
 
-static double c_point_value(long l, double xi, double mu, double ratio, long mode)
-{
-    Modes r = c_core_point(l, xi, mu, ratio, mode);
-    if (mode == 0)
-        return c_log1m(r.tem, r.tek);
-    if (mode == 1)
-        return c_log1m(r.tmm, r.tmk);
-    return c_log1m(r.tem, r.tek) + c_log1m(r.tmm, r.tmk);
-}
-
 
 /* -- Python-visible surface (mirrors _core_py signatures) ----------------- */
 
@@ -490,6 +480,31 @@ static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
     }
     va_end(ap);
     return i == want;
+}
+
+/* Domains of the Python-visible functions, with the pure twin's messages.
+ * Each returns 0 with ValueError set. */
+static int chain_ok(long l, double z)
+{
+    if (l >= 0 && z > 0.0 && z < INFINITY)
+        return 1;
+    PyErr_SetString(PyExc_ValueError,
+                    "Riccati-Bessel chains need l >= 0 and a finite z > 0");
+    return 0;
+}
+
+static int point_ok(long l, double xi, double mu, double ratio, long mode)
+{
+    if (l >= 1 && mode >= 0 && mode <= 2 && mu >= 0.0 && mu < INFINITY
+        && ratio > 1.0 && ratio < INFINITY
+        && ((xi > 0.0 && xi < INFINITY)
+            || (xi == 0.0 && mode == 0 && mu > 0.0)))
+        return 1;
+    PyErr_SetString(PyExc_ValueError,
+                    "mode factors need l >= 1, mode 0, 1 or 2, a finite "
+                    "mu >= 0, a finite ratio > 1 and a finite xi > 0 "
+                    "(xi = 0 only in mode 0 with mu > 0)");
+    return 0;
 }
 
 static PyObject *float_tuple(Py_ssize_t n, const double *v)
@@ -587,7 +602,7 @@ static PyObject *py_s_pair(PyObject *Py_UNUSED(self), PyObject *const *args,
 {
     long l;
     double z;
-    if (!unpack("s_pair", args, nargs, "ld", &l, &z))
+    if (!unpack("s_pair", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
         return NULL;
     return srp_tuple(c_s_pair(l, z));
 }
@@ -597,7 +612,7 @@ static PyObject *py_e_pair(PyObject *Py_UNUSED(self), PyObject *const *args,
 {
     long l;
     double z;
-    if (!unpack("e_pair", args, nargs, "ld", &l, &z))
+    if (!unpack("e_pair", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
         return NULL;
     return srp_tuple(c_e_pair(l, z));
 }
@@ -609,7 +624,7 @@ static PyObject *py_family(PyObject *Py_UNUSED(self), PyObject *const *args,
     double z, lz;
     SRP s, e;
     SR t, a, b, sp, ep, st, et;
-    if (!unpack("family", args, nargs, "ld", &l, &z))
+    if (!unpack("family", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
         return NULL;
     s = c_s_pair(l, z);
     e = c_e_pair(l, z);
@@ -636,7 +651,8 @@ static PyObject *py_rho_te(PyObject *Py_UNUSED(self), PyObject *const *args,
     long l;
     double xi, mu, ratio;
     Modes r;
-    if (!unpack("rho_te", args, nargs, "lddd", &l, &xi, &mu, &ratio))
+    if (!unpack("rho_te", args, nargs, "lddd", &l, &xi, &mu, &ratio)
+        || !point_ok(l, xi, mu, ratio, 0))
         return NULL;
     r = c_core_point(l, xi, mu, ratio, 0);
     return sr_tuple((SR){r.tem, r.tek});
@@ -648,7 +664,8 @@ static PyObject *py_rho_tm(PyObject *Py_UNUSED(self), PyObject *const *args,
     long l;
     double xi, mu, ratio;
     Modes r;
-    if (!unpack("rho_tm", args, nargs, "lddd", &l, &xi, &mu, &ratio))
+    if (!unpack("rho_tm", args, nargs, "lddd", &l, &xi, &mu, &ratio)
+        || !point_ok(l, xi, mu, ratio, 1))
         return NULL;
     r = c_core_point(l, xi, mu, ratio, 1);
     return sr_tuple((SR){r.tmm, r.tmk});
@@ -668,18 +685,23 @@ static PyObject *py_log_delta_point(PyObject *Py_UNUSED(self),
 {
     long l, mode;
     double xi, mu, ratio;
+    Modes r;
     if (!unpack("log_delta_point", args, nargs, "ldddl",
-                &l, &xi, &mu, &ratio, &mode))
+                &l, &xi, &mu, &ratio, &mode)
+        || !point_ok(l, xi, mu, ratio, mode))
         return NULL;
-    return PyFloat_FromDouble(c_point_value(l, xi, mu, ratio, mode));
+    r = c_core_point(l, xi, mu, ratio, mode);
+    return PyFloat_FromDouble(c_log1m(r.tem, r.tek) + c_log1m(r.tmm, r.tmk));
 }
 
+/* (ln Delta_TE per node, ln Delta_TM per node), -0.0 for a mode not
+ * requested, as in the pure twin. */
 static PyObject *py_log_delta_nodes(PyObject *Py_UNUSED(self),
                                     PyObject *const *args, Py_ssize_t nargs)
 {
     long l, mode;
     double mu, ratio;
-    PyObject *xs, *seq, *out = NULL;
+    PyObject *xs, *seq, *te, *tm, *out = NULL;
     double *buf;
     Py_ssize_t n, i;
     if (!unpack("log_delta_nodes", args, nargs, "lddlO",
@@ -690,32 +712,32 @@ static PyObject *py_log_delta_nodes(PyObject *Py_UNUSED(self),
     if (seq == NULL)
         return NULL;
     n = PyTuple_GET_SIZE(seq);
-    buf = PyMem_New(double, n > 0 ? n : 1);
+    /* Nodes in the first half; TE then TM results over both halves. */
+    buf = PyMem_New(double, n > 0 ? 2 * n : 1);
     if (buf == NULL) {
         Py_DECREF(seq);
         return PyErr_NoMemory();
     }
     for (i = 0; i < n; i++) {
         buf[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
-        if (buf[i] == -1.0 && PyErr_Occurred())
+        if ((buf[i] == -1.0 && PyErr_Occurred())
+            || !point_ok(l, buf[i], mu, ratio, mode))
             goto done;
     }
     /* Nodes are independent: the whole batch runs without the GIL. */
     Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n; i++)
-        buf[i] = c_point_value(l, buf[i], mu, ratio, mode);
-    Py_END_ALLOW_THREADS
-    out = PyList_New(n);
-    if (out == NULL)
-        goto done;
     for (i = 0; i < n; i++) {
-        PyObject *f = PyFloat_FromDouble(buf[i]);
-        if (f == NULL) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        PyList_SET_ITEM(out, i, f);
+        Modes r = c_core_point(l, buf[i], mu, ratio, mode);
+        buf[i] = c_log1m(r.tem, r.tek);
+        buf[n + i] = c_log1m(r.tmm, r.tmk);
     }
+    Py_END_ALLOW_THREADS
+    te = float_tuple(n, buf);
+    tm = te == NULL ? NULL : float_tuple(n, buf + n);
+    if (tm != NULL)
+        out = PyTuple_Pack(2, te, tm);
+    Py_XDECREF(te);
+    Py_XDECREF(tm);
 done:
     PyMem_Free(buf);
     Py_DECREF(seq);
@@ -731,6 +753,13 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
     SR t, sp, ep, spr, epr, n_, d_;
     if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio))
         return NULL;
+    if (l < 1 || !(xi > 0.0 && xi < INFINITY)
+        || !(ratio > 1.0 && ratio < INFINITY)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "rho_tm_massless needs l >= 1, a finite xi > 0 and "
+                        "a finite ratio > 1");
+        return NULL;
+    }
     x = xi;
     xr = xi * ratio;
     s1 = c_s_pair(l, x);

@@ -22,6 +22,9 @@ _BIG = 1e250
 _TINY = 1e-250
 # Exponent gap beyond which an addend is below one ulp of the other term.
 _ADD_CUTOFF = 120.0
+# Out-of-domain calls raise ValueError here and in the compiled twin, with
+# the same messages.
+_CHAIN_DOMAIN = "Riccati-Bessel chains need l >= 0 and a finite z > 0"
 
 
 # -- scaled primitives -------------------------------------------------------
@@ -178,6 +181,8 @@ def _s_miller(l, z):
 
 def s_pair(l, z):
     """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0, z > 0."""
+    if l < 0 or not 0.0 < z < math.inf:
+        raise ValueError(_CHAIN_DOMAIN)
     if l == 0:
         if z > 30.0:
             em2 = math.exp(-2.0 * z)
@@ -197,6 +202,8 @@ def s_pair(l, z):
 def e_pair(l, z):
     """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
     direction for the decaying solution, so no normalization pass is needed."""
+    if l < 0 or not 0.0 < z < math.inf:
+        raise ValueError(_CHAIN_DOMAIN)
     k = math.floor(-z)
     m = math.exp(-z - k)
     a = m
@@ -397,34 +404,51 @@ def _core_point(l, xi, mu, ratio, mode):
     return te_m, te_k, tm_m, tm_k
 
 
+def _check_point(l, xi, mu, ratio, mode):
+    xi_ok = 0.0 < xi < math.inf or (xi == 0.0 and mode == 0 and mu > 0.0)
+    if (l < 1 or mode < 0 or mode > 2 or not xi_ok
+            or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf):
+        raise ValueError(
+            "mode factors need l >= 1, mode 0, 1 or 2, a finite mu >= 0, a "
+            "finite ratio > 1 and a finite xi > 0 (xi = 0 only in mode 0 "
+            "with mu > 0)")
+
+
 def rho_te(l, xi, mu, ratio):
+    _check_point(l, xi, mu, ratio, 0)
     m1, k1, _, _ = _core_point(l, xi, mu, ratio, 0)
     return m1, k1
 
 
 def rho_tm(l, xi, mu, ratio):
+    _check_point(l, xi, mu, ratio, 1)
     _, _, m2, k2 = _core_point(l, xi, mu, ratio, 1)
     return m2, k2
 
 
 def log_delta_point(l, xi, mu, ratio, mode):
+    _check_point(l, xi, mu, ratio, mode)
     te_m, te_k, tm_m, tm_k = _core_point(l, xi, mu, ratio, mode)
-    if mode == 0:
-        return log1m_scaled(te_m, te_k)
-    if mode == 1:
-        return log1m_scaled(tm_m, tm_k)
     return log1m_scaled(te_m, te_k) + log1m_scaled(tm_m, tm_k)
 
 
 def log_delta_nodes(l, mu, ratio, mode, xs):
-    out = []
+    """(ln Delta_TE per node, ln Delta_TM per node) as two tuples. A mode
+    not requested has rho = 0 and reads -0.0, the additive identity, so
+    te + tm is the requested value bit for bit in every mode. Every node
+    is checked before any is evaluated."""
     for x in xs:
-        out.append(log_delta_point(l, x, mu, ratio, mode))
-    return out
+        _check_point(l, x, mu, ratio, mode)
+    rhos = [_core_point(l, x, mu, ratio, mode) for x in xs]
+    return (tuple(log1m_scaled(r[0], r[1]) for r in rhos),
+            tuple(log1m_scaled(r[2], r[3]) for r in rhos))
 
 
 def rho_tm_massless(l, xi, ratio):
     """Conducting-boundary ratio s'(x)e'(xr)/(e'(x)s'(xr)), scaled."""
+    if l < 1 or not 0.0 < xi < math.inf or not 1.0 < ratio < math.inf:
+        raise ValueError("rho_tm_massless needs l >= 1, a finite xi > 0 "
+                         "and a finite ratio > 1")
     x = xi
     xr = xi * ratio
     s1m, s1k, s0m, s0k = s_pair(l, x)

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from .backend import active_backend
@@ -35,6 +34,7 @@ from .determinants import (
 from .spectrum import (
     ConvergenceError,
     ProblemSpec,
+    SweepTable,
     default_fd_step,
     energy,
     force,
@@ -66,7 +66,8 @@ def _resolve_threads(flag_value: int | None) -> int:
     return n
 
 
-def _resolve_problem(args) -> ProblemSpec:
+def _problem_inputs(args) -> dict:
+    threads = _resolve_threads(args.threads)
     dimless = args.ratio is not None or args.mu is not None
     physical = (args.a1_m is not None or args.a2_m is not None
                 or args.mass_ev is not None)
@@ -87,8 +88,36 @@ def _resolve_problem(args) -> ProblemSpec:
         mu = args.mu if args.mu is not None else 0.0
     if args.si and args.a1_m is None:
         raise UsageError("--si needs radii in meters (--a1-m/--a2-m)")
-    return ProblemSpec(ratio=ratio, mu=mu, rel_tol=args.rel_tol,
-                       l_cap=args.l_cap, mode=args.mode)
+    inputs = {
+        "ratio": ratio, "mu": mu, "rel_tol": args.rel_tol,
+        "l_cap": args.l_cap, "mode": args.mode, "threads": threads,
+        "si": args.si, "a1_m": args.a1_m, "a2_m": args.a2_m,
+        "mass_ev": args.mass_ev,
+    }
+    if args.command == "force":
+        inputs["fd_step"] = args.fd_step
+    return inputs
+
+
+def _sweep_ratio_inputs(args) -> dict:
+    return {
+        "from": args.ratio_from, "to": args.ratio_to, "steps": args.steps,
+        "mu": args.mu, "rel_tol": args.rel_tol, "l_cap": args.l_cap,
+        "threads": _resolve_threads(args.threads),
+    }
+
+
+def _sweep_mass_inputs(args) -> dict:
+    threads = _resolve_threads(args.threads)
+    try:
+        mu_values = [float(tok) for tok in args.mu_values.split(",") if tok]
+    except ValueError:
+        raise UsageError(
+            f"--mu-values must be comma-separated numbers, got {args.mu_values!r}")
+    return {
+        "mu_values": mu_values, "ratio": args.ratio, "rel_tol": args.rel_tol,
+        "l_cap": args.l_cap, "threads": threads,
+    }
 
 
 def _manifest(command: str, inputs: dict) -> dict:
@@ -121,33 +150,31 @@ def _emit(doc: dict, fmt: str) -> None:
     print(",".join(cells))
 
 
-# -- result builders (shared between the commands and replay) ---------------
+# -- the request table: manifest inputs -> result ----------------------------
+#
+# A command resolves its flags into the manifest inputs and runs its table
+# entry on them; replay runs the same entry on the stored inputs. Each entry
+# reads every input before it computes.
 
-def _energy_result(spec: ProblemSpec, threads: int,
-                   si_a1: float | None) -> dict:
-    if spec.mode == "total":
-        te = energy(replace(spec, mode="te"), threads=threads)
-        tm = energy(replace(spec, mode="tm"), threads=threads)
-        result = {
-            "e_te": te.value,
-            "e_tm": tm.value,
-            "e_total": te.value + tm.value,
-            "abs_error_estimate": (te.abs_error_estimate
-                                   + tm.abs_error_estimate),
-            "l_used": max(te.l_used, tm.l_used),
-            "integrand_evals": te.integrand_evals + tm.integrand_evals,
-        }
-    else:
-        r = energy(spec, threads=threads)
-        result = {
-            "e_te": None,
-            "e_tm": None,
-            "e_total": None,
-            "abs_error_estimate": r.abs_error_estimate,
-            "l_used": r.l_used,
-            "integrand_evals": r.integrand_evals,
-        }
-        result["e_" + spec.mode] = r.value
+def _problem(inputs: dict) -> ProblemSpec:
+    return ProblemSpec(ratio=inputs["ratio"], mu=inputs["mu"],
+                       rel_tol=inputs["rel_tol"], l_cap=inputs["l_cap"],
+                       mode=inputs["mode"])
+
+
+def _energy(inputs: dict) -> dict:
+    spec = _problem(inputs)
+    threads = inputs["threads"]
+    si_a1 = inputs["a1_m"] if inputs["si"] else None
+    r = energy(spec, threads=threads)
+    result = {
+        "e_te": r.te,
+        "e_tm": r.tm,
+        "e_total": r.te + r.tm if spec.mode == "total" else None,
+        "abs_error_estimate": r.abs_error_estimate,
+        "l_used": r.l_used,
+        "integrand_evals": r.integrand_evals,
+    }
     if si_a1 is not None:
         e0 = energy_scale_joules(si_a1)
         for key in ("e_te", "e_tm", "e_total"):
@@ -156,8 +183,11 @@ def _energy_result(spec: ProblemSpec, threads: int,
     return result
 
 
-def _force_result(spec: ProblemSpec, fd_step: float | None, threads: int,
-                  si_a1: float | None) -> dict:
+def _force(inputs: dict) -> dict:
+    spec = _problem(inputs)
+    threads = inputs["threads"]
+    si_a1 = inputs["a1_m"] if inputs["si"] else None
+    fd_step = inputs["fd_step"]
     f = force(spec, fd_step=fd_step, threads=threads)
     result = {
         "force": f,
@@ -170,102 +200,63 @@ def _force_result(spec: ProblemSpec, fd_step: float | None, threads: int,
     return result
 
 
-def _sweep_ratio_result(inputs: dict, threads: int) -> dict:
+def _sweep_ratio(inputs: dict) -> SweepTable:
     template = ProblemSpec(ratio=inputs["from"], mu=inputs["mu"],
-                           rel_tol=inputs["rel_tol"],
-                           l_cap=int(inputs["l_cap"]), mode="total")
-    table = sweep_ratio(template, inputs["from"], inputs["to"],
-                        int(inputs["steps"]), threads=threads)
-    return json.loads(table.to_json()), table
+                           rel_tol=inputs["rel_tol"], l_cap=inputs["l_cap"])
+    return sweep_ratio(template, inputs["from"], inputs["to"],
+                       inputs["steps"], threads=inputs["threads"])
 
 
-def _sweep_mass_result(inputs: dict, threads: int) -> dict:
-    template = ProblemSpec(ratio=inputs["ratio"], mu=0.0,
-                           rel_tol=inputs["rel_tol"],
-                           l_cap=int(inputs["l_cap"]), mode="total")
-    table = sweep_mass(template, [float(m) for m in inputs["mu_values"]],
-                       threads=threads)
-    return json.loads(table.to_json()), table
+def _sweep_mass(inputs: dict) -> SweepTable:
+    template = ProblemSpec(ratio=inputs["ratio"], rel_tol=inputs["rel_tol"],
+                           l_cap=inputs["l_cap"])
+    return sweep_mass(template, inputs["mu_values"],
+                      threads=inputs["threads"])
+
+
+_COMMANDS = {
+    "energy": _energy,
+    "force": _force,
+    "sweep-ratio": _sweep_ratio,
+    "sweep-mass": _sweep_mass,
+}
+
+
+class _Inputs(dict):
+    """Manifest inputs; reading one that is missing is a usage error."""
+
+    def __missing__(self, key):
+        raise UsageError(f"manifest inputs lack {key!r}")
+
+
+def _run(command, inputs):
+    """The result of a command for its manifest inputs."""
+    if not (isinstance(command, str) and command in _COMMANDS
+            and isinstance(inputs, dict)):
+        raise UsageError(f"cannot run command {command!r} on {inputs!r}")
+    return _COMMANDS[command](_Inputs(inputs))
+
+
+def _as_json(result):
+    if isinstance(result, SweepTable):
+        return json.loads(result.to_json())
+    return result
 
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_energy(args) -> int:
-    threads = _resolve_threads(args.threads)
-    spec = _resolve_problem(args)
-    inputs = {
-        "ratio": spec.ratio, "mu": spec.mu, "rel_tol": spec.rel_tol,
-        "l_cap": spec.l_cap, "mode": spec.mode, "threads": threads,
-        "si": bool(args.si), "a1_m": args.a1_m, "a2_m": args.a2_m,
-        "mass_ev": args.mass_ev,
-    }
+def _cmd_compute(args) -> int:
+    inputs = args.inputs(args)
     t0 = time.perf_counter()
-    result = _energy_result(spec, threads, args.a1_m if args.si else None)
-    result["wall_time_s"] = time.perf_counter() - t0
-    _emit({"manifest": _manifest("energy", inputs), "result": result},
-          args.fmt)
-    return 0
-
-
-def _cmd_force(args) -> int:
-    threads = _resolve_threads(args.threads)
-    spec = _resolve_problem(args)
-    inputs = {
-        "ratio": spec.ratio, "mu": spec.mu, "rel_tol": spec.rel_tol,
-        "l_cap": spec.l_cap, "mode": spec.mode, "threads": threads,
-        "si": bool(args.si), "a1_m": args.a1_m, "a2_m": args.a2_m,
-        "mass_ev": args.mass_ev, "fd_step": args.fd_step,
-    }
-    t0 = time.perf_counter()
-    result = _force_result(spec, args.fd_step, threads,
-                           args.a1_m if args.si else None)
-    result["wall_time_s"] = time.perf_counter() - t0
-    _emit({"manifest": _manifest("force", inputs), "result": result},
-          args.fmt)
-    return 0
-
-
-def _cmd_sweep_ratio(args) -> int:
-    threads = _resolve_threads(args.threads)
-    inputs = {
-        "from": args.ratio_from, "to": args.ratio_to, "steps": args.steps,
-        "mu": args.mu, "rel_tol": args.rel_tol, "l_cap": args.l_cap,
-        "threads": threads,
-    }
-    t0 = time.perf_counter()
-    result, table = _sweep_ratio_result(inputs, threads)
+    result = _run(args.command, inputs)
     wall = time.perf_counter() - t0
-    if args.fmt == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        result["wall_time_s"] = wall
-        print(json.dumps(
-            {"manifest": _manifest("sweep-ratio", inputs), "result": result},
-            indent=2))
-    return 0
-
-
-def _cmd_sweep_mass(args) -> int:
-    threads = _resolve_threads(args.threads)
-    try:
-        mu_values = [float(tok) for tok in args.mu_values.split(",") if tok]
-    except ValueError:
-        raise UsageError(
-            f"--mu-values must be comma-separated numbers, got {args.mu_values!r}")
-    inputs = {
-        "mu_values": mu_values, "ratio": args.ratio, "rel_tol": args.rel_tol,
-        "l_cap": args.l_cap, "threads": threads,
-    }
-    t0 = time.perf_counter()
-    result, table = _sweep_mass_result(inputs, threads)
-    wall = time.perf_counter() - t0
-    if args.fmt == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        result["wall_time_s"] = wall
-        print(json.dumps(
-            {"manifest": _manifest("sweep-mass", inputs), "result": result},
-            indent=2))
+    if args.fmt == "csv" and isinstance(result, SweepTable):
+        sys.stdout.write(result.to_csv())
+        return 0
+    result = _as_json(result)
+    result["wall_time_s"] = wall
+    _emit({"manifest": _manifest(args.command, inputs), "result": result},
+          args.fmt)
     return 0
 
 
@@ -279,31 +270,19 @@ def _strip_volatile(obj):
 
 
 def _cmd_replay(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    man = doc["manifest"]
-    inputs = man["inputs"]
-    command = man["command"]
-    if command == "energy":
-        spec = ProblemSpec(ratio=inputs["ratio"], mu=inputs["mu"],
-                           rel_tol=inputs["rel_tol"],
-                           l_cap=int(inputs["l_cap"]), mode=inputs["mode"])
-        fresh = _energy_result(spec, int(inputs["threads"]),
-                               inputs["a1_m"] if inputs.get("si") else None)
-    elif command == "force":
-        spec = ProblemSpec(ratio=inputs["ratio"], mu=inputs["mu"],
-                           rel_tol=inputs["rel_tol"],
-                           l_cap=int(inputs["l_cap"]), mode=inputs["mode"])
-        fresh = _force_result(spec, inputs.get("fd_step"),
-                              int(inputs["threads"]),
-                              inputs["a1_m"] if inputs.get("si") else None)
-    elif command == "sweep-ratio":
-        fresh, _ = _sweep_ratio_result(inputs, int(inputs["threads"]))
-    elif command == "sweep-mass":
-        fresh, _ = _sweep_mass_result(inputs, int(inputs["threads"]))
-    else:
-        raise UsageError(f"cannot replay command {command!r}")
-    stored = json.dumps(_strip_volatile(doc["result"]), sort_keys=True)
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        command = doc["manifest"]["command"]
+        inputs = doc["manifest"]["inputs"]
+        stored = doc["result"]
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.file}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(
+            f"{args.file} is not a result document: {exc!r}") from None
+    fresh = _as_json(_run(command, inputs))
+    stored = json.dumps(_strip_volatile(stored), sort_keys=True)
     redone = json.dumps(_strip_volatile(fresh), sort_keys=True)
     if stored == redone:
         print(f"replay ok: {args.file} ({command})")
@@ -369,14 +348,11 @@ def _cmd_selftest(args) -> int:
                     f"massless mismatch at l={l}, xi={xi}, ratio={ratio}")
 
     def energy_sanity():
-        te = energy(ProblemSpec(ratio=1.3, rel_tol=1e-5, mode="te"),
-                    threads=threads)
-        tm = energy(ProblemSpec(ratio=1.3, rel_tol=1e-5, mode="tm"),
-                    threads=threads)
-        if not (te.value < 0.0 and tm.value < 0.0):
+        r = energy(ProblemSpec(ratio=1.3, rel_tol=1e-5), threads=threads)
+        if not (r.te < 0.0 and r.tm < 0.0):
             raise AssertionError(
-                f"energies not attractive: te={te.value}, tm={tm.value}")
-        q = te.value / tm.value
+                f"energies not attractive: te={r.te}, tm={r.tm}")
+        q = r.te / r.tm
         if not (0.25 <= q <= 4.0):
             raise AssertionError(f"TE/TM ratio {q} outside sanity window")
 
@@ -429,14 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="interaction energy at one point")
     _add_problem_args(p)
     _add_common_args(p)
-    p.set_defaults(func=_cmd_energy)
+    p.set_defaults(func=_cmd_compute, inputs=_problem_inputs)
 
     p = sub.add_parser("force", help="-dE/d(ratio) at one point")
     _add_problem_args(p)
     _add_common_args(p)
     p.add_argument("--fd-step", dest="fd_step", type=float, default=None,
                    help="finite-difference step in ratio")
-    p.set_defaults(func=_cmd_force)
+    p.set_defaults(func=_cmd_compute, inputs=_problem_inputs)
 
     p = sub.add_parser("sweep-ratio", help="energy table over radius ratios")
     p.add_argument("--from", dest="ratio_from", type=float, required=True,
@@ -448,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0,
                    help="fixed field mass (default: 0)")
     _add_common_args(p)
-    p.set_defaults(func=_cmd_sweep_ratio)
+    p.set_defaults(func=_cmd_compute, inputs=_sweep_ratio_inputs)
 
     p = sub.add_parser("sweep-mass", help="energy table over field masses")
     p.add_argument("--mu-values", dest="mu_values", required=True,
@@ -456,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, required=True,
                    help="fixed radius ratio (> 1)")
     _add_common_args(p)
-    p.set_defaults(func=_cmd_sweep_mass)
+    p.set_defaults(func=_cmd_compute, inputs=_sweep_mass_inputs)
 
     p = sub.add_parser("selftest", help="hermetic internal cross-checks")
     p.add_argument("--threads", type=int, default=None)

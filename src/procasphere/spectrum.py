@@ -115,7 +115,10 @@ class EnergyResult:
     value is E / E0 with E0 = hbar*c/(2*pi*a1). abs_error_estimate combines
     the per-wave quadrature errors with a geometric bound on the dropped
     partial-wave tail. per_l_terms lists every (l, term) that entered the
-    sum, in order.
+    sum, in order. te and tm are the two polarizations' shares, integrated
+    on the same panels and summed over the same waves; each is None when
+    its polarization was not requested. In mode "total" te + tm equals
+    value up to rounding.
     """
 
     value: float
@@ -123,6 +126,8 @@ class EnergyResult:
     l_used: int
     integrand_evals: int
     per_l_terms: tuple[tuple[int, float], ...]
+    te: float | None
+    tm: float | None
 
 
 def _neumaier(values):
@@ -151,11 +156,19 @@ def _panel_nodes(a: float, b: float):
     return xs, h
 
 
+def _k15(fv):
+    # Kronrod sum, unrolled, in the order that every result's bits depend
+    # on: from 0.0, the symmetric node pairs from the outermost inward,
+    # then the centre.
+    w = _WGK
+    return (0.0 + w[0] * (fv[0] + fv[1]) + w[1] * (fv[2] + fv[3])
+            + w[2] * (fv[4] + fv[5]) + w[3] * (fv[6] + fv[7])
+            + w[4] * (fv[8] + fv[9]) + w[5] * (fv[10] + fv[11])
+            + w[6] * (fv[12] + fv[13]) + w[7] * fv[14])
+
+
 def _gk15_combine(fv, h: float):
-    k15 = 0.0
-    for j in range(7):
-        k15 += _WGK[j] * (fv[2 * j] + fv[2 * j + 1])
-    k15 += _WGK[7] * fv[14]
+    k15 = _k15(fv)
     # The even-index Kronrod abscissae are the Gauss-7 abscissae.
     g7 = (_WG[0] * (fv[2] + fv[3]) + _WG[1] * (fv[6] + fv[7])
           + _WG[2] * (fv[10] + fv[11]) + _WG[3] * fv[14])
@@ -163,18 +176,23 @@ def _gk15_combine(fv, h: float):
 
 
 def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float):
+    # [a, b, integral, error, TE integral, TM integral]. The integrand is the
+    # per-node te + tm, which is the requested mode's log bit for bit: a
+    # mode not requested reads -0.0.
     xs, h = _panel_nodes(a, b)
-    fv = kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+    te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+    fv = [p + q for p, q in zip(te, tm)]
     for x, f in zip(xs, fv):
         if math.isnan(f):
             raise ConvergenceError(
                 f"mode factor not finite at l={l}, xi_hat={x!r}", l_reached=l)
     val, err = _gk15_combine(fv, h)
-    return [a, b, val, err]
+    return [a, b, val, err, h * _k15(te), h * _k15(tm)]
 
 
 def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
-    """One partial wave: returns ((2l+1)*integral, error bound, eval count)."""
+    """One partial wave: ((2l+1)*integral, error bound, eval count, and
+    the TE and TM shares of the first)."""
     # Frame the decay: the integrand falls like
     # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
     # that exponent reaches ~45 (twenty digits below the peak).
@@ -238,12 +256,12 @@ def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
             if panels[i][3] > wmax:
                 worst = i
                 wmax = panels[i][3]
-        a, b, v, _e = panels[worst]
+        a, b = panels[worst][:2]
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # Interval exhausted at double resolution; its residual error is
             # already in the honest estimate, stop touching it.
-            panels[worst] = [a, b, v, 0.0]
+            panels[worst][3] = 0.0
             continue
         panels[worst] = _panel(l, mu, ratio, mode, a, mid)
         panels.append(_panel(l, mu, ratio, mode, mid, b))
@@ -253,24 +271,26 @@ def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     errsum = 0.0
     for p in panels:
         errsum += p[3]
-    value = (2.0 * l + 1.0) * _neumaier([p[2] for p in panels])
-    err = (2.0 * l + 1.0) * (errsum + tail)
-    return value, err, evals
+    w = 2.0 * l + 1.0
+    value = w * _neumaier([p[2] for p in panels])
+    te = w * _neumaier([p[4] for p in panels])
+    tm = w * _neumaier([p[5] for p in panels])
+    return value, w * (errsum + tail), evals, te, tm
 
 
 def l_term(spec: ProblemSpec, l: int) -> float:
     """Contribution of one partial wave: (2l+1) times its xi integral."""
     if isinstance(l, bool) or not isinstance(l, int) or l < 1:
         raise ValueError(f"partial wave must be an integer >= 1, got {l!r}")
-    value, _err, _evals = _l_term_full(
-        l, spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)
-    return value
+    return _l_term_full(
+        l, spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)[0]
 
 
 def _term_stream(spec: ProblemSpec, mode: int, threads: int):
-    # Yields (l, value, err, evals) strictly in ascending l. The threaded
-    # branch prefetches a bounded window; wasted prefetch past the stopping
-    # point is discarded, keeping results independent of thread count.
+    # Yields (l, value, err, evals, te, tm) strictly in ascending l. The
+    # threaded branch prefetches a bounded window; wasted prefetch past the
+    # stopping point is discarded, keeping results independent of thread
+    # count.
     if threads == 1:
         for l in range(1, spec.l_cap + 1):
             yield (l,) + _l_term_full(
@@ -299,9 +319,10 @@ def _term_stream(spec: ProblemSpec, mode: int, threads: int):
 def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     """Interaction energy in units of hbar*c/(2*pi*a1).
 
-    Partial waves are summed (with compensation) until three consecutive
-    terms fall below rel_tol relative to the running sum; exhausting l_cap
-    first raises ConvergenceError. threads > 1 evaluates waves concurrently
+    One pass integrates the requested polarizations together. Partial
+    waves are summed (with compensation) until three consecutive terms
+    fall below rel_tol relative to the running sum; exhausting l_cap first
+    raises ConvergenceError. threads > 1 evaluates waves concurrently
     without changing a single bit of the result.
     """
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
@@ -311,16 +332,20 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     c = 0.0
     err_quad = 0.0
     terms = []
+    te_terms = []
+    tm_terms = []
     consec = 0
     evals_total = 0
     l_used = 0
     prev_t = None
     last_t = None
     converged = False
-    for l, value, err, ev in _term_stream(spec, mode, threads):
+    for l, value, err, ev, te, tm in _term_stream(spec, mode, threads):
         evals_total += ev
         err_quad += err
         terms.append((l, value))
+        te_terms.append(te)
+        tm_terms.append(tm)
         t = s + value
         if abs(s) >= abs(value):
             c += (s - t) + value
@@ -358,6 +383,8 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
         l_used=l_used,
         integrand_evals=evals_total,
         per_l_terms=tuple(terms),
+        te=None if mode == 1 else _neumaier(te_terms),
+        tm=None if mode == 0 else _neumaier(tm_terms),
     )
 
 
@@ -480,20 +507,14 @@ class SweepTable:
 
 def _sweep_row(spec: ProblemSpec, param_value: float, threads: int) -> SweepRow:
     try:
-        te = energy(replace(spec, mode="te"), threads=threads)
-        tm = energy(replace(spec, mode="tm"), threads=threads)
+        r = energy(replace(spec, mode="total"), threads=threads)
     except ConvergenceError:
         nan = float("nan")
         return SweepRow(param=param_value, e_te=nan, e_tm=nan, e_total=nan,
                         abs_err=nan, l_used=0)
-    return SweepRow(
-        param=param_value,
-        e_te=te.value,
-        e_tm=tm.value,
-        e_total=te.value + tm.value,
-        abs_err=te.abs_error_estimate + tm.abs_error_estimate,
-        l_used=max(te.l_used, tm.l_used),
-    )
+    return SweepRow(param=param_value, e_te=r.te, e_tm=r.tm,
+                    e_total=r.te + r.tm, abs_err=r.abs_error_estimate,
+                    l_used=r.l_used)
 
 
 def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,

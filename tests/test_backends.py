@@ -103,12 +103,20 @@ def test_log_delta_bit_identical_on_grid(compiled):
 def test_log_delta_nodes_bit_identical(compiled):
     xs = [0.01 * (1.35 ** i) for i in range(40)]
     for mode in (0, 1, 2):
-        a = pure.log_delta_nodes(4, 0.5, 1.6, mode, xs)
-        b = compiled.log_delta_nodes(4, 0.5, 1.6, mode, xs)
-        assert list(a) == list(b)
-        # Batched evaluation is the pointwise one, not an approximation.
-        for x, v in zip(xs, a):
-            assert v == pure.log_delta_point(4, x, 0.5, 1.6, mode)
+        te, tm = pure.log_delta_nodes(4, 0.5, 1.6, mode, xs)
+        assert compiled.log_delta_nodes(4, 0.5, 1.6, mode, xs) == (te, tm)
+        assert len(te) == len(tm) == len(xs)
+        for x, a, b in zip(xs, te, tm):
+            # Each requested component is the pointwise mode value; one not
+            # requested reads -0.0, so the per-node sum is the requested
+            # value bit for bit, in every mode.
+            for want, got in ((0, a), (1, b)):
+                if mode in (want, 2):
+                    assert got == pure.log_delta_point(4, x, 0.5, 1.6, want)
+                else:
+                    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+            point = pure.log_delta_point(4, x, 0.5, 1.6, mode)
+            assert (a + b).hex() == point.hex()
 
 
 def test_massless_tm_bit_identical(compiled):
@@ -135,6 +143,60 @@ def test_non_integer_order_raises(compiled):
             kernel.log_delta_point(3.5, 1.0, 0.5, 1.5, 2)
         with pytest.raises(TypeError):
             kernel.s_pair(2.9, 1.0)
+
+
+# Out-of-domain calls: (function name, arguments). Both kernels raise
+# ValueError before computing anything.
+OUT_OF_DOMAIN = [
+    ("s_pair", (-1, 1.0)),
+    ("s_pair", (2, 0.0)),
+    ("s_pair", (2, -1.0)),
+    ("s_pair", (2, math.nan)),
+    ("s_pair", (2, math.inf)),
+    ("e_pair", (2, 0.0)),
+    ("e_pair", (-1, 1.0)),
+    ("e_pair", (2, math.inf)),
+    ("family", (3, 0.0)),
+    ("family", (-2, 1.0)),
+    ("rho_te", (0, 1.0, 0.5, 1.5)),
+    ("rho_te", (1, 0.0, 0.0, 1.5)),
+    ("rho_te", (1, -1.0, 0.5, 1.5)),
+    ("rho_tm", (1, 0.0, 0.5, 1.5)),
+    ("rho_tm", (1, 1.0, 0.5, 1.0)),
+    ("log_delta_point", (1, 0.0, 0.0, 1.5, 2)),
+    ("log_delta_point", (-1, 1.0, 0.0, 1.5, 2)),
+    ("log_delta_point", (0, 1.0, 0.0, 1.5, 0)),
+    ("log_delta_point", (1, 1.0, 0.0, 1.5, 3)),
+    ("log_delta_point", (1, 1.0, 0.0, 1.5, -1)),
+    ("log_delta_point", (1, 0.0, 0.5, 1.5, 1)),
+    ("log_delta_point", (1, 0.0, 0.5, 1.5, 2)),
+    ("log_delta_point", (1, math.nan, 0.5, 1.5, 2)),
+    ("log_delta_point", (1, 1.0, math.nan, 1.5, 2)),
+    ("log_delta_point", (1, 1.0, -0.5, 1.5, 2)),
+    ("log_delta_point", (1, 1.0, 0.5, math.inf, 2)),
+    ("log_delta_nodes", (3, 0.0, 1.5, 2, [0.0, 1.0])),
+    ("log_delta_nodes", (3, 0.5, 1.5, 2, [1.0, -2.0])),
+    ("log_delta_nodes", (3, 0.5, 1.5, 7, [1.0])),
+    ("log_delta_nodes", (0, 0.5, 1.5, 0, [1.0])),
+    ("rho_tm_massless", (0, 1.0, 1.5)),
+    ("rho_tm_massless", (1, 0.0, 1.5)),
+    ("rho_tm_massless", (1, math.nan, 1.5)),
+]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_out_of_domain_raises(compiled, backend):
+    kernel = pure if backend == "pure" else compiled
+    for name, args in OUT_OF_DOMAIN:
+        with pytest.raises(ValueError):
+            getattr(kernel, name)(*args)
+    # The one zero-frequency node in the domain: massive TE, which
+    # log_delta_te serves. Both kernels agree on it.
+    v = kernel.log_delta_point(2, 0.0, 0.5, 1.5, 0)
+    assert math.isfinite(v) and v < 0.0
+    assert v == pure.log_delta_point(2, 0.0, 0.5, 1.5, 0)
+    assert kernel.log_delta_nodes(2, 0.5, 1.5, 0, [0.0]) == ((v,), (0.0,))
+    assert kernel.rho_te(2, 0.0, 0.5, 1.5) == pure.rho_te(2, 0.0, 0.5, 1.5)
 
 
 def test_log_delta_nodes_from_two_threads(compiled):

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from procasphere import ProblemSpec, energy
+
 BASE = [sys.executable, "-m", "procasphere.cli"]
 
 
@@ -168,14 +170,56 @@ def test_sweep_mass_json_and_validation():
     assert r.returncode == 2
 
 
-def test_replay_round_trip(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("energy", "--ratio", "1.5", "--mu", "0.5", "--rel-tol", "1e-6"),
+    ("energy", "--ratio", "1.5", "--mu", "0.5", "--rel-tol", "1e-6",
+     "--mode", "te"),
+    ("force", "--ratio", "1.6", "--rel-tol", "1e-3"),
+    ("sweep-ratio", "--from", "1.5", "--to", "1.7", "--steps", "2",
+     "--rel-tol", "1e-4"),
+    ("sweep-mass", "--mu-values", "0,1", "--ratio", "1.6",
+     "--rel-tol", "1e-4"),
+], ids=["energy", "energy-te", "force", "sweep-ratio", "sweep-mass"])
+def test_replay_round_trip(tmp_path, argv):
     out = tmp_path / "run.json"
-    r = run_cli("energy", "--ratio", "1.5", "--mu", "0.5",
-                "--rel-tol", "1e-6")
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["manifest"]["command"] == argv[0]
     out.write_text(r.stdout, encoding="utf-8")
     rep = run_cli("replay", str(out))
     assert rep.returncode == 0, rep.stderr
-    assert "replay ok" in rep.stdout
+    assert f"replay ok: {out} ({argv[0]})" in rep.stdout
+
+
+def test_energy_is_one_pass():
+    # The polarization shares come from the joint pass: as many integrand
+    # evaluations as one total energy, and a total that is their sum.
+    res = json.loads(run_cli("energy", "--ratio", "1.5", "--mu", "0.5",
+                             "--rel-tol", "1e-6").stdout)["result"]
+    tot = energy(ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-6))
+    assert res["integrand_evals"] == tot.integrand_evals
+    assert (res["e_te"], res["e_tm"], res["l_used"]) == (tot.te, tot.tm,
+                                                         tot.l_used)
+    assert res["e_total"] == res["e_te"] + res["e_tm"]
+
+
+def test_replay_bad_input_is_usage_error(tmp_path):
+    doc = json.loads(run_cli("energy", "--ratio", "1.5",
+                             "--rel-tol", "1e-4").stdout)
+    no_manifest = tmp_path / "no_manifest.json"
+    no_manifest.write_text(json.dumps({"result": doc["result"]}),
+                           encoding="utf-8")
+    del doc["manifest"]["inputs"]["mu"]
+    no_mu = tmp_path / "no_mu.json"
+    no_mu.write_text(json.dumps(doc), encoding="utf-8")
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{", encoding="utf-8")
+    for path in (tmp_path / "missing.json", no_manifest, no_mu, not_json):
+        rep = run_cli("replay", str(path))
+        assert rep.returncode == 2, (path, rep.stderr)
+        assert "Traceback" not in rep.stderr
+        assert rep.stderr.startswith("error: ")
+        assert len(rep.stderr.splitlines()) == 1
 
 
 def test_replay_detects_tampering(tmp_path):
@@ -187,15 +231,6 @@ def test_replay_detects_tampering(tmp_path):
     rep = run_cli("replay", str(out))
     assert rep.returncode == 1
     assert "mismatch" in rep.stderr
-
-
-def test_replay_of_sweep(tmp_path):
-    out = tmp_path / "sweep.json"
-    r = run_cli("sweep-mass", "--mu-values", "0,1", "--ratio", "1.6",
-                "--rel-tol", "1e-4")
-    out.write_text(r.stdout, encoding="utf-8")
-    rep = run_cli("replay", str(out))
-    assert rep.returncode == 0, rep.stderr
 
 
 def test_selftest_passes():

@@ -113,6 +113,14 @@ def test_energy_mode_split():
     budget = (te.abs_error_estimate + tm.abs_error_estimate
               + tot.abs_error_estimate)
     assert abs(tot.value - (te.value + tm.value)) <= 5.0 * budget
+    # The joint pass's shares agree with the single-mode runs...
+    assert abs(tot.te - te.value) <= 5.0 * budget
+    assert abs(tot.tm - tm.value) <= 5.0 * budget
+    assert abs(tot.value - (tot.te + tot.tm)) <= 5.0 * budget
+    # ...and a single-mode run reports its own value as its share, bit for
+    # bit, and no share for the other polarization.
+    assert te.te == te.value and te.tm is None
+    assert tm.tm == tm.value and tm.te is None
 
 
 def test_energy_error_honesty():
@@ -130,6 +138,8 @@ def test_energy_thread_determinism():
     assert r1.l_used == r4.l_used
     assert r1.integrand_evals == r4.integrand_evals
     assert r1.per_l_terms == r4.per_l_terms
+    assert r1.te == r4.te
+    assert r1.tm == r4.tm
 
 
 def test_energy_threads_validation():
@@ -204,9 +214,11 @@ def test_sweep_ratio_table():
     # Wider gap, weaker binding: energies rise toward zero monotonically.
     totals = [r.e_total for r in table.rows]
     assert totals[0] < totals[1] < totals[2]
-    # A sweep row is exactly the two single-mode runs, not a reweighting.
-    te = energy(ProblemSpec(ratio=1.3, mu=0.0, rel_tol=1e-5, mode="te"))
-    assert table.rows[0].e_te == te.value
+    # A sweep row is the polarization shares of one total energy.
+    tot = energy(ProblemSpec(ratio=1.3, mu=0.0, rel_tol=1e-5))
+    assert table.rows[0].e_te == tot.te
+    assert table.rows[0].e_tm == tot.tm
+    assert table.rows[0].l_used == tot.l_used
 
 
 def test_sweep_ratio_validation():
