@@ -12,14 +12,21 @@
 #include <math.h>
 #include <stdarg.h>
 
-/* Frozen bit patterns shared with the pure twin: renorm factors exp(+-64). */
-static const double E64I = 0x1.969d47321e4ccp-93;
-static const double E64 = 0x1.425982cf597cdp+92;
-static const double EULER = 2.718281828459045;
+/* Chain rescale: mantissas leaving [TINY, BIG] move by 2^(-+STEP), exactly. */
+static const double STEP = 128.0;
+static const double DOWN = 0x1p-128;
+static const double UP = 0x1p+128;
 static const double BIG = 1e250;
 static const double TINY = 1e-250;
 /* Exponent gap beyond which an addend is below one ulp of the other term. */
-static const double ADD_CUTOFF = 120.0;
+static const double ADD_CUTOFF = 64.0;
+/* Cody-Waite split of ln 2, bit patterns shared with the pure twin. */
+static const double INV_LN2 = 0x1.71547652b82fep+0;
+static const double LN2_HI = 0x1.62e42p-1;
+static const double LN2_MID = 0x1.fdf44p-22;
+static const double LN2_LO = 0x1.9ef35793c7673p-41;
+/* Chain arguments stay below 2^32, inside the split's exact range. */
+static const double Z_MAX = 0x1p+32;
 
 typedef struct {
     double m;
@@ -47,34 +54,14 @@ static const SR SR_ZERO = {0.0, 0.0};
 
 static inline SR c_norm(double m, double k)
 {
-    double a, j, h;
+    int e;
     if (m == 0.0)
         return SR_ZERO;
-    a = fabs(m);
-    if (a >= EULER || a < 1.0) {
-        j = floor(log(a));
-        if (j != 0.0) {
-            if (fabs(j) <= 700.0) {
-                m = m / exp(j);
-            } else {
-                h = floor(j / 2.0);
-                m = m / exp(h) / exp(j - h);
-            }
-            k += j;
-        }
-        a = fabs(m);
-        while (a >= EULER) {
-            m /= EULER;
-            k += 1.0;
-            a = fabs(m);
-        }
-        while (a < 1.0) {
-            m *= EULER;
-            k -= 1.0;
-            a = fabs(m);
-        }
-    }
-    return (SR){m, k};
+    /* frexp leaves the exponent of inf and NaN unspecified. */
+    if (!isfinite(m))
+        return (SR){m, k};
+    m = frexp(m, &e);
+    return (SR){m, k + e};
 }
 
 static inline SR c_mul(double m1, double k1, double m2, double k2)
@@ -105,21 +92,33 @@ static inline SR c_add(double m1, double k1, double m2, double k2)
         return (SR){m2, k2};
     if (m2 == 0.0)
         return (SR){m1, k1};
+    /* ldexp(1, -d) is the pure twin's exact 2.0 ** -d; a NaN gap takes the
+     * early exit before the cast. */
     if (k1 >= k2) {
         d = k1 - k2;
-        if (d > ADD_CUTOFF)
+        if (!(d <= ADD_CUTOFF))
             return (SR){m1, k1};
-        return c_norm(m1 + m2 * exp(-d), k1);
+        return c_norm(m1 + m2 * ldexp(1.0, -(int)d), k1);
     }
     d = k2 - k1;
-    if (d > ADD_CUTOFF)
+    if (!(d <= ADD_CUTOFF))
         return (SR){m2, k2};
-    return c_norm(m2 + m1 * exp(-d), k2);
+    return c_norm(m2 + m1 * ldexp(1.0, -(int)d), k2);
 }
 
 static inline SR c_sub(double m1, double k1, double m2, double k2)
 {
     return c_add(m1, k1, -m2, k2);
+}
+
+
+/* exp(x) as {exp(r), n} with x = n ln 2 + r, n = floor(x / ln 2); see
+ * _exp_split in the pure twin for why r is good to about an ulp. */
+static inline SR c_exp_split(double x)
+{
+    double n = floor(x * INV_LN2);
+    double r = ((x - n * LN2_HI) - n * LN2_MID) - n * LN2_LO;
+    return (SR){exp(r), n};
 }
 
 
@@ -147,9 +146,9 @@ static SR c_s_sum(long l, double z, double m, double k)
         if (term <= tot * 1e-18)
             break;
         if (tot > BIG) {
-            tot *= E64I;
-            term *= E64I;
-            k += 64.0;
+            tot *= DOWN;
+            term *= DOWN;
+            k += STEP;
         }
         if (n > 100000)
             return (SR){NAN, 0.0};
@@ -167,11 +166,11 @@ static SRP c_s_series_pair(long l, double z)
     for (j = 0; j < l; j++) {
         m *= z / (2.0 * j + 1.0);
         if (m > BIG) {
-            m *= E64I;
-            k += 64.0;
+            m *= DOWN;
+            k += STEP;
         } else if (m < TINY) {
-            m *= E64;
-            k -= 64.0;
+            m *= UP;
+            k -= STEP;
         }
     }
     m1 = m * (z / (2.0 * l + 1.0));
@@ -189,17 +188,17 @@ static SRP c_s_miller(long l, double z)
     double y = 1.0;
     double off = 0.0;
     double out1m = 0.0, out1k = 0.0, out0m = 0.0, out0k = 0.0;
-    double t, k0, m0;
+    double t, m0;
     long j = L;
-    SR a, b;
+    SR f, a, b;
     while (j >= 1) {
         t = ym + (2.0 * j + 1.0) / z * y;
         ym = y;
         y = t;
         if (y > BIG) {
-            y *= E64I;
-            ym *= E64I;
-            off += 64.0;
+            y *= DOWN;
+            ym *= DOWN;
+            off += STEP;
         }
         if (j - 1 == l) {
             out1m = y;
@@ -210,27 +209,26 @@ static SRP c_s_miller(long l, double z)
         }
         j -= 1;
     }
-    /* Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with the exponent held
-     * as floor(z): z - floor(z) is exact, so the mantissa never pays the
-     * z*eps penalty of an exp(log(..)) round-trip. */
-    k0 = floor(z);
-    m0 = exp(z - k0) * (0.5 * (1.0 - exp(-2.0 * z)));
-    a = c_norm(out1m / y * m0, k0 + (out1k - off));
-    b = c_norm(out0m / y * m0, k0 + (out0k - off));
+    /* Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with exp(z) split by
+     * c_exp_split, so the mantissa never pays the z*eps penalty of an
+     * exp(log(..)) round-trip. */
+    f = c_exp_split(z);
+    m0 = f.m * (0.5 * (1.0 - exp(-2.0 * z)));
+    a = c_norm(out1m / y * m0, f.k + (out1k - off));
+    b = c_norm(out0m / y * m0, f.k + (out0k - off));
     return (SRP){a.m, a.k, b.m, b.k};
 }
 
 static SRP c_s_pair(long l, double z)
 {
-    double em2, f, k0;
-    SR a, b;
+    double em2;
+    SR f, a, b;
     if (l == 0) {
         if (z > 30.0) {
             em2 = exp(-2.0 * z);
-            k0 = floor(z);
-            f = exp(z - k0);
-            a = c_norm(f * (0.5 * (1.0 - em2)), k0);
-            b = c_norm(f * (0.5 * (1.0 + em2)), k0);
+            f = c_exp_split(z);
+            a = c_norm(f.m * (0.5 * (1.0 - em2)), f.k);
+            b = c_norm(f.m * (0.5 * (1.0 + em2)), f.k);
         } else {
             a = c_norm(sinh(z), 0.0);
             b = c_norm(cosh(z), 0.0);
@@ -244,10 +242,10 @@ static SRP c_s_pair(long l, double z)
 
 static SRP c_e_pair(long l, double z)
 {
-    double k = floor(-z);
-    double m = exp(-z - k);
-    double a = m;
-    double b = m;
+    SR s = c_exp_split(-z);
+    double k = s.k;
+    double a = s.m;
+    double b = s.m;
     double t;
     long j;
     SR p, q;
@@ -256,9 +254,9 @@ static SRP c_e_pair(long l, double z)
         a = b;
         b = t;
         if (b > BIG) {
-            a *= E64I;
-            b *= E64I;
-            k += 64.0;
+            a *= DOWN;
+            b *= DOWN;
+            k += STEP;
         }
     }
     p = c_norm(b, k);
@@ -280,21 +278,24 @@ static inline SR c_two(double am, double ak, double bm, double bk,
 
 static double c_log1m(double m, double k)
 {
-    double la, v;
-    SR d;
+    double v;
+    SR r, d;
     if (m == 0.0)
         return -0.0;
-    la = log(fabs(m)) + k;
-    if (la < -0.7) {
-        v = m * exp(k);
+    if (!isfinite(m))
+        return NAN;
+    r = c_norm(m, k);
+    if (r.k < 0.0) {
+        /* pow(2, k) is the pure twin's exact 2.0 ** k, underflow included. */
+        v = r.m * pow(2.0, r.k);
         if (v == 0.0)
             return -0.0;
         return log1p(-v);
     }
-    d = c_sub(1.0, 0.0, m, k);
+    d = c_sub(0.5, 1.0, r.m, r.k);
     if (d.m <= 0.0)
         return NAN;
-    return log(d.m) + d.k;
+    return d.k * LN2_HI + (d.k * LN2_MID + (d.k * LN2_LO + log(d.m)));
 }
 
 static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
@@ -486,10 +487,10 @@ static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
  * Each returns 0 with ValueError set. */
 static int chain_ok(long l, double z)
 {
-    if (l >= 0 && z > 0.0 && z < INFINITY)
+    if (l >= 0 && z > 0.0 && z < Z_MAX)
         return 1;
     PyErr_SetString(PyExc_ValueError,
-                    "Riccati-Bessel chains need l >= 0 and a finite z > 0");
+                    "Riccati-Bessel chains need l >= 0 and 0 < z < 2**32");
     return 0;
 }
 
@@ -498,12 +499,14 @@ static int point_ok(long l, double xi, double mu, double ratio, long mode)
     if (l >= 1 && mode >= 0 && mode <= 2 && mu >= 0.0 && mu < INFINITY
         && ratio > 1.0 && ratio < INFINITY
         && ((xi > 0.0 && xi < INFINITY)
-            || (xi == 0.0 && mode == 0 && mu > 0.0)))
+            || (xi == 0.0 && mode == 0 && mu > 0.0))
+        && c_gamma(xi, mu) * ratio < Z_MAX)
         return 1;
     PyErr_SetString(PyExc_ValueError,
                     "mode factors need l >= 1, mode 0, 1 or 2, a finite "
-                    "mu >= 0, a finite ratio > 1 and a finite xi > 0 "
-                    "(xi = 0 only in mode 0 with mu > 0)");
+                    "mu >= 0, a finite ratio > 1, a finite xi > 0 (xi = 0 "
+                    "only in mode 0 with mu > 0) and sqrt(xi^2 + mu^2) * "
+                    "ratio < 2**32");
     return 0;
 }
 
@@ -754,10 +757,10 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
     if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio))
         return NULL;
     if (l < 1 || !(xi > 0.0 && xi < INFINITY)
-        || !(ratio > 1.0 && ratio < INFINITY)) {
+        || !(ratio > 1.0 && ratio < INFINITY) || !(xi * ratio < Z_MAX)) {
         PyErr_SetString(PyExc_ValueError,
-                        "rho_tm_massless needs l >= 1, a finite xi > 0 and "
-                        "a finite ratio > 1");
+                        "rho_tm_massless needs l >= 1, a finite xi > 0, a "
+                        "finite ratio > 1 and xi * ratio < 2**32");
         return NULL;
     }
     x = xi;

@@ -6,25 +6,39 @@ double they produce is bit-identical; any edit here must be mirrored there,
 in order.  The flat tuple-passing style (no classes, no numpy) is
 deliberate: it transcribes one-to-one into C doubles.
 
-Scaled values travel as (mantissa, scale) pairs meaning m * exp(k) with
-|m| in [1, e) and k integer-valued, so scale arithmetic is exact.
+Scaled values travel as (mantissa, scale) pairs meaning m * 2**k with
+|m| in [0.5, 1), the range of frexp, and k integer-valued. Renormalising
+and aligning are then exact: only mantissa products and sums round, and no
+scaled primitive calls log or exp.
 """
 
 import math
 
 BACKEND = "pure"
 
-# Frozen bit patterns shared with the compiled twin: renorm factors exp(+-64).
-E64I = float.fromhex("0x1.969d47321e4ccp-93")
-E64 = float.fromhex("0x1.425982cf597cdp+92")
-_E = 2.718281828459045
+# Chain rescale: mantissas leaving [_TINY, _BIG] move by the exact power of
+# two 2**(-+_STEP).
+_STEP = 128.0
+_DOWN = 2.0 ** -_STEP
+_UP = 2.0 ** _STEP
 _BIG = 1e250
 _TINY = 1e-250
 # Exponent gap beyond which an addend is below one ulp of the other term.
-_ADD_CUTOFF = 120.0
+_ADD_CUTOFF = 64.0
+# Cody-Waite split of ln 2 (frozen bit patterns shared with the compiled
+# twin): _LN2_HI and _LN2_MID have 20 significant bits, so n * _LN2_HI and
+# n * _LN2_MID are exact for |n| < 2**33, and _LN2_LO holds the next 53.
+_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
+_LN2_HI = float.fromhex("0x1.62e42p-1")
+_LN2_MID = float.fromhex("0x1.fdf44p-22")
+_LN2_LO = float.fromhex("0x1.9ef35793c7673p-41")
+# Chain arguments stay below 2**32, inside the exact range of the ln 2
+# split (2**33 ln 2 ~ 5.95e9). No energy reaches a larger z in practice:
+# the Miller start order max(l, z) + 26 would cost over 4e9 steps a chain.
+_Z_MAX = 2.0 ** 32
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
-_CHAIN_DOMAIN = "Riccati-Bessel chains need l >= 0 and a finite z > 0"
+_CHAIN_DOMAIN = "Riccati-Bessel chains need l >= 0 and 0 < z < 2**32"
 
 
 # -- scaled primitives -------------------------------------------------------
@@ -32,26 +46,10 @@ _CHAIN_DOMAIN = "Riccati-Bessel chains need l >= 0 and a finite z > 0"
 def sr_norm(m, k):
     if m == 0.0:
         return 0.0, 0.0
-    a = abs(m)
-    if a >= _E or a < 1.0:
-        j = math.floor(math.log(a))
-        if j != 0.0:
-            if abs(j) <= 700.0:
-                m = m / math.exp(j)
-            else:
-                h = math.floor(j / 2.0)
-                m = m / math.exp(h) / math.exp(j - h)
-            k += j
-        a = abs(m)
-        while a >= _E:
-            m /= _E
-            k += 1.0
-            a = abs(m)
-        while a < 1.0:
-            m *= _E
-            k -= 1.0
-            a = abs(m)
-    return m, k
+    # math.frexp returns inf and NaN with exponent 0, so they keep their
+    # scale; C leaves that exponent unspecified, so the twin tests for them.
+    m, e = math.frexp(m)
+    return m, k + e
 
 
 def sr_mul(m1, k1, m2, k2):
@@ -77,19 +75,31 @@ def sr_add(m1, k1, m2, k2):
         return m2, k2
     if m2 == 0.0:
         return m1, k1
+    # 2.0 ** -d is exact. A NaN gap (non-finite scales) takes the early
+    # exit, so the C twin never converts it to an integer.
     if k1 >= k2:
         d = k1 - k2
-        if d > _ADD_CUTOFF:
+        if not d <= _ADD_CUTOFF:
             return m1, k1
-        return sr_norm(m1 + m2 * math.exp(-d), k1)
+        return sr_norm(m1 + m2 * 2.0 ** -d, k1)
     d = k2 - k1
-    if d > _ADD_CUTOFF:
+    if not d <= _ADD_CUTOFF:
         return m2, k2
-    return sr_norm(m2 + m1 * math.exp(-d), k2)
+    return sr_norm(m2 + m1 * 2.0 ** -d, k2)
 
 
 def sr_sub(m1, k1, m2, k2):
     return sr_add(m1, k1, -m2, k2)
+
+
+def _exp_split(x):
+    # exp(x) as (exp(r), n) with x = n ln 2 + r and n = floor(x / ln 2).
+    # Below |x| = 2**33 ln 2 the two products are exact and so are the
+    # first two subtractions (Sterbenz), so r is good to about an ulp, not
+    # to the |x| * eps of a one-part reduction.
+    n = math.floor(x * _INV_LN2)
+    r = ((x - n * _LN2_HI) - n * _LN2_MID) - n * _LN2_LO
+    return math.exp(r), float(n)
 
 
 # -- modified Riccati-Bessel chains ------------------------------------------
@@ -104,7 +114,7 @@ def gamma_arg(xi, mu):
 
 
 def _s_sum(l, z, m, k):
-    # Sum the all-positive power series given the leading term m*exp(k).
+    # Sum the all-positive power series given the leading term m*2**k.
     z2 = z * z
     tot = m
     term = m
@@ -116,9 +126,9 @@ def _s_sum(l, z, m, k):
         if term <= tot * 1e-18:
             break
         if tot > _BIG:
-            tot *= E64I
-            term *= E64I
-            k += 64.0
+            tot *= _DOWN
+            term *= _DOWN
+            k += _STEP
         if n > 100000:
             # Unreachable on the branch domain; NaN propagates to callers,
             # which surface it as a convergence failure.
@@ -133,11 +143,11 @@ def _s_series_pair(l, z):
     for j in range(l):
         m *= z / (2.0 * j + 1.0)
         if m > _BIG:
-            m *= E64I
-            k += 64.0
+            m *= _DOWN
+            k += _STEP
         elif m < _TINY:
-            m *= E64
-            k -= 64.0
+            m *= _UP
+            k -= _STEP
     m1 = m * (z / (2.0 * l + 1.0))
     am, ak = _s_sum(l, z, m1, k)
     bm, bk = _s_sum(l - 1, z, m, k)
@@ -159,9 +169,9 @@ def _s_miller(l, z):
         ym = y
         y = t
         if y > _BIG:
-            y *= E64I
-            ym *= E64I
-            off += 64.0
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
         if j - 1 == l:
             out1m = y
             out1k = off
@@ -169,25 +179,24 @@ def _s_miller(l, z):
             out0m = y
             out0k = off
         j -= 1
-    # Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with the exponent held
-    # as floor(z): z - floor(z) is exact, so the mantissa never pays the
-    # z*eps penalty of an exp(log(..)) round-trip.
-    k0 = math.floor(z)
-    m0 = math.exp(z - k0) * (0.5 * (1.0 - math.exp(-2.0 * z)))
+    # Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with exp(z) split by
+    # _exp_split, so the mantissa never pays the z*eps penalty of an
+    # exp(log(..)) round-trip.
+    f, k0 = _exp_split(z)
+    m0 = f * (0.5 * (1.0 - math.exp(-2.0 * z)))
     am, ak = sr_norm(out1m / y * m0, k0 + (out1k - off))
     bm, bk = sr_norm(out0m / y * m0, k0 + (out0k - off))
     return am, ak, bm, bk
 
 
 def s_pair(l, z):
-    """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0, z > 0."""
-    if l < 0 or not 0.0 < z < math.inf:
+    """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0, 0 < z < 2**32."""
+    if l < 0 or not 0.0 < z < _Z_MAX:
         raise ValueError(_CHAIN_DOMAIN)
     if l == 0:
         if z > 30.0:
             em2 = math.exp(-2.0 * z)
-            k0 = math.floor(z)
-            f = math.exp(z - k0)
+            f, k0 = _exp_split(z)
             am, ak = sr_norm(f * (0.5 * (1.0 - em2)), k0)
             bm, bk = sr_norm(f * (0.5 * (1.0 + em2)), k0)
             return am, ak, bm, bk
@@ -202,10 +211,9 @@ def s_pair(l, z):
 def e_pair(l, z):
     """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
     direction for the decaying solution, so no normalization pass is needed."""
-    if l < 0 or not 0.0 < z < math.inf:
+    if l < 0 or not 0.0 < z < _Z_MAX:
         raise ValueError(_CHAIN_DOMAIN)
-    k = math.floor(-z)
-    m = math.exp(-z - k)
+    m, k = _exp_split(-z)
     a = m
     b = m
     for j in range(l):
@@ -213,9 +221,9 @@ def e_pair(l, z):
         a = b
         b = t
         if b > _BIG:
-            a *= E64I
-            b *= E64I
-            k += 64.0
+            a *= _DOWN
+            b *= _DOWN
+            k += _STEP
     am, ak = sr_norm(b, k)
     bm, bk = sr_norm(a, k)
     return am, ak, bm, bk
@@ -251,19 +259,25 @@ def _two(am, ak, bm, bk, cm, ck, dm, dk):
 
 def log1m_scaled(m, k):
     """ln(1 - rho) for scaled rho; -0.0 when rho underflows, nan when
-    rho >= 1 (callers turn that into a domain failure)."""
+    rho >= 1 or rho is not finite (callers turn that into a domain
+    failure)."""
     if m == 0.0:
         return -0.0
-    la = math.log(abs(m)) + k
-    if la < -0.7:
-        v = m * math.exp(k)
+    if not math.isfinite(m):
+        return math.nan
+    m, k = sr_norm(m, k)
+    if k < 0.0:
+        # |rho| < 1/2: form it (2.0 ** k is exact) and let log1p keep the
+        # digits of a small rho.
+        v = m * 2.0 ** k
         if v == 0.0:
             return -0.0
         return math.log1p(-v)
-    dm, dk = sr_sub(1.0, 0.0, m, k)
+    dm, dk = sr_sub(0.5, 1.0, m, k)
     if dm <= 0.0:
         return math.nan
-    return math.log(dm) + dk
+    # dk ln 2 by the split of _exp_split: dk * _LN2_HI is exact.
+    return dk * _LN2_HI + (dk * _LN2_MID + (dk * _LN2_LO + math.log(dm)))
 
 
 def _core_point(l, xi, mu, ratio, mode):
@@ -407,11 +421,12 @@ def _core_point(l, xi, mu, ratio, mode):
 def _check_point(l, xi, mu, ratio, mode):
     xi_ok = 0.0 < xi < math.inf or (xi == 0.0 and mode == 0 and mu > 0.0)
     if (l < 1 or mode < 0 or mode > 2 or not xi_ok
-            or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf):
+            or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf
+            or not gamma_arg(xi, mu) * ratio < _Z_MAX):
         raise ValueError(
             "mode factors need l >= 1, mode 0, 1 or 2, a finite mu >= 0, a "
-            "finite ratio > 1 and a finite xi > 0 (xi = 0 only in mode 0 "
-            "with mu > 0)")
+            "finite ratio > 1, a finite xi > 0 (xi = 0 only in mode 0 with "
+            "mu > 0) and sqrt(xi^2 + mu^2) * ratio < 2**32")
 
 
 def rho_te(l, xi, mu, ratio):
@@ -446,9 +461,10 @@ def log_delta_nodes(l, mu, ratio, mode, xs):
 
 def rho_tm_massless(l, xi, ratio):
     """Conducting-boundary ratio s'(x)e'(xr)/(e'(x)s'(xr)), scaled."""
-    if l < 1 or not 0.0 < xi < math.inf or not 1.0 < ratio < math.inf:
-        raise ValueError("rho_tm_massless needs l >= 1, a finite xi > 0 "
-                         "and a finite ratio > 1")
+    if (l < 1 or not 0.0 < xi < math.inf or not 1.0 < ratio < math.inf
+            or not xi * ratio < _Z_MAX):
+        raise ValueError("rho_tm_massless needs l >= 1, a finite xi > 0, a "
+                         "finite ratio > 1 and xi * ratio < 2**32")
     x = xi
     xr = xi * ratio
     s1m, s1k, s0m, s0k = s_pair(l, x)

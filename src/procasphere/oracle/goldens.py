@@ -164,7 +164,7 @@ def _fast_value(op: str, params: dict):
         field = {"s": fam.s, "e": fam.e, "sp": fam.s_prime,
                  "ep": fam.e_prime, "st": fam.s_tilde,
                  "et": fam.e_tilde}[op]
-        return mpf(field.mantissa) * mp.exp(mpf(field.log_scale))
+        return mp.ldexp(mpf(field.mantissa), int(field.log2_scale))
     if op == "log_delta_te":
         return mpf(log_delta_te(SpectralPoint(
             l=params["l"], xi_hat=params["xi"], mu=params["mu"],

@@ -1,93 +1,51 @@
 """Overflow-free scalar representation used by the special-function kernels.
 
-A value is stored as ``mantissa * exp(log_scale)`` with ``|mantissa|`` in
-``[1, e)`` (or exactly zero).  ``log_scale`` is kept integer-valued, which
-makes every exponent manipulation exact in floating point: differences and
-sums of scales carry no rounding, so only mantissa operations accumulate
-error (about one ulp each).  That property is what lets determinant ratios
-of astronomically scaled quantities come out to near-full double precision.
+A value is stored as ``mantissa * 2**log2_scale`` with ``|mantissa|`` in
+``[0.5, 1)``, the range of ``math.frexp`` (or exactly zero).
+``log2_scale`` is kept integer-valued, so renormalising and aligning are
+exact: differences and sums of scales carry no rounding, and only mantissa
+operations accumulate error (about one ulp each).  That property is what
+lets determinant ratios of astronomically scaled quantities come out to
+near-full double precision.  The arithmetic is the pure kernel's, so a
+ScaledReal rounds exactly as the kernels do.
 """
 
 from __future__ import annotations
 
 import math
 
-_E = math.e
-# floor(log(DBL_MAX)) with margin; beyond this exp() must be split in two.
-_EXP_SAFE = 700.0
-# Exponent gap beyond which the smaller addend is below one ulp of the larger.
-_ADD_CUTOFF = 120.0
+from ._core_py import _exp_split, sr_add, sr_div, sr_mul, sr_scale
+from ._core_py import sr_norm as _norm
 
-
-def _norm(m: float, k: float) -> tuple[float, float]:
-    """Renormalize so |m| lands in [1, e); zero collapses to (0, 0)."""
-    if m == 0.0:
-        return 0.0, 0.0
-    a = abs(m)
-    while a >= _E:
-        m /= _E
-        k += 1.0
-        a = abs(m)
-    while a < 1.0:
-        m *= _E
-        k -= 1.0
-        a = abs(m)
-    return m, k
-
-
-def _split_exp(k: float) -> float:
-    """exp(k) for integer-valued k of any magnitude, as a two-factor product."""
-    h = math.floor(k / 2.0)
-    return math.exp(h) * math.exp(k - h)
+_LN2 = math.log(2.0)
 
 
 class ScaledReal:
-    """A real number in mantissa/log-scale form.
+    """A real number in mantissa/base-2-scale form.
 
     Construct with :meth:`from_float` or :meth:`from_log`; the raw
     constructor trusts its arguments (used by the kernels, which keep the
     invariant themselves).
     """
 
-    __slots__ = ("mantissa", "log_scale")
+    __slots__ = ("mantissa", "log2_scale")
 
-    def __init__(self, mantissa: float, log_scale: float = 0.0):
+    def __init__(self, mantissa: float, log2_scale: float = 0.0):
         self.mantissa = mantissa
-        self.log_scale = log_scale
+        self.log2_scale = log2_scale
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_float(cls, x: float) -> "ScaledReal":
-        if x == 0.0:
-            return cls(0.0, 0.0)
         if math.isinf(x) or math.isnan(x):
             raise ValueError(f"cannot represent {x!r}")
-        k = math.floor(math.log(abs(x)))
-        # Recompute the mantissa from x after any scale fixup: dividing and
-        # multiplying by the same exp(k) is what keeps round-trips to 1 ulp.
-        for _ in range(3):
-            if abs(k) <= _EXP_SAFE:
-                m = x / math.exp(k)
-            else:
-                h = math.floor(k / 2.0)
-                m = (x / math.exp(h)) / math.exp(k - h)
-            a = abs(m)
-            if a >= _E:
-                k += 1.0
-            elif a < 1.0:
-                k -= 1.0
-            else:
-                return cls(m, k)
-        return cls(m, k)  # pragma: no cover - fixup always settles in <= 2 steps
+        return cls(*_norm(x, 0.0))
 
     @classmethod
     def from_log(cls, log_value: float) -> "ScaledReal":
         """The positive number exp(log_value), without ever forming it."""
-        k = math.floor(log_value)
-        m = math.exp(log_value - k)
-        m, k = _norm(m, k)
-        return cls(m, k)
+        return cls(*_norm(*_exp_split(log_value)))
 
     @classmethod
     def zero(cls) -> "ScaledReal":
@@ -99,24 +57,16 @@ class ScaledReal:
         """Collapse to a plain double; overflows to inf, underflows to 0."""
         if self.mantissa == 0.0:
             return 0.0
-        k = self.log_scale
-        if abs(k) <= _EXP_SAFE:
-            return self.mantissa * math.exp(k)
-        # math.exp raises instead of returning inf, so settle the hopeless
-        # magnitudes from the exact log before touching it.
-        la = self.log_abs()
-        if la > 709.9:
+        try:
+            return math.ldexp(self.mantissa, int(self.log2_scale))
+        except OverflowError:
             return math.copysign(math.inf, self.mantissa)
-        if la < -746.0:
-            return math.copysign(0.0, self.mantissa)
-        h = math.floor(k / 2.0)
-        return (self.mantissa * math.exp(h)) * math.exp(k - h)
 
     def log_abs(self) -> float:
-        """log|value|; -inf for zero."""
+        """Natural log of |value|; -inf for zero."""
         if self.mantissa == 0.0:
             return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
+        return math.log(abs(self.mantissa)) + self.log2_scale * _LN2
 
     def sign(self) -> float:
         if self.mantissa > 0.0:
@@ -133,17 +83,11 @@ class ScaledReal:
 
     def __mul__(self, other):
         if isinstance(other, ScaledReal):
-            if self.mantissa == 0.0 or other.mantissa == 0.0:
-                return ScaledReal(0.0, 0.0)
-            m, k = _norm(self.mantissa * other.mantissa,
-                         self.log_scale + other.log_scale)
-            return ScaledReal(m, k)
+            return ScaledReal(*sr_mul(self.mantissa, self.log2_scale,
+                                      other.mantissa, other.log2_scale))
         if isinstance(other, (int, float)):
-            c = float(other)
-            if c == 0.0 or self.mantissa == 0.0:
-                return ScaledReal(0.0, 0.0)
-            m, k = _norm(self.mantissa * c, self.log_scale)
-            return ScaledReal(m, k)
+            return ScaledReal(*sr_scale(self.mantissa, self.log2_scale,
+                                        float(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -152,50 +96,36 @@ class ScaledReal:
         if isinstance(other, ScaledReal):
             if other.mantissa == 0.0:
                 raise ZeroDivisionError("ScaledReal division by zero")
-            if self.mantissa == 0.0:
-                return ScaledReal(0.0, 0.0)
-            m, k = _norm(self.mantissa / other.mantissa,
-                         self.log_scale - other.log_scale)
-            return ScaledReal(m, k)
+            return ScaledReal(*sr_div(self.mantissa, self.log2_scale,
+                                      other.mantissa, other.log2_scale))
         if isinstance(other, (int, float)):
-            m, k = _norm(self.mantissa / float(other), self.log_scale)
-            return ScaledReal(m, k)
+            return ScaledReal(*_norm(self.mantissa / float(other),
+                                     self.log2_scale))
         return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, ScaledReal):
             return NotImplemented
-        if self.mantissa == 0.0:
-            return ScaledReal(other.mantissa, other.log_scale)
-        if other.mantissa == 0.0:
-            return ScaledReal(self.mantissa, self.log_scale)
-        if self.log_scale >= other.log_scale:
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        d = hi.log_scale - lo.log_scale  # exact: integer-valued scales
-        if d > _ADD_CUTOFF:
-            return ScaledReal(hi.mantissa, hi.log_scale)
-        m, k = _norm(hi.mantissa + lo.mantissa * math.exp(-d), hi.log_scale)
-        return ScaledReal(m, k)
+        return ScaledReal(*sr_add(self.mantissa, self.log2_scale,
+                                  other.mantissa, other.log2_scale))
 
     def __sub__(self, other):
         if not isinstance(other, ScaledReal):
             return NotImplemented
-        return self.__add__(ScaledReal(-other.mantissa, other.log_scale))
+        return self.__add__(ScaledReal(-other.mantissa, other.log2_scale))
 
     def __neg__(self):
-        return ScaledReal(-self.mantissa, self.log_scale)
+        return ScaledReal(-self.mantissa, self.log2_scale)
 
     def __abs__(self):
-        return ScaledReal(abs(self.mantissa), self.log_scale)
+        return ScaledReal(abs(self.mantissa), self.log2_scale)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, ScaledReal):
             return (self.mantissa == other.mantissa
-                    and self.log_scale == other.log_scale)
+                    and self.log2_scale == other.log2_scale)
         return NotImplemented
 
     def __lt__(self, other):
@@ -217,7 +147,7 @@ class ScaledReal:
         return eq or self.__lt__(other)
 
     def __hash__(self):
-        return hash((self.mantissa, self.log_scale))
+        return hash((self.mantissa, self.log2_scale))
 
     def __repr__(self):
-        return f"ScaledReal({self.mantissa!r}, log_scale={self.log_scale!r})"
+        return f"ScaledReal({self.mantissa!r}, log2_scale={self.log2_scale!r})"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -89,9 +90,11 @@ class ProblemSpec:
     mode: str = "total"
 
     def __post_init__(self):
-        object.__setattr__(self, "ratio", float(self.ratio))
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        for name in ("ratio", "mu", "rel_tol"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         object.__setattr__(self, "mode", str(self.mode).lower())
         if isinstance(self.l_cap, bool) or not isinstance(self.l_cap, int):
             raise ValueError(f"l_cap must be an integer, got {self.l_cap!r}")
@@ -195,12 +198,13 @@ def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     the TE and TM shares of the first)."""
     # Frame the decay: the integrand falls like
     # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
-    # that exponent reaches ~45 (twenty digits below the peak).
+    # that exponent reaches ~45 (twenty digits below the peak). Five
+    # geometric panels start the wave; bisection places any further nodes.
     d = (45.0 + 2.0 * l * math.log(ratio)) / (2.0 * (ratio - 1.0))
     X = math.sqrt(d * (d + 2.0 * mu))
     evals = 0
     panels = []
-    edges = [0.0] + [X * 2.0 ** (-j) for j in range(12, -1, -1)]
+    edges = [0.0] + [X * 2.0 ** (-j) for j in range(4, -1, -1)]
     for a, b in zip(edges, edges[1:]):
         panels.append(_panel(l, mu, ratio, mode, a, b))
         evals += 15

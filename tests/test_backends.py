@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
+from procasphere import spectrum
 
 # extra_compile_args of setup.py, then warnings as errors.
 BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror"]
@@ -57,8 +58,8 @@ def test_backend_tags(compiled):
 
 # Normalized mantissa/scale pairs as the kernels produce them.
 mantissas = st.one_of(
-    st.floats(min_value=1.0, max_value=math.e - 1e-12),
-    st.floats(min_value=-math.e + 1e-12, max_value=-1.0))
+    st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+    st.floats(min_value=-1.0, max_value=-0.5, exclude_min=True))
 scales = st.integers(min_value=-100000, max_value=100000).map(float)
 
 
@@ -71,6 +72,36 @@ def test_scalar_primitives_bit_identical(compiled, m1, k1, m2, k2):
     assert pure.sr_add(m1, k1, m2, k2) == compiled.sr_add(m1, k1, m2, k2)
     assert pure.sr_sub(m1, k1, m2, k2) == compiled.sr_sub(m1, k1, m2, k2)
     assert pure.sr_scale(m1, k1, m2) == compiled.sr_scale(m1, k1, m2)
+
+
+def test_sr_add_across_the_cutoff(compiled):
+    # Scale gaps just below, at and just above the cutoff beyond which the
+    # smaller addend is dropped, in both operand orders and both signs. The
+    # unnormalized 1.5 shows which side of the cutoff a gap fell on: up to
+    # it the sum is renormalized, beyond it the larger operand comes back
+    # as it was.
+    cut = pure._ADD_CUTOFF
+    for gap in (cut - 2.0, cut - 1.0, cut, cut + 1.0, cut + 2.0):
+        for m1, m2 in ((0.75, 0.6), (0.5, -0.9), (-0.99, 0.5), (1.5, 0.6)):
+            for big, args in ((0, (m1, 40.0 + gap, m2, 40.0)),
+                              (1, (m2, -7.0, m1, -7.0 + gap))):
+                got = pure.sr_add(*args)
+                assert got == compiled.sr_add(*args), (gap, args)
+                assert pure.sr_sub(*args) == compiled.sr_sub(*args)
+                if gap > cut:
+                    assert got == args[2 * big:2 * big + 2], (gap, args)
+                else:
+                    assert 0.5 <= abs(got[0]) < 1.0, (gap, args)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_operands_agree(compiled, x):
+    # inf and NaN pass through the scaled primitives with their scale, and
+    # ln(1 - rho) of a rho that is not finite is NaN, on both kernels.
+    for kernel in (pure, compiled):
+        assert repr(kernel.sr_norm(x, 0.0)) == repr((x, 0.0))
+        assert repr(kernel.sr_mul(1.5, 0.0, x, 0.0)) == repr((x, 0.0))
+        assert math.isnan(kernel.log1m_scaled(x, 0.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,9 +184,12 @@ OUT_OF_DOMAIN = [
     ("s_pair", (2, -1.0)),
     ("s_pair", (2, math.nan)),
     ("s_pair", (2, math.inf)),
+    ("s_pair", (2, 2.0 ** 32)),
+    ("s_pair", (0, 1e300)),
     ("e_pair", (2, 0.0)),
     ("e_pair", (-1, 1.0)),
     ("e_pair", (2, math.inf)),
+    ("e_pair", (1, 5e9)),
     ("family", (3, 0.0)),
     ("family", (-2, 1.0)),
     ("rho_te", (0, 1.0, 0.5, 1.5)),
@@ -174,6 +208,8 @@ OUT_OF_DOMAIN = [
     ("log_delta_point", (1, 1.0, math.nan, 1.5, 2)),
     ("log_delta_point", (1, 1.0, -0.5, 1.5, 2)),
     ("log_delta_point", (1, 1.0, 0.5, math.inf, 2)),
+    ("log_delta_point", (1, 1.0, 3e9, 1.5, 0)),
+    ("log_delta_point", (1, 3e9, 0.0, 1.5, 1)),
     ("log_delta_nodes", (3, 0.0, 1.5, 2, [0.0, 1.0])),
     ("log_delta_nodes", (3, 0.5, 1.5, 2, [1.0, -2.0])),
     ("log_delta_nodes", (3, 0.5, 1.5, 7, [1.0])),
@@ -181,6 +217,7 @@ OUT_OF_DOMAIN = [
     ("rho_tm_massless", (0, 1.0, 1.5)),
     ("rho_tm_massless", (1, 0.0, 1.5)),
     ("rho_tm_massless", (1, math.nan, 1.5)),
+    ("rho_tm_massless", (1, 3e9, 1.5)),
 ]
 
 
@@ -228,6 +265,22 @@ def test_log_delta_nodes_from_two_threads(compiled):
     assert not any(t.is_alive() for t in threads)
     for i, want in enumerate(expected):
         assert got[i] == [want] * 50
+
+
+@pytest.mark.parametrize("ratio,mu,rel_tol", [(1.5, 0.5, 1e-7),
+                                               (1.05, 2.0, 1e-5)])
+def test_energy_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
+    # Every node, panel and wave of a whole energy, on one and two threads.
+    spec = spectrum.ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol)
+    monkeypatch.setattr(spectrum, "kernel", pure)
+    want = spectrum.energy(spec)
+    monkeypatch.setattr(spectrum, "kernel", compiled)
+    for threads in (1, 2):
+        got = spectrum.energy(spec, threads=threads)
+        for field in ("value", "abs_error_estimate", "te", "tm", "l_used",
+                      "integrand_evals", "per_l_terms"):
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), (
+                threads, field)
 
 
 def test_default_backend_is_compiled():

@@ -209,12 +209,16 @@ def test_replay_bad_input_is_usage_error(tmp_path):
     no_manifest = tmp_path / "no_manifest.json"
     no_manifest.write_text(json.dumps({"result": doc["result"]}),
                            encoding="utf-8")
+    doc["manifest"]["inputs"]["ratio"] = None
+    null_ratio = tmp_path / "null_ratio.json"
+    null_ratio.write_text(json.dumps(doc), encoding="utf-8")
     del doc["manifest"]["inputs"]["mu"]
     no_mu = tmp_path / "no_mu.json"
     no_mu.write_text(json.dumps(doc), encoding="utf-8")
     not_json = tmp_path / "not.json"
     not_json.write_text("{", encoding="utf-8")
-    for path in (tmp_path / "missing.json", no_manifest, no_mu, not_json):
+    for path in (tmp_path / "missing.json", no_manifest, null_ratio, no_mu,
+                 not_json):
         rep = run_cli("replay", str(path))
         assert rep.returncode == 2, (path, rep.stderr)
         assert "Traceback" not in rep.stderr

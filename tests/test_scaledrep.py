@@ -1,4 +1,4 @@
-"""Tests of the mantissa/log-scale scalar type."""
+"""Tests of the mantissa/base-2-scale scalar type."""
 
 import math
 
@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procasphere.scaledrep import ScaledReal, _ADD_CUTOFF, _norm
+from procasphere._core_py import _ADD_CUTOFF
+from procasphere.scaledrep import ScaledReal, _norm
 
-# Values that exercise both exp() branches and the normalization loop.
+# Values over most of the double range, normal and near its ends.
 finite_floats = st.floats(
     min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
 signs = st.sampled_from((-1.0, 1.0))
@@ -16,10 +17,10 @@ signs = st.sampled_from((-1.0, 1.0))
 
 def _assert_normalized(x: ScaledReal):
     if x.mantissa == 0.0:
-        assert x.log_scale == 0.0
+        assert x.log2_scale == 0.0
         return
-    assert 1.0 <= abs(x.mantissa) < math.e
-    assert x.log_scale == math.floor(x.log_scale)
+    assert 0.5 <= abs(x.mantissa) < 1.0
+    assert x.log2_scale == math.floor(x.log2_scale)
 
 
 @settings(max_examples=300, deadline=None)
@@ -29,7 +30,7 @@ def test_from_float_round_trip(mag, sign):
     sr = ScaledReal.from_float(x)
     _assert_normalized(sr)
     back = sr.to_float()
-    # One division plus one multiplication by the same exp(k): <= 1 ulp each.
+    # frexp and ldexp are exact, well within the old two-rounding bound.
     assert back == pytest.approx(x, rel=4e-16, abs=0.0)
 
 
@@ -61,8 +62,9 @@ def test_mul_div_consistency(ma, sa, mb, sb):
        st.floats(min_value=-700.0, max_value=700.0, allow_nan=False),
        signs, signs)
 def test_add_matches_float_in_range(la, lb, sa, sb):
-    a = ScaledReal(sa * math.exp(la - math.floor(la)), math.floor(la))
-    b = ScaledReal(sb * math.exp(lb - math.floor(lb)), math.floor(lb))
+    # la and lb are base-2 logs of the operands.
+    a = ScaledReal(*_norm(sa * 2.0 ** (la - math.floor(la)), math.floor(la)))
+    b = ScaledReal(*_norm(sb * 2.0 ** (lb - math.floor(lb)), math.floor(lb)))
     got = (a + b).to_float()
     want = a.to_float() + b.to_float()
     # Both routes round at operand scale, so a nearly cancelling pair can
@@ -94,12 +96,12 @@ def test_from_float_rejects_non_finite():
 
 
 def test_add_cutoff_drops_negligible_addend():
-    big = ScaledReal(1.5, 500.0)
-    small = ScaledReal(1.5, 500.0 - _ADD_CUTOFF - 1.0)
+    big = ScaledReal(0.75, 500.0)
+    small = ScaledReal(0.75, 500.0 - _ADD_CUTOFF - 1.0)
     s = big + small
-    assert s.mantissa == big.mantissa and s.log_scale == big.log_scale
+    assert s.mantissa == big.mantissa and s.log2_scale == big.log2_scale
     # Just inside the cutoff the small term must still contribute.
-    near = ScaledReal(1.5, 500.0 - 30.0)
+    near = ScaledReal(0.75, 500.0 - 30.0)
     s2 = big + near
     assert s2.mantissa != big.mantissa
 
@@ -147,10 +149,11 @@ def test_comparisons():
 
 
 def test_norm_helper_bounds():
-    for m, k in ((12345.678, 0.0), (-0.00031, 10.0), (math.e, 0.0), (1.0, -4.0)):
+    for m, k in ((12345.678, 0.0), (-0.00031, 10.0), (math.e, 0.0), (1.0, -4.0),
+                 (0.5, 3.0), (-1e300, -7.0)):
         nm, nk = _norm(m, k)
-        assert 1.0 <= abs(nm) < math.e
+        assert 0.5 <= abs(nm) < 1.0
         # Value is preserved: compare in log space to dodge overflow.
-        assert math.log(abs(nm)) + nk == pytest.approx(
-            math.log(abs(m)) + k, abs=1e-12)
+        assert math.log2(abs(nm)) + nk == pytest.approx(
+            math.log2(abs(m)) + k, abs=1e-12)
     assert _norm(0.0, 17.0) == (0.0, 0.0)

@@ -10,6 +10,7 @@ from procasphere.spectrum import (
     SweepRow,
     SweepTable,
     _gk15_combine,
+    _l_term_full,
     _panel_nodes,
     default_fd_step,
     energy,
@@ -37,6 +38,10 @@ def test_problem_spec_validation():
         ProblemSpec(ratio=1.5, l_cap=2.0)
     with pytest.raises(ValueError):
         ProblemSpec(ratio=1.5, mode="tem")
+    for bad in (None, "1.5", True, [1.5]):
+        for field in ("ratio", "mu", "rel_tol"):
+            with pytest.raises(ValueError):
+                ProblemSpec(**{"ratio": 1.5, field: bad})
     assert ProblemSpec(ratio=1.5, mode="TE").mode == "te"
 
 
@@ -91,6 +96,21 @@ def test_l_term_mass_suppression():
     # at mu = 200 and ratio = 1.5 that is e^-200, far below any rounding.
     spec = ProblemSpec(ratio=1.5, mu=200.0, rel_tol=1e-6)
     assert abs(l_term(spec, 1)) < 1e-30
+
+
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-10])
+@pytest.mark.parametrize("ratio", [1.03, 1.15, 2.0])
+def test_coarse_start_stays_resolved(ratio, rel_tol):
+    # Each wave starts from five panels. Against the same wave solved 1e4
+    # times tighter, its error result must bound the difference, and the
+    # difference must meet the wave's own target, rel_tol / 10.
+    for mu in (0.0, 5.0, 50.0):
+        for l in (1, 10, 100):
+            value, err = _l_term_full(l, mu, ratio, 2, rel_tol)[:2]
+            ref = _l_term_full(l, mu, ratio, 2, rel_tol * 1e-4)[0]
+            diff = abs(value - ref)
+            assert diff <= err, (mu, l)
+            assert diff <= rel_tol / 10.0 * abs(value), (mu, l)
 
 
 def test_energy_bookkeeping():
@@ -166,6 +186,14 @@ def test_energy_huge_mass_is_null():
     res = energy(ProblemSpec(ratio=1.5, mu=1e4, rel_tol=1e-6))
     assert abs(res.value) <= 1e-20
     assert res.l_used <= 5
+
+
+def test_energy_beyond_chain_range_is_rejected():
+    # Chain arguments of 2**32 and more leave the exact range of the ln 2
+    # split; the kernel refuses them rather than start a Miller recurrence
+    # of over 4e9 steps per chain.
+    with pytest.raises(ValueError):
+        energy(ProblemSpec(ratio=1.5, mu=5e9, rel_tol=1e-6))
 
 
 def test_default_fd_step():
