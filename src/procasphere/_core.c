@@ -25,7 +25,7 @@ static const double INV_LN2 = 0x1.71547652b82fep+0;
 static const double LN2_HI = 0x1.62e42p-1;
 static const double LN2_MID = 0x1.fdf44p-22;
 static const double LN2_LO = 0x1.9ef35793c7673p-41;
-/* Chain arguments stay below 2^32, inside the split's exact range. */
+/* Chain arguments stay below 2^32, where the split's products are exact. */
 static const double Z_MAX = 0x1p+32;
 
 typedef struct {

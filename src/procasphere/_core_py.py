@@ -32,9 +32,10 @@ _INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
 _LN2_HI = float.fromhex("0x1.62e42p-1")
 _LN2_MID = float.fromhex("0x1.fdf44p-22")
 _LN2_LO = float.fromhex("0x1.9ef35793c7673p-41")
-# Chain arguments stay below 2**32, inside the exact range of the ln 2
-# split (2**33 ln 2 ~ 5.95e9). No energy reaches a larger z in practice:
-# the Miller start order max(l, z) + 26 would cost over 4e9 steps a chain.
+# Chain arguments stay below 2**32, where the ln 2 split's products are
+# exact (up to 2**33 ln 2 ~ 5.95e9). No energy reaches a larger z in
+# practice: the Miller start order max(l, z) + 26 would cost over 4e9 steps
+# a chain.
 _Z_MAX = 2.0 ** 32
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
@@ -94,9 +95,9 @@ def sr_sub(m1, k1, m2, k2):
 
 def _exp_split(x):
     # exp(x) as (exp(r), n) with x = n ln 2 + r and n = floor(x / ln 2).
-    # Below |x| = 2**33 ln 2 the two products are exact and so are the
-    # first two subtractions (Sterbenz), so r is good to about an ulp, not
-    # to the |x| * eps of a one-part reduction.
+    # For |n| < 2**33 the products n * _LN2_HI and n * _LN2_MID are exact,
+    # and each subtraction rounds at most at the scale of r, so r is good
+    # to about an ulp, not to the |x| * eps of a one-part reduction.
     n = math.floor(x * _INV_LN2)
     r = ((x - n * _LN2_HI) - n * _LN2_MID) - n * _LN2_LO
     return math.exp(r), float(n)

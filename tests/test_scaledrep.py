@@ -13,6 +13,8 @@ from procasphere.scaledrep import ScaledReal, _norm
 finite_floats = st.floats(
     min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
 signs = st.sampled_from((-1.0, 1.0))
+# Base-2 log of e^700, about 1009.9.
+_LOG2_SPAN = 700.0 / math.log(2.0)
 
 
 def _assert_normalized(x: ScaledReal):
@@ -58,11 +60,12 @@ def test_mul_div_consistency(ma, sa, mb, sb):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-700.0, max_value=700.0, allow_nan=False),
-       st.floats(min_value=-700.0, max_value=700.0, allow_nan=False),
+@given(st.floats(min_value=-_LOG2_SPAN, max_value=_LOG2_SPAN, allow_nan=False),
+       st.floats(min_value=-_LOG2_SPAN, max_value=_LOG2_SPAN, allow_nan=False),
        signs, signs)
 def test_add_matches_float_in_range(la, lb, sa, sb):
-    # la and lb are base-2 logs of the operands.
+    # la and lb are base-2 logs of the operands, which span e^+-700, out to
+    # the ends of the double range.
     a = ScaledReal(*_norm(sa * 2.0 ** (la - math.floor(la)), math.floor(la)))
     b = ScaledReal(*_norm(sb * 2.0 ** (lb - math.floor(lb)), math.floor(lb)))
     got = (a + b).to_float()

@@ -104,13 +104,21 @@ def test_coarse_start_stays_resolved(ratio, rel_tol):
     # Each wave starts from five panels. Against the same wave solved 1e4
     # times tighter, its error result must bound the difference, and the
     # difference must meet the wave's own target, rel_tol / 10.
+    refined = 0
     for mu in (0.0, 5.0, 50.0):
         for l in (1, 10, 100):
-            value, err = _l_term_full(l, mu, ratio, 2, rel_tol)[:2]
-            ref = _l_term_full(l, mu, ratio, 2, rel_tol * 1e-4)[0]
+            value, err, evals = _l_term_full(l, mu, ratio, 2, rel_tol)[:3]
+            ref, ref_err, ref_evals = _l_term_full(
+                l, mu, ratio, 2, rel_tol * 1e-4)[:3]
             diff = abs(value - ref)
             assert diff <= err, (mu, l)
             assert diff <= rel_tol / 10.0 * abs(value), (mu, l)
+            # Both error results meet their own targets, which the start's
+            # 76 evaluations alone do not: bisection must place the rest.
+            assert err <= rel_tol / 10.0 * abs(value), (mu, l)
+            assert ref_err <= rel_tol * 1e-5 * abs(ref), (mu, l)
+            refined += ref_evals > 76
+    assert refined > 0
 
 
 def test_energy_bookkeeping():
