@@ -41,6 +41,13 @@ typedef struct {
 } SRP;
 
 typedef struct {
+    SR sp;
+    SR ep;
+    SR st;
+    SR et;
+} Derivs;
+
+typedef struct {
     double tem;
     double tek;
     double tmm;
@@ -265,6 +272,28 @@ static SRP c_e_pair(long l, double z)
 }
 
 
+/* (s', e', s - z s', e - z e') at z from the chain pairs (s_l, s_{l-1}) and
+ * (e_l, e_{l-1}) at z. */
+static inline Derivs c_derivs(long l, double z, SRP s, SRP e)
+{
+    double lz = l / z;
+    Derivs d;
+    SR t, a, b;
+    t = c_scale(s.am, s.ak, lz);
+    d.sp = c_sub(s.bm, s.bk, t.m, t.k);
+    t = c_scale(e.am, e.ak, lz);
+    d.ep = c_add(e.bm, e.bk, t.m, t.k);
+    d.ep.m = -d.ep.m;
+    a = c_scale(s.am, s.ak, l + 1.0);
+    b = c_scale(s.bm, s.bk, z);
+    d.st = c_sub(a.m, a.k, b.m, b.k);
+    a = c_scale(e.am, e.ak, l + 1.0);
+    b = c_scale(e.bm, e.bk, z);
+    d.et = c_add(a.m, a.k, b.m, b.k);
+    return d;
+}
+
+
 /* -- mode determinants ---------------------------------------------------- */
 
 /* 2x2 determinant a*d - b*c of scaled entries. */
@@ -309,8 +338,9 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     Modes out = {0.0, 0.0, 0.0, 0.0};
     SR n_, d_, t, a, b;
     SRP sx, ex;
-    double x, xr, lg, lgr, L2, m2, g2, x2;
-    SR spg, epg, stg, etg, spr, epr, str_, etr, stx, etx;
+    double x, xr, L2, m2, g2, x2;
+    Derivs dg, dr;
+    SR stx, etx;
     SR q11, q12, q13, q14, q21, q22, q23, q24;
     SR q31, q32, q33, q34, q41, q42, q43, q44;
     SR d0a, d0b, det0, t1, t2, t3, t4, t5, num;
@@ -331,31 +361,8 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     ex = c_e_pair(l, xr);
 
     /* primes and s - z s' / e - z e' combinations at g and g*ratio */
-    lg = l / g;
-    t = c_scale(sg.am, sg.ak, lg);
-    spg = c_sub(sg.bm, sg.bk, t.m, t.k);
-    t = c_scale(eg.am, eg.ak, lg);
-    epg = c_add(eg.bm, eg.bk, t.m, t.k);
-    epg.m = -epg.m;
-    a = c_scale(sg.am, sg.ak, l + 1.0);
-    b = c_scale(sg.bm, sg.bk, g);
-    stg = c_sub(a.m, a.k, b.m, b.k);
-    a = c_scale(eg.am, eg.ak, l + 1.0);
-    b = c_scale(eg.bm, eg.bk, g);
-    etg = c_add(a.m, a.k, b.m, b.k);
-
-    lgr = l / gr;
-    t = c_scale(sr_.am, sr_.ak, lgr);
-    spr = c_sub(sr_.bm, sr_.bk, t.m, t.k);
-    t = c_scale(er.am, er.ak, lgr);
-    epr = c_add(er.bm, er.bk, t.m, t.k);
-    epr.m = -epr.m;
-    a = c_scale(sr_.am, sr_.ak, l + 1.0);
-    b = c_scale(sr_.bm, sr_.bk, gr);
-    str_ = c_sub(a.m, a.k, b.m, b.k);
-    a = c_scale(er.am, er.ak, l + 1.0);
-    b = c_scale(er.bm, er.bk, gr);
-    etr = c_add(a.m, a.k, b.m, b.k);
+    dg = c_derivs(l, g, sg, eg);
+    dr = c_derivs(l, gr, sr_, er);
 
     /* s - z s' at x and e - z e' at x*ratio (the only vacuum-side combos) */
     a = c_scale(sx.am, sx.ak, l + 1.0);
@@ -370,12 +377,12 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     g2 = g * g;
     x2 = x * x;
 
-    q11 = c_scale(spg.m, spg.k, g);
-    q12 = c_scale(epg.m, epg.k, g);
+    q11 = c_scale(dg.sp.m, dg.sp.k, g);
+    q12 = c_scale(dg.ep.m, dg.ep.k, g);
     q13 = c_scale(sg.am, sg.ak, -m2);
     q14 = c_scale(eg.am, eg.ak, -m2);
-    q21 = c_scale(spr.m, spr.k, gr);
-    q22 = c_scale(epr.m, epr.k, gr);
+    q21 = c_scale(dr.sp.m, dr.sp.k, gr);
+    q22 = c_scale(dr.ep.m, dr.ep.k, gr);
     q23 = c_scale(sr_.am, sr_.ak, -m2);
     q24 = c_scale(er.am, er.ak, -m2);
     a = c_mul(sx.am, sx.ak, sg.am, sg.ak);
@@ -384,12 +391,12 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     q32 = c_scale(a.m, a.k, L2);
     a = c_mul(sg.am, sg.ak, stx.m, stx.k);
     a = c_scale(a.m, a.k, g2);
-    b = c_mul(sx.am, sx.ak, stg.m, stg.k);
+    b = c_mul(sx.am, sx.ak, dg.st.m, dg.st.k);
     b = c_scale(b.m, b.k, x2);
     q33 = c_sub(a.m, a.k, b.m, b.k);
     a = c_mul(eg.am, eg.ak, stx.m, stx.k);
     a = c_scale(a.m, a.k, g2);
-    b = c_mul(sx.am, sx.ak, etg.m, etg.k);
+    b = c_mul(sx.am, sx.ak, dg.et.m, dg.et.k);
     b = c_scale(b.m, b.k, x2);
     q34 = c_sub(a.m, a.k, b.m, b.k);
     a = c_mul(ex.am, ex.ak, sr_.am, sr_.ak);
@@ -398,12 +405,12 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     q42 = c_scale(a.m, a.k, L2);
     a = c_mul(sr_.am, sr_.ak, etx.m, etx.k);
     a = c_scale(a.m, a.k, g2);
-    b = c_mul(ex.am, ex.ak, str_.m, str_.k);
+    b = c_mul(ex.am, ex.ak, dr.st.m, dr.st.k);
     b = c_scale(b.m, b.k, x2);
     q43 = c_sub(a.m, a.k, b.m, b.k);
     a = c_mul(er.am, er.ak, etx.m, etx.k);
     a = c_scale(a.m, a.k, g2);
-    b = c_mul(ex.am, ex.ak, etr.m, etr.k);
+    b = c_mul(ex.am, ex.ak, dr.et.m, dr.et.k);
     b = c_scale(b.m, b.k, x2);
     q44 = c_sub(a.m, a.k, b.m, b.k);
 
@@ -624,54 +631,17 @@ static PyObject *py_family(PyObject *Py_UNUSED(self), PyObject *const *args,
                            Py_ssize_t nargs)
 {
     long l;
-    double z, lz;
+    double z;
     SRP s, e;
-    SR t, a, b, sp, ep, st, et;
+    Derivs d;
     if (!unpack("family", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
         return NULL;
     s = c_s_pair(l, z);
     e = c_e_pair(l, z);
-    lz = l / z;
-    t = c_scale(s.am, s.ak, lz);
-    sp = c_sub(s.bm, s.bk, t.m, t.k);
-    t = c_scale(e.am, e.ak, lz);
-    ep = c_add(e.bm, e.bk, t.m, t.k);
-    ep.m = -ep.m;
-    a = c_scale(s.am, s.ak, l + 1.0);
-    b = c_scale(s.bm, s.bk, z);
-    st = c_sub(a.m, a.k, b.m, b.k);
-    a = c_scale(e.am, e.ak, l + 1.0);
-    b = c_scale(e.bm, e.bk, z);
-    et = c_add(a.m, a.k, b.m, b.k);
+    d = c_derivs(l, z, s, e);
     return float_tuple(12, (const double[]){s.am, s.ak, e.am, e.ak,
-                                            sp.m, sp.k, ep.m, ep.k,
-                                            st.m, st.k, et.m, et.k});
-}
-
-static PyObject *py_rho_te(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    long l;
-    double xi, mu, ratio;
-    Modes r;
-    if (!unpack("rho_te", args, nargs, "lddd", &l, &xi, &mu, &ratio)
-        || !point_ok(l, xi, mu, ratio, 0))
-        return NULL;
-    r = c_core_point(l, xi, mu, ratio, 0);
-    return sr_tuple((SR){r.tem, r.tek});
-}
-
-static PyObject *py_rho_tm(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    long l;
-    double xi, mu, ratio;
-    Modes r;
-    if (!unpack("rho_tm", args, nargs, "lddd", &l, &xi, &mu, &ratio)
-        || !point_ok(l, xi, mu, ratio, 1))
-        return NULL;
-    r = c_core_point(l, xi, mu, ratio, 1);
-    return sr_tuple((SR){r.tmm, r.tmk});
+                                            d.sp.m, d.sp.k, d.ep.m, d.ep.k,
+                                            d.st.m, d.st.k, d.et.m, d.et.k});
 }
 
 static PyObject *py_log1m_scaled(PyObject *Py_UNUSED(self),
@@ -751,9 +721,9 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
                                     PyObject *const *args, Py_ssize_t nargs)
 {
     long l;
-    double xi, ratio, x, xr, lx, lxr;
-    SRP s1, e1, r1, f1;
-    SR t, sp, ep, spr, epr, n_, d_;
+    double xi, ratio, xr;
+    Derivs d, dr;
+    SR n_, d_;
     if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio))
         return NULL;
     if (l < 1 || !(xi > 0.0 && xi < INFINITY)
@@ -763,26 +733,11 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
                         "finite ratio > 1 and xi * ratio < 2**32");
         return NULL;
     }
-    x = xi;
     xr = xi * ratio;
-    s1 = c_s_pair(l, x);
-    e1 = c_e_pair(l, x);
-    r1 = c_s_pair(l, xr);
-    f1 = c_e_pair(l, xr);
-    lx = l / x;
-    t = c_scale(s1.am, s1.ak, lx);
-    sp = c_sub(s1.bm, s1.bk, t.m, t.k);
-    t = c_scale(e1.am, e1.ak, lx);
-    ep = c_add(e1.bm, e1.bk, t.m, t.k);
-    ep.m = -ep.m;
-    lxr = l / xr;
-    t = c_scale(r1.am, r1.ak, lxr);
-    spr = c_sub(r1.bm, r1.bk, t.m, t.k);
-    t = c_scale(f1.am, f1.ak, lxr);
-    epr = c_add(f1.bm, f1.bk, t.m, t.k);
-    epr.m = -epr.m;
-    n_ = c_mul(sp.m, sp.k, epr.m, epr.k);
-    d_ = c_mul(ep.m, ep.k, spr.m, spr.k);
+    d = c_derivs(l, xi, c_s_pair(l, xi), c_e_pair(l, xi));
+    dr = c_derivs(l, xr, c_s_pair(l, xr), c_e_pair(l, xr));
+    n_ = c_mul(d.sp.m, d.sp.k, dr.ep.m, dr.ep.k);
+    d_ = c_mul(d.ep.m, d.ep.k, dr.sp.m, dr.sp.k);
     return sr_tuple(c_div(n_.m, n_.k, d_.m, d_.k));
 }
 
@@ -800,8 +755,6 @@ static PyMethodDef core_methods[] = {
     FASTCALL(s_pair),
     FASTCALL(e_pair),
     FASTCALL(family),
-    FASTCALL(rho_te),
-    FASTCALL(rho_tm),
     FASTCALL(log1m_scaled),
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),

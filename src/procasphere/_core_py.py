@@ -230,23 +230,29 @@ def e_pair(l, z):
     return am, ak, bm, bk
 
 
-def family(l, z):
-    """(s, e, s', e', s - z s', e - z e') as six scaled pairs, flattened."""
-    s1m, s1k, s0m, s0k = s_pair(l, z)
-    e1m, e1k, e0m, e0k = e_pair(l, z)
+def _derivs(l, z, s1m, s1k, s0m, s0k, e1m, e1k, e0m, e0k):
+    # (s', e', s - z s', e - z e') at z, flattened, from the chain pairs
+    # (s_l, s_{l-1}) and (e_l, e_{l-1}) at z.
     lz = l / z
     tm_, tk_ = sr_scale(s1m, s1k, lz)
     spm, spk = sr_sub(s0m, s0k, tm_, tk_)
     tm_, tk_ = sr_scale(e1m, e1k, lz)
     epm, epk = sr_add(e0m, e0k, tm_, tk_)
-    epm = -epm
     am, ak = sr_scale(s1m, s1k, l + 1.0)
     bm, bk = sr_scale(s0m, s0k, z)
     stm, stk = sr_sub(am, ak, bm, bk)
     am, ak = sr_scale(e1m, e1k, l + 1.0)
     bm, bk = sr_scale(e0m, e0k, z)
     etm, etk = sr_add(am, ak, bm, bk)
-    return (s1m, s1k, e1m, e1k, spm, spk, epm, epk, stm, stk, etm, etk)
+    return spm, spk, -epm, epk, stm, stk, etm, etk
+
+
+def family(l, z):
+    """(s, e, s', e', s - z s', e - z e') as six scaled pairs, flattened."""
+    s1m, s1k, s0m, s0k = s_pair(l, z)
+    e1m, e1k, e0m, e0k = e_pair(l, z)
+    return (s1m, s1k, e1m, e1k) + _derivs(
+        l, z, s1m, s1k, s0m, s0k, e1m, e1k, e0m, e0k)
 
 
 # -- mode determinants -------------------------------------------------------
@@ -308,31 +314,10 @@ def _core_point(l, xi, mu, ratio, mode):
     exm, exk, ex0m, ex0k = e_pair(l, xr)
 
     # primes and s - z s' / e - z e' combinations at g and g*ratio
-    lg = l / g
-    tm_, tk_ = sr_scale(sgm, sgk, lg)
-    spgm, spgk = sr_sub(sg0m, sg0k, tm_, tk_)
-    tm_, tk_ = sr_scale(egm, egk, lg)
-    epgm, epgk = sr_add(eg0m, eg0k, tm_, tk_)
-    epgm = -epgm
-    am, ak = sr_scale(sgm, sgk, l + 1.0)
-    bm, bk = sr_scale(sg0m, sg0k, g)
-    stgm, stgk = sr_sub(am, ak, bm, bk)
-    am, ak = sr_scale(egm, egk, l + 1.0)
-    bm, bk = sr_scale(eg0m, eg0k, g)
-    etgm, etgk = sr_add(am, ak, bm, bk)
-
-    lgr = l / gr
-    tm_, tk_ = sr_scale(srm, srk, lgr)
-    sprm, sprk = sr_sub(sr0m, sr0k, tm_, tk_)
-    tm_, tk_ = sr_scale(erm, erk, lgr)
-    eprm, eprk = sr_add(er0m, er0k, tm_, tk_)
-    eprm = -eprm
-    am, ak = sr_scale(srm, srk, l + 1.0)
-    bm, bk = sr_scale(sr0m, sr0k, gr)
-    strm, strk = sr_sub(am, ak, bm, bk)
-    am, ak = sr_scale(erm, erk, l + 1.0)
-    bm, bk = sr_scale(er0m, er0k, gr)
-    etrm, etrk = sr_add(am, ak, bm, bk)
+    spgm, spgk, epgm, epgk, stgm, stgk, etgm, etgk = _derivs(
+        l, g, sgm, sgk, sg0m, sg0k, egm, egk, eg0m, eg0k)
+    sprm, sprk, eprm, eprk, strm, strk, etrm, etrk = _derivs(
+        l, gr, srm, srk, sr0m, sr0k, erm, erk, er0m, er0k)
 
     # s - z s' at x and e - z e' at x*ratio (the only vacuum-side combos used)
     am, ak = sr_scale(sxm, sxk, l + 1.0)
@@ -430,18 +415,6 @@ def _check_point(l, xi, mu, ratio, mode):
             "mu > 0) and sqrt(xi^2 + mu^2) * ratio < 2**32")
 
 
-def rho_te(l, xi, mu, ratio):
-    _check_point(l, xi, mu, ratio, 0)
-    m1, k1, _, _ = _core_point(l, xi, mu, ratio, 0)
-    return m1, k1
-
-
-def rho_tm(l, xi, mu, ratio):
-    _check_point(l, xi, mu, ratio, 1)
-    _, _, m2, k2 = _core_point(l, xi, mu, ratio, 1)
-    return m2, k2
-
-
 def log_delta_point(l, xi, mu, ratio, mode):
     _check_point(l, xi, mu, ratio, mode)
     te_m, te_k, tm_m, tm_k = _core_point(l, xi, mu, ratio, mode)
@@ -466,24 +439,10 @@ def rho_tm_massless(l, xi, ratio):
             or not xi * ratio < _Z_MAX):
         raise ValueError("rho_tm_massless needs l >= 1, a finite xi > 0, a "
                          "finite ratio > 1 and xi * ratio < 2**32")
-    x = xi
     xr = xi * ratio
-    s1m, s1k, s0m, s0k = s_pair(l, x)
-    e1m, e1k, e0m, e0k = e_pair(l, x)
-    r1m, r1k, r0m, r0k = s_pair(l, xr)
-    f1m, f1k, f0m, f0k = e_pair(l, xr)
-    lx = l / x
-    tm_, tk_ = sr_scale(s1m, s1k, lx)
-    spm, spk = sr_sub(s0m, s0k, tm_, tk_)
-    tm_, tk_ = sr_scale(e1m, e1k, lx)
-    epm, epk = sr_add(e0m, e0k, tm_, tk_)
-    epm = -epm
-    lxr = l / xr
-    tm_, tk_ = sr_scale(r1m, r1k, lxr)
-    sprm, sprk = sr_sub(r0m, r0k, tm_, tk_)
-    tm_, tk_ = sr_scale(f1m, f1k, lxr)
-    eprm, eprk = sr_add(f0m, f0k, tm_, tk_)
-    eprm = -eprm
+    spm, spk, epm, epk = _derivs(l, xi, *s_pair(l, xi), *e_pair(l, xi))[:4]
+    sprm, sprk, eprm, eprk = _derivs(
+        l, xr, *s_pair(l, xr), *e_pair(l, xr))[:4]
     nm, nk = sr_mul(spm, spk, eprm, eprk)
     dm, dk = sr_mul(epm, epk, sprm, sprk)
     return sr_div(nm, nk, dm, dk)

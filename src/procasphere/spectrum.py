@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -73,6 +74,14 @@ class ConvergenceError(RuntimeError):
         self.evals = evals
 
 
+def _real(name: str, v) -> float:
+    # Inputs may come from an edited JSON document: reject a list, a string
+    # or None with ValueError, not a TypeError from float().
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Dimensionless statement of one two-shell problem.
@@ -91,10 +100,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("ratio", "mu", "rel_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         object.__setattr__(self, "mode", str(self.mode).lower())
         if isinstance(self.l_cap, bool) or not isinstance(self.l_cap, int):
             raise ValueError(f"l_cap must be an integer, got {self.l_cap!r}")
@@ -215,40 +221,32 @@ def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
             t += p[2]
         return t
 
-    def tail_bound(x):
-        f = kernel.log_delta_point(l, x, mu, ratio, mode)
-        if math.isnan(f):
-            raise ConvergenceError(
-                f"mode factor not finite at l={l}, xi_hat={x!r}", l_reached=l)
-        g = kernel.gamma_arg(x, mu)
-        # Integral of an exponential with local rate 2*(ratio-1)*x/gamma(x),
-        # and the rate only grows to the right of x.
-        return abs(f) * g / (2.0 * x * (ratio - 1.0))
-
-    tail = tail_bound(X)
+    # The tail past X: an exponential with local rate 2*(ratio-1)*X/gamma(X),
+    # and the rate only grows to the right of X.
+    f = kernel.log_delta_point(l, X, mu, ratio, mode)
     evals += 1
-    total = plain_total()
-    for _ in range(60):
-        if tail <= (rel_tol / 100.0) * abs(total):
-            break
-        panels.append(_panel(l, mu, ratio, mode, X, 2.0 * X))
-        evals += 15
-        X *= 2.0
-        tail = tail_bound(X)
-        evals += 1
-        total = plain_total()
-    else:
+    if math.isnan(f):
         raise ConvergenceError(
-            f"integration tail would not close at l={l}",
-            l_reached=l, evals=evals)
+            f"mode factor not finite at l={l}, xi_hat={X!r}", l_reached=l)
+    tail = abs(f) * kernel.gamma_arg(X, mu) / (2.0 * X * (ratio - 1.0))
+    total = plain_total()
+    if tail > (rel_tol / 100.0) * abs(total):
+        # The frame holds twenty digits of decay, so only a tolerance below
+        # the rounding of the panel sum itself gets here.
+        raise ConvergenceError(
+            f"integration frame [0, {X!r}] too short at l={l}: tail bound "
+            f"{tail!r} exceeds rel_tol/100 of the wave",
+            partial_sum=(2.0 * l + 1.0) * total, l_reached=l, evals=evals)
 
+    # Bisect the worst panel until the error meets the target; the
+    # evaluation budget also ends a bisection that has run out of doubles.
     while True:
         errsum = 0.0
         for p in panels:
             errsum += p[3]
         total = plain_total()
         target = max((rel_tol / 10.0) * abs(total), 1e-280)
-        if errsum + tail <= target or errsum == 0.0:
+        if errsum + tail <= target:
             break
         if evals >= 40000:
             raise ConvergenceError(
@@ -262,11 +260,6 @@ def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
                 wmax = panels[i][3]
         a, b = panels[worst][:2]
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # Interval exhausted at double resolution; its residual error is
-            # already in the honest estimate, stop touching it.
-            panels[worst][3] = 0.0
-            continue
         panels[worst] = _panel(l, mu, ratio, mode, a, mid)
         panels.append(_panel(l, mu, ratio, mode, mid, b))
         evals += 30
@@ -405,7 +398,7 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     the inner energy calls run at rel_tol/100 so cancellation in the
     differences does not eat the requested accuracy.
     """
-    h = float(fd_step) if fd_step is not None else default_fd_step(spec)
+    h = default_fd_step(spec) if fd_step is None else _real("fd_step", fd_step)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     if spec.ratio - h <= 1.0:
@@ -545,7 +538,10 @@ def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
 def sweep_mass(template: ProblemSpec, mu_values: Sequence[float],
                threads: int = 1) -> SweepTable:
     """Energy table over a strictly ascending list of field masses."""
-    mus = [float(m) for m in mu_values]
+    if not isinstance(mu_values, Iterable):
+        raise ValueError(
+            f"mu_values must be a list of numbers, got {mu_values!r}")
+    mus = [_real("mass value", m) for m in mu_values]
     if not mus:
         raise ValueError("mu_values must be non-empty")
     for m in mus:

@@ -9,6 +9,7 @@ out in units of E0 = hbar*c/(2*pi*a1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # hbar*c in eV*m and in J*m (2018 CODATA).
@@ -50,6 +51,8 @@ def convert_units(a1_m: float, a2_m: float, mass_ev: float = 0.0
 
 def energy_scale_joules(a1_m: float) -> float:
     """E0 = hbar*c/(2*pi*a1) in joules; multiplies dimensionless energies."""
+    if isinstance(a1_m, bool) or not isinstance(a1_m, numbers.Real):
+        raise ValueError(f"a1_m must be a real number, got {a1_m!r}")
     a1 = float(a1_m)
     if not (math.isfinite(a1) and a1 > 0.0):
         raise ValueError(f"a1_m must be finite and > 0, got {a1_m!r}")

@@ -204,8 +204,8 @@ def test_energy_is_one_pass():
 
 
 def test_replay_bad_input_is_usage_error(tmp_path):
-    doc = json.loads(run_cli("energy", "--ratio", "1.5",
-                             "--rel-tol", "1e-4").stdout)
+    good = run_cli("energy", "--ratio", "1.5", "--rel-tol", "1e-4").stdout
+    doc = json.loads(good)
     no_manifest = tmp_path / "no_manifest.json"
     no_manifest.write_text(json.dumps({"result": doc["result"]}),
                            encoding="utf-8")
@@ -217,8 +217,20 @@ def test_replay_bad_input_is_usage_error(tmp_path):
     no_mu.write_text(json.dumps(doc), encoding="utf-8")
     not_json = tmp_path / "not.json"
     not_json.write_text("{", encoding="utf-8")
+    # Inputs of the wrong type for force, sweep-mass and energy --si.
+    mistyped = []
+    for i, (command, edits) in enumerate((
+            ("force", {"fd_step": [0.001]}),
+            ("sweep-mass", {"mu_values": [[0.0], 1.0]}),
+            ("sweep-mass", {"mu_values": 5}),
+            ("energy", {"si": True, "a1_m": [1e-6], "a2_m": 1.5e-6}))):
+        bad = json.loads(good)
+        bad["manifest"]["command"] = command
+        bad["manifest"]["inputs"].update(edits)
+        mistyped.append(tmp_path / f"mistyped_{i}.json")
+        mistyped[-1].write_text(json.dumps(bad), encoding="utf-8")
     for path in (tmp_path / "missing.json", no_manifest, null_ratio, no_mu,
-                 not_json):
+                 not_json, *mistyped):
         rep = run_cli("replay", str(path))
         assert rep.returncode == 2, (path, rep.stderr)
         assert "Traceback" not in rep.stderr

@@ -121,6 +121,19 @@ def test_coarse_start_stays_resolved(ratio, rel_tol):
     assert refined > 0
 
 
+def test_short_frame_fails_fast():
+    # At rel_tol 1e-19 the tail past the frame (2.1e-20 of this wave) exceeds
+    # rel_tol/100: the wave raises after its five start panels and the tail
+    # point, 76 evaluations, instead of refining into the budget.
+    with pytest.raises(ConvergenceError, match="frame") as exc_info:
+        _l_term_full(1, 0.0, 1.5, 2, 1e-19)
+    assert exc_info.value.evals == 76
+    assert exc_info.value.l_reached == 1
+    with pytest.raises(ConvergenceError, match="frame") as exc_info:
+        energy(ProblemSpec(ratio=1.5, rel_tol=1e-19))
+    assert exc_info.value.evals == 76
+
+
 def test_energy_bookkeeping():
     res = energy(ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-7, mode="te"))
     assert res.value < 0.0
