@@ -13,8 +13,9 @@ setup(
             "procasphere._core",
             ["src/procasphere/_core.c"],
             # -ffp-contract=off: the pure backend must be bit-identical,
-            # so fused multiply-adds are off the table.
-            extra_compile_args=["-O2", "-ffp-contract=off"],
+            # so fused multiply-adds are off the table. -std=c99 is the
+            # standard tests/test_backends.py builds and checks.
+            extra_compile_args=["-O2", "-ffp-contract=off", "-std=c99"],
             optional=True,
         )
     ]

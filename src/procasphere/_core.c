@@ -25,8 +25,12 @@ static const double INV_LN2 = 0x1.71547652b82fep+0;
 static const double LN2_HI = 0x1.62e42p-1;
 static const double LN2_MID = 0x1.fdf44p-22;
 static const double LN2_LO = 0x1.9ef35793c7673p-41;
-/* Chain arguments stay below 2^32, where the split's products are exact. */
+/* Chain arguments stay below 2^32, where the split's products are exact;
+ * a Miller chain at z = 2^32 starts near order 4.7e5 (c_miller_start). */
 static const double Z_MAX = 0x1p+32;
+/* Miller start constant 45 / asinh(1), bit pattern shared with the pure
+ * twin. */
+static const double MILLER_T = 0x1.98740f2ce783bp+5;
 
 typedef struct {
     double m;
@@ -186,19 +190,32 @@ static SRP c_s_series_pair(long l, double z)
     return (SRP){a.m, a.k, b.m, b.k};
 }
 
+/* Start order of the downward recurrence for s_l(z): the seed's share at
+ * order l after a start at L is about exp(-2 int_l^L asinh(nu/z) dnu)
+ * (DLMF 10.41), and asinh(nu/z) >= asinh(1) nu/z up to nu = z, so
+ * L^2 - l^2 >= T z with T = 45/asinh(1) keeps it below e^-45 ~ 3e-20.
+ * Past z the inequality fails, so a bound above z falls back to
+ * max(l, z) + 26. */
+static long c_miller_start(long l, double z)
+{
+    double b = ceil(sqrt((double)l * (double)l + MILLER_T * z)) + 1.0;
+    if (b <= z)
+        return (long)b;
+    return (long)(z > (double)l ? z : (double)l) + 26;
+}
+
 static SRP c_s_miller(long l, double z)
 {
-    /* Start order must clear max(order, argument): below the turning point
-     * the two recurrence solutions degenerate and seed junk stops decaying. */
-    long L = (long)(z > (double)l ? z : (double)l) + 26;
+    /* Two loops around one peeled step, so that no step compares orders:
+     * down to s_l, one step to s_{l-1}, down to s_0. */
     double ym = 0.0;
     double y = 1.0;
     double off = 0.0;
-    double out1m = 0.0, out1k = 0.0, out0m = 0.0, out0k = 0.0;
+    double out1m, out1k, out0m, out0k;
     double t, m0;
-    long j = L;
+    long j;
     SR f, a, b;
-    while (j >= 1) {
+    for (j = c_miller_start(l, z); j > l; j--) {
         t = ym + (2.0 * j + 1.0) / z * y;
         ym = y;
         y = t;
@@ -207,14 +224,28 @@ static SRP c_s_miller(long l, double z)
             ym *= DOWN;
             off += STEP;
         }
-        if (j - 1 == l) {
-            out1m = y;
-            out1k = off;
-        } else if (j - 1 == l - 1) {
-            out0m = y;
-            out0k = off;
+    }
+    out1m = y;
+    out1k = off;
+    t = ym + (2.0 * l + 1.0) / z * y;
+    ym = y;
+    y = t;
+    if (y > BIG) {
+        y *= DOWN;
+        ym *= DOWN;
+        off += STEP;
+    }
+    out0m = y;
+    out0k = off;
+    for (j = l - 1; j >= 1; j--) {
+        t = ym + (2.0 * j + 1.0) / z * y;
+        ym = y;
+        y = t;
+        if (y > BIG) {
+            y *= DOWN;
+            ym *= DOWN;
+            off += STEP;
         }
-        j -= 1;
     }
     /* Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with exp(z) split by
      * c_exp_split, so the mantissa never pays the z*eps penalty of an
@@ -357,20 +388,30 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
 
     x = xi;
     xr = xi * ratio;
-    sx = c_s_pair(l, x);
-    ex = c_e_pair(l, xr);
 
     /* primes and s - z s' / e - z e' combinations at g and g*ratio */
     dg = c_derivs(l, g, sg, eg);
     dr = c_derivs(l, gr, sr_, er);
 
-    /* s - z s' at x and e - z e' at x*ratio (the only vacuum-side combos) */
-    a = c_scale(sx.am, sx.ak, l + 1.0);
-    b = c_scale(sx.bm, sx.bk, x);
-    stx = c_sub(a.m, a.k, b.m, b.k);
-    a = c_scale(ex.am, ex.ak, l + 1.0);
-    b = c_scale(ex.bm, ex.bk, xr);
-    etx = c_add(a.m, a.k, b.m, b.k);
+    if (x == g) {
+        /* Massless (or a mass too small to move gamma): x*ratio == g*ratio,
+         * so the vacuum-side chains and combinations are the ones above. */
+        sx = sg;
+        ex = er;
+        stx = dg.st;
+        etx = dr.et;
+    } else {
+        sx = c_s_pair(l, x);
+        ex = c_e_pair(l, xr);
+        /* s - z s' at x and e - z e' at x*ratio (the only vacuum-side
+         * combos) */
+        a = c_scale(sx.am, sx.ak, l + 1.0);
+        b = c_scale(sx.bm, sx.bk, x);
+        stx = c_sub(a.m, a.k, b.m, b.k);
+        a = c_scale(ex.am, ex.ak, l + 1.0);
+        b = c_scale(ex.bm, ex.bk, xr);
+        etx = c_add(a.m, a.k, b.m, b.k);
+    }
 
     L2 = l * (l + 1.0);
     m2 = mu * mu;

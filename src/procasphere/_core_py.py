@@ -33,10 +33,14 @@ _LN2_HI = float.fromhex("0x1.62e42p-1")
 _LN2_MID = float.fromhex("0x1.fdf44p-22")
 _LN2_LO = float.fromhex("0x1.9ef35793c7673p-41")
 # Chain arguments stay below 2**32, where the ln 2 split's products are
-# exact (up to 2**33 ln 2 ~ 5.95e9). No energy reaches a larger z in
-# practice: the Miller start order max(l, z) + 26 would cost over 4e9 steps
-# a chain.
+# exact (up to 2**33 ln 2 ~ 5.95e9). A Miller chain at z = 2**32 starts
+# near order 4.7e5 (see _miller_start), so the limit is set by the split,
+# not by the recurrence.
 _Z_MAX = 2.0 ** 32
+# Miller start constant 45 / asinh(1) (frozen bit pattern shared with the
+# compiled twin): a start L with L**2 - l**2 >= _MILLER_T * z leaves a seed
+# share of at most e**-45 at order l.
+_MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
 _CHAIN_DOMAIN = "Riccati-Bessel chains need l >= 0 and 0 < z < 2**32"
@@ -155,17 +159,27 @@ def _s_series_pair(l, z):
     return am, ak, bm, bk
 
 
+def _miller_start(l, z):
+    # Start order of the downward recurrence for s_l(z). From the uniform
+    # asymptotics of I_nu and K_nu (DLMF 10.41), the seed's share at order
+    # l after a start at L is about exp(-2 * integral_l^L asinh(nu/z) dnu).
+    # Up to nu = z, asinh(nu/z) >= asinh(1) * nu/z, so L**2 - l**2 >= T z
+    # with T = 45/asinh(1) keeps that share below e**-45 ~ 3e-20. Past z
+    # the inequality fails, so a bound above z falls back to max(l, z) + 26.
+    b = math.ceil(math.sqrt(float(l) * float(l) + _MILLER_T * z)) + 1
+    if b <= z:
+        return b
+    return int(max(float(l), z)) + 26
+
+
 def _s_miller(l, z):
-    # Downward recurrence from above BOTH the order and the turning point:
-    # seed contamination only decays above max(l, z), so the start order
-    # must clear the argument as well as the order.
-    L = int(max(float(l), z)) + 26
+    # Downward recurrence from _miller_start, run as two loops around one
+    # peeled step so that no step compares orders: down to s_l, one step to
+    # s_{l-1}, down to s_0.
     ym = 0.0
     y = 1.0
     off = 0.0
-    out1m = out1k = out0m = out0k = 0.0
-    j = L
-    while j >= 1:
+    for j in range(_miller_start(l, z), l, -1):
         t = ym + (2.0 * j + 1.0) / z * y
         ym = y
         y = t
@@ -173,13 +187,25 @@ def _s_miller(l, z):
             y *= _DOWN
             ym *= _DOWN
             off += _STEP
-        if j - 1 == l:
-            out1m = y
-            out1k = off
-        elif j - 1 == l - 1:
-            out0m = y
-            out0k = off
-        j -= 1
+    out1m = y
+    out1k = off
+    t = ym + (2.0 * l + 1.0) / z * y
+    ym = y
+    y = t
+    if y > _BIG:
+        y *= _DOWN
+        ym *= _DOWN
+        off += _STEP
+    out0m = y
+    out0k = off
+    for j in range(l - 1, 0, -1):
+        t = ym + (2.0 * j + 1.0) / z * y
+        ym = y
+        y = t
+        if y > _BIG:
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
     # Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with exp(z) split by
     # _exp_split, so the mantissa never pays the z*eps penalty of an
     # exp(log(..)) round-trip.
@@ -310,8 +336,6 @@ def _core_point(l, xi, mu, ratio, mode):
 
     x = xi
     xr = xi * ratio
-    sxm, sxk, sx0m, sx0k = s_pair(l, x)
-    exm, exk, ex0m, ex0k = e_pair(l, xr)
 
     # primes and s - z s' / e - z e' combinations at g and g*ratio
     spgm, spgk, epgm, epgk, stgm, stgk, etgm, etgk = _derivs(
@@ -319,13 +343,24 @@ def _core_point(l, xi, mu, ratio, mode):
     sprm, sprk, eprm, eprk, strm, strk, etrm, etrk = _derivs(
         l, gr, srm, srk, sr0m, sr0k, erm, erk, er0m, er0k)
 
-    # s - z s' at x and e - z e' at x*ratio (the only vacuum-side combos used)
-    am, ak = sr_scale(sxm, sxk, l + 1.0)
-    bm, bk = sr_scale(sx0m, sx0k, x)
-    stxm, stxk = sr_sub(am, ak, bm, bk)
-    am, ak = sr_scale(exm, exk, l + 1.0)
-    bm, bk = sr_scale(ex0m, ex0k, xr)
-    etxm, etxk = sr_add(am, ak, bm, bk)
+    if x == g:
+        # Massless (or a mass too small to move gamma): x*ratio == g*ratio,
+        # so the vacuum-side chains and combinations are the ones above.
+        sxm, sxk = sgm, sgk
+        exm, exk = erm, erk
+        stxm, stxk = stgm, stgk
+        etxm, etxk = etrm, etrk
+    else:
+        sxm, sxk, sx0m, sx0k = s_pair(l, x)
+        exm, exk, ex0m, ex0k = e_pair(l, xr)
+        # s - z s' at x and e - z e' at x*ratio (the only vacuum-side
+        # combos used)
+        am, ak = sr_scale(sxm, sxk, l + 1.0)
+        bm, bk = sr_scale(sx0m, sx0k, x)
+        stxm, stxk = sr_sub(am, ak, bm, bk)
+        am, ak = sr_scale(exm, exk, l + 1.0)
+        bm, bk = sr_scale(ex0m, ex0k, xr)
+        etxm, etxk = sr_add(am, ak, bm, bk)
 
     L2 = l * (l + 1.0)
     m2 = mu * mu

@@ -28,8 +28,7 @@ from hypothesis import strategies as st
 from procasphere import _core_py as pure
 from procasphere import spectrum
 
-# extra_compile_args of setup.py, then the kernel's C standard and warnings
-# as errors.
+# extra_compile_args of setup.py, then warnings as errors.
 BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c99", "-Wall", "-Wextra",
                "-Werror"]
 
@@ -123,12 +122,21 @@ def test_gamma_arg_bit_identical(compiled, xi, mu):
 
 
 def test_family_bit_identical_on_grid(compiled):
-    for l in (0, 1, 2, 7, 40, 400, 1000):
-        for z in (0.001, 0.03, 0.5, 3.0, 12.0, 29.9, 30.1, 60.0, 300.0,
-                  1500.0, 20000.0):
-            assert pure.family(l, z) == compiled.family(l, z), (l, z)
-            assert pure.s_pair(l, z) == compiled.s_pair(l, z), (l, z)
-            assert pure.e_pair(l, z) == compiled.e_pair(l, z), (l, z)
+    points = [(l, z) for l in (0, 1, 2, 7, 40, 400, 1000)
+              for z in (0.001, 0.03, 0.5, 3.0, 12.0, 29.9, 30.1, 60.0, 300.0,
+                        1500.0, 20000.0)]
+    # Around the Miller start switch, the root of z**2 = l**2 + T z: just
+    # below and above it, past the first z that takes the new start, and
+    # at 1.5x and 10x the root.
+    t = pure._MILLER_T
+    for l in (1, 7, 40, 400, 1000):
+        root = 0.5 * (t + math.sqrt(t * t + 4.0 * l * l))
+        points += [(l, z) for z in (root - 0.01, root + 0.01, root + 4.5,
+                                    1.5 * root, 10.0 * root)]
+    for l, z in points:
+        assert pure.family(l, z) == compiled.family(l, z), (l, z)
+        assert pure.s_pair(l, z) == compiled.s_pair(l, z), (l, z)
+        assert pure.e_pair(l, z) == compiled.e_pair(l, z), (l, z)
 
 
 def test_log_delta_bit_identical_on_grid(compiled):

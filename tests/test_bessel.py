@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from procasphere import _core_py
 from procasphere.bessel import eval_batch, eval_e, eval_family, eval_s
 
 
@@ -145,3 +146,23 @@ def test_validation_errors():
         eval_family(2, math.nan)
     with pytest.raises(ValueError):
         eval_batch(-3, 1.0)
+
+
+def test_miller_start_rule():
+    # The downward recurrence starts at the smallest order b = ceil(sqrt(l**2
+    # + T z)) + 1 that leaves a seed share of at most e**-45, with
+    # T = 45/asinh(1), wherever b <= z, and at max(l, z) + 26 otherwise.
+    t = _core_py._MILLER_T
+    assert t == pytest.approx(45.0 / math.asinh(1.0), rel=1e-15)
+    assert _core_py._miller_start(1, 1e6) <= 7200
+    assert _core_py._miller_start(1, 2.0 ** 32) < 4.7e5
+    for l in (1, 7, 40, 400, 1000, 5000):
+        for z in (30.5, 51.0, 51.1, 55.6, 73.0, 80.0, 426.3, 431.0, 1025.9,
+                  1031.0, 5100.0, 1e4, 1e6, 2.0 ** 32 - 1.0):
+            start = _core_py._miller_start(l, z)
+            bound = math.ceil(math.sqrt(l * l + t * z)) + 1
+            if bound > z:
+                assert start == int(max(l, z)) + 26, (l, z)
+            else:
+                assert start == bound, (l, z)
+                assert start * start - l * l >= t * z, (l, z)

@@ -11,6 +11,7 @@ import math
 import pytest
 from mpmath import mp, mpf, workdps
 
+from procasphere import _core_py as pure
 from procasphere.bessel import eval_e, eval_family, eval_s
 from procasphere.determinants import (
     SpectralPoint,
@@ -99,6 +100,37 @@ def test_oracle_matches_fast_kernel_on_grid():
                 de = abs(mp.ldexp(mpf(fast_e.mantissa),
                                   int(fast_e.log2_scale)) / ref_e - 1)
             worst = max(worst, float(ds), float(de))
+    assert worst <= 1e-12
+
+
+def _start_switch_points():
+    # (l, z) around the root of z**2 = l**2 + T z, past which the Miller
+    # start bound L**2 - l**2 >= T z fits below z: just below the root (old
+    # start max(l, z) + 26), just above it, past the first z that takes the
+    # new start, and at 1.5x and 10x the root.
+    t = pure._MILLER_T
+    for l in (1, 7, 40, 400, 1000):
+        root = 0.5 * (t + math.sqrt(t * t + 4.0 * l * l))
+        for z in (root - 0.01, root + 0.01, root + 4.5, 1.5 * root,
+                  10.0 * root):
+            yield l, z
+
+
+def test_miller_start_rule_vs_oracle():
+    """Chains on both sides of the Miller start switch vs the 40-digit
+    oracle, through the public route and through the recurrence itself
+    (which the public route serves only where z > 1.2 l + 20)."""
+    worst = 0.0
+    for l, z in _start_switch_points():
+        s = eval_s(l, z)
+        s1m, s1k, s0m, s0k = pure._s_miller(l, z)
+        fast = ((s.mantissa, s.log2_scale, l), (s1m, s1k, l),
+                (s0m, s0k, l - 1))
+        with workdps(50):
+            for m, k, order in fast:
+                ref = mp_s(order, mpf(z))
+                err = abs(mp.ldexp(mpf(m), int(k)) / ref - 1)
+                worst = max(worst, float(err))
     assert worst <= 1e-12
 
 

@@ -209,10 +209,17 @@ def test_energy_huge_mass_is_null():
     assert res.l_used <= 5
 
 
+def test_energy_heavy_mass_te_is_zero():
+    # mu = 1e6: every chain argument is at least 1e6, where the Miller
+    # start sits near order 7200 instead of 1e6 + 26.
+    res = energy(ProblemSpec(ratio=1.5, mu=1e6, rel_tol=1e-5, mode="te"))
+    assert res.value == 0.0
+
+
 def test_energy_beyond_chain_range_is_rejected():
     # Chain arguments of 2**32 and more leave the exact range of the ln 2
-    # split; the kernel refuses them rather than start a Miller recurrence
-    # of over 4e9 steps per chain.
+    # split, so the kernel refuses them (a Miller chain there would start
+    # near order 4.7e5).
     with pytest.raises(ValueError):
         energy(ProblemSpec(ratio=1.5, mu=5e9, rel_tol=1e-6))
 
