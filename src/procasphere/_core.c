@@ -12,12 +12,10 @@
 #include <math.h>
 #include <stdarg.h>
 
-/* Chain rescale: mantissas leaving [TINY, BIG] move by 2^(-+STEP), exactly. */
+/* Chain rescale: mantissas above BIG move down by 2^-STEP, exactly. */
 static const double STEP = 128.0;
 static const double DOWN = 0x1p-128;
-static const double UP = 0x1p+128;
 static const double BIG = 1e250;
-static const double TINY = 1e-250;
 /* Exponent gap beyond which an addend is below one ulp of the other term. */
 static const double ADD_CUTOFF = 64.0;
 /* Cody-Waite split of ln 2, bit patterns shared with the pure twin. */
@@ -25,8 +23,11 @@ static const double INV_LN2 = 0x1.71547652b82fep+0;
 static const double LN2_HI = 0x1.62e42p-1;
 static const double LN2_MID = 0x1.fdf44p-22;
 static const double LN2_LO = 0x1.9ef35793c7673p-41;
-/* Chain arguments stay below 2^32, where the split's products are exact;
- * a Miller chain at z = 2^32 starts near order 4.7e5 (c_miller_start). */
+/* Chain arguments stay in [Z_MIN, Z_MAX): below 2^32 the split's products
+ * are exact (a Miller chain at z = 2^32 starts near order 4.7e5,
+ * c_miller_start), and from 2^-64 up one step's factor (2j + 1)/z stays
+ * below 2^128, the rescale, for every order below 2^60. */
+static const double Z_MIN = 0x1p-64;
 static const double Z_MAX = 0x1p+32;
 /* Miller start constant 45 / asinh(1), bit pattern shared with the pure
  * twin. */
@@ -144,49 +145,22 @@ static inline double c_gamma(double xi, double mu)
     return sqrt(xi * xi + mu * mu);
 }
 
-static SR c_s_sum(long l, double z, double m, double k)
+/* (s_0, s_{-1}) = (sinh z, cosh z) scaled: the closed forms up to 30;
+ * above, exp(z) enters through c_exp_split, so nothing overflows and the
+ * mantissa never pays the z*eps penalty of an exp(log(..)) round-trip. */
+static SRP c_s0_pair(double z)
 {
-    double z2 = z * z;
-    double tot = m;
-    double term = m;
-    long n = 0;
-    for (;;) {
-        term = term * z2 / (2.0 * (n + 1.0) * (2.0 * n + 2.0 * l + 3.0));
-        tot += term;
-        n += 1;
-        if (term <= tot * 1e-18)
-            break;
-        if (tot > BIG) {
-            tot *= DOWN;
-            term *= DOWN;
-            k += STEP;
-        }
-        if (n > 100000)
-            return (SR){NAN, 0.0};
+    double em2;
+    SR f, a, b;
+    if (z > 30.0) {
+        em2 = exp(-2.0 * z);
+        f = c_exp_split(z);
+        a = c_norm(f.m * (0.5 * (1.0 - em2)), f.k);
+        b = c_norm(f.m * (0.5 * (1.0 + em2)), f.k);
+    } else {
+        a = c_norm(sinh(z), 0.0);
+        b = c_norm(cosh(z), 0.0);
     }
-    return c_norm(tot, k);
-}
-
-static SRP c_s_series_pair(long l, double z)
-{
-    double m = 1.0;
-    double k = 0.0;
-    double m1;
-    long j;
-    SR a, b;
-    for (j = 0; j < l; j++) {
-        m *= z / (2.0 * j + 1.0);
-        if (m > BIG) {
-            m *= DOWN;
-            k += STEP;
-        } else if (m < TINY) {
-            m *= UP;
-            k -= STEP;
-        }
-    }
-    m1 = m * (z / (2.0 * l + 1.0));
-    a = c_s_sum(l, z, m1, k);
-    b = c_s_sum(l - 1, z, m, k);
     return (SRP){a.m, a.k, b.m, b.k};
 }
 
@@ -195,7 +169,8 @@ static SRP c_s_series_pair(long l, double z)
  * (DLMF 10.41), and asinh(nu/z) >= asinh(1) nu/z up to nu = z, so
  * L^2 - l^2 >= T z with T = 45/asinh(1) keeps it below e^-45 ~ 3e-20.
  * Past z the inequality fails, so a bound above z falls back to
- * max(l, z) + 26. */
+ * max(l, z) + 26: for nu >= z, asinh(nu/z) >= asinh(1), so those 26 steps
+ * alone give e^-45.8, at z < l as well as at z > l. */
 static long c_miller_start(long l, double z)
 {
     double b = ceil(sqrt((double)l * (double)l + MILLER_T * z)) + 1.0;
@@ -207,14 +182,16 @@ static long c_miller_start(long l, double z)
 static SRP c_s_miller(long l, double z)
 {
     /* Two loops around one peeled step, so that no step compares orders:
-     * down to s_l, one step to s_{l-1}, down to s_0. */
+     * down to s_l, one step to s_{l-1}, down to s_0, then normalized
+     * against s_0 from c_s0_pair. */
     double ym = 0.0;
     double y = 1.0;
     double off = 0.0;
     double out1m, out1k, out0m, out0k;
-    double t, m0;
+    double t;
     long j;
-    SR f, a, b;
+    SRP s0;
+    SR a, b;
     for (j = c_miller_start(l, z); j > l; j--) {
         t = ym + (2.0 * j + 1.0) / z * y;
         ym = y;
@@ -247,35 +224,17 @@ static SRP c_s_miller(long l, double z)
             off += STEP;
         }
     }
-    /* Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with exp(z) split by
-     * c_exp_split, so the mantissa never pays the z*eps penalty of an
-     * exp(log(..)) round-trip. */
-    f = c_exp_split(z);
-    m0 = f.m * (0.5 * (1.0 - exp(-2.0 * z)));
-    a = c_norm(out1m / y * m0, f.k + (out1k - off));
-    b = c_norm(out0m / y * m0, f.k + (out0k - off));
+    s0 = c_s0_pair(z);
+    a = c_norm(out1m / y * s0.am, s0.ak + (out1k - off));
+    b = c_norm(out0m / y * s0.am, s0.ak + (out0k - off));
     return (SRP){a.m, a.k, b.m, b.k};
 }
 
 static SRP c_s_pair(long l, double z)
 {
-    double em2;
-    SR f, a, b;
-    if (l == 0) {
-        if (z > 30.0) {
-            em2 = exp(-2.0 * z);
-            f = c_exp_split(z);
-            a = c_norm(f.m * (0.5 * (1.0 - em2)), f.k);
-            b = c_norm(f.m * (0.5 * (1.0 + em2)), f.k);
-        } else {
-            a = c_norm(sinh(z), 0.0);
-            b = c_norm(cosh(z), 0.0);
-        }
-        return (SRP){a.m, a.k, b.m, b.k};
-    }
-    if (z > 1.2 * l + 20.0 && z > 30.0)
-        return c_s_miller(l, z);
-    return c_s_series_pair(l, z);
+    if (l == 0)
+        return c_s0_pair(z);
+    return c_s_miller(l, z);
 }
 
 static SRP c_e_pair(long l, double z)
@@ -535,26 +494,29 @@ static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
  * Each returns 0 with ValueError set. */
 static int chain_ok(long l, double z)
 {
-    if (l >= 0 && z > 0.0 && z < Z_MAX)
+    if (l >= 0 && z >= Z_MIN && z < Z_MAX)
         return 1;
     PyErr_SetString(PyExc_ValueError,
-                    "Riccati-Bessel chains need l >= 0 and 0 < z < 2**32");
+                    "Riccati-Bessel chains need l >= 0 and "
+                    "2**-64 <= z < 2**32");
     return 0;
 }
 
+/* Chains run at gamma and gamma * ratio, and in TM also at xi and
+ * xi * ratio; TE alone takes any xi >= 0. */
 static int point_ok(long l, double xi, double mu, double ratio, long mode)
 {
-    if (l >= 1 && mode >= 0 && mode <= 2 && mu >= 0.0 && mu < INFINITY
-        && ratio > 1.0 && ratio < INFINITY
-        && ((xi > 0.0 && xi < INFINITY)
-            || (xi == 0.0 && mode == 0 && mu > 0.0))
-        && c_gamma(xi, mu) * ratio < Z_MAX)
+    double xi_min = mode == 0 ? 0.0 : Z_MIN;
+    double g = c_gamma(xi, mu);
+    if (l >= 1 && mode >= 0 && mode <= 2 && xi >= xi_min && xi < INFINITY
+        && mu >= 0.0 && mu < INFINITY && ratio > 1.0 && ratio < INFINITY
+        && g >= Z_MIN && g * ratio < Z_MAX)
         return 1;
     PyErr_SetString(PyExc_ValueError,
                     "mode factors need l >= 1, mode 0, 1 or 2, a finite "
-                    "mu >= 0, a finite ratio > 1, a finite xi > 0 (xi = 0 "
-                    "only in mode 0 with mu > 0) and sqrt(xi^2 + mu^2) * "
-                    "ratio < 2**32");
+                    "mu >= 0, a finite ratio > 1, a finite xi >= 2**-64 "
+                    "(xi >= 0 in mode 0), sqrt(xi^2 + mu^2) >= 2**-64 and "
+                    "sqrt(xi^2 + mu^2) * ratio < 2**32");
     return 0;
 }
 
@@ -767,11 +729,12 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
     SR n_, d_;
     if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio))
         return NULL;
-    if (l < 1 || !(xi > 0.0 && xi < INFINITY)
+    if (l < 1 || !(xi >= Z_MIN && xi < INFINITY)
         || !(ratio > 1.0 && ratio < INFINITY) || !(xi * ratio < Z_MAX)) {
         PyErr_SetString(PyExc_ValueError,
-                        "rho_tm_massless needs l >= 1, a finite xi > 0, a "
-                        "finite ratio > 1 and xi * ratio < 2**32");
+                        "rho_tm_massless needs l >= 1, a finite "
+                        "xi >= 2**-64, a finite ratio > 1 and "
+                        "xi * ratio < 2**32");
         return NULL;
     }
     xr = xi * ratio;

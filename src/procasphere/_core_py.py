@@ -16,13 +16,11 @@ import math
 
 BACKEND = "pure"
 
-# Chain rescale: mantissas leaving [_TINY, _BIG] move by the exact power of
-# two 2**(-+_STEP).
+# Chain rescale: mantissas above _BIG move down by the exact power of two
+# 2**-_STEP.
 _STEP = 128.0
 _DOWN = 2.0 ** -_STEP
-_UP = 2.0 ** _STEP
 _BIG = 1e250
-_TINY = 1e-250
 # Exponent gap beyond which an addend is below one ulp of the other term.
 _ADD_CUTOFF = 64.0
 # Cody-Waite split of ln 2 (frozen bit patterns shared with the compiled
@@ -32,10 +30,13 @@ _INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
 _LN2_HI = float.fromhex("0x1.62e42p-1")
 _LN2_MID = float.fromhex("0x1.fdf44p-22")
 _LN2_LO = float.fromhex("0x1.9ef35793c7673p-41")
-# Chain arguments stay below 2**32, where the ln 2 split's products are
-# exact (up to 2**33 ln 2 ~ 5.95e9). A Miller chain at z = 2**32 starts
-# near order 4.7e5 (see _miller_start), so the limit is set by the split,
-# not by the recurrence.
+# Chain arguments stay in [_Z_MIN, _Z_MAX). Above, the ln 2 split's
+# products stop being exact (past 2**33 ln 2 ~ 5.95e9); a Miller chain at
+# z = 2**32 starts near order 4.7e5 (see _miller_start), so that limit is
+# set by the split, not by the recurrence. Below, one step's factor
+# (2j + 1)/z could pass 2**128 and overflow between two rescales; at
+# z >= 2**-64 it stays below that for every order below 2**60.
+_Z_MIN = 2.0 ** -64
 _Z_MAX = 2.0 ** 32
 # Miller start constant 45 / asinh(1) (frozen bit pattern shared with the
 # compiled twin): a start L with L**2 - l**2 >= _MILLER_T * z leaves a seed
@@ -43,7 +44,8 @@ _Z_MAX = 2.0 ** 32
 _MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
-_CHAIN_DOMAIN = "Riccati-Bessel chains need l >= 0 and 0 < z < 2**32"
+_CHAIN_DOMAIN = ("Riccati-Bessel chains need l >= 0 and "
+                 "2**-64 <= z < 2**32")
 
 
 # -- scaled primitives -------------------------------------------------------
@@ -118,44 +120,18 @@ def gamma_arg(xi, mu):
     return math.sqrt(xi * xi + mu * mu)
 
 
-def _s_sum(l, z, m, k):
-    # Sum the all-positive power series given the leading term m*2**k.
-    z2 = z * z
-    tot = m
-    term = m
-    n = 0
-    while True:
-        term = term * z2 / (2.0 * (n + 1.0) * (2.0 * n + 2.0 * l + 3.0))
-        tot += term
-        n += 1
-        if term <= tot * 1e-18:
-            break
-        if tot > _BIG:
-            tot *= _DOWN
-            term *= _DOWN
-            k += _STEP
-        if n > 100000:
-            # Unreachable on the branch domain; NaN propagates to callers,
-            # which surface it as a convergence failure.
-            return math.nan, 0.0
-    return sr_norm(tot, k)
-
-
-def _s_series_pair(l, z):
-    # Leading coefficient prod_{j<=l} z/(2j+1), built once for both orders.
-    m = 1.0
-    k = 0.0
-    for j in range(l):
-        m *= z / (2.0 * j + 1.0)
-        if m > _BIG:
-            m *= _DOWN
-            k += _STEP
-        elif m < _TINY:
-            m *= _UP
-            k -= _STEP
-    m1 = m * (z / (2.0 * l + 1.0))
-    am, ak = _s_sum(l, z, m1, k)
-    bm, bk = _s_sum(l - 1, z, m, k)
+def _s0_pair(z):
+    # (s_0, s_{-1}) = (sinh z, cosh z) scaled: the closed forms up to 30;
+    # above, exp(z) enters through _exp_split, so nothing overflows and the
+    # mantissa never pays the z*eps penalty of an exp(log(..)) round-trip.
+    if z > 30.0:
+        em2 = math.exp(-2.0 * z)
+        f, k0 = _exp_split(z)
+        am, ak = sr_norm(f * (0.5 * (1.0 - em2)), k0)
+        bm, bk = sr_norm(f * (0.5 * (1.0 + em2)), k0)
+        return am, ak, bm, bk
+    am, ak = sr_norm(math.sinh(z), 0.0)
+    bm, bk = sr_norm(math.cosh(z), 0.0)
     return am, ak, bm, bk
 
 
@@ -165,7 +141,9 @@ def _miller_start(l, z):
     # l after a start at L is about exp(-2 * integral_l^L asinh(nu/z) dnu).
     # Up to nu = z, asinh(nu/z) >= asinh(1) * nu/z, so L**2 - l**2 >= T z
     # with T = 45/asinh(1) keeps that share below e**-45 ~ 3e-20. Past z
-    # the inequality fails, so a bound above z falls back to max(l, z) + 26.
+    # the inequality fails, so a bound above z falls back to max(l, z) + 26:
+    # for nu >= z, asinh(nu/z) >= asinh(1), so those 26 steps alone give
+    # e**-45.8, at z < l as well as at z > l.
     b = math.ceil(math.sqrt(float(l) * float(l) + _MILLER_T * z)) + 1
     if b <= z:
         return b
@@ -175,7 +153,7 @@ def _miller_start(l, z):
 def _s_miller(l, z):
     # Downward recurrence from _miller_start, run as two loops around one
     # peeled step so that no step compares orders: down to s_l, one step to
-    # s_{l-1}, down to s_0.
+    # s_{l-1}, down to s_0, then normalized against s_0 from _s0_pair.
     ym = 0.0
     y = 1.0
     off = 0.0
@@ -206,39 +184,26 @@ def _s_miller(l, z):
             y *= _DOWN
             ym *= _DOWN
             off += _STEP
-    # Normalize against s_0 = exp(z)(1 - exp(-2z))/2 with exp(z) split by
-    # _exp_split, so the mantissa never pays the z*eps penalty of an
-    # exp(log(..)) round-trip.
-    f, k0 = _exp_split(z)
-    m0 = f * (0.5 * (1.0 - math.exp(-2.0 * z)))
+    m0, k0 = _s0_pair(z)[:2]
     am, ak = sr_norm(out1m / y * m0, k0 + (out1k - off))
     bm, bk = sr_norm(out0m / y * m0, k0 + (out0k - off))
     return am, ak, bm, bk
 
 
 def s_pair(l, z):
-    """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0, 0 < z < 2**32."""
-    if l < 0 or not 0.0 < z < _Z_MAX:
+    """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0 and
+    2**-64 <= z < 2**32."""
+    if l < 0 or not _Z_MIN <= z < _Z_MAX:
         raise ValueError(_CHAIN_DOMAIN)
     if l == 0:
-        if z > 30.0:
-            em2 = math.exp(-2.0 * z)
-            f, k0 = _exp_split(z)
-            am, ak = sr_norm(f * (0.5 * (1.0 - em2)), k0)
-            bm, bk = sr_norm(f * (0.5 * (1.0 + em2)), k0)
-            return am, ak, bm, bk
-        am, ak = sr_norm(math.sinh(z), 0.0)
-        bm, bk = sr_norm(math.cosh(z), 0.0)
-        return am, ak, bm, bk
-    if z > 1.2 * l + 20.0 and z > 30.0:
-        return _s_miller(l, z)
-    return _s_series_pair(l, z)
+        return _s0_pair(z)
+    return _s_miller(l, z)
 
 
 def e_pair(l, z):
     """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
     direction for the decaying solution, so no normalization pass is needed."""
-    if l < 0 or not 0.0 < z < _Z_MAX:
+    if l < 0 or not _Z_MIN <= z < _Z_MAX:
         raise ValueError(_CHAIN_DOMAIN)
     m, k = _exp_split(-z)
     a = m
@@ -440,14 +405,18 @@ def _core_point(l, xi, mu, ratio, mode):
 
 
 def _check_point(l, xi, mu, ratio, mode):
-    xi_ok = 0.0 < xi < math.inf or (xi == 0.0 and mode == 0 and mu > 0.0)
-    if (l < 1 or mode < 0 or mode > 2 or not xi_ok
+    # Chains run at gamma and gamma * ratio, and in TM also at xi and
+    # xi * ratio; TE alone takes any xi >= 0.
+    xi_min = 0.0 if mode == 0 else _Z_MIN
+    g = gamma_arg(xi, mu)
+    if (l < 1 or mode < 0 or mode > 2 or not xi_min <= xi < math.inf
             or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf
-            or not gamma_arg(xi, mu) * ratio < _Z_MAX):
+            or not _Z_MIN <= g or not g * ratio < _Z_MAX):
         raise ValueError(
             "mode factors need l >= 1, mode 0, 1 or 2, a finite mu >= 0, a "
-            "finite ratio > 1, a finite xi > 0 (xi = 0 only in mode 0 with "
-            "mu > 0) and sqrt(xi^2 + mu^2) * ratio < 2**32")
+            "finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in mode 0), "
+            "sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * ratio "
+            "< 2**32")
 
 
 def log_delta_point(l, xi, mu, ratio, mode):
@@ -470,10 +439,11 @@ def log_delta_nodes(l, mu, ratio, mode, xs):
 
 def rho_tm_massless(l, xi, ratio):
     """Conducting-boundary ratio s'(x)e'(xr)/(e'(x)s'(xr)), scaled."""
-    if (l < 1 or not 0.0 < xi < math.inf or not 1.0 < ratio < math.inf
+    if (l < 1 or not _Z_MIN <= xi < math.inf or not 1.0 < ratio < math.inf
             or not xi * ratio < _Z_MAX):
-        raise ValueError("rho_tm_massless needs l >= 1, a finite xi > 0, a "
-                         "finite ratio > 1 and xi * ratio < 2**32")
+        raise ValueError("rho_tm_massless needs l >= 1, a finite "
+                         "xi >= 2**-64, a finite ratio > 1 and "
+                         "xi * ratio < 2**32")
     xr = xi * ratio
     spm, spk, epm, epk = _derivs(l, xi, *s_pair(l, xi), *e_pair(l, xi))[:4]
     sprm, sprk, eprm, eprk = _derivs(

@@ -2,10 +2,10 @@
 
 The growing solution s_l and decaying solution e_l (with s_l e_l' - s_l' e_l
 = -1) are returned as :class:`ScaledReal` so that arguments up to tens of
-thousands stay representable. Three evaluation strategies are used under the
-hood: the all-positive power series at small-to-moderate argument, a
-downward recurrence normalized against s_0 = sinh z above the switch point,
-and the always-stable upward recurrence for e_l.
+thousands stay representable. Two recurrences serve every order l >= 1 and
+every argument 2**-64 <= z < 2**32: Miller's downward recurrence for s_l,
+normalized against s_0 = sinh z, and the always-stable upward recurrence
+for e_l. Arguments outside that range raise ValueError.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -48,26 +47,14 @@ class UsageError(Exception):
     """Bad flag combination or parameter value; maps to exit code 2."""
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        n = flag_value
-    else:
-        env = os.environ.get("PROCASPHERE_THREADS")
-        if env is None or env.strip() == "":
-            n = 1
-        else:
-            try:
-                n = int(env)
-            except ValueError:
-                raise UsageError(
-                    f"PROCASPHERE_THREADS must be an integer, got {env!r}")
+def _check_threads(n: int) -> int:
     if n < 1:
         raise UsageError(f"threads must be >= 1, got {n}")
     return n
 
 
 def _problem_inputs(args) -> dict:
-    threads = _resolve_threads(args.threads)
+    threads = _check_threads(args.threads)
     dimless = args.ratio is not None or args.mu is not None
     physical = (args.a1_m is not None or args.a2_m is not None
                 or args.mass_ev is not None)
@@ -103,12 +90,12 @@ def _sweep_ratio_inputs(args) -> dict:
     return {
         "from": args.ratio_from, "to": args.ratio_to, "steps": args.steps,
         "mu": args.mu, "rel_tol": args.rel_tol, "l_cap": args.l_cap,
-        "threads": _resolve_threads(args.threads),
+        "threads": _check_threads(args.threads),
     }
 
 
 def _sweep_mass_inputs(args) -> dict:
-    threads = _resolve_threads(args.threads)
+    threads = _check_threads(args.threads)
     try:
         mu_values = [float(tok) for tok in args.mu_values.split(",") if tok]
     except ValueError:
@@ -294,7 +281,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    threads = _resolve_threads(args.threads)
     failures = 0
 
     def check(name, fn):
@@ -348,7 +334,7 @@ def _cmd_selftest(args) -> int:
                     f"massless mismatch at l={l}, xi={xi}, ratio={ratio}")
 
     def energy_sanity():
-        r = energy(ProblemSpec(ratio=1.3, rel_tol=1e-5), threads=threads)
+        r = energy(ProblemSpec(ratio=1.3, rel_tol=1e-5))
         if not (r.te < 0.0 and r.tm < 0.0):
             raise AssertionError(
                 f"energies not attractive: te={r.te}, tm={r.tm}")
@@ -387,8 +373,10 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                    help="relative tolerance on the summed energy")
     p.add_argument("--l-cap", dest="l_cap", type=int, default=5000,
                    help="hard ceiling on the partial-wave order")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: PROCASPHERE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads, recorded in the manifest; waves "
+                        "run serially and no count changes the result "
+                        "(default: 1)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                    default="json", help="output format (default: json)")
 
@@ -435,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute, inputs=_sweep_mass_inputs)
 
     p = sub.add_parser("selftest", help="hermetic internal cross-checks")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_selftest)
 
     p = sub.add_parser("replay",

@@ -8,9 +8,9 @@ exp(-2*gamma*(ratio-1)), which drives both the quadrature framing and the
 tail bounds used here.
 
 Everything is deterministic by construction: panels are refined by a
-first-maximum scan, sums are accumulated in a fixed order, and the threaded
-path consumes partial waves strictly in ascending order, so results are
-bit-identical for any thread count.
+first-maximum scan, sums are accumulated in a fixed order, and partial
+waves are solved one after another in ascending order on the calling
+thread, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -283,44 +282,16 @@ def l_term(spec: ProblemSpec, l: int) -> float:
         l, spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)[0]
 
 
-def _term_stream(spec: ProblemSpec, mode: int, threads: int):
-    # Yields (l, value, err, evals, te, tm) strictly in ascending l. The
-    # threaded branch prefetches a bounded window; wasted prefetch past the
-    # stopping point is discarded, keeping results independent of thread
-    # count.
-    if threads == 1:
-        for l in range(1, spec.l_cap + 1):
-            yield (l,) + _l_term_full(
-                l, spec.mu, spec.ratio, mode, spec.rel_tol)
-        return
-    depth = threads + 2
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        pending = {}
-        next_l = 1
-        cur = 1
-        try:
-            while cur <= spec.l_cap:
-                while next_l <= spec.l_cap and len(pending) < depth:
-                    pending[next_l] = ex.submit(
-                        _l_term_full, next_l, spec.mu, spec.ratio, mode,
-                        spec.rel_tol)
-                    next_l += 1
-                res = pending.pop(cur).result()
-                yield (cur,) + res
-                cur += 1
-        finally:
-            for f in pending.values():
-                f.cancel()
-
-
 def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     """Interaction energy in units of hbar*c/(2*pi*a1).
 
     One pass integrates the requested polarizations together. Partial
-    waves are summed (with compensation) until three consecutive terms
-    fall below rel_tol relative to the running sum; exhausting l_cap first
-    raises ConvergenceError. threads > 1 evaluates waves concurrently
-    without changing a single bit of the result.
+    waves are solved in ascending order on the calling thread and summed
+    (with compensation) until three consecutive terms fall below rel_tol
+    relative to the running sum; exhausting l_cap first raises
+    ConvergenceError. threads is validated and otherwise unused: it is
+    kept for splitting each integral by panels, and no thread count may
+    change a bit of the result.
     """
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -334,10 +305,14 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     consec = 0
     evals_total = 0
     l_used = 0
-    prev_t = None
-    last_t = None
+    prev_t = 0.0
+    last_t = 0.0
     converged = False
-    for l, value, err, ev, te, tm in _term_stream(spec, mode, threads):
+    for l in range(1, spec.l_cap + 1):
+        # Looked up in the module at each call, so a wrapper installed on
+        # spectrum._l_term_full sees every wave.
+        value, err, ev, te, tm = _l_term_full(
+            l, spec.mu, spec.ratio, mode, spec.rel_tol)
         evals_total += ev
         err_quad += err
         terms.append((l, value))
@@ -371,7 +346,7 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
         # Geometric bound on the dropped waves; the observed decay quotient
         # is clamped away from 1 so the bound stays finite.
         q = 0.95
-        if prev_t is not None and abs(prev_t) > 0.0:
+        if prev_t != 0.0:
             q = min(a_last / abs(prev_t), 0.95)
         l_tail = a_last * q / (1.0 - q)
     return EnergyResult(
@@ -396,7 +371,8 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
 
     Central differences at steps h and h/2 combine to an O(h^4) derivative;
     the inner energy calls run at rel_tol/100 so cancellation in the
-    differences does not eat the requested accuracy.
+    differences does not eat the requested accuracy. threads is passed to
+    each energy() call, where it changes no bit of the result.
     """
     h = default_fd_step(spec) if fd_step is None else _real("fd_step", fd_step)
     if not (math.isfinite(h) and h > 0.0):
@@ -516,7 +492,10 @@ def _sweep_row(spec: ProblemSpec, param_value: float, threads: int) -> SweepRow:
 
 def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
                 steps: int, threads: int = 1) -> SweepTable:
-    """Energy table over an inclusive linear grid of radius ratios."""
+    """Energy table over an inclusive linear grid of radius ratios.
+
+    threads is passed to each energy() call, as in force().
+    """
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     ratio_from = float(ratio_from)
@@ -537,7 +516,10 @@ def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
 
 def sweep_mass(template: ProblemSpec, mu_values: Sequence[float],
                threads: int = 1) -> SweepTable:
-    """Energy table over a strictly ascending list of field masses."""
+    """Energy table over a strictly ascending list of field masses.
+
+    threads is passed to each energy() call, as in force().
+    """
     if not isinstance(mu_values, Iterable):
         raise ValueError(
             f"mu_values must be a list of numbers, got {mu_values!r}")

@@ -133,6 +133,13 @@ def test_family_bit_identical_on_grid(compiled):
         root = 0.5 * (t + math.sqrt(t * t + 4.0 * l * l))
         points += [(l, z) for z in (root - 0.01, root + 0.01, root + 4.5,
                                     1.5 * root, 10.0 * root)]
+    # Around the old series switch max(1.2 l + 20, 30), high orders from
+    # far below the order to above it, and the argument floor 2**-64.
+    points += [(l, f * max(1.2 * l + 20.0, 30.0))
+               for l in (3, 17, 50) for f in (0.8, 1.0, 1.2)]
+    points += [(l, z) for l in (1000, 5000)
+               for z in (1e-4, 0.5 * l, 1.2 * l + 20.0)]
+    points += [(l, 2.0 ** -64) for l in (0, 1, 40, 5000)]
     for l, z in points:
         assert pure.family(l, z) == compiled.family(l, z), (l, z)
         assert pure.s_pair(l, z) == compiled.s_pair(l, z), (l, z)
@@ -199,12 +206,18 @@ OUT_OF_DOMAIN = [
     ("s_pair", (2, math.inf)),
     ("s_pair", (2, 2.0 ** 32)),
     ("s_pair", (0, 1e300)),
+    ("s_pair", (2, 2.0 ** -65)),
+    ("s_pair", (100, 1e-40)),
     ("e_pair", (2, 0.0)),
     ("e_pair", (-1, 1.0)),
     ("e_pair", (2, math.inf)),
     ("e_pair", (1, 5e9)),
+    ("e_pair", (2, 2.0 ** -65)),
+    ("e_pair", (100, 1e-40)),
     ("family", (3, 0.0)),
     ("family", (-2, 1.0)),
+    ("family", (2, 2.0 ** -65)),
+    ("family", (100, 1e-40)),
     ("log_delta_point", (0, 1.0, 0.5, 1.5, 0)),
     ("log_delta_point", (1, 0.0, 0.0, 1.5, 0)),
     ("log_delta_point", (1, -1.0, 0.5, 1.5, 0)),
@@ -222,6 +235,10 @@ OUT_OF_DOMAIN = [
     ("log_delta_point", (1, 1.0, 0.5, math.inf, 2)),
     ("log_delta_point", (1, 1.0, 3e9, 1.5, 0)),
     ("log_delta_point", (1, 3e9, 0.0, 1.5, 1)),
+    # Below the argument floor 2**-64: gamma in any mode, xi in TM.
+    ("log_delta_point", (5, 1e-100, 0.0, 1.5, 0)),
+    ("log_delta_point", (5, 1e-100, 0.0, 1.5, 1)),
+    ("log_delta_point", (5, 1e-100, 0.5, 1.5, 1)),
     ("log_delta_nodes", (3, 0.0, 1.5, 2, [0.0, 1.0])),
     ("log_delta_nodes", (3, 0.5, 1.5, 2, [1.0, -2.0])),
     ("log_delta_nodes", (3, 0.5, 1.5, 7, [1.0])),
@@ -230,6 +247,7 @@ OUT_OF_DOMAIN = [
     ("rho_tm_massless", (1, 0.0, 1.5)),
     ("rho_tm_massless", (1, math.nan, 1.5)),
     ("rho_tm_massless", (1, 3e9, 1.5)),
+    ("rho_tm_massless", (5, 1e-40, 1.5)),
 ]
 
 
@@ -240,11 +258,13 @@ def test_out_of_domain_raises(compiled, backend):
         with pytest.raises(ValueError):
             getattr(kernel, name)(*args)
     # The one zero-frequency node in the domain: massive TE, which
-    # log_delta_te serves. Both kernels agree on it.
+    # log_delta_te serves. Both kernels agree on it, and on a TE node below
+    # the floor whose gamma, the mass, is above it.
     v = kernel.log_delta_point(2, 0.0, 0.5, 1.5, 0)
     assert math.isfinite(v) and v < 0.0
     assert v == pure.log_delta_point(2, 0.0, 0.5, 1.5, 0)
     assert kernel.log_delta_nodes(2, 0.5, 1.5, 0, [0.0]) == ((v,), (0.0,))
+    assert kernel.log_delta_point(2, 1e-100, 0.5, 1.5, 0) == v
 
 
 def test_log_delta_nodes_from_two_threads(compiled):

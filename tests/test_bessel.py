@@ -1,9 +1,8 @@
 """Tests of the modified Riccati-Bessel evaluations.
 
-Hand-checkable values, the Wronskian identity, recurrence self-consistency,
-and agreement across the series/downward-recurrence switch are all pinned
-here; digit-level accuracy against the high-precision oracle lives in
-test_goldens.py.
+Hand-checkable values, the Wronskian identity, recurrence self-consistency
+and the Miller start rule are pinned here; digit-level accuracy against the
+high-precision oracle lives in test_oracle.py and test_goldens.py.
 """
 
 import math
@@ -52,7 +51,7 @@ def test_wronskian_identity():
 
 def test_three_term_recurrence_consistency():
     # s_{l+1} = s_{l-1} - (2l+1)/z s_l, and the same shape for e with a
-    # sign flip; both must hold across evaluation branches.
+    # sign flip; both must hold across chains with different start orders.
     for z in (0.4, 6.0, 55.0, 900.0):
         fams = eval_batch(12, z)
         for l in range(1, 11):
@@ -99,24 +98,6 @@ def test_product_s_e_bounded():
         for z in (0.01, 1.0, float(l) + 0.5, 10.0 * l + 10.0):
             p = (eval_s(l, z) * eval_e(l, z)).to_float()
             assert 0.0 < p <= 0.5 + 1e-12
-
-
-def test_branch_overlap_agreement():
-    # The series and the normalized downward recurrence must agree at the
-    # same argument in a band around the switch point max(1.2 l + 20, 30).
-    from procasphere import _core_py as core
-
-    for l in (3, 17, 50):
-        z_switch = max(1.2 * l + 20.0, 30.0)
-        for z in (0.8 * z_switch, z_switch, 1.2 * z_switch):
-            am, ak, bm, bk = core._s_series_pair(l, z)
-            cm, ck, dm, dk = core._s_miller(l, z)
-            assert ak == ck and bk == dk
-            assert cm == pytest.approx(am, rel=1e-12), (l, z)
-            assert dm == pytest.approx(bm, rel=1e-12), (l, z)
-        f = eval_family(l, z_switch)
-        w = f.s * f.e_prime - f.s_prime * f.e
-        assert abs(w.to_float() + 1.0) <= 1e-12
 
 
 def test_huge_argument_log_growth():

@@ -15,7 +15,6 @@ BASE = [sys.executable, "-m", "procasphere.cli"]
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env.pop("PROCASPHERE_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(BASE + list(args), capture_output=True, text=True,
@@ -108,18 +107,19 @@ def test_convergence_failure_exit_code():
     assert "converge" in r.stderr
 
 
-def test_threads_flag_beats_env():
+def test_threads_flag_recorded():
+    # Only the flag sets the thread count; the environment does not.
     doc_flag = json.loads(run_cli(
         "energy", "--ratio", "1.5", "--rel-tol", "1e-5", "--threads", "2",
         env_extra={"PROCASPHERE_THREADS": "7"}).stdout)
     assert doc_flag["manifest"]["inputs"]["threads"] == 2
-    doc_env = json.loads(run_cli(
+    doc_default = json.loads(run_cli(
         "energy", "--ratio", "1.5", "--rel-tol", "1e-5",
         env_extra={"PROCASPHERE_THREADS": "3"}).stdout)
-    assert doc_env["manifest"]["inputs"]["threads"] == 3
-    r = run_cli("energy", "--ratio", "1.5",
-                env_extra={"PROCASPHERE_THREADS": "x"})
+    assert doc_default["manifest"]["inputs"]["threads"] == 1
+    r = run_cli("energy", "--ratio", "1.5", "--threads", "0")
     assert r.returncode == 2
+    assert "threads must be >= 1" in r.stderr
 
 
 def test_threads_do_not_change_bits():

@@ -83,13 +83,14 @@ def test_oracle_recurrence_in_high_precision():
 
 
 def test_oracle_matches_fast_kernel_on_grid():
-    """Double-precision kernel vs 40-digit oracle across both branches."""
+    """Double-precision kernel vs 40-digit oracle, from the argument floor
+    2**-64 to 1e6."""
     worst = 0.0
     for l in (0, 1, 2, 4, 9, 17, 33, 65, 129, 257):
         # 1e5 and 1e6 reach deep into the range of the ln 2 split that
         # carries exp(z) into the base-2 scale.
-        for z in (0.004, 0.07, 0.9, 4.0, 17.0, 70.0, 260.0, 1100.0, 9000.0,
-                  1e5, 1e6):
+        for z in (2.0 ** -64, 1e-6, 0.004, 0.07, 0.9, 4.0, 17.0, 70.0, 260.0,
+                  1100.0, 9000.0, 1e5, 1e6):
             fast_s = eval_s(l, z)
             fast_e = eval_e(l, z)
             with workdps(50):
@@ -103,35 +104,44 @@ def test_oracle_matches_fast_kernel_on_grid():
     assert worst <= 1e-12
 
 
-def _start_switch_points():
+def _s_pair_error(points):
+    # Worst relative error of both members of s_pair, (s_l, s_{l-1}),
+    # against the 40-digit oracle.
+    worst = 0.0
+    for l, z in points:
+        s1m, s1k, s0m, s0k = pure.s_pair(l, z)
+        with workdps(50):
+            for m, k, order in ((s1m, s1k, l), (s0m, s0k, l - 1)):
+                ref = mp_s(order, mpf(z))
+                err = abs(mp.ldexp(mpf(m), int(k)) / ref - 1)
+                worst = max(worst, float(err))
+    return worst
+
+
+def test_s_pair_vs_oracle_across_old_switch():
+    # Where s_pair once switched from a power series to the recurrence,
+    # max(1.2 l + 20, 30), with 0.8x and 1.2x of it, and high orders from
+    # far below the order to above it, where a chain runs l + 26 steps.
+    points = [(l, f * max(1.2 * l + 20.0, 30.0))
+              for l in (3, 17, 50) for f in (0.8, 1.0, 1.2)]
+    points += [(l, z) for l in (1000, 5000)
+               for z in (1e-4, 0.5 * l, 1.2 * l + 20.0)]
+    assert _s_pair_error(points) <= 1e-12
+
+
+def test_miller_start_rule_vs_oracle():
+    """s_pair on both sides of the Miller start switch vs the oracle."""
     # (l, z) around the root of z**2 = l**2 + T z, past which the Miller
     # start bound L**2 - l**2 >= T z fits below z: just below the root (old
     # start max(l, z) + 26), just above it, past the first z that takes the
     # new start, and at 1.5x and 10x the root.
     t = pure._MILLER_T
+    points = []
     for l in (1, 7, 40, 400, 1000):
         root = 0.5 * (t + math.sqrt(t * t + 4.0 * l * l))
-        for z in (root - 0.01, root + 0.01, root + 4.5, 1.5 * root,
-                  10.0 * root):
-            yield l, z
-
-
-def test_miller_start_rule_vs_oracle():
-    """Chains on both sides of the Miller start switch vs the 40-digit
-    oracle, through the public route and through the recurrence itself
-    (which the public route serves only where z > 1.2 l + 20)."""
-    worst = 0.0
-    for l, z in _start_switch_points():
-        s = eval_s(l, z)
-        s1m, s1k, s0m, s0k = pure._s_miller(l, z)
-        fast = ((s.mantissa, s.log2_scale, l), (s1m, s1k, l),
-                (s0m, s0k, l - 1))
-        with workdps(50):
-            for m, k, order in fast:
-                ref = mp_s(order, mpf(z))
-                err = abs(mp.ldexp(mpf(m), int(k)) / ref - 1)
-                worst = max(worst, float(err))
-    assert worst <= 1e-12
+        points += [(l, z) for z in (root - 0.01, root + 0.01, root + 4.5,
+                                    1.5 * root, 10.0 * root)]
+    assert _s_pair_error(points) <= 1e-12
 
 
 def test_oracle_log_delta_vs_fast():
