@@ -118,11 +118,6 @@ static inline SR c_add(double m1, double k1, double m2, double k2)
     return c_norm(m2 + m1 * ldexp(1.0, -(int)d), k2);
 }
 
-static inline SR c_sub(double m1, double k1, double m2, double k2)
-{
-    return c_add(m1, k1, -m2, k2);
-}
-
 
 /* exp(x) as {exp(r), n} with x = n ln 2 + r, n = floor(x / ln 2); see
  * _exp_split in the pure twin for why r is good to about an ulp. */
@@ -179,51 +174,43 @@ static long c_miller_start(long l, double z)
     return (long)(z > (double)l ? z : (double)l) + 26;
 }
 
+/* The three-term step t = ym + (2j + 1)/z y of both chains, over n orders
+ * from j in steps of dj: y is the newest value, ym the one before, and a y
+ * above BIG moves both down by 2^-STEP and adds STEP to the offset. */
+static inline void c_steps(long j, long n, long dj, double z, double *y,
+                           double *ym, double *off)
+{
+    double t;
+    for (; n > 0; n--, j += dj) {
+        t = *ym + (2.0 * j + 1.0) / z * *y;
+        *ym = *y;
+        *y = t;
+        if (*y > BIG) {
+            *y *= DOWN;
+            *ym *= DOWN;
+            *off += STEP;
+        }
+    }
+}
+
 static SRP c_s_miller(long l, double z)
 {
-    /* Two loops around one peeled step, so that no step compares orders:
-     * down to s_l, one step to s_{l-1}, down to s_0, then normalized
-     * against s_0 from c_s0_pair. */
+    /* Three runs, so that no step compares orders: down to s_l, one step to
+     * s_{l-1}, down to s_0, then normalized against s_0 from c_s0_pair. */
+    long start = c_miller_start(l, z);
     double ym = 0.0;
     double y = 1.0;
     double off = 0.0;
     double out1m, out1k, out0m, out0k;
-    double t;
-    long j;
     SRP s0;
     SR a, b;
-    for (j = c_miller_start(l, z); j > l; j--) {
-        t = ym + (2.0 * j + 1.0) / z * y;
-        ym = y;
-        y = t;
-        if (y > BIG) {
-            y *= DOWN;
-            ym *= DOWN;
-            off += STEP;
-        }
-    }
+    c_steps(start, start - l, -1, z, &y, &ym, &off);
     out1m = y;
     out1k = off;
-    t = ym + (2.0 * l + 1.0) / z * y;
-    ym = y;
-    y = t;
-    if (y > BIG) {
-        y *= DOWN;
-        ym *= DOWN;
-        off += STEP;
-    }
+    c_steps(l, 1, -1, z, &y, &ym, &off);
     out0m = y;
     out0k = off;
-    for (j = l - 1; j >= 1; j--) {
-        t = ym + (2.0 * j + 1.0) / z * y;
-        ym = y;
-        y = t;
-        if (y > BIG) {
-            y *= DOWN;
-            ym *= DOWN;
-            off += STEP;
-        }
-    }
+    c_steps(l - 1, l - 1, -1, z, &y, &ym, &off);
     s0 = c_s0_pair(z);
     a = c_norm(out1m / y * s0.am, s0.ak + (out1k - off));
     b = c_norm(out0m / y * s0.am, s0.ak + (out0k - off));
@@ -243,19 +230,8 @@ static SRP c_e_pair(long l, double z)
     double k = s.k;
     double a = s.m;
     double b = s.m;
-    double t;
-    long j;
     SR p, q;
-    for (j = 0; j < l; j++) {
-        t = a + (2.0 * j + 1.0) / z * b;
-        a = b;
-        b = t;
-        if (b > BIG) {
-            a *= DOWN;
-            b *= DOWN;
-            k += STEP;
-        }
-    }
+    c_steps(0, l, 1, z, &b, &a, &k);
     p = c_norm(b, k);
     q = c_norm(a, k);
     return (SRP){p.m, p.k, q.m, q.k};
@@ -270,13 +246,13 @@ static inline Derivs c_derivs(long l, double z, SRP s, SRP e)
     Derivs d;
     SR t, a, b;
     t = c_scale(s.am, s.ak, lz);
-    d.sp = c_sub(s.bm, s.bk, t.m, t.k);
+    d.sp = c_add(s.bm, s.bk, -t.m, t.k);
     t = c_scale(e.am, e.ak, lz);
     d.ep = c_add(e.bm, e.bk, t.m, t.k);
     d.ep.m = -d.ep.m;
     a = c_scale(s.am, s.ak, l + 1.0);
     b = c_scale(s.bm, s.bk, z);
-    d.st = c_sub(a.m, a.k, b.m, b.k);
+    d.st = c_add(a.m, a.k, -b.m, b.k);
     a = c_scale(e.am, e.ak, l + 1.0);
     b = c_scale(e.bm, e.bk, z);
     d.et = c_add(a.m, a.k, b.m, b.k);
@@ -292,7 +268,21 @@ static inline SR c_two(double am, double ak, double bm, double bk,
 {
     SR p = c_mul(am, ak, dm, dk);
     SR q = c_mul(bm, bk, cm, ck);
-    return c_sub(p.m, p.k, q.m, q.k);
+    return c_add(p.m, p.k, -q.m, q.k);
+}
+
+/* g2 a*b - x2 c*d of scaled entries, the shape of the four
+ * potential-matching entries of the TM matrix. */
+static inline SR c_bracket(double g2, double x2, double am, double ak,
+                           double bm, double bk, double cm, double ck,
+                           double dm, double dk)
+{
+    SR p = c_mul(am, ak, bm, bk);
+    SR q;
+    p = c_scale(p.m, p.k, g2);
+    q = c_mul(cm, ck, dm, dk);
+    q = c_scale(q.m, q.k, x2);
+    return c_add(p.m, p.k, -q.m, q.k);
 }
 
 static double c_log1m(double m, double k)
@@ -311,7 +301,7 @@ static double c_log1m(double m, double k)
             return -0.0;
         return log1p(-v);
     }
-    d = c_sub(0.5, 1.0, r.m, r.k);
+    d = c_add(0.5, 1.0, -r.m, r.k);
     if (d.m <= 0.0)
         return NAN;
     return d.k * LN2_HI + (d.k * LN2_MID + (d.k * LN2_LO + log(d.m)));
@@ -366,7 +356,7 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
          * combos) */
         a = c_scale(sx.am, sx.ak, l + 1.0);
         b = c_scale(sx.bm, sx.bk, x);
-        stx = c_sub(a.m, a.k, b.m, b.k);
+        stx = c_add(a.m, a.k, -b.m, b.k);
         a = c_scale(ex.am, ex.ak, l + 1.0);
         b = c_scale(ex.bm, ex.bk, xr);
         etx = c_add(a.m, a.k, b.m, b.k);
@@ -389,30 +379,18 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     q31 = c_scale(a.m, a.k, L2);
     a = c_mul(sx.am, sx.ak, eg.am, eg.ak);
     q32 = c_scale(a.m, a.k, L2);
-    a = c_mul(sg.am, sg.ak, stx.m, stx.k);
-    a = c_scale(a.m, a.k, g2);
-    b = c_mul(sx.am, sx.ak, dg.st.m, dg.st.k);
-    b = c_scale(b.m, b.k, x2);
-    q33 = c_sub(a.m, a.k, b.m, b.k);
-    a = c_mul(eg.am, eg.ak, stx.m, stx.k);
-    a = c_scale(a.m, a.k, g2);
-    b = c_mul(sx.am, sx.ak, dg.et.m, dg.et.k);
-    b = c_scale(b.m, b.k, x2);
-    q34 = c_sub(a.m, a.k, b.m, b.k);
+    q33 = c_bracket(g2, x2, sg.am, sg.ak, stx.m, stx.k, sx.am, sx.ak,
+                    dg.st.m, dg.st.k);
+    q34 = c_bracket(g2, x2, eg.am, eg.ak, stx.m, stx.k, sx.am, sx.ak,
+                    dg.et.m, dg.et.k);
     a = c_mul(ex.am, ex.ak, sr_.am, sr_.ak);
     q41 = c_scale(a.m, a.k, L2);
     a = c_mul(ex.am, ex.ak, er.am, er.ak);
     q42 = c_scale(a.m, a.k, L2);
-    a = c_mul(sr_.am, sr_.ak, etx.m, etx.k);
-    a = c_scale(a.m, a.k, g2);
-    b = c_mul(ex.am, ex.ak, dr.st.m, dr.st.k);
-    b = c_scale(b.m, b.k, x2);
-    q43 = c_sub(a.m, a.k, b.m, b.k);
-    a = c_mul(er.am, er.ak, etx.m, etx.k);
-    a = c_scale(a.m, a.k, g2);
-    b = c_mul(ex.am, ex.ak, dr.et.m, dr.et.k);
-    b = c_scale(b.m, b.k, x2);
-    q44 = c_sub(a.m, a.k, b.m, b.k);
+    q43 = c_bracket(g2, x2, sr_.am, sr_.ak, etx.m, etx.k, ex.am, ex.ak,
+                    dr.st.m, dr.st.k);
+    q44 = c_bracket(g2, x2, er.am, er.ak, etx.m, etx.k, ex.am, ex.ak,
+                    dr.et.m, dr.et.k);
 
     /* Laplace split by odd/even column pairs: six surviving products, one of
      * which is the decoupled determinant; the other five all sit at the
@@ -592,15 +570,6 @@ static PyObject *py_sr_add(PyObject *Py_UNUSED(self), PyObject *const *args,
     return sr_tuple(c_add(m1, k1, m2, k2));
 }
 
-static PyObject *py_sr_sub(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    double m1, k1, m2, k2;
-    if (!unpack("sr_sub", args, nargs, "dddd", &m1, &k1, &m2, &k2))
-        return NULL;
-    return sr_tuple(c_sub(m1, k1, m2, k2));
-}
-
 static PyObject *py_gamma_arg(PyObject *Py_UNUSED(self), PyObject *const *args,
                               Py_ssize_t nargs)
 {
@@ -727,16 +696,10 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
     double xi, ratio, xr;
     Derivs d, dr;
     SR n_, d_;
-    if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio))
+    /* The domain of a massless TM node: with mu = 0, gamma is xi. */
+    if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio)
+        || !point_ok(l, xi, 0.0, ratio, 1))
         return NULL;
-    if (l < 1 || !(xi >= Z_MIN && xi < INFINITY)
-        || !(ratio > 1.0 && ratio < INFINITY) || !(xi * ratio < Z_MAX)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "rho_tm_massless needs l >= 1, a finite "
-                        "xi >= 2**-64, a finite ratio > 1 and "
-                        "xi * ratio < 2**32");
-        return NULL;
-    }
     xr = xi * ratio;
     d = c_derivs(l, xi, c_s_pair(l, xi), c_e_pair(l, xi));
     dr = c_derivs(l, xr, c_s_pair(l, xr), c_e_pair(l, xr));
@@ -754,7 +717,6 @@ static PyMethodDef core_methods[] = {
     FASTCALL(sr_div),
     FASTCALL(sr_scale),
     FASTCALL(sr_add),
-    FASTCALL(sr_sub),
     FASTCALL(gamma_arg),
     FASTCALL(s_pair),
     FASTCALL(e_pair),

@@ -95,10 +95,6 @@ def sr_add(m1, k1, m2, k2):
     return sr_norm(m2 + m1 * 2.0 ** -d, k2)
 
 
-def sr_sub(m1, k1, m2, k2):
-    return sr_add(m1, k1, -m2, k2)
-
-
 def _exp_split(x):
     # exp(x) as (exp(r), n) with x = n ln 2 + r and n = floor(x / ln 2).
     # For |n| < 2**33 the products n * _LN2_HI and n * _LN2_MID are exact,
@@ -150,14 +146,11 @@ def _miller_start(l, z):
     return int(max(float(l), z)) + 26
 
 
-def _s_miller(l, z):
-    # Downward recurrence from _miller_start, run as two loops around one
-    # peeled step so that no step compares orders: down to s_l, one step to
-    # s_{l-1}, down to s_0, then normalized against s_0 from _s0_pair.
-    ym = 0.0
-    y = 1.0
-    off = 0.0
-    for j in range(_miller_start(l, z), l, -1):
+def _steps(js, z, y, ym, off):
+    # The three-term step t = ym + (2j + 1)/z * y of both chains, over the
+    # orders js: y is the newest value, ym the one before, and a y above
+    # _BIG moves both down by 2**-_STEP and adds _STEP to the offset.
+    for j in js:
         t = ym + (2.0 * j + 1.0) / z * y
         ym = y
         y = t
@@ -165,25 +158,20 @@ def _s_miller(l, z):
             y *= _DOWN
             ym *= _DOWN
             off += _STEP
+    return y, ym, off
+
+
+def _s_miller(l, z):
+    # Downward recurrence from _miller_start in three runs, so that no step
+    # compares orders: down to s_l, one step to s_{l-1}, down to s_0, then
+    # normalized against s_0 from _s0_pair.
+    y, ym, off = _steps(range(_miller_start(l, z), l, -1), z, 1.0, 0.0, 0.0)
     out1m = y
     out1k = off
-    t = ym + (2.0 * l + 1.0) / z * y
-    ym = y
-    y = t
-    if y > _BIG:
-        y *= _DOWN
-        ym *= _DOWN
-        off += _STEP
+    y, ym, off = _steps((l,), z, y, ym, off)
     out0m = y
     out0k = off
-    for j in range(l - 1, 0, -1):
-        t = ym + (2.0 * j + 1.0) / z * y
-        ym = y
-        y = t
-        if y > _BIG:
-            y *= _DOWN
-            ym *= _DOWN
-            off += _STEP
+    y, ym, off = _steps(range(l - 1, 0, -1), z, y, ym, off)
     m0, k0 = _s0_pair(z)[:2]
     am, ak = sr_norm(out1m / y * m0, k0 + (out1k - off))
     bm, bk = sr_norm(out0m / y * m0, k0 + (out0k - off))
@@ -206,16 +194,7 @@ def e_pair(l, z):
     if l < 0 or not _Z_MIN <= z < _Z_MAX:
         raise ValueError(_CHAIN_DOMAIN)
     m, k = _exp_split(-z)
-    a = m
-    b = m
-    for j in range(l):
-        t = a + (2.0 * j + 1.0) / z * b
-        a = b
-        b = t
-        if b > _BIG:
-            a *= _DOWN
-            b *= _DOWN
-            k += _STEP
+    b, a, k = _steps(range(l), z, m, m, k)
     am, ak = sr_norm(b, k)
     bm, bk = sr_norm(a, k)
     return am, ak, bm, bk
@@ -226,12 +205,12 @@ def _derivs(l, z, s1m, s1k, s0m, s0k, e1m, e1k, e0m, e0k):
     # (s_l, s_{l-1}) and (e_l, e_{l-1}) at z.
     lz = l / z
     tm_, tk_ = sr_scale(s1m, s1k, lz)
-    spm, spk = sr_sub(s0m, s0k, tm_, tk_)
+    spm, spk = sr_add(s0m, s0k, -tm_, tk_)
     tm_, tk_ = sr_scale(e1m, e1k, lz)
     epm, epk = sr_add(e0m, e0k, tm_, tk_)
     am, ak = sr_scale(s1m, s1k, l + 1.0)
     bm, bk = sr_scale(s0m, s0k, z)
-    stm, stk = sr_sub(am, ak, bm, bk)
+    stm, stk = sr_add(am, ak, -bm, bk)
     am, ak = sr_scale(e1m, e1k, l + 1.0)
     bm, bk = sr_scale(e0m, e0k, z)
     etm, etk = sr_add(am, ak, bm, bk)
@@ -252,7 +231,17 @@ def _two(am, ak, bm, bk, cm, ck, dm, dk):
     # 2x2 determinant a*d - b*c of scaled entries.
     pm, pk = sr_mul(am, ak, dm, dk)
     qm, qk = sr_mul(bm, bk, cm, ck)
-    return sr_sub(pm, pk, qm, qk)
+    return sr_add(pm, pk, -qm, qk)
+
+
+def _bracket(g2, x2, am, ak, bm, bk, cm, ck, dm, dk):
+    # g2 * a*b - x2 * c*d of scaled entries, the shape of the four
+    # potential-matching entries of the TM matrix.
+    pm, pk = sr_mul(am, ak, bm, bk)
+    pm, pk = sr_scale(pm, pk, g2)
+    qm, qk = sr_mul(cm, ck, dm, dk)
+    qm, qk = sr_scale(qm, qk, x2)
+    return sr_add(pm, pk, -qm, qk)
 
 
 def log1m_scaled(m, k):
@@ -271,7 +260,7 @@ def log1m_scaled(m, k):
         if v == 0.0:
             return -0.0
         return math.log1p(-v)
-    dm, dk = sr_sub(0.5, 1.0, m, k)
+    dm, dk = sr_add(0.5, 1.0, -m, k)
     if dm <= 0.0:
         return math.nan
     # dk ln 2 by the split of _exp_split: dk * _LN2_HI is exact.
@@ -322,7 +311,7 @@ def _core_point(l, xi, mu, ratio, mode):
         # combos used)
         am, ak = sr_scale(sxm, sxk, l + 1.0)
         bm, bk = sr_scale(sx0m, sx0k, x)
-        stxm, stxk = sr_sub(am, ak, bm, bk)
+        stxm, stxk = sr_add(am, ak, -bm, bk)
         am, ak = sr_scale(exm, exk, l + 1.0)
         bm, bk = sr_scale(ex0m, ex0k, xr)
         etxm, etxk = sr_add(am, ak, bm, bk)
@@ -344,30 +333,14 @@ def _core_point(l, xi, mu, ratio, mode):
     q31m, q31k = sr_scale(am, ak, L2)
     am, ak = sr_mul(sxm, sxk, egm, egk)
     q32m, q32k = sr_scale(am, ak, L2)
-    am, ak = sr_mul(sgm, sgk, stxm, stxk)
-    am, ak = sr_scale(am, ak, g2)
-    bm, bk = sr_mul(sxm, sxk, stgm, stgk)
-    bm, bk = sr_scale(bm, bk, x2)
-    q33m, q33k = sr_sub(am, ak, bm, bk)
-    am, ak = sr_mul(egm, egk, stxm, stxk)
-    am, ak = sr_scale(am, ak, g2)
-    bm, bk = sr_mul(sxm, sxk, etgm, etgk)
-    bm, bk = sr_scale(bm, bk, x2)
-    q34m, q34k = sr_sub(am, ak, bm, bk)
+    q33m, q33k = _bracket(g2, x2, sgm, sgk, stxm, stxk, sxm, sxk, stgm, stgk)
+    q34m, q34k = _bracket(g2, x2, egm, egk, stxm, stxk, sxm, sxk, etgm, etgk)
     am, ak = sr_mul(exm, exk, srm, srk)
     q41m, q41k = sr_scale(am, ak, L2)
     am, ak = sr_mul(exm, exk, erm, erk)
     q42m, q42k = sr_scale(am, ak, L2)
-    am, ak = sr_mul(srm, srk, etxm, etxk)
-    am, ak = sr_scale(am, ak, g2)
-    bm, bk = sr_mul(exm, exk, strm, strk)
-    bm, bk = sr_scale(bm, bk, x2)
-    q43m, q43k = sr_sub(am, ak, bm, bk)
-    am, ak = sr_mul(erm, erk, etxm, etxk)
-    am, ak = sr_scale(am, ak, g2)
-    bm, bk = sr_mul(exm, exk, etrm, etrk)
-    bm, bk = sr_scale(bm, bk, x2)
-    q44m, q44k = sr_sub(am, ak, bm, bk)
+    q43m, q43k = _bracket(g2, x2, srm, srk, etxm, etxk, exm, exk, strm, strk)
+    q44m, q44k = _bracket(g2, x2, erm, erk, etxm, etxk, exm, exk, etrm, etrk)
 
     # Laplace split by odd/even column pairs: six surviving products, one of
     # which is the decoupled determinant; the other five all sit at the
@@ -439,11 +412,8 @@ def log_delta_nodes(l, mu, ratio, mode, xs):
 
 def rho_tm_massless(l, xi, ratio):
     """Conducting-boundary ratio s'(x)e'(xr)/(e'(x)s'(xr)), scaled."""
-    if (l < 1 or not _Z_MIN <= xi < math.inf or not 1.0 < ratio < math.inf
-            or not xi * ratio < _Z_MAX):
-        raise ValueError("rho_tm_massless needs l >= 1, a finite "
-                         "xi >= 2**-64, a finite ratio > 1 and "
-                         "xi * ratio < 2**32")
+    # The domain of a massless TM node: with mu = 0, gamma is xi.
+    _check_point(l, xi, 0.0, ratio, 1)
     xr = xi * ratio
     spm, spk, epm, epk = _derivs(l, xi, *s_pair(l, xi), *e_pair(l, xi))[:4]
     sprm, sprk, eprm, eprk = _derivs(

@@ -1,8 +1,7 @@
 """Kernel selection: compiled extension when present, pure Python otherwise.
 
-Set ``PROCASPHERE_PURE=1`` in the environment to force the pure backend;
-the equivalence tests and the benchmark use that switch to compare the two
-implementations bit for bit.
+Set ``PROCASPHERE_PURE=1`` in the environment to force the pure backend,
+for instance to time it beside an in-place build of the compiled one.
 """
 
 import os

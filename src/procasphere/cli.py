@@ -47,14 +47,7 @@ class UsageError(Exception):
     """Bad flag combination or parameter value; maps to exit code 2."""
 
 
-def _check_threads(n: int) -> int:
-    if n < 1:
-        raise UsageError(f"threads must be >= 1, got {n}")
-    return n
-
-
 def _problem_inputs(args) -> dict:
-    threads = _check_threads(args.threads)
     dimless = args.ratio is not None or args.mu is not None
     physical = (args.a1_m is not None or args.a2_m is not None
                 or args.mass_ev is not None)
@@ -77,7 +70,7 @@ def _problem_inputs(args) -> dict:
         raise UsageError("--si needs radii in meters (--a1-m/--a2-m)")
     inputs = {
         "ratio": ratio, "mu": mu, "rel_tol": args.rel_tol,
-        "l_cap": args.l_cap, "mode": args.mode, "threads": threads,
+        "l_cap": args.l_cap, "mode": args.mode, "threads": args.threads,
         "si": args.si, "a1_m": args.a1_m, "a2_m": args.a2_m,
         "mass_ev": args.mass_ev,
     }
@@ -90,12 +83,11 @@ def _sweep_ratio_inputs(args) -> dict:
     return {
         "from": args.ratio_from, "to": args.ratio_to, "steps": args.steps,
         "mu": args.mu, "rel_tol": args.rel_tol, "l_cap": args.l_cap,
-        "threads": _check_threads(args.threads),
+        "threads": args.threads,
     }
 
 
 def _sweep_mass_inputs(args) -> dict:
-    threads = _check_threads(args.threads)
     try:
         mu_values = [float(tok) for tok in args.mu_values.split(",") if tok]
     except ValueError:
@@ -103,7 +95,7 @@ def _sweep_mass_inputs(args) -> dict:
             f"--mu-values must be comma-separated numbers, got {args.mu_values!r}")
     return {
         "mu_values": mu_values, "ratio": args.ratio, "rel_tol": args.rel_tol,
-        "l_cap": args.l_cap, "threads": threads,
+        "l_cap": args.l_cap, "threads": args.threads,
     }
 
 
@@ -437,10 +429,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

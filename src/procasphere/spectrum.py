@@ -201,6 +201,15 @@ def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float):
 def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     """One partial wave: ((2l+1)*integral, error bound, eval count, and
     the TE and TM shares of the first)."""
+    try:
+        return _wave(l, mu, ratio, mode, rel_tol)
+    except ValueError as exc:
+        # A valid ProblemSpec can still put a node outside the kernel's
+        # chain range; say which inputs did.
+        raise ValueError(f"ratio={ratio!r}, mu={mu!r}, l={l}: {exc}") from None
+
+
+def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     # Frame the decay: the integrand falls like
     # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
     # that exponent reaches ~45 (twenty digits below the peak). Five
@@ -498,8 +507,8 @@ def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
     """
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    ratio_from = float(ratio_from)
-    ratio_to = float(ratio_to)
+    ratio_from = _real("ratio_from", ratio_from)
+    ratio_to = _real("ratio_to", ratio_to)
     for name, v in (("ratio_from", ratio_from), ("ratio_to", ratio_to)):
         if not (math.isfinite(v) and v > 1.0):
             raise ValueError(f"{name} must be finite and > 1, got {v!r}")

@@ -119,7 +119,7 @@ def test_threads_flag_recorded():
     assert doc_default["manifest"]["inputs"]["threads"] == 1
     r = run_cli("energy", "--ratio", "1.5", "--threads", "0")
     assert r.returncode == 2
-    assert "threads must be >= 1" in r.stderr
+    assert "threads must be an integer >= 1" in r.stderr
 
 
 def test_threads_do_not_change_bits():
@@ -217,12 +217,16 @@ def test_replay_bad_input_is_usage_error(tmp_path):
     no_mu.write_text(json.dumps(doc), encoding="utf-8")
     not_json = tmp_path / "not.json"
     not_json.write_text("{", encoding="utf-8")
-    # Inputs of the wrong type for force, sweep-mass and energy --si.
+    # Inputs of the wrong type for force, sweep-mass, sweep-ratio and
+    # energy --si.
     mistyped = []
     for i, (command, edits) in enumerate((
             ("force", {"fd_step": [0.001]}),
             ("sweep-mass", {"mu_values": [[0.0], 1.0]}),
             ("sweep-mass", {"mu_values": 5}),
+            ("sweep-ratio", {"from": 1.2, "to": None, "steps": 2}),
+            ("sweep-ratio", {"from": 1.2, "to": [1.5], "steps": 2}),
+            ("sweep-ratio", {"from": 1.2, "to": "1.5", "steps": 2}),
             ("energy", {"si": True, "a1_m": [1e-6], "a2_m": 1.5e-6}))):
         bad = json.loads(good)
         bad["manifest"]["command"] = command

@@ -219,9 +219,15 @@ def test_energy_heavy_mass_te_is_zero():
 def test_energy_beyond_chain_range_is_rejected():
     # Chain arguments of 2**32 and more leave the exact range of the ln 2
     # split, so the kernel refuses them (a Miller chain there would start
-    # near order 4.7e5).
+    # near order 4.7e5); below 2**-64 the step factor could overflow. The
+    # error names the inputs that put a node there.
     with pytest.raises(ValueError):
         energy(ProblemSpec(ratio=1.5, mu=5e9, rel_tol=1e-6))
+    for spec in (ProblemSpec(ratio=1e16, mu=0.5, rel_tol=1e-5),
+                 ProblemSpec(ratio=3e17, rel_tol=1e-5),
+                 ProblemSpec(ratio=1.0 + 1e-10, rel_tol=1e-5)):
+        with pytest.raises(ValueError, match="ratio="):
+            energy(spec)
 
 
 def test_default_fd_step():
