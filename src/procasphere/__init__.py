@@ -39,7 +39,7 @@ from .spectrum import (
 )
 from .units import PhysicalInput, convert_units, energy_scale_joules
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 __all__ = [
     "ScaledReal",

@@ -1,4 +1,7 @@
-/* Compiled kernel: the C twin of _core_py.py (see that module's docstring).
+/* Compiled kernel: the C twin of _core_py.py (see that module's docstring):
+ * e_l and the ratio q_s = s_{l-1}/s_l per chain argument, s_l from the
+ * Wronskian, a scaled rho_TE and the TM round trip det(1 - rho_TE M) from
+ * plain-double 2x2 shell matrices.
  *
  * Every arithmetic statement matches _core_py.py in order, so both backends
  * produce bit-identical doubles. Edit the two together or not at all, and
@@ -45,12 +48,14 @@ typedef struct {
     double bk;
 } SRP;
 
+/* e_l and s_l at one argument, scaled, with q_e = e_{l-1}/e_l and
+ * q_s = s_{l-1}/s_l. */
 typedef struct {
-    SR sp;
-    SR ep;
-    SR st;
-    SR et;
-} Derivs;
+    SR e;
+    double qe;
+    SR s;
+    double qs;
+} Chains;
 
 typedef struct {
     double tem;
@@ -140,25 +145,6 @@ static inline double c_gamma(double xi, double mu)
     return sqrt(xi * xi + mu * mu);
 }
 
-/* (s_0, s_{-1}) = (sinh z, cosh z) scaled: the closed forms up to 30;
- * above, exp(z) enters through c_exp_split, so nothing overflows and the
- * mantissa never pays the z*eps penalty of an exp(log(..)) round-trip. */
-static SRP c_s0_pair(double z)
-{
-    double em2;
-    SR f, a, b;
-    if (z > 30.0) {
-        em2 = exp(-2.0 * z);
-        f = c_exp_split(z);
-        a = c_norm(f.m * (0.5 * (1.0 - em2)), f.k);
-        b = c_norm(f.m * (0.5 * (1.0 + em2)), f.k);
-    } else {
-        a = c_norm(sinh(z), 0.0);
-        b = c_norm(cosh(z), 0.0);
-    }
-    return (SRP){a.m, a.k, b.m, b.k};
-}
-
 /* Start order of the downward recurrence for s_l(z): the seed's share at
  * order l after a start at L is about exp(-2 int_l^L asinh(nu/z) dnu)
  * (DLMF 10.41), and asinh(nu/z) >= asinh(1) nu/z up to nu = z, so
@@ -193,35 +179,16 @@ static inline void c_steps(long j, long n, long dj, double z, double *y,
     }
 }
 
-static SRP c_s_miller(long l, double z)
+/* q_s = s_{l-1}/s_l: one downward run from c_miller_start ends with
+ * y = s_{l-1} and ym = s_l at the same offset. */
+static double c_s_ratio(long l, double z)
 {
-    /* Three runs, so that no step compares orders: down to s_l, one step to
-     * s_{l-1}, down to s_0, then normalized against s_0 from c_s0_pair. */
     long start = c_miller_start(l, z);
     double ym = 0.0;
     double y = 1.0;
     double off = 0.0;
-    double out1m, out1k, out0m, out0k;
-    SRP s0;
-    SR a, b;
-    c_steps(start, start - l, -1, z, &y, &ym, &off);
-    out1m = y;
-    out1k = off;
-    c_steps(l, 1, -1, z, &y, &ym, &off);
-    out0m = y;
-    out0k = off;
-    c_steps(l - 1, l - 1, -1, z, &y, &ym, &off);
-    s0 = c_s0_pair(z);
-    a = c_norm(out1m / y * s0.am, s0.ak + (out1k - off));
-    b = c_norm(out0m / y * s0.am, s0.ak + (out0k - off));
-    return (SRP){a.m, a.k, b.m, b.k};
-}
-
-static SRP c_s_pair(long l, double z)
-{
-    if (l == 0)
-        return c_s0_pair(z);
-    return c_s_miller(l, z);
+    c_steps(start, start - l + 1, -1, z, &y, &ym, &off);
+    return y / ym;
 }
 
 static SRP c_e_pair(long l, double z)
@@ -237,53 +204,54 @@ static SRP c_e_pair(long l, double z)
     return (SRP){p.m, p.k, q.m, q.k};
 }
 
-
-/* (s', e', s - z s', e - z e') at z from the chain pairs (s_l, s_{l-1}) and
- * (e_l, e_{l-1}) at z. */
-static inline Derivs c_derivs(long l, double z, SRP s, SRP e)
+/* e_l scaled, and q_e = e_{l-1}/e_l in *qe; both members of c_e_pair carry
+ * one offset, so the ratio rounds once. */
+static inline SR c_e_ratio(long l, double z, double *qe)
 {
+    SRP e = c_e_pair(l, z);
+    *qe = e.bm / e.am * ldexp(1.0, (int)(e.bk - e.ak));
+    return (SR){e.am, e.ak};
+}
+
+/* The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
+ * s_l = 1/(e_l (q_e + q_s)), a sum of positives. */
+static Chains c_chains(long l, double z)
+{
+    Chains c;
+    c.e = c_e_ratio(l, z, &c.qe);
+    c.qs = c_s_ratio(l, z);
+    c.s = c_norm(1.0 / (c.e.m * (c.qe + c.qs)), -c.e.k);
+    return c;
+}
+
+static SRP c_s_pair(long l, double z)
+{
+    Chains c = c_chains(l, z);
+    SR b = c_scale(c.s.m, c.s.k, c.qs);
+    return (SRP){c.s.m, c.s.k, b.m, b.k};
+}
+
+/* (s, e, s', e', s - z s', e - z e') at z as six scaled pairs, flattened. */
+static void c_family(long l, double z, double *f)
+{
+    Chains c = c_chains(l, z);
     double lz = l / z;
-    Derivs d;
-    SR t, a, b;
-    t = c_scale(s.am, s.ak, lz);
-    d.sp = c_add(s.bm, s.bk, -t.m, t.k);
-    t = c_scale(e.am, e.ak, lz);
-    d.ep = c_add(e.bm, e.bk, t.m, t.k);
-    d.ep.m = -d.ep.m;
-    a = c_scale(s.am, s.ak, l + 1.0);
-    b = c_scale(s.bm, s.bk, z);
-    d.st = c_add(a.m, a.k, -b.m, b.k);
-    a = c_scale(e.am, e.ak, l + 1.0);
-    b = c_scale(e.bm, e.bk, z);
-    d.et = c_add(a.m, a.k, b.m, b.k);
-    return d;
+    SR v[6];
+    int i;
+    v[0] = c.s;
+    v[1] = c.e;
+    v[2] = c_scale(c.s.m, c.s.k, c.qs - lz);
+    v[3] = c_scale(c.e.m, c.e.k, -(c.qe + lz));
+    v[4] = c_scale(c.s.m, c.s.k, (l + 1.0) - z * c.qs);
+    v[5] = c_scale(c.e.m, c.e.k, (l + 1.0) + z * c.qe);
+    for (i = 0; i < 6; i++) {
+        f[2 * i] = v[i].m;
+        f[2 * i + 1] = v[i].k;
+    }
 }
 
 
 /* -- mode determinants ---------------------------------------------------- */
-
-/* 2x2 determinant a*d - b*c of scaled entries. */
-static inline SR c_two(double am, double ak, double bm, double bk,
-                       double cm, double ck, double dm, double dk)
-{
-    SR p = c_mul(am, ak, dm, dk);
-    SR q = c_mul(bm, bk, cm, ck);
-    return c_add(p.m, p.k, -q.m, q.k);
-}
-
-/* g2 a*b - x2 c*d of scaled entries, the shape of the four
- * potential-matching entries of the TM matrix. */
-static inline SR c_bracket(double g2, double x2, double am, double ak,
-                           double bm, double bk, double cm, double ck,
-                           double dm, double dk)
-{
-    SR p = c_mul(am, ak, bm, bk);
-    SR q;
-    p = c_scale(p.m, p.k, g2);
-    q = c_mul(cm, ck, dm, dk);
-    q = c_scale(q.m, q.k, x2);
-    return c_add(p.m, p.k, -q.m, q.k);
-}
 
 static double c_log1m(double m, double k)
 {
@@ -311,121 +279,77 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
 {
     double g = c_gamma(xi, mu);
     double gr = g * ratio;
-    SRP sg = c_s_pair(l, g);
-    SRP eg = c_e_pair(l, g);
-    SRP sr_ = c_s_pair(l, gr);
-    SRP er = c_e_pair(l, gr);
+    double qeg, qer, qex, qsx;
+    SR eg = c_e_ratio(l, g, &qeg);
+    SR er = c_e_ratio(l, gr, &qer);
+    double qsg = c_s_ratio(l, g);
+    double qsr = c_s_ratio(l, gr);
+    double pg = qeg + qsg;
+    double pr = qer + qsr;
+    double a = er.m / eg.m;
+    double x, xr, L2, m2, x2, ml, gts, gte, dsg, deg, dsr, der;
+    double u22, v22, w22, y22, dv, dw, a11, a12, a21, a22;
+    double b11, b12, b21, b22, tr, det;
     Modes out = {0.0, 0.0, 0.0, 0.0};
-    SR n_, d_, t, a, b;
-    SRP sx, ex;
-    double x, xr, L2, m2, g2, x2;
-    Derivs dg, dr;
-    SR stx, etx;
-    SR q11, q12, q13, q14, q21, q22, q23, q24;
-    SR q31, q32, q33, q34, q41, q42, q43, q44;
-    SR d0a, d0b, det0, t1, t2, t3, t4, t5, num;
+    SR te, t, p;
 
+    /* rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)). */
+    te = c_norm(a * a * (pr / pg), 2.0 * (er.k - eg.k));
     if (mode != 1) {
-        n_ = c_mul(sg.am, sg.ak, er.am, er.ak);
-        d_ = c_mul(eg.am, eg.ak, sr_.am, sr_.ak);
-        t = c_div(n_.m, n_.k, d_.m, d_.k);
-        out.tem = t.m;
-        out.tek = t.k;
+        out.tem = te.m;
+        out.tek = te.k;
     }
     if (mode == 0)
         return out;
 
     x = xi;
     xr = xi * ratio;
-
-    /* primes and s - z s' / e - z e' combinations at g and g*ratio */
-    dg = c_derivs(l, g, sg, eg);
-    dr = c_derivs(l, gr, sr_, er);
-
     if (x == g) {
         /* Massless (or a mass too small to move gamma): x*ratio == g*ratio,
-         * so the vacuum-side chains and combinations are the ones above. */
-        sx = sg;
-        ex = er;
-        stx = dg.st;
-        etx = dr.et;
+         * so the vacuum-side chains are the ones above. */
+        qsx = qsg;
+        qex = qer;
     } else {
-        sx = c_s_pair(l, x);
-        ex = c_e_pair(l, xr);
-        /* s - z s' at x and e - z e' at x*ratio (the only vacuum-side
-         * combos) */
-        a = c_scale(sx.am, sx.ak, l + 1.0);
-        b = c_scale(sx.bm, sx.bk, x);
-        stx = c_add(a.m, a.k, -b.m, b.k);
-        a = c_scale(ex.am, ex.ak, l + 1.0);
-        b = c_scale(ex.bm, ex.bk, xr);
-        etx = c_add(a.m, a.k, b.m, b.k);
+        qsx = c_s_ratio(l, x);
+        c_e_ratio(l, xr, &qex);
     }
 
+    /* The four 2x2 blocks U, V, W, Y and the round trip
+     * M = W^-1 Y V^-1 U, as in the pure twin. */
     L2 = l * (l + 1.0);
     m2 = mu * mu;
-    g2 = g * g;
     x2 = x * x;
-
-    q11 = c_scale(dg.sp.m, dg.sp.k, g);
-    q12 = c_scale(dg.ep.m, dg.ep.k, g);
-    q13 = c_scale(sg.am, sg.ak, -m2);
-    q14 = c_scale(eg.am, eg.ak, -m2);
-    q21 = c_scale(dr.sp.m, dr.sp.k, gr);
-    q22 = c_scale(dr.ep.m, dr.ep.k, gr);
-    q23 = c_scale(sr_.am, sr_.ak, -m2);
-    q24 = c_scale(er.am, er.ak, -m2);
-    a = c_mul(sx.am, sx.ak, sg.am, sg.ak);
-    q31 = c_scale(a.m, a.k, L2);
-    a = c_mul(sx.am, sx.ak, eg.am, eg.ak);
-    q32 = c_scale(a.m, a.k, L2);
-    q33 = c_bracket(g2, x2, sg.am, sg.ak, stx.m, stx.k, sx.am, sx.ak,
-                    dg.st.m, dg.st.k);
-    q34 = c_bracket(g2, x2, eg.am, eg.ak, stx.m, stx.k, sx.am, sx.ak,
-                    dg.et.m, dg.et.k);
-    a = c_mul(ex.am, ex.ak, sr_.am, sr_.ak);
-    q41 = c_scale(a.m, a.k, L2);
-    a = c_mul(ex.am, ex.ak, er.am, er.ak);
-    q42 = c_scale(a.m, a.k, L2);
-    q43 = c_bracket(g2, x2, sr_.am, sr_.ak, etx.m, etx.k, ex.am, ex.ak,
-                    dr.st.m, dr.st.k);
-    q44 = c_bracket(g2, x2, er.am, er.ak, etx.m, etx.k, ex.am, ex.ak,
-                    dr.et.m, dr.et.k);
-
-    /* Laplace split by odd/even column pairs: six surviving products, one of
-     * which is the decoupled determinant; the other five all sit at the
-     * interaction scale, so no large cancellation ever forms. */
-    d0a = c_two(q21.m, q21.k, q23.m, q23.k, q41.m, q41.k, q43.m, q43.k);
-    d0b = c_two(q12.m, q12.k, q14.m, q14.k, q32.m, q32.k, q34.m, q34.k);
-    det0 = c_mul(d0a.m, d0a.k, d0b.m, d0b.k);
-
-    a = c_two(q11.m, q11.k, q13.m, q13.k, q21.m, q21.k, q23.m, q23.k);
-    b = c_two(q32.m, q32.k, q34.m, q34.k, q42.m, q42.k, q44.m, q44.k);
-    t1 = c_mul(a.m, a.k, b.m, b.k);
-    t1.m = -t1.m;
-    a = c_two(q11.m, q11.k, q13.m, q13.k, q31.m, q31.k, q33.m, q33.k);
-    b = c_two(q22.m, q22.k, q24.m, q24.k, q42.m, q42.k, q44.m, q44.k);
-    t2 = c_mul(a.m, a.k, b.m, b.k);
-    a = c_two(q11.m, q11.k, q13.m, q13.k, q41.m, q41.k, q43.m, q43.k);
-    b = c_two(q22.m, q22.k, q24.m, q24.k, q32.m, q32.k, q34.m, q34.k);
-    t3 = c_mul(a.m, a.k, b.m, b.k);
-    t3.m = -t3.m;
-    a = c_two(q21.m, q21.k, q23.m, q23.k, q31.m, q31.k, q33.m, q33.k);
-    b = c_two(q12.m, q12.k, q14.m, q14.k, q42.m, q42.k, q44.m, q44.k);
-    t4 = c_mul(a.m, a.k, b.m, b.k);
-    t4.m = -t4.m;
-    a = c_two(q31.m, q31.k, q33.m, q33.k, q41.m, q41.k, q43.m, q43.k);
-    b = c_two(q12.m, q12.k, q14.m, q14.k, q22.m, q22.k, q24.m, q24.k);
-    t5 = c_mul(a.m, a.k, b.m, b.k);
-    t5.m = -t5.m;
-
-    a = c_add(t1.m, t1.k, t2.m, t2.k);
-    b = c_add(t4.m, t4.k, t5.m, t5.k);
-    b = c_add(t3.m, t3.k, b.m, b.k);
-    num = c_add(a.m, a.k, b.m, b.k);
-    t = c_div(-num.m, num.k, det0.m, det0.k);
-    out.tmm = t.m;
-    out.tmk = t.k;
+    ml = m2 * L2;
+    gts = g * g * ((l + 1.0) - x * qsx);
+    gte = g * g * ((l + 1.0) + xr * qex);
+    dsg = g * qsg - l;
+    deg = -(g * qeg + l);
+    dsr = gr * qsr - l;
+    der = -(gr * qer + l);
+    u22 = gts - x2 * (1.0 - dsg);
+    v22 = gts - x2 * (1.0 - deg);
+    w22 = gte - x2 * (1.0 - dsr);
+    y22 = gte - x2 * (1.0 - der);
+    /* det V > 0 and det W > 0 by the sign argument of the pure twin. */
+    dv = deg * v22 + ml;
+    dw = dsr * w22 + ml;
+    a11 = (v22 * dsg + ml) / dv;
+    a12 = m2 * x2 * (g * pg) / dv;
+    a21 = -L2 * (g * pg) / dv;
+    a22 = (deg * u22 + ml) / dv;
+    b11 = (w22 * der + ml) / dw;
+    b12 = -m2 * x2 * (gr * pr) / dw;
+    b21 = L2 * (gr * pr) / dw;
+    b22 = (dsr * y22 + ml) / dw;
+    tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22);
+    det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21);
+    /* ln det(1 - rho M) = ln(1 - rho (tr M - rho det M)) */
+    p = c_scale(te.m, te.k, det);
+    t = c_norm(tr, 0.0);
+    p = c_add(t.m, t.k, -p.m, p.k);
+    p = c_mul(te.m, te.k, p.m, p.k);
+    out.tmm = p.m;
+    out.tmk = p.k;
     return out;
 }
 
@@ -603,17 +527,11 @@ static PyObject *py_family(PyObject *Py_UNUSED(self), PyObject *const *args,
                            Py_ssize_t nargs)
 {
     long l;
-    double z;
-    SRP s, e;
-    Derivs d;
+    double z, f[12];
     if (!unpack("family", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
         return NULL;
-    s = c_s_pair(l, z);
-    e = c_e_pair(l, z);
-    d = c_derivs(l, z, s, e);
-    return float_tuple(12, (const double[]){s.am, s.ak, e.am, e.ak,
-                                            d.sp.m, d.sp.k, d.ep.m, d.ep.k,
-                                            d.st.m, d.st.k, d.et.m, d.et.k});
+    c_family(l, z, f);
+    return float_tuple(12, f);
 }
 
 static PyObject *py_log1m_scaled(PyObject *Py_UNUSED(self),
@@ -693,18 +611,16 @@ static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
                                     PyObject *const *args, Py_ssize_t nargs)
 {
     long l;
-    double xi, ratio, xr;
-    Derivs d, dr;
+    double xi, ratio, f[12], fr[12];
     SR n_, d_;
     /* The domain of a massless TM node: with mu = 0, gamma is xi. */
     if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio)
         || !point_ok(l, xi, 0.0, ratio, 1))
         return NULL;
-    xr = xi * ratio;
-    d = c_derivs(l, xi, c_s_pair(l, xi), c_e_pair(l, xi));
-    dr = c_derivs(l, xr, c_s_pair(l, xr), c_e_pair(l, xr));
-    n_ = c_mul(d.sp.m, d.sp.k, dr.ep.m, dr.ep.k);
-    d_ = c_mul(d.ep.m, d.ep.k, dr.sp.m, dr.sp.k);
+    c_family(l, xi, f);
+    c_family(l, xi * ratio, fr);
+    n_ = c_mul(f[4], f[5], fr[6], fr[7]);
+    d_ = c_mul(f[6], f[7], fr[4], fr[5]);
     return sr_tuple(c_div(n_.m, n_.k, d_.m, d_.k));
 }
 

@@ -10,6 +10,12 @@ Scaled values travel as (mantissa, scale) pairs meaning m * 2**k with
 |m| in [0.5, 1), the range of frexp, and k integer-valued. Renormalising
 and aligning are then exact: only mantissa products and sums round, and no
 scaled primitive calls log or exp.
+
+Each argument needs e_l from the upward recurrence and the ratio
+q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
+Wronskian. A mode factor is a round trip between the shells: rho_TE is the
+one scaled value, and the TM factor det(1 - rho_TE M) takes its 2x2 matrix
+M from plain-double shell matrices.
 """
 
 import math
@@ -116,21 +122,6 @@ def gamma_arg(xi, mu):
     return math.sqrt(xi * xi + mu * mu)
 
 
-def _s0_pair(z):
-    # (s_0, s_{-1}) = (sinh z, cosh z) scaled: the closed forms up to 30;
-    # above, exp(z) enters through _exp_split, so nothing overflows and the
-    # mantissa never pays the z*eps penalty of an exp(log(..)) round-trip.
-    if z > 30.0:
-        em2 = math.exp(-2.0 * z)
-        f, k0 = _exp_split(z)
-        am, ak = sr_norm(f * (0.5 * (1.0 - em2)), k0)
-        bm, bk = sr_norm(f * (0.5 * (1.0 + em2)), k0)
-        return am, ak, bm, bk
-    am, ak = sr_norm(math.sinh(z), 0.0)
-    bm, bk = sr_norm(math.cosh(z), 0.0)
-    return am, ak, bm, bk
-
-
 def _miller_start(l, z):
     # Start order of the downward recurrence for s_l(z). From the uniform
     # asymptotics of I_nu and K_nu (DLMF 10.41), the seed's share at order
@@ -161,31 +152,36 @@ def _steps(js, z, y, ym, off):
     return y, ym, off
 
 
-def _s_miller(l, z):
-    # Downward recurrence from _miller_start in three runs, so that no step
-    # compares orders: down to s_l, one step to s_{l-1}, down to s_0, then
-    # normalized against s_0 from _s0_pair.
-    y, ym, off = _steps(range(_miller_start(l, z), l, -1), z, 1.0, 0.0, 0.0)
-    out1m = y
-    out1k = off
-    y, ym, off = _steps((l,), z, y, ym, off)
-    out0m = y
-    out0k = off
-    y, ym, off = _steps(range(l - 1, 0, -1), z, y, ym, off)
-    m0, k0 = _s0_pair(z)[:2]
-    am, ak = sr_norm(out1m / y * m0, k0 + (out1k - off))
-    bm, bk = sr_norm(out0m / y * m0, k0 + (out0k - off))
-    return am, ak, bm, bk
+def _s_ratio(l, z):
+    # q_s = s_{l-1}/s_l: one downward run from _miller_start ends with
+    # y = s_{l-1} and ym = s_l at the same offset, so no normalization is
+    # needed for the ratio.
+    y, ym, _ = _steps(range(_miller_start(l, z), l - 1, -1), z, 1.0, 0.0, 0.0)
+    return y / ym
+
+
+def _e_ratio(l, z):
+    # (e_l scaled, q_e = e_{l-1}/e_l); both members of e_pair carry one
+    # offset, so the ratio rounds once.
+    em, ek, e0m, e0k = e_pair(l, z)
+    return em, ek, e0m / em * 2.0 ** (e0k - ek)
+
+
+def _chains(l, z):
+    # (e_l scaled, q_e, s_l scaled, q_s) at z; e_pair checks the domain
+    # first. The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
+    # s_l = 1/(e_l (q_e + q_s)), a sum of positives.
+    em, ek, qe = _e_ratio(l, z)
+    qs = _s_ratio(l, z)
+    sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
+    return em, ek, qe, sm, sk, qs
 
 
 def s_pair(l, z):
     """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0 and
     2**-64 <= z < 2**32."""
-    if l < 0 or not _Z_MIN <= z < _Z_MAX:
-        raise ValueError(_CHAIN_DOMAIN)
-    if l == 0:
-        return _s0_pair(z)
-    return _s_miller(l, z)
+    sm, sk, qs = _chains(l, z)[3:]
+    return (sm, sk) + sr_scale(sm, sk, qs)
 
 
 def e_pair(l, z):
@@ -200,49 +196,17 @@ def e_pair(l, z):
     return am, ak, bm, bk
 
 
-def _derivs(l, z, s1m, s1k, s0m, s0k, e1m, e1k, e0m, e0k):
-    # (s', e', s - z s', e - z e') at z, flattened, from the chain pairs
-    # (s_l, s_{l-1}) and (e_l, e_{l-1}) at z.
-    lz = l / z
-    tm_, tk_ = sr_scale(s1m, s1k, lz)
-    spm, spk = sr_add(s0m, s0k, -tm_, tk_)
-    tm_, tk_ = sr_scale(e1m, e1k, lz)
-    epm, epk = sr_add(e0m, e0k, tm_, tk_)
-    am, ak = sr_scale(s1m, s1k, l + 1.0)
-    bm, bk = sr_scale(s0m, s0k, z)
-    stm, stk = sr_add(am, ak, -bm, bk)
-    am, ak = sr_scale(e1m, e1k, l + 1.0)
-    bm, bk = sr_scale(e0m, e0k, z)
-    etm, etk = sr_add(am, ak, bm, bk)
-    return spm, spk, -epm, epk, stm, stk, etm, etk
-
-
 def family(l, z):
     """(s, e, s', e', s - z s', e - z e') as six scaled pairs, flattened."""
-    s1m, s1k, s0m, s0k = s_pair(l, z)
-    e1m, e1k, e0m, e0k = e_pair(l, z)
-    return (s1m, s1k, e1m, e1k) + _derivs(
-        l, z, s1m, s1k, s0m, s0k, e1m, e1k, e0m, e0k)
+    em, ek, qe, sm, sk, qs = _chains(l, z)
+    lz = l / z
+    return ((sm, sk, em, ek) + sr_scale(sm, sk, qs - lz)
+            + sr_scale(em, ek, -(qe + lz))
+            + sr_scale(sm, sk, (l + 1.0) - z * qs)
+            + sr_scale(em, ek, (l + 1.0) + z * qe))
 
 
 # -- mode determinants -------------------------------------------------------
-
-def _two(am, ak, bm, bk, cm, ck, dm, dk):
-    # 2x2 determinant a*d - b*c of scaled entries.
-    pm, pk = sr_mul(am, ak, dm, dk)
-    qm, qk = sr_mul(bm, bk, cm, ck)
-    return sr_add(pm, pk, -qm, qk)
-
-
-def _bracket(g2, x2, am, ak, bm, bk, cm, ck, dm, dk):
-    # g2 * a*b - x2 * c*d of scaled entries, the shape of the four
-    # potential-matching entries of the TM matrix.
-    pm, pk = sr_mul(am, ak, bm, bk)
-    pm, pk = sr_scale(pm, pk, g2)
-    qm, qk = sr_mul(cm, ck, dm, dk)
-    qm, qk = sr_scale(qm, qk, x2)
-    return sr_add(pm, pk, -qm, qk)
-
 
 def log1m_scaled(m, k):
     """ln(1 - rho) for scaled rho; -0.0 when rho underflows, nan when
@@ -275,105 +239,76 @@ def _core_point(l, xi, mu, ratio, mode):
     """
     g = gamma_arg(xi, mu)
     gr = g * ratio
-    sgm, sgk, sg0m, sg0k = s_pair(l, g)
-    egm, egk, eg0m, eg0k = e_pair(l, g)
-    srm, srk, sr0m, sr0k = s_pair(l, gr)
-    erm, erk, er0m, er0k = e_pair(l, gr)
+    egm, egk, qeg = _e_ratio(l, g)
+    erm, erk, qer = _e_ratio(l, gr)
+    qsg = _s_ratio(l, g)
+    qsr = _s_ratio(l, gr)
+    pg = qeg + qsg
+    pr = qer + qsr
 
-    te_m = te_k = 0.0
-    if mode != 1:
-        nm, nk = sr_mul(sgm, sgk, erm, erk)
-        dm, dk = sr_mul(egm, egk, srm, srk)
-        te_m, te_k = sr_div(nm, nk, dm, dk)
+    # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)).
+    a = erm / egm
+    te_m, te_k = sr_norm(a * a * (pr / pg), 2.0 * (erk - egk))
     if mode == 0:
         return te_m, te_k, 0.0, 0.0
 
     x = xi
     xr = xi * ratio
-
-    # primes and s - z s' / e - z e' combinations at g and g*ratio
-    spgm, spgk, epgm, epgk, stgm, stgk, etgm, etgk = _derivs(
-        l, g, sgm, sgk, sg0m, sg0k, egm, egk, eg0m, eg0k)
-    sprm, sprk, eprm, eprk, strm, strk, etrm, etrk = _derivs(
-        l, gr, srm, srk, sr0m, sr0k, erm, erk, er0m, er0k)
-
     if x == g:
         # Massless (or a mass too small to move gamma): x*ratio == g*ratio,
-        # so the vacuum-side chains and combinations are the ones above.
-        sxm, sxk = sgm, sgk
-        exm, exk = erm, erk
-        stxm, stxk = stgm, stgk
-        etxm, etxk = etrm, etrk
+        # so the vacuum-side chains are the ones above.
+        qsx = qsg
+        qex = qer
     else:
-        sxm, sxk, sx0m, sx0k = s_pair(l, x)
-        exm, exk, ex0m, ex0k = e_pair(l, xr)
-        # s - z s' at x and e - z e' at x*ratio (the only vacuum-side
-        # combos used)
-        am, ak = sr_scale(sxm, sxk, l + 1.0)
-        bm, bk = sr_scale(sx0m, sx0k, x)
-        stxm, stxk = sr_add(am, ak, -bm, bk)
-        am, ak = sr_scale(exm, exk, l + 1.0)
-        bm, bk = sr_scale(ex0m, ex0k, xr)
-        etxm, etxk = sr_add(am, ak, bm, bk)
+        qsx = _s_ratio(l, x)
+        qex = _e_ratio(l, xr)[2]
 
+    # Divide the rows of the TM matching matrix by s(x) and e(xr) and its
+    # columns by s and e at g and gr. What is left are four 2x2 blocks of
+    # plain doubles, U and V at the inner shell and W and Y at the outer,
+    # in d_s = z s'/s = z q_s - l, d_e = z e'/e = -(z q_e + l),
+    # t_s = 1 - d_s(x) and t_e = 1 - d_e(xr):
+    #   U = [[d_s(g), -mu^2], [L^2, g^2 t_s - x^2 (1 - d_s(g))]],
+    #   V is U with d_e(g), W is U with d_s(gr) and t_e, Y is W with d_e(gr).
+    # Then det Q / det Q0 = det(1 - rho_TE M) with M = W^-1 Y V^-1 U, the
+    # round trip through both shells' 2x2 reflection matrices. The
+    # off-diagonal entries use d_s - d_e = z (q_s + q_e), free of
+    # cancellation.
     L2 = l * (l + 1.0)
     m2 = mu * mu
-    g2 = g * g
     x2 = x * x
-
-    q11m, q11k = sr_scale(spgm, spgk, g)
-    q12m, q12k = sr_scale(epgm, epgk, g)
-    q13m, q13k = sr_scale(sgm, sgk, -m2)
-    q14m, q14k = sr_scale(egm, egk, -m2)
-    q21m, q21k = sr_scale(sprm, sprk, gr)
-    q22m, q22k = sr_scale(eprm, eprk, gr)
-    q23m, q23k = sr_scale(srm, srk, -m2)
-    q24m, q24k = sr_scale(erm, erk, -m2)
-    am, ak = sr_mul(sxm, sxk, sgm, sgk)
-    q31m, q31k = sr_scale(am, ak, L2)
-    am, ak = sr_mul(sxm, sxk, egm, egk)
-    q32m, q32k = sr_scale(am, ak, L2)
-    q33m, q33k = _bracket(g2, x2, sgm, sgk, stxm, stxk, sxm, sxk, stgm, stgk)
-    q34m, q34k = _bracket(g2, x2, egm, egk, stxm, stxk, sxm, sxk, etgm, etgk)
-    am, ak = sr_mul(exm, exk, srm, srk)
-    q41m, q41k = sr_scale(am, ak, L2)
-    am, ak = sr_mul(exm, exk, erm, erk)
-    q42m, q42k = sr_scale(am, ak, L2)
-    q43m, q43k = _bracket(g2, x2, srm, srk, etxm, etxk, exm, exk, strm, strk)
-    q44m, q44k = _bracket(g2, x2, erm, erk, etxm, etxk, exm, exk, etrm, etrk)
-
-    # Laplace split by odd/even column pairs: six surviving products, one of
-    # which is the decoupled determinant; the other five all sit at the
-    # interaction scale, so no large cancellation ever forms.
-    d0am, d0ak = _two(q21m, q21k, q23m, q23k, q41m, q41k, q43m, q43k)
-    d0bm, d0bk = _two(q12m, q12k, q14m, q14k, q32m, q32k, q34m, q34k)
-    det0m, det0k = sr_mul(d0am, d0ak, d0bm, d0bk)
-
-    am, ak = _two(q11m, q11k, q13m, q13k, q21m, q21k, q23m, q23k)
-    bm, bk = _two(q32m, q32k, q34m, q34k, q42m, q42k, q44m, q44k)
-    t1m, t1k = sr_mul(am, ak, bm, bk)
-    t1m = -t1m
-    am, ak = _two(q11m, q11k, q13m, q13k, q31m, q31k, q33m, q33k)
-    bm, bk = _two(q22m, q22k, q24m, q24k, q42m, q42k, q44m, q44k)
-    t2m, t2k = sr_mul(am, ak, bm, bk)
-    am, ak = _two(q11m, q11k, q13m, q13k, q41m, q41k, q43m, q43k)
-    bm, bk = _two(q22m, q22k, q24m, q24k, q32m, q32k, q34m, q34k)
-    t3m, t3k = sr_mul(am, ak, bm, bk)
-    t3m = -t3m
-    am, ak = _two(q21m, q21k, q23m, q23k, q31m, q31k, q33m, q33k)
-    bm, bk = _two(q12m, q12k, q14m, q14k, q42m, q42k, q44m, q44k)
-    t4m, t4k = sr_mul(am, ak, bm, bk)
-    t4m = -t4m
-    am, ak = _two(q31m, q31k, q33m, q33k, q41m, q41k, q43m, q43k)
-    bm, bk = _two(q12m, q12k, q14m, q14k, q22m, q22k, q24m, q24k)
-    t5m, t5k = sr_mul(am, ak, bm, bk)
-    t5m = -t5m
-
-    am, ak = sr_add(t1m, t1k, t2m, t2k)
-    bm, bk = sr_add(t4m, t4k, t5m, t5k)
-    bm, bk = sr_add(t3m, t3k, bm, bk)
-    num_m, num_k = sr_add(am, ak, bm, bk)
-    tm_m, tm_k = sr_div(-num_m, num_k, det0m, det0k)
+    ml = m2 * L2
+    gts = g * g * ((l + 1.0) - x * qsx)
+    gte = g * g * ((l + 1.0) + xr * qex)
+    dsg = g * qsg - l
+    deg = -(g * qeg + l)
+    dsr = gr * qsr - l
+    der = -(gr * qer + l)
+    u22 = gts - x2 * (1.0 - dsg)
+    v22 = gts - x2 * (1.0 - deg)
+    w22 = gte - x2 * (1.0 - dsr)
+    y22 = gte - x2 * (1.0 - der)
+    # det V and det W cannot vanish: d_e < 0 and t_s < 0 give v22 < 0, so
+    # det V = d_e v22 + mu^2 L^2 > 0; d_s > 1 and t_e > 0 give w22 > 0, so
+    # det W = d_s w22 + mu^2 L^2 > 0.
+    dv = deg * v22 + ml
+    dw = dsr * w22 + ml
+    a11 = (v22 * dsg + ml) / dv
+    a12 = m2 * x2 * (g * pg) / dv
+    a21 = -L2 * (g * pg) / dv
+    a22 = (deg * u22 + ml) / dv
+    b11 = (w22 * der + ml) / dw
+    b12 = -m2 * x2 * (gr * pr) / dw
+    b21 = L2 * (gr * pr) / dw
+    b22 = (dsr * y22 + ml) / dw
+    tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22)
+    det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
+    # ln det(1 - rho M) = ln(1 - rho (tr M - rho det M))
+    pm, pk = sr_scale(te_m, te_k, det)
+    pm, pk = sr_add(*sr_norm(tr, 0.0), -pm, pk)
+    tm_m, tm_k = sr_mul(te_m, te_k, pm, pk)
+    if mode == 1:
+        return 0.0, 0.0, tm_m, tm_k
     return te_m, te_k, tm_m, tm_k
 
 
@@ -414,10 +349,8 @@ def rho_tm_massless(l, xi, ratio):
     """Conducting-boundary ratio s'(x)e'(xr)/(e'(x)s'(xr)), scaled."""
     # The domain of a massless TM node: with mu = 0, gamma is xi.
     _check_point(l, xi, 0.0, ratio, 1)
-    xr = xi * ratio
-    spm, spk, epm, epk = _derivs(l, xi, *s_pair(l, xi), *e_pair(l, xi))[:4]
-    sprm, sprk, eprm, eprk = _derivs(
-        l, xr, *s_pair(l, xr), *e_pair(l, xr))[:4]
+    spm, spk, epm, epk = family(l, xi)[4:8]
+    sprm, sprk, eprm, eprk = family(l, xi * ratio)[4:8]
     nm, nk = sr_mul(spm, spk, eprm, eprk)
     dm, dk = sr_mul(epm, epk, sprm, sprk)
     return sr_div(nm, nk, dm, dk)

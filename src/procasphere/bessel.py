@@ -2,10 +2,12 @@
 
 The growing solution s_l and decaying solution e_l (with s_l e_l' - s_l' e_l
 = -1) are returned as :class:`ScaledReal` so that arguments up to tens of
-thousands stay representable. Two recurrences serve every order l >= 1 and
-every argument 2**-64 <= z < 2**32: Miller's downward recurrence for s_l,
-normalized against s_0 = sinh z, and the always-stable upward recurrence
-for e_l. Arguments outside that range raise ValueError.
+thousands stay representable. Two recurrences serve every order l >= 0 and
+every argument 2**-64 <= z < 2**32: the always-stable upward recurrence for
+e_l, and Miller's downward recurrence for the ratio q_s = s_{l-1}/s_l. The
+Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 then gives
+s_l = 1/(e_l (e_{l-1}/e_l + q_s)), a sum of positives, with no separate
+normalization. Arguments outside that range raise ValueError.
 """
 
 from __future__ import annotations

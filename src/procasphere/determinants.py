@@ -264,10 +264,14 @@ def log_delta_te(p: SpectralPoint) -> float:
 def log_delta_tm(p: SpectralPoint) -> float:
     """ln(det Q / det Q0) for the transverse-magnetic modes.
 
-    Computed from the interaction part of the determinant directly (the
-    six-term column-pair split), so the value never suffers the det-minus-det
-    cancellation; the scale exponents cancel exactly before any conversion
-    to a plain double.
+    Computed as a round trip between the shells, ln det(1 - rho_TE M): the
+    kernel divides Q's rows and columns down to four 2x2 shell matrices of
+    plain doubles, so M = W^-1 Y V^-1 U is the product of the outer and
+    inner 2x2 reflection matrices, and rho_TE, the one scaled value,
+    carries the propagation between the shells. The value never suffers
+    the det-minus-det cancellation: ln(1 - rho_TE (tr M - rho_TE det M))
+    forms the interaction part directly. The 4x4 routes below stay as
+    independent checks.
     """
     _require_positive_xi(p)
     val = kernel.log_delta_point(p.l, p.xi_hat, p.mu, p.ratio, 1)

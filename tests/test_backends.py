@@ -149,6 +149,11 @@ def test_log_delta_bit_identical_on_grid(compiled):
               for l in (1, 3, 10, 25) for xi in (0.05, 1.0, 8.0)
               for mu in (0.0, 0.7, 3.0) for ratio in (1.3, 2.2)]
     points += [(1, 0.4, 0.0, 1.5), (6, 2.5, 1.2, 1.25), (15, 9.0, 0.3, 2.0)]
+    # Near contact, at high orders, heavy masses and tiny frequencies, where
+    # the TM round trip's plain-double 2x2 blocks meet their widest ranges.
+    points += [(l, xi, mu, ratio)
+               for l in (200, 2000) for xi in (1e-6, 0.5, 40.0)
+               for mu in (0.0, 50.0) for ratio in (1.003, 1.03)]
     for l, xi, mu, ratio in points:
         for mode in (0, 1, 2):
             a = pure.log_delta_point(l, xi, mu, ratio, mode)

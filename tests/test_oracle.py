@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf, workdps
 
 from procasphere import _core_py as pure
+from procasphere.backend import kernel
 from procasphere.bessel import eval_e, eval_family, eval_s
 from procasphere.determinants import (
     SpectralPoint,
@@ -29,6 +30,7 @@ from procasphere.oracle import (
     oracle_log_delta,
     oracle_s,
 )
+from procasphere.scaledrep import ScaledReal
 from procasphere.spectrum import ProblemSpec, l_term
 
 
@@ -84,23 +86,25 @@ def test_oracle_recurrence_in_high_precision():
 
 def test_oracle_matches_fast_kernel_on_grid():
     """Double-precision kernel vs 40-digit oracle, from the argument floor
-    2**-64 to 1e6."""
+    2**-64 to 1e6: s_l and e_l, and for l >= 1 also s_{l-1}, s' and e'."""
     worst = 0.0
     for l in (0, 1, 2, 4, 9, 17, 33, 65, 129, 257):
         # 1e5 and 1e6 reach deep into the range of the ln 2 split that
         # carries exp(z) into the base-2 scale.
         for z in (2.0 ** -64, 1e-6, 0.004, 0.07, 0.9, 4.0, 17.0, 70.0, 260.0,
                   1100.0, 9000.0, 1e5, 1e6):
-            fast_s = eval_s(l, z)
-            fast_e = eval_e(l, z)
+            fast = [eval_s(l, z), eval_e(l, z)]
             with workdps(50):
-                ref_s = mp_s(l, mpf(z))
-                ref_e = mp_e(l, mpf(z))
-                ds = abs(mp.ldexp(mpf(fast_s.mantissa),
-                                  int(fast_s.log2_scale)) / ref_s - 1)
-                de = abs(mp.ldexp(mpf(fast_e.mantissa),
-                                  int(fast_e.log2_scale)) / ref_e - 1)
-            worst = max(worst, float(ds), float(de))
+                refs = [mp_s(l, mpf(z)), mp_e(l, mpf(z))]
+                if l >= 1:
+                    fam = eval_family(l, z)
+                    s1m, s1k = kernel.s_pair(l, z)[2:]
+                    fast += [ScaledReal(s1m, s1k), fam.s_prime, fam.e_prime]
+                    ref_fam = mp_family(l, mpf(z))
+                    refs += [mp_s(l - 1, mpf(z)), ref_fam[2], ref_fam[3]]
+                for v, ref in zip(fast, refs):
+                    got = mp.ldexp(mpf(v.mantissa), int(v.log2_scale))
+                    worst = max(worst, float(abs(got / ref - 1)))
     assert worst <= 1e-12
 
 
@@ -153,6 +157,36 @@ def test_oracle_log_delta_vs_fast():
             ref = oracle_log_delta(l, xi, mu, ratio, mode)
             worst = max(worst, abs(fast(p) / float(ref) - 1.0))
     assert worst <= 1e-13
+
+
+# Per ratio from near contact to wide gaps: three orders up to the large-l
+# end the wave sum reaches there, each at four (xi, mu) nodes from the
+# tiny-frequency heavy-mass corner to frequencies far above the order.
+TM_POINT_GRID = [
+    (l, xi, mu, ratio)
+    for ratio, orders, nodes in (
+        (1.003, (1, 200, 2000),
+         ((1e-6, 50.0), (0.5, 0.0), (3.0, 5.0), (200.0, 0.3))),
+        (1.03, (1, 40, 500),
+         ((1e-3, 20.0), (0.5, 0.0), (8.0, 1.3), (60.0, 0.0))),
+        (1.5, (1, 5, 40),
+         ((1e-3, 3.0), (0.7, 0.0), (0.7, 1.3), (8.0, 0.3))),
+        (4.0, (1, 3, 10),
+         ((1e-3, 0.0), (0.3, 2.0), (2.0, 0.0), (2.0, 0.5))))
+    for l in orders for xi, mu in nodes]
+
+
+def test_log_delta_point_vs_oracle():
+    """The TE point and the TM round trip vs the 40-digit oracle's 4x4
+    determinants."""
+    worst = 0.0
+    for l, xi, mu, ratio in TM_POINT_GRID:
+        for mode, name in ((0, "te"), (1, "tm")):
+            ref = oracle_log_delta(l, xi, mu, ratio, name)
+            got = kernel.log_delta_point(l, xi, mu, ratio, mode)
+            assert ref != 0, (l, xi, mu, ratio, name)
+            worst = max(worst, float(abs(got / ref - 1)))
+    assert worst <= 1e-12
 
 
 def test_oracle_l_term_vs_fast():
