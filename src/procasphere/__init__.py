@@ -1,8 +1,10 @@
 """Casimir energy of a massive vector field between concentric shells.
 
 The public surface: overflow-safe scalars (ScaledReal), modified
-Riccati-Bessel families, the TE/TM mode determinants, the spectral sum
-(energy, force, sweeps), and unit conversion from laboratory inputs.
+Riccati-Bessel families in that form, the TE/TM mode factors (plain
+doubles from the kernel) with the determinant routes and the massless TM
+reference that check them, the spectral sum (energy, force, sweeps), and
+unit conversion from laboratory inputs.
 """
 
 from .backend import active_backend
@@ -39,7 +41,7 @@ from .spectrum import (
 )
 from .units import PhysicalInput, convert_units, energy_scale_joules
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 __all__ = [
     "ScaledReal",

@@ -1,7 +1,9 @@
 /* Compiled kernel: the C twin of _core_py.py (see that module's docstring):
- * e_l and the ratio q_s = s_{l-1}/s_l per chain argument, s_l from the
- * Wronskian, a scaled rho_TE and the TM round trip det(1 - rho_TE M) from
- * plain-double 2x2 shell matrices.
+ * e_l and the ratio q_s = s_{l-1}/s_l per chain argument, scaled, s_l from
+ * the Wronskian, and each mode factor ln(1 - rho) of a plain-double round
+ * trip rho < 1: rho_TE, and for TM rho_TE (tr M - rho_TE det M) from 2x2
+ * shell matrices. Its Python-visible surface is the pure twin's nine
+ * functions.
  *
  * Every arithmetic statement matches _core_py.py in order, so both backends
  * produce bit-identical doubles. Edit the two together or not at all, and
@@ -57,11 +59,10 @@ typedef struct {
     double qs;
 } Chains;
 
+/* rho_TE and rho_TM at one node. */
 typedef struct {
-    double tem;
-    double tek;
-    double tmm;
-    double tmk;
+    double te;
+    double tm;
 } Modes;
 
 static const SR SR_ZERO = {0.0, 0.0};
@@ -86,13 +87,6 @@ static inline SR c_mul(double m1, double k1, double m2, double k2)
     if (m1 == 0.0 || m2 == 0.0)
         return SR_ZERO;
     return c_norm(m1 * m2, k1 + k2);
-}
-
-static inline SR c_div(double m1, double k1, double m2, double k2)
-{
-    if (m1 == 0.0)
-        return SR_ZERO;
-    return c_norm(m1 / m2, k1 - k2);
 }
 
 static inline SR c_scale(double m, double k, double c)
@@ -253,26 +247,18 @@ static void c_family(long l, double z, double *f)
 
 /* -- mode determinants ---------------------------------------------------- */
 
-static double c_log1m(double m, double k)
+/* ln(1 - rho), NaN when rho >= 1 or rho is NaN, as _log1m: 1 - rho is
+ * exact from 1/2 up, and k ln 2 goes by the split of c_exp_split. */
+static double c_log1m(double rho)
 {
-    double v;
-    SR r, d;
-    if (m == 0.0)
-        return -0.0;
-    if (!isfinite(m))
+    int k;
+    double m;
+    if (rho < 0.5)
+        return log1p(-rho);
+    if (!(rho < 1.0))
         return NAN;
-    r = c_norm(m, k);
-    if (r.k < 0.0) {
-        /* pow(2, k) is the pure twin's exact 2.0 ** k, underflow included. */
-        v = r.m * pow(2.0, r.k);
-        if (v == 0.0)
-            return -0.0;
-        return log1p(-v);
-    }
-    d = c_add(0.5, 1.0, -r.m, r.k);
-    if (d.m <= 0.0)
-        return NAN;
-    return d.k * LN2_HI + (d.k * LN2_MID + (d.k * LN2_LO + log(d.m)));
+    m = frexp(1.0 - rho, &k);
+    return k * LN2_HI + (k * LN2_MID + (k * LN2_LO + log(m)));
 }
 
 static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
@@ -287,18 +273,20 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     double pg = qeg + qsg;
     double pr = qer + qsr;
     double a = er.m / eg.m;
+    double n = 2.0 * (er.k - eg.k);
     double x, xr, L2, m2, x2, ml, gts, gte, dsg, deg, dsr, der;
     double u22, v22, w22, y22, dv, dw, a11, a12, a21, a22;
-    double b11, b12, b21, b22, tr, det;
-    Modes out = {0.0, 0.0, 0.0, 0.0};
-    SR te, t, p;
+    double b11, b12, b21, b22, tr, det, rho;
+    Modes out = {0.0, 0.0};
 
-    /* rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)). */
-    te = c_norm(a * a * (pr / pg), 2.0 * (er.k - eg.k));
-    if (mode != 1) {
-        out.tem = te.m;
-        out.tek = te.k;
-    }
+    /* rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)), below
+     * 1 by the pure twin's argument, so ldexp cannot overflow. Far apart
+     * the exponent can pass INT_MIN (e_l(z) ~ e^-z, z < 2^32); any
+     * exponent below -4200 already gives 0, so it is clamped before the
+     * cast. */
+    rho = ldexp(a * a * (pr / pg), n < -4200.0 ? -4200 : (int)n);
+    if (mode != 1)
+        out.te = rho;
     if (mode == 0)
         return out;
 
@@ -344,12 +332,7 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22);
     det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21);
     /* ln det(1 - rho M) = ln(1 - rho (tr M - rho det M)) */
-    p = c_scale(te.m, te.k, det);
-    t = c_norm(tr, 0.0);
-    p = c_add(t.m, t.k, -p.m, p.k);
-    p = c_mul(te.m, te.k, p.m, p.k);
-    out.tmm = p.m;
-    out.tmk = p.k;
+    out.tm = rho * (tr - rho * det);
     return out;
 }
 
@@ -467,24 +450,6 @@ static PyObject *py_sr_mul(PyObject *Py_UNUSED(self), PyObject *const *args,
     return sr_tuple(c_mul(m1, k1, m2, k2));
 }
 
-static PyObject *py_sr_div(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    double m1, k1, m2, k2;
-    if (!unpack("sr_div", args, nargs, "dddd", &m1, &k1, &m2, &k2))
-        return NULL;
-    return sr_tuple(c_div(m1, k1, m2, k2));
-}
-
-static PyObject *py_sr_scale(PyObject *Py_UNUSED(self), PyObject *const *args,
-                             Py_ssize_t nargs)
-{
-    double m, k, c;
-    if (!unpack("sr_scale", args, nargs, "ddd", &m, &k, &c))
-        return NULL;
-    return sr_tuple(c_scale(m, k, c));
-}
-
 static PyObject *py_sr_add(PyObject *Py_UNUSED(self), PyObject *const *args,
                            Py_ssize_t nargs)
 {
@@ -534,15 +499,6 @@ static PyObject *py_family(PyObject *Py_UNUSED(self), PyObject *const *args,
     return float_tuple(12, f);
 }
 
-static PyObject *py_log1m_scaled(PyObject *Py_UNUSED(self),
-                                 PyObject *const *args, Py_ssize_t nargs)
-{
-    double m, k;
-    if (!unpack("log1m_scaled", args, nargs, "dd", &m, &k))
-        return NULL;
-    return PyFloat_FromDouble(c_log1m(m, k));
-}
-
 static PyObject *py_log_delta_point(PyObject *Py_UNUSED(self),
                                     PyObject *const *args, Py_ssize_t nargs)
 {
@@ -554,7 +510,7 @@ static PyObject *py_log_delta_point(PyObject *Py_UNUSED(self),
         || !point_ok(l, xi, mu, ratio, mode))
         return NULL;
     r = c_core_point(l, xi, mu, ratio, mode);
-    return PyFloat_FromDouble(c_log1m(r.tem, r.tek) + c_log1m(r.tmm, r.tmk));
+    return PyFloat_FromDouble(c_log1m(r.te) + c_log1m(r.tm));
 }
 
 /* (ln Delta_TE per node, ln Delta_TM per node), -0.0 for a mode not
@@ -591,8 +547,8 @@ static PyObject *py_log_delta_nodes(PyObject *Py_UNUSED(self),
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < n; i++) {
         Modes r = c_core_point(l, buf[i], mu, ratio, mode);
-        buf[i] = c_log1m(r.tem, r.tek);
-        buf[n + i] = c_log1m(r.tmm, r.tmk);
+        buf[i] = c_log1m(r.te);
+        buf[n + i] = c_log1m(r.tm);
     }
     Py_END_ALLOW_THREADS
     te = float_tuple(n, buf);
@@ -607,40 +563,19 @@ done:
     return out;
 }
 
-static PyObject *py_rho_tm_massless(PyObject *Py_UNUSED(self),
-                                    PyObject *const *args, Py_ssize_t nargs)
-{
-    long l;
-    double xi, ratio, f[12], fr[12];
-    SR n_, d_;
-    /* The domain of a massless TM node: with mu = 0, gamma is xi. */
-    if (!unpack("rho_tm_massless", args, nargs, "ldd", &l, &xi, &ratio)
-        || !point_ok(l, xi, 0.0, ratio, 1))
-        return NULL;
-    c_family(l, xi, f);
-    c_family(l, xi * ratio, fr);
-    n_ = c_mul(f[4], f[5], fr[6], fr[7]);
-    d_ = c_mul(f[6], f[7], fr[4], fr[5]);
-    return sr_tuple(c_div(n_.m, n_.k, d_.m, d_.k));
-}
-
 #define FASTCALL(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef core_methods[] = {
     FASTCALL(sr_norm),
     FASTCALL(sr_mul),
-    FASTCALL(sr_div),
-    FASTCALL(sr_scale),
     FASTCALL(sr_add),
     FASTCALL(gamma_arg),
     FASTCALL(s_pair),
     FASTCALL(e_pair),
     FASTCALL(family),
-    FASTCALL(log1m_scaled),
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
-    FASTCALL(rho_tm_massless),
     {NULL, NULL, 0, NULL},
 };
 

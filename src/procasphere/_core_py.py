@@ -13,9 +13,14 @@ scaled primitive calls log or exp.
 
 Each argument needs e_l from the upward recurrence and the ratio
 q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
-Wronskian. A mode factor is a round trip between the shells: rho_TE is the
-one scaled value, and the TM factor det(1 - rho_TE M) takes its 2x2 matrix
-M from plain-double shell matrices.
+Wronskian. Scaled values live only in those chains and in the families
+built on them. A mode factor is ln(1 - rho) of a round trip between the
+shells, and rho < 1 is a plain double: rho_TE for TE, and
+rho_TE (tr M - rho_TE det M) for TM, with M the product of the two
+shells' 2x2 reflection matrices.
+
+Public surface, the same on both twins: sr_norm, sr_mul, sr_add,
+gamma_arg, s_pair, e_pair, family, log_delta_point and log_delta_nodes.
 """
 
 import math
@@ -71,13 +76,7 @@ def sr_mul(m1, k1, m2, k2):
     return sr_norm(m1 * m2, k1 + k2)
 
 
-def sr_div(m1, k1, m2, k2):
-    if m1 == 0.0:
-        return 0.0, 0.0
-    return sr_norm(m1 / m2, k1 - k2)
-
-
-def sr_scale(m, k, c):
+def _sr_scale(m, k, c):
     if m == 0.0 or c == 0.0:
         return 0.0, 0.0
     return sr_norm(m * c, k)
@@ -181,7 +180,7 @@ def s_pair(l, z):
     """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0 and
     2**-64 <= z < 2**32."""
     sm, sk, qs = _chains(l, z)[3:]
-    return (sm, sk) + sr_scale(sm, sk, qs)
+    return (sm, sk) + _sr_scale(sm, sk, qs)
 
 
 def e_pair(l, z):
@@ -200,42 +199,32 @@ def family(l, z):
     """(s, e, s', e', s - z s', e - z e') as six scaled pairs, flattened."""
     em, ek, qe, sm, sk, qs = _chains(l, z)
     lz = l / z
-    return ((sm, sk, em, ek) + sr_scale(sm, sk, qs - lz)
-            + sr_scale(em, ek, -(qe + lz))
-            + sr_scale(sm, sk, (l + 1.0) - z * qs)
-            + sr_scale(em, ek, (l + 1.0) + z * qe))
+    return ((sm, sk, em, ek) + _sr_scale(sm, sk, qs - lz)
+            + _sr_scale(em, ek, -(qe + lz))
+            + _sr_scale(sm, sk, (l + 1.0) - z * qs)
+            + _sr_scale(em, ek, (l + 1.0) + z * qe))
 
 
 # -- mode determinants -------------------------------------------------------
 
-def log1m_scaled(m, k):
-    """ln(1 - rho) for scaled rho; -0.0 when rho underflows, nan when
-    rho >= 1 or rho is not finite (callers turn that into a domain
-    failure)."""
-    if m == 0.0:
-        return -0.0
-    if not math.isfinite(m):
+def _log1m(rho):
+    """ln(1 - rho); nan when rho >= 1 or rho is not a number (callers turn
+    that into a domain failure)."""
+    if rho < 0.5:
+        return math.log1p(-rho)
+    if not rho < 1.0:
         return math.nan
-    m, k = sr_norm(m, k)
-    if k < 0.0:
-        # |rho| < 1/2: form it (2.0 ** k is exact) and let log1p keep the
-        # digits of a small rho.
-        v = m * 2.0 ** k
-        if v == 0.0:
-            return -0.0
-        return math.log1p(-v)
-    dm, dk = sr_add(0.5, 1.0, -m, k)
-    if dm <= 0.0:
-        return math.nan
-    # dk ln 2 by the split of _exp_split: dk * _LN2_HI is exact.
-    return dk * _LN2_HI + (dk * _LN2_MID + (dk * _LN2_LO + math.log(dm)))
+    # 1 - rho is exact from 1/2 up, and k ln 2 goes by the split of
+    # _exp_split: k * _LN2_HI is exact.
+    m, k = math.frexp(1.0 - rho)
+    return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
 
 
 def _core_point(l, xi, mu, ratio, mode):
-    """Scaled rho for the requested modes at one imaginary-frequency node.
+    """(rho_TE, rho_TM) at one imaginary-frequency node.
 
     mode: 0 transverse-electric only, 1 transverse-magnetic only, 2 both.
-    Returns (te_m, te_k, tm_m, tm_k); unused slots are zero.
+    A mode not requested reads 0.0.
     """
     g = gamma_arg(xi, mu)
     gr = g * ratio
@@ -246,11 +235,14 @@ def _core_point(l, xi, mu, ratio, mode):
     pg = qeg + qsg
     pr = qer + qsr
 
-    # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)).
+    # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)). As
+    # gr > g, s(g)/s(gr) < 1 (s_l grows) and e(gr)/e(g) < 1 (e_l decays),
+    # so rho_TE < 1 and ldexp cannot overflow; far apart it underflows
+    # to 0.
     a = erm / egm
-    te_m, te_k = sr_norm(a * a * (pr / pg), 2.0 * (erk - egk))
+    rho = math.ldexp(a * a * (pr / pg), int(2.0 * (erk - egk)))
     if mode == 0:
-        return te_m, te_k, 0.0, 0.0
+        return rho, 0.0
 
     x = xi
     xr = xi * ratio
@@ -304,12 +296,10 @@ def _core_point(l, xi, mu, ratio, mode):
     tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22)
     det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
     # ln det(1 - rho M) = ln(1 - rho (tr M - rho det M))
-    pm, pk = sr_scale(te_m, te_k, det)
-    pm, pk = sr_add(*sr_norm(tr, 0.0), -pm, pk)
-    tm_m, tm_k = sr_mul(te_m, te_k, pm, pk)
+    rho_tm = rho * (tr - rho * det)
     if mode == 1:
-        return 0.0, 0.0, tm_m, tm_k
-    return te_m, te_k, tm_m, tm_k
+        return 0.0, rho_tm
+    return rho, rho_tm
 
 
 def _check_point(l, xi, mu, ratio, mode):
@@ -329,8 +319,8 @@ def _check_point(l, xi, mu, ratio, mode):
 
 def log_delta_point(l, xi, mu, ratio, mode):
     _check_point(l, xi, mu, ratio, mode)
-    te_m, te_k, tm_m, tm_k = _core_point(l, xi, mu, ratio, mode)
-    return log1m_scaled(te_m, te_k) + log1m_scaled(tm_m, tm_k)
+    rho, rho_tm = _core_point(l, xi, mu, ratio, mode)
+    return _log1m(rho) + _log1m(rho_tm)
 
 
 def log_delta_nodes(l, mu, ratio, mode, xs):
@@ -341,16 +331,5 @@ def log_delta_nodes(l, mu, ratio, mode, xs):
     for x in xs:
         _check_point(l, x, mu, ratio, mode)
     rhos = [_core_point(l, x, mu, ratio, mode) for x in xs]
-    return (tuple(log1m_scaled(r[0], r[1]) for r in rhos),
-            tuple(log1m_scaled(r[2], r[3]) for r in rhos))
-
-
-def rho_tm_massless(l, xi, ratio):
-    """Conducting-boundary ratio s'(x)e'(xr)/(e'(x)s'(xr)), scaled."""
-    # The domain of a massless TM node: with mu = 0, gamma is xi.
-    _check_point(l, xi, 0.0, ratio, 1)
-    spm, spk, epm, epk = family(l, xi)[4:8]
-    sprm, sprk, eprm, eprk = family(l, xi * ratio)[4:8]
-    nm, nk = sr_mul(spm, spk, eprm, eprk)
-    dm, dk = sr_mul(epm, epk, sprm, sprk)
-    return sr_div(nm, nk, dm, dk)
+    return (tuple(_log1m(r[0]) for r in rhos),
+            tuple(_log1m(r[1]) for r in rhos))

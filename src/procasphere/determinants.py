@@ -10,8 +10,10 @@ as `mu`.
 Two independent routes exist for the TM determinant and both are kept on
 purpose: the assembled 4x4 blocks with a direct cofactor expansion
 (reference, this module), and the mass-order expansion whose six
-coefficients are individually positive. The fast path used by the
-quadrature lives in the kernel backend and is cross-checked against both.
+coefficients are individually positive. The massless TM factor has its
+own reference, log_delta_tm_massless, a quotient of ScaledReal family
+values. The fast path used by the quadrature lives in the kernel backend,
+works in plain doubles, and is cross-checked against all three.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._core_py import _log1m
 from .backend import kernel
 from .bessel import eval_family
 from .scaledrep import ScaledReal
@@ -267,11 +270,11 @@ def log_delta_tm(p: SpectralPoint) -> float:
     Computed as a round trip between the shells, ln det(1 - rho_TE M): the
     kernel divides Q's rows and columns down to four 2x2 shell matrices of
     plain doubles, so M = W^-1 Y V^-1 U is the product of the outer and
-    inner 2x2 reflection matrices, and rho_TE, the one scaled value,
-    carries the propagation between the shells. The value never suffers
-    the det-minus-det cancellation: ln(1 - rho_TE (tr M - rho_TE det M))
-    forms the interaction part directly. The 4x4 routes below stay as
-    independent checks.
+    inner 2x2 reflection matrices, and rho_TE < 1 carries the propagation
+    between the shells. The value never suffers the det-minus-det
+    cancellation: ln(1 - rho_TE (tr M - rho_TE det M)) forms the
+    interaction part directly, all in plain doubles. The 4x4 routes above
+    and log_delta_tm_massless stay as independent checks.
     """
     _require_positive_xi(p)
     val = kernel.log_delta_point(p.l, p.xi_hat, p.mu, p.ratio, 1)
@@ -283,9 +286,11 @@ def log_delta_tm(p: SpectralPoint) -> float:
 def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
     """Massless-field TM factor: independent closed-form code path.
 
-    Serves as the regression target for log_delta_tm at mu = 0. Diverges to
-    -inf as ratio -> 1+; that case raises DivergenceError rather than
-    returning NaN.
+    ln(1 - rho) with the conducting-boundary ratio
+    rho = s'(x) e'(xr) / (e'(x) s'(xr)), x = xi_hat and xr = xi_hat * ratio,
+    formed from ScaledReal family values. Serves as the regression target
+    for log_delta_tm at mu = 0. Diverges to -inf as ratio -> 1+; that case
+    raises DivergenceError rather than returning NaN.
     """
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise ValueError(f"partial wave must be an integer >= 1, got {l!r}")
@@ -293,8 +298,10 @@ def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
         raise ValueError("xi_hat must be > 0")
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise ValueError("ratio must be > 1")
-    m, k = kernel.rho_tm_massless(l, float(xi_hat), float(ratio))
-    val = kernel.log1m_scaled(m, k)
+    f = eval_family(l, xi_hat)
+    fr = eval_family(l, xi_hat * ratio)
+    rho = (f.s_prime * fr.e_prime) / (f.e_prime * fr.s_prime)
+    val = _log1m(rho.to_float())
     if math.isnan(val):
         raise DivergenceError(
             f"massless TM mode ratio reached 1 (l={l}, xi_hat={xi_hat}, ratio={ratio})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._core_py import _exp_split, sr_add, sr_div, sr_mul, sr_scale
+from ._core_py import _exp_split, _sr_scale, sr_add, sr_mul
 from ._core_py import sr_norm as _norm
 
 _LN2 = math.log(2.0)
@@ -86,8 +86,8 @@ class ScaledReal:
             return ScaledReal(*sr_mul(self.mantissa, self.log2_scale,
                                       other.mantissa, other.log2_scale))
         if isinstance(other, (int, float)):
-            return ScaledReal(*sr_scale(self.mantissa, self.log2_scale,
-                                        float(other)))
+            return ScaledReal(*_sr_scale(self.mantissa, self.log2_scale,
+                                         float(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -96,8 +96,8 @@ class ScaledReal:
         if isinstance(other, ScaledReal):
             if other.mantissa == 0.0:
                 raise ZeroDivisionError("ScaledReal division by zero")
-            return ScaledReal(*sr_div(self.mantissa, self.log2_scale,
-                                      other.mantissa, other.log2_scale))
+            return ScaledReal(*_norm(self.mantissa / other.mantissa,
+                                     self.log2_scale - other.log2_scale))
         if isinstance(other, (int, float)):
             return ScaledReal(*_norm(self.mantissa / float(other),
                                      self.log2_scale))

@@ -138,19 +138,32 @@ class EnergyResult:
     tm: float | None
 
 
+def _neumaier_step(s: float, c: float, v: float):
+    # One compensated step: (s + v, c plus the rounding error of s + v).
+    t = s + v
+    if abs(s) >= abs(v):
+        c += (s - t) + v
+    else:
+        c += (v - t) + s
+    return t, c
+
+
 def _neumaier(values):
     # Compensated sum. The iteration order is part of the contract: callers
     # feed a deterministically ordered sequence.
     s = 0.0
     c = 0.0
     for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
+        s, c = _neumaier_step(s, c, v)
     return s + c
+
+
+def _plain_sum(panels, field: int) -> float:
+    # One panel field summed from 0.0 in list order, uncompensated.
+    t = 0.0
+    for p in panels:
+        t += p[field]
+    return t
 
 
 def _panel_nodes(a: float, b: float):
@@ -223,12 +236,6 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
         panels.append(_panel(l, mu, ratio, mode, a, b))
         evals += 15
 
-    def plain_total():
-        t = 0.0
-        for p in panels:
-            t += p[2]
-        return t
-
     # The tail past X: an exponential with local rate 2*(ratio-1)*X/gamma(X),
     # and the rate only grows to the right of X.
     f = kernel.log_delta_point(l, X, mu, ratio, mode)
@@ -237,7 +244,7 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
         raise ConvergenceError(
             f"mode factor not finite at l={l}, xi_hat={X!r}", l_reached=l)
     tail = abs(f) * kernel.gamma_arg(X, mu) / (2.0 * X * (ratio - 1.0))
-    total = plain_total()
+    total = _plain_sum(panels, 2)
     if tail > (rel_tol / 100.0) * abs(total):
         # The frame holds twenty digits of decay, so only a tolerance below
         # the rounding of the panel sum itself gets here.
@@ -249,10 +256,8 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     # Bisect the worst panel until the error meets the target; the
     # evaluation budget also ends a bisection that has run out of doubles.
     while True:
-        errsum = 0.0
-        for p in panels:
-            errsum += p[3]
-        total = plain_total()
+        errsum = _plain_sum(panels, 3)
+        total = _plain_sum(panels, 2)
         target = max((rel_tol / 10.0) * abs(total), 1e-280)
         if errsum + tail <= target:
             break
@@ -273,9 +278,7 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
         evals += 30
 
     panels.sort(key=lambda p: p[0])
-    errsum = 0.0
-    for p in panels:
-        errsum += p[3]
+    errsum = _plain_sum(panels, 3)
     w = 2.0 * l + 1.0
     value = w * _neumaier([p[2] for p in panels])
     te = w * _neumaier([p[4] for p in panels])
@@ -327,12 +330,7 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
         terms.append((l, value))
         te_terms.append(te)
         tm_terms.append(tm)
-        t = s + value
-        if abs(s) >= abs(value):
-            c += (s - t) + value
-        else:
-            c += (value - t) + s
-        s = t
+        s, c = _neumaier_step(s, c, value)
         prev_t = last_t
         last_t = value
         l_used = l
@@ -476,15 +474,19 @@ class SweepTable:
     @classmethod
     def from_json(cls, text: str) -> "SweepTable":
         obj = json.loads(text)
-        rows = tuple(
-            SweepRow(param=float(r["param"]), e_te=float(r["e_te"]),
-                     e_tm=float(r["e_tm"]), e_total=float(r["e_total"]),
-                     abs_err=float(r["abs_err"]), l_used=int(r["l_used"]))
-            for r in obj["rows"])
-        return cls(param_name=str(obj["sweep"]),
-                   manifest=tuple((str(k), str(v))
-                                  for k, v in obj["manifest"].items()),
-                   rows=rows)
+        try:
+            rows = tuple(
+                SweepRow(param=float(r["param"]), e_te=float(r["e_te"]),
+                         e_tm=float(r["e_tm"]), e_total=float(r["e_total"]),
+                         abs_err=float(r["abs_err"]), l_used=int(r["l_used"]))
+                for r in obj["rows"])
+            return cls(param_name=str(obj["sweep"]),
+                       manifest=tuple((str(k), str(v))
+                                      for k, v in obj["manifest"].items()),
+                       rows=rows)
+        except (KeyError, TypeError, AttributeError) as exc:
+            # A missing key, a wrong JSON type or a null value.
+            raise ValueError(f"malformed sweep JSON: {exc!r}") from None
 
 
 def _sweep_row(spec: ProblemSpec, param_value: float, threads: int) -> SweepRow:

@@ -57,13 +57,19 @@ def test_backend_tags(compiled):
     assert compiled.BACKEND == "compiled"
 
 
+# What the package and the benchmark call; nothing else is public.
+SURFACE = {"sr_norm", "sr_mul", "sr_add", "gamma_arg", "s_pair", "e_pair",
+           "family", "log_delta_point", "log_delta_nodes"}
+
+
 def test_twins_export_the_same_callables(compiled):
-    # An entry point added to or deleted from one twin only fails here.
+    # An entry point added to or deleted from either twin fails here, also
+    # a dead one added back to both.
     def public(kernel):
         return {name for name, f in vars(kernel).items()
                 if not name.startswith("_") and callable(f)}
-    assert public(pure) == public(compiled)
-    assert "log_delta_point" in public(pure)
+    assert public(pure) == SURFACE
+    assert public(compiled) == SURFACE
 
 
 # Normalized mantissa/scale pairs as the kernels produce them.
@@ -78,9 +84,7 @@ scales = st.integers(min_value=-100000, max_value=100000).map(float)
 def test_scalar_primitives_bit_identical(compiled, m1, k1, m2, k2):
     assert pure.sr_norm(m1 * 2.5, k1) == compiled.sr_norm(m1 * 2.5, k1)
     assert pure.sr_mul(m1, k1, m2, k2) == compiled.sr_mul(m1, k1, m2, k2)
-    assert pure.sr_div(m1, k1, m2, k2) == compiled.sr_div(m1, k1, m2, k2)
     assert pure.sr_add(m1, k1, m2, k2) == compiled.sr_add(m1, k1, m2, k2)
-    assert pure.sr_scale(m1, k1, m2) == compiled.sr_scale(m1, k1, m2)
 
 
 def test_sr_add_across_the_cutoff(compiled):
@@ -104,12 +108,11 @@ def test_sr_add_across_the_cutoff(compiled):
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_non_finite_operands_agree(compiled, x):
-    # inf and NaN pass through the scaled primitives with their scale, and
-    # ln(1 - rho) of a rho that is not finite is NaN, on both kernels.
+    # inf and NaN pass through the scaled primitives with their scale, on
+    # both kernels.
     for kernel in (pure, compiled):
         assert repr(kernel.sr_norm(x, 0.0)) == repr((x, 0.0))
         assert repr(kernel.sr_mul(1.5, 0.0, x, 0.0)) == repr((x, 0.0))
-        assert math.isnan(kernel.log1m_scaled(x, 0.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,16 +183,6 @@ def test_log_delta_nodes_bit_identical(compiled):
             assert (a + b).hex() == point.hex()
 
 
-def test_massless_tm_bit_identical(compiled):
-    for l in (1, 2, 9, 30):
-        for xi in (0.02, 0.8, 12.0):
-            for ratio in (1.15, 1.9):
-                a = pure.rho_tm_massless(l, xi, ratio)
-                b = compiled.rho_tm_massless(l, xi, ratio)
-                assert a == b
-                assert (pure.log1m_scaled(*a) == compiled.log1m_scaled(*b))
-
-
 def test_non_integer_order_raises(compiled):
     # An order is an index: truncating 3.5 to 3 would answer another question.
     for kernel in (pure, compiled):
@@ -246,11 +239,6 @@ OUT_OF_DOMAIN = [
     ("log_delta_nodes", (3, 0.5, 1.5, 2, [1.0, -2.0])),
     ("log_delta_nodes", (3, 0.5, 1.5, 7, [1.0])),
     ("log_delta_nodes", (0, 0.5, 1.5, 0, [1.0])),
-    ("rho_tm_massless", (0, 1.0, 1.5)),
-    ("rho_tm_massless", (1, 0.0, 1.5)),
-    ("rho_tm_massless", (1, math.nan, 1.5)),
-    ("rho_tm_massless", (1, 3e9, 1.5)),
-    ("rho_tm_massless", (5, 1e-40, 1.5)),
 ]
 
 

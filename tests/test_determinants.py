@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from procasphere import _core_py
@@ -188,17 +189,29 @@ def test_tm_zero_frequency_rejected():
 
 
 def test_massless_tm_validation_and_near_touching():
-    with pytest.raises(ValueError):
-        log_delta_tm_massless(0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        log_delta_tm_massless(1, 0.0, 1.5)
-    with pytest.raises(ValueError):
-        log_delta_tm_massless(1, 1.0, 1.0)
+    # Outside the chain range too: xi * ratio >= 2**32, and xi < 2**-64.
+    for args in ((0, 1.0, 1.5), (1, 0.0, 1.5), (1, 1.0, 1.0),
+                 (1, math.nan, 1.5), (1, 3e9, 1.5), (5, 1e-40, 1.5)):
+        with pytest.raises(ValueError):
+            log_delta_tm_massless(*args)
     # Shells a few ulps apart: the mode ratio is within rounding of 1, yet
     # the log factor must come back finite and strongly negative, never NaN.
     v = log_delta_tm_massless(1, 1e-8, 1.0 + 1e-15)
     assert math.isfinite(v)
     assert v < -25.0
+
+
+def test_log1m_vs_mpmath():
+    # ln(1 - rho) comes from log1p below 1/2 and from the exact 1 - rho
+    # from 1/2 up: within an ulp on both sides of the switch and at the
+    # ends, and NaN once rho reaches 1 or is not a number.
+    for rho in (0.0, 2.0 ** -1074, 0.5 - 2.0 ** -54, 0.5, 1.0 - 2.0 ** -53):
+        got = _core_py._log1m(rho)
+        with mpmath.workprec(200):
+            want = mpmath.log1p(-mpmath.mpf(rho))
+            assert abs(mpmath.mpf(got) - want) <= math.ulp(got), rho
+    for rho in (1.0, math.inf, math.nan):
+        assert math.isnan(_core_py._log1m(rho))
 
 
 def test_divergence_error_is_arithmetic_error():

@@ -1,5 +1,6 @@
 """Tests of the quadrature, the partial-wave sum, and the sweep tables."""
 
+import json
 import math
 
 import pytest
@@ -348,6 +349,17 @@ def test_sweep_json_round_trip():
     table = sweep_mass(template, [0.0, 1.0])
     back = SweepTable.from_json(table.to_json())
     assert back == table
+
+
+def test_sweep_json_malformed_is_value_error():
+    # As from_csv: a document without the keys, of the wrong shape, or with
+    # a null number raises ValueError, not KeyError or TypeError.
+    row = {"param": None, "e_te": -1.0, "e_tm": -1.0, "e_total": -2.0,
+           "abs_err": 1e-8, "l_used": 3}
+    null_param = json.dumps({"sweep": "mu", "manifest": {}, "rows": [row]})
+    for text in ('{"rows": []}', "[1]", null_param):
+        with pytest.raises(ValueError):
+            SweepTable.from_json(text)
 
 
 def test_sweep_row_is_frozen():
