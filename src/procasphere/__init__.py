@@ -41,7 +41,7 @@ from .spectrum import (
 )
 from .units import PhysicalInput, convert_units, energy_scale_joules
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 __all__ = [
     "ScaledReal",

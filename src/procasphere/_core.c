@@ -2,8 +2,8 @@
  * e_l and the ratio q_s = s_{l-1}/s_l per chain argument, scaled, s_l from
  * the Wronskian, and each mode factor ln(1 - rho) of a plain-double round
  * trip rho < 1: rho_TE, and for TM rho_TE (tr M - rho_TE det M) from 2x2
- * shell matrices. Its Python-visible surface is the pure twin's nine
- * functions.
+ * shell matrices, with their ratio derivatives. Its Python-visible surface
+ * is the pure twin's ten functions.
  *
  * Every arithmetic statement matches _core_py.py in order, so both backends
  * produce bit-identical doubles. Edit the two together or not at all, and
@@ -59,10 +59,12 @@ typedef struct {
     double qs;
 } Chains;
 
-/* rho_TE and rho_TM at one node. */
+/* rho_TE and rho_TM at one node, and their derivatives in ratio. */
 typedef struct {
     double te;
     double tm;
+    double dte;
+    double dtm;
 } Modes;
 
 static const SR SR_ZERO = {0.0, 0.0};
@@ -261,7 +263,18 @@ static double c_log1m(double rho)
     return k * LN2_HI + (k * LN2_MID + (k * LN2_LO + log(m)));
 }
 
-static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
+/* d ln(1 - rho) = -drho/(1 - rho), NaN where c_log1m is. */
+static double c_dlog1m(double rho, double drho)
+{
+    if (!(rho < 1.0))
+        return NAN;
+    return -drho / (1.0 - rho);
+}
+
+/* With deriv, also the ratio derivatives dte and dtm, as in the pure
+ * twin's _core_point. */
+static Modes c_core_point(long l, double xi, double mu, double ratio,
+                          long mode, int deriv)
 {
     double g = c_gamma(xi, mu);
     double gr = g * ratio;
@@ -277,7 +290,9 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     double x, xr, L2, m2, x2, ml, gts, gte, dsg, deg, dsr, der;
     double u22, v22, w22, y22, dv, dw, a11, a12, a21, a22;
     double b11, b12, b21, b22, tr, det, rho;
-    Modes out = {0.0, 0.0};
+    double gg, dex, ddsr, dder, ddex, dgp, dgte, dw22, dy22, ddw;
+    double c11, c12, c21, c22, dtr, ddet, drho;
+    Modes out = {0.0, 0.0, 0.0, 0.0};
 
     /* rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)), below
      * 1 by the pure twin's argument, so ldexp cannot overflow. Far apart
@@ -285,8 +300,12 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
      * exponent below -4200 already gives 0, so it is clamped before the
      * cast. */
     rho = ldexp(a * a * (pr / pg), n < -4200.0 ? -4200 : (int)n);
-    if (mode != 1)
+    /* d ln rho_TE / d ratio = -g pr: ratio enters only at gr and xr. */
+    drho = deriv ? -rho * (g * pr) : 0.0;
+    if (mode != 1) {
         out.te = rho;
+        out.dte = drho;
+    }
     if (mode == 0)
         return out;
 
@@ -333,6 +352,28 @@ static Modes c_core_point(long l, double xi, double mu, double ratio, long mode)
     det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21);
     /* ln det(1 - rho M) = ln(1 - rho (tr M - rho det M)) */
     out.tm = rho * (tr - rho * det);
+    if (!deriv)
+        return out;
+    /* W and Y through the Riccati equation of each d, as in the pure
+     * twin. */
+    gg = g * g;
+    dex = -(xr * qex + l);
+    ddsr = (dsr - dsr * dsr + gr * gr + L2) / ratio;
+    dder = (der - der * der + gr * gr + L2) / ratio;
+    ddex = (dex - dex * dex + xr * xr + L2) / ratio;
+    dgp = g * pr * (1.0 - dsr - der);
+    dgte = -(gg * ddex);
+    dw22 = dgte + x2 * ddsr;
+    dy22 = dgte + x2 * dder;
+    ddw = ddsr * w22 + dsr * dw22;
+    c11 = ((dw22 * der + w22 * dder) - b11 * ddw) / dw;
+    c12 = (-m2 * x2 * dgp - b12 * ddw) / dw;
+    c21 = (L2 * dgp - b21 * ddw) / dw;
+    c22 = ((ddsr * y22 + dsr * dy22) - b22 * ddw) / dw;
+    dtr = (c11 * a11 + c12 * a21) + (c21 * a12 + c22 * a22);
+    ddet = (a11 * a22 - a12 * a21) * ((c11 * b22 + b11 * c22)
+                                      - (c12 * b21 + b12 * c21));
+    out.dtm = drho * (tr - 2.0 * rho * det) + rho * (dtr - rho * ddet);
     return out;
 }
 
@@ -509,21 +550,21 @@ static PyObject *py_log_delta_point(PyObject *Py_UNUSED(self),
                 &l, &xi, &mu, &ratio, &mode)
         || !point_ok(l, xi, mu, ratio, mode))
         return NULL;
-    r = c_core_point(l, xi, mu, ratio, mode);
+    r = c_core_point(l, xi, mu, ratio, mode, 0);
     return PyFloat_FromDouble(c_log1m(r.te) + c_log1m(r.tm));
 }
 
-/* (ln Delta_TE per node, ln Delta_TM per node), -0.0 for a mode not
- * requested, as in the pure twin. */
-static PyObject *py_log_delta_nodes(PyObject *Py_UNUSED(self),
-                                    PyObject *const *args, Py_ssize_t nargs)
+/* (TE per node, TM per node): ln Delta, or with deriv d ln Delta / d ratio;
+ * -0.0 for a mode not requested, as in the pure twin. */
+static PyObject *nodes(const char *name, PyObject *const *args,
+                       Py_ssize_t nargs, int deriv)
 {
     long l, mode;
     double mu, ratio;
     PyObject *xs, *seq, *te, *tm, *out = NULL;
     double *buf;
     Py_ssize_t n, i;
-    if (!unpack("log_delta_nodes", args, nargs, "lddlO",
+    if (!unpack(name, args, nargs, "lddlO",
                 &l, &mu, &ratio, &mode, &xs))
         return NULL;
     /* A tuple copy: converting an item cannot resize what is being read. */
@@ -546,9 +587,14 @@ static PyObject *py_log_delta_nodes(PyObject *Py_UNUSED(self),
     /* Nodes are independent: the whole batch runs without the GIL. */
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < n; i++) {
-        Modes r = c_core_point(l, buf[i], mu, ratio, mode);
-        buf[i] = c_log1m(r.te);
-        buf[n + i] = c_log1m(r.tm);
+        Modes r = c_core_point(l, buf[i], mu, ratio, mode, deriv);
+        if (deriv) {
+            buf[i] = c_dlog1m(r.te, r.dte);
+            buf[n + i] = c_dlog1m(r.tm, r.dtm);
+        } else {
+            buf[i] = c_log1m(r.te);
+            buf[n + i] = c_log1m(r.tm);
+        }
     }
     Py_END_ALLOW_THREADS
     te = float_tuple(n, buf);
@@ -561,6 +607,18 @@ done:
     PyMem_Free(buf);
     Py_DECREF(seq);
     return out;
+}
+
+static PyObject *py_log_delta_nodes(PyObject *Py_UNUSED(self),
+                                    PyObject *const *args, Py_ssize_t nargs)
+{
+    return nodes("log_delta_nodes", args, nargs, 0);
+}
+
+static PyObject *py_dlog_delta_nodes(PyObject *Py_UNUSED(self),
+                                     PyObject *const *args, Py_ssize_t nargs)
+{
+    return nodes("dlog_delta_nodes", args, nargs, 1);
 }
 
 #define FASTCALL(name) \
@@ -576,6 +634,7 @@ static PyMethodDef core_methods[] = {
     FASTCALL(family),
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
+    FASTCALL(dlog_delta_nodes),
     {NULL, NULL, 0, NULL},
 };
 

@@ -19,8 +19,13 @@ shells, and rho < 1 is a plain double: rho_TE for TE, and
 rho_TE (tr M - rho_TE det M) for TM, with M the product of the two
 shells' 2x2 reflection matrices.
 
+The ratio derivative of each mode factor comes from the same chains: ratio
+enters only the outer shell's arguments, and the derivative of each
+logarithmic derivative d = z f'/f follows from the Riccati equation.
+
 Public surface, the same on both twins: sr_norm, sr_mul, sr_add,
-gamma_arg, s_pair, e_pair, family, log_delta_point and log_delta_nodes.
+gamma_arg, s_pair, e_pair, family, log_delta_point, log_delta_nodes and
+dlog_delta_nodes.
 """
 
 import math
@@ -220,8 +225,10 @@ def _log1m(rho):
     return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
 
 
-def _core_point(l, xi, mu, ratio, mode):
-    """(rho_TE, rho_TM) at one imaginary-frequency node.
+def _core_point(l, xi, mu, ratio, mode, deriv=False):
+    """(rho_TE, rho_TM, d rho_TE, d rho_TM) at one imaginary-frequency
+    node, the last two the derivatives in ratio when deriv is true and 0.0
+    otherwise.
 
     mode: 0 transverse-electric only, 1 transverse-magnetic only, 2 both.
     A mode not requested reads 0.0.
@@ -241,8 +248,11 @@ def _core_point(l, xi, mu, ratio, mode):
     # to 0.
     a = erm / egm
     rho = math.ldexp(a * a * (pr / pg), int(2.0 * (erk - egk)))
+    # Ratio enters only the outer chains, at gr and xr. As e'/e - s'/s =
+    # -(q_e + q_s), d ln rho_TE / d ratio = -g pr.
+    drho = -rho * (g * pr) if deriv else 0.0
     if mode == 0:
-        return rho, 0.0
+        return rho, 0.0, drho, 0.0
 
     x = xi
     xr = xi * ratio
@@ -297,9 +307,35 @@ def _core_point(l, xi, mu, ratio, mode):
     det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
     # ln det(1 - rho M) = ln(1 - rho (tr M - rho det M))
     rho_tm = rho * (tr - rho * det)
+    drho_tm = 0.0
+    if deriv:
+        # Only W and Y depend on ratio, through d_s(gr), d_e(gr), d_e(xr)
+        # and gr pr = d_s(gr) - d_e(gr). Each d obeys the Riccati equation
+        # d'(z) = (d - d^2 + z^2 + L^2)/z, and dz/d ratio = z/ratio; for the
+        # difference (d_s - d_e)' = p (1 - d_s - d_e) with p = q_s + q_e.
+        # With x == g, gg == x2 and ddex == dder, so dy22 is exactly 0, as
+        # y22 is up to rounding.
+        gg = g * g
+        dex = -(xr * qex + l)
+        ddsr = (dsr - dsr * dsr + gr * gr + L2) / ratio
+        dder = (der - der * der + gr * gr + L2) / ratio
+        ddex = (dex - dex * dex + xr * xr + L2) / ratio
+        dgp = g * pr * (1.0 - dsr - der)
+        dgte = -(gg * ddex)
+        dw22 = dgte + x2 * ddsr
+        dy22 = dgte + x2 * dder
+        ddw = ddsr * w22 + dsr * dw22
+        c11 = ((dw22 * der + w22 * dder) - b11 * ddw) / dw
+        c12 = (-m2 * x2 * dgp - b12 * ddw) / dw
+        c21 = (L2 * dgp - b21 * ddw) / dw
+        c22 = ((ddsr * y22 + dsr * dy22) - b22 * ddw) / dw
+        dtr = (c11 * a11 + c12 * a21) + (c21 * a12 + c22 * a22)
+        ddet = (a11 * a22 - a12 * a21) * ((c11 * b22 + b11 * c22)
+                                          - (c12 * b21 + b12 * c21))
+        drho_tm = drho * (tr - 2.0 * rho * det) + rho * (dtr - rho * ddet)
     if mode == 1:
-        return 0.0, rho_tm
-    return rho, rho_tm
+        return 0.0, rho_tm, 0.0, drho_tm
+    return rho, rho_tm, drho, drho_tm
 
 
 def _check_point(l, xi, mu, ratio, mode):
@@ -317,10 +353,27 @@ def _check_point(l, xi, mu, ratio, mode):
             "< 2**32")
 
 
+def _dlog1m(rho, drho):
+    """d ln(1 - rho) = -drho/(1 - rho); nan where _log1m is."""
+    if not rho < 1.0:
+        return math.nan
+    return -drho / (1.0 - rho)
+
+
 def log_delta_point(l, xi, mu, ratio, mode):
     _check_point(l, xi, mu, ratio, mode)
-    rho, rho_tm = _core_point(l, xi, mu, ratio, mode)
-    return _log1m(rho) + _log1m(rho_tm)
+    r = _core_point(l, xi, mu, ratio, mode)
+    return _log1m(r[0]) + _log1m(r[1])
+
+
+def _nodes(l, mu, ratio, mode, xs, deriv):
+    for x in xs:
+        _check_point(l, x, mu, ratio, mode)
+    rs = [_core_point(l, x, mu, ratio, mode, deriv) for x in xs]
+    if deriv:
+        return (tuple(_dlog1m(r[0], r[2]) for r in rs),
+                tuple(_dlog1m(r[1], r[3]) for r in rs))
+    return (tuple(_log1m(r[0]) for r in rs), tuple(_log1m(r[1]) for r in rs))
 
 
 def log_delta_nodes(l, mu, ratio, mode, xs):
@@ -328,8 +381,11 @@ def log_delta_nodes(l, mu, ratio, mode, xs):
     not requested has rho = 0 and reads -0.0, the additive identity, so
     te + tm is the requested value bit for bit in every mode. Every node
     is checked before any is evaluated."""
-    for x in xs:
-        _check_point(l, x, mu, ratio, mode)
-    rhos = [_core_point(l, x, mu, ratio, mode) for x in xs]
-    return (tuple(_log1m(r[0]) for r in rhos),
-            tuple(_log1m(r[1]) for r in rhos))
+    return _nodes(l, mu, ratio, mode, xs, False)
+
+
+def dlog_delta_nodes(l, mu, ratio, mode, xs):
+    """(d ln Delta_TE / d ratio per node, d ln Delta_TM / d ratio per node)
+    at fixed l, xi and mu, shaped and checked as log_delta_nodes; a mode
+    not requested reads -0.0 here too."""
+    return _nodes(l, mu, ratio, mode, xs, True)

@@ -168,11 +168,7 @@ def _force(inputs: dict) -> dict:
     si_a1 = inputs["a1_m"] if inputs["si"] else None
     fd_step = inputs["fd_step"]
     f = force(spec, fd_step=fd_step, threads=threads)
-    result = {
-        "force": f,
-        "fd_step": fd_step if fd_step is not None else default_fd_step(spec),
-        "mode": spec.mode,
-    }
+    result = {"force": f, "fd_step": fd_step, "mode": spec.mode}
     if si_a1 is not None:
         # F = -dE/da2 = (E0/a1) * (-dE_hat/dratio)
         result["force_newtons"] = f * energy_scale_joules(si_a1) / si_a1
@@ -325,6 +321,15 @@ def _cmd_selftest(args) -> int:
                 raise AssertionError(
                     f"massless mismatch at l={l}, xi={xi}, ratio={ratio}")
 
+    def force_routes():
+        # The closed-form derivative against the finite-difference
+        # reference.
+        spec = ProblemSpec(ratio=2.0, mu=0.5, rel_tol=1e-4)
+        f = force(spec)
+        ref = force(spec, fd_step=default_fd_step(spec))
+        if not (f < 0.0 and abs(f - ref) <= spec.rel_tol * abs(ref)):
+            raise AssertionError(f"force {f!r} vs finite differences {ref!r}")
+
     def energy_sanity():
         r = energy(ProblemSpec(ratio=1.3, rel_tol=1e-5))
         if not (r.te < 0.0 and r.tm < 0.0):
@@ -338,6 +343,7 @@ def _cmd_selftest(args) -> int:
     check("determinant routes agree", det_routes)
     check("massless reduction", massless_reduction)
     check("energy sanity", energy_sanity)
+    check("force routes agree", force_routes)
     return 0 if failures == 0 else 1
 
 
@@ -391,7 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_common_args(p)
     p.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                   help="finite-difference step in ratio")
+                   help="step in ratio of the finite-difference reference "
+                        "(Richardson-extrapolated central differences); "
+                        "without it the force integrates the closed-form "
+                        "ratio derivative")
     p.set_defaults(func=_cmd_compute, inputs=_problem_inputs)
 
     p = sub.add_parser("sweep-ratio", help="energy table over radius ratios")

@@ -14,6 +14,7 @@ from .highprec import (
     mp_e,
     mp_family,
     mp_s,
+    oracle_dlog_delta,
     oracle_e,
     oracle_l_term,
     oracle_log_delta,
@@ -29,6 +30,7 @@ __all__ = [
     "oracle_s",
     "oracle_e",
     "oracle_log_delta",
+    "oracle_dlog_delta",
     "oracle_l_term",
     "GOLDEN_DIGITS",
     "golden_path",

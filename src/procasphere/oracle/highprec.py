@@ -347,6 +347,37 @@ def oracle_log_delta(l, xi, mu, ratio, mode, cfg: PrecisionConfig | None = None)
     return primary
 
 
+def oracle_dlog_delta(l, xi, mu, ratio, mode,
+                      cfg: PrecisionConfig | None = None):
+    """d ln Delta / d ratio of the TE or TM mode factor at fixed l, xi, mu.
+
+    mpmath's diff of the log factor in ratio, by the routes of
+    oracle_log_delta (the split form for TM); diff evaluates them at about
+    twice the working precision. It runs at two working precisions, which
+    must agree to the configured digits. Returns an mpmath float.
+    """
+    cfg = cfg or PrecisionConfig()
+    if mode not in ("te", "tm"):
+        raise ValueError(f"mode must be 'te' or 'tm', got {mode!r}")
+    _validate_point(l, xi, mu, ratio, zero_xi_ok=(mode == "te"))
+    rho_of = _rho_te_ambient if mode == "te" else _rho_tm_ambient
+    digits = cfg.decimal_digits
+    vals = []
+    for dps in (digits + 15, digits + 30):
+        with workdps(dps):
+            x = mpf(xi)
+            m = mpf(mu)
+            vals.append(mp.diff(
+                lambda r: _mp_log1m(rho_of(l, x, m, r, cfg.max_series_terms)),
+                mpf(ratio)))
+    v1, v2 = vals
+    if abs(v1 - v2) > abs(v2) * mpf(10) ** (-digits):
+        raise OracleError(
+            f"{mode.upper()} derivative precisions disagree at l={l}, "
+            f"xi={xi}, mu={mu}, ratio={ratio}")
+    return v1
+
+
 def oracle_l_term(l, mu, ratio, mode, cfg: PrecisionConfig | None = None):
     """(2l+1) times the frequency integral of one partial wave's log factor.
 

@@ -196,12 +196,14 @@ def _gk15_combine(fv, h: float):
     return h * k15, abs(h * (k15 - g7))
 
 
-def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float):
+def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
+           deriv: bool):
     # [a, b, integral, error, TE integral, TM integral]. The integrand is the
-    # per-node te + tm, which is the requested mode's log bit for bit: a
-    # mode not requested reads -0.0.
+    # per-node te + tm, which is the requested mode's log (with deriv, its
+    # ratio derivative) bit for bit: a mode not requested reads -0.0.
     xs, h = _panel_nodes(a, b)
-    te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+    nodes = kernel.dlog_delta_nodes if deriv else kernel.log_delta_nodes
+    te, tm = nodes(l, mu, ratio, mode, xs)
     fv = [p + q for p, q in zip(te, tm)]
     for x, f in zip(xs, fv):
         if math.isnan(f):
@@ -215,14 +217,29 @@ def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     """One partial wave: ((2l+1)*integral, error bound, eval count, and
     the TE and TM shares of the first)."""
     try:
-        return _wave(l, mu, ratio, mode, rel_tol)
+        return _wave(l, mu, ratio, mode, rel_tol, False)
     except ValueError as exc:
-        # A valid ProblemSpec can still put a node outside the kernel's
-        # chain range; say which inputs did.
-        raise ValueError(f"ratio={ratio!r}, mu={mu!r}, l={l}: {exc}") from None
+        raise _naming(exc, ratio, mu, l) from None
 
 
-def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
+def _dl_term_full(l: int, mu: float, ratio: float, mode: int,
+                  rel_tol: float):
+    """The ratio derivative of one partial wave, in the five fields of
+    _l_term_full."""
+    try:
+        return _wave(l, mu, ratio, mode, rel_tol, True)
+    except ValueError as exc:
+        raise _naming(exc, ratio, mu, l) from None
+
+
+def _naming(exc: ValueError, ratio: float, mu: float, l: int) -> ValueError:
+    # A valid ProblemSpec can still put a node outside the kernel's chain
+    # range; say which inputs did.
+    return ValueError(f"ratio={ratio!r}, mu={mu!r}, l={l}: {exc}")
+
+
+def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
+          deriv: bool):
     # Frame the decay: the integrand falls like
     # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
     # that exponent reaches ~45 (twenty digits below the peak). Five
@@ -233,17 +250,28 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     panels = []
     edges = [0.0] + [X * 2.0 ** (-j) for j in range(4, -1, -1)]
     for a, b in zip(edges, edges[1:]):
-        panels.append(_panel(l, mu, ratio, mode, a, b))
+        panels.append(_panel(l, mu, ratio, mode, a, b, deriv))
         evals += 15
 
     # The tail past X: an exponential with local rate 2*(ratio-1)*X/gamma(X),
-    # and the rate only grows to the right of X.
-    f = kernel.log_delta_point(l, X, mu, ratio, mode)
+    # and the rate only grows to the right of X. The derivative integrand
+    # carries an extra factor of about 2*gamma, and gamma grows at most
+    # like xi, by a factor below exp((xi - X)/X); so its bound takes the
+    # rate minus 1/X, which the frame keeps above 44/X.
+    if deriv:
+        te, tm = kernel.dlog_delta_nodes(l, mu, ratio, mode, (X,))
+        f = te[0] + tm[0]
+    else:
+        f = kernel.log_delta_point(l, X, mu, ratio, mode)
     evals += 1
     if math.isnan(f):
         raise ConvergenceError(
             f"mode factor not finite at l={l}, xi_hat={X!r}", l_reached=l)
-    tail = abs(f) * kernel.gamma_arg(X, mu) / (2.0 * X * (ratio - 1.0))
+    g = kernel.gamma_arg(X, mu)
+    if deriv:
+        tail = abs(f) / (2.0 * X * (ratio - 1.0) / g - 1.0 / X)
+    else:
+        tail = abs(f) * g / (2.0 * X * (ratio - 1.0))
     total = _plain_sum(panels, 2)
     if tail > (rel_tol / 100.0) * abs(total):
         # The frame holds twenty digits of decay, so only a tolerance below
@@ -273,8 +301,8 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
                 wmax = panels[i][3]
         a, b = panels[worst][:2]
         mid = 0.5 * (a + b)
-        panels[worst] = _panel(l, mu, ratio, mode, a, mid)
-        panels.append(_panel(l, mu, ratio, mode, mid, b))
+        panels[worst] = _panel(l, mu, ratio, mode, a, mid, deriv)
+        panels.append(_panel(l, mu, ratio, mode, mid, b, deriv))
         evals += 30
 
     panels.sort(key=lambda p: p[0])
@@ -294,17 +322,11 @@ def l_term(spec: ProblemSpec, l: int) -> float:
         l, spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)[0]
 
 
-def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
-    """Interaction energy in units of hbar*c/(2*pi*a1).
-
-    One pass integrates the requested polarizations together. Partial
-    waves are solved in ascending order on the calling thread and summed
-    (with compensation) until three consecutive terms fall below rel_tol
-    relative to the running sum; exhausting l_cap first raises
-    ConvergenceError. threads is validated and otherwise unused: it is
-    kept for splitting each integral by panels, and no thread count may
-    change a bit of the result.
-    """
+def _wave_sum(spec: ProblemSpec, wave, threads: int):
+    # The partial-wave sum of energy() and force(), by the stop rule that
+    # energy() describes; wave(l, mu, ratio, mode, rel_tol) gives one term
+    # in the shape of _l_term_full. Returns (sum, error estimate, l_used,
+    # evaluations, per-l terms, TE sum, TM sum).
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     mode = _MODE_CODE[spec.mode]
@@ -321,9 +343,7 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     last_t = 0.0
     converged = False
     for l in range(1, spec.l_cap + 1):
-        # Looked up in the module at each call, so a wrapper installed on
-        # spectrum._l_term_full sees every wave.
-        value, err, ev, te, tm = _l_term_full(
+        value, err, ev, te, tm = wave(
             l, spec.mu, spec.ratio, mode, spec.rel_tol)
         evals_total += ev
         err_quad += err
@@ -356,37 +376,65 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
         if prev_t != 0.0:
             q = min(a_last / abs(prev_t), 0.95)
         l_tail = a_last * q / (1.0 - q)
+    return (s + c, err_quad + l_tail, l_used, evals_total, tuple(terms),
+            _neumaier(te_terms), _neumaier(tm_terms))
+
+
+def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
+    """Interaction energy in units of hbar*c/(2*pi*a1).
+
+    One pass integrates the requested polarizations together. Partial
+    waves are solved in ascending order on the calling thread and summed
+    (with compensation) until three consecutive terms fall below rel_tol
+    relative to the running sum; exhausting l_cap first raises
+    ConvergenceError. threads is validated and otherwise unused: it is
+    kept for splitting each integral by panels, and no thread count may
+    change a bit of the result.
+    """
+    # _l_term_full is looked up in the module at each call, so a wrapper
+    # installed on spectrum._l_term_full sees every wave.
+    value, err, l_used, evals, terms, te, tm = _wave_sum(
+        spec, _l_term_full, threads)
+    mode = _MODE_CODE[spec.mode]
     return EnergyResult(
-        value=s + c,
-        abs_error_estimate=err_quad + l_tail,
+        value=value,
+        abs_error_estimate=err,
         l_used=l_used,
-        integrand_evals=evals_total,
-        per_l_terms=tuple(terms),
-        te=None if mode == 1 else _neumaier(te_terms),
-        tm=None if mode == 0 else _neumaier(tm_terms),
+        integrand_evals=evals,
+        per_l_terms=terms,
+        te=None if mode == 1 else te,
+        tm=None if mode == 0 else tm,
     )
 
 
 def default_fd_step(spec: ProblemSpec) -> float:
-    """Step used by force() when fd_step is omitted."""
+    """A step for force()'s finite-difference reference, small enough
+    that ratio - step stays well above 1."""
     return min(1e-3, (spec.ratio - 1.0) / 10.0)
 
 
 def force(spec: ProblemSpec, fd_step: float | None = None,
           threads: int = 1) -> float:
-    """-dE/d(ratio) at fixed inner radius, by Richardson extrapolation.
+    """-dE/d(ratio) at fixed inner radius.
 
-    Central differences at steps h and h/2 combine to an O(h^4) derivative;
-    the inner energy calls run at rel_tol/100 so cancellation in the
-    differences does not eat the requested accuracy. threads is passed to
-    each energy() call, where it changes no bit of the result.
+    Without fd_step, one wave sum at rel_tol/100 of
+    (2l+1) * integral of d ln Delta_l / d(ratio), the kernel's closed-form
+    derivative of the requested polarizations, on the same frame, panels
+    and stop rule as energy(). With fd_step, the finite-difference
+    reference: central differences at steps fd_step and fd_step/2,
+    Richardson-extrapolated to an O(h^4) derivative, over four energy()
+    calls at rel_tol/100 so cancellation in the differences does not eat
+    the requested accuracy. threads is validated, and passed to each
+    energy() call, where it changes no bit of the result.
     """
-    h = default_fd_step(spec) if fd_step is None else _real("fd_step", fd_step)
+    inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
+    if fd_step is None:
+        return -_wave_sum(inner, _dl_term_full, threads)[0]
+    h = _real("fd_step", fd_step)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     if spec.ratio - h <= 1.0:
         raise ValueError("fd_step too large: ratio - fd_step must stay > 1")
-    inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
 
     def e_at(r: float) -> float:
         return energy(replace(inner, ratio=r), threads=threads).value

@@ -59,7 +59,7 @@ def test_backend_tags(compiled):
 
 # What the package and the benchmark call; nothing else is public.
 SURFACE = {"sr_norm", "sr_mul", "sr_add", "gamma_arg", "s_pair", "e_pair",
-           "family", "log_delta_point", "log_delta_nodes"}
+           "family", "log_delta_point", "log_delta_nodes", "dlog_delta_nodes"}
 
 
 def test_twins_export_the_same_callables(compiled):
@@ -147,17 +147,19 @@ def test_family_bit_identical_on_grid(compiled):
         assert pure.e_pair(l, z) == compiled.e_pair(l, z), (l, z)
 
 
+GRID = [(l, xi, mu, ratio)
+        for l in (1, 3, 10, 25) for xi in (0.05, 1.0, 8.0)
+        for mu in (0.0, 0.7, 3.0) for ratio in (1.3, 2.2)]
+GRID += [(1, 0.4, 0.0, 1.5), (6, 2.5, 1.2, 1.25), (15, 9.0, 0.3, 2.0)]
+# Near contact, at high orders, heavy masses and tiny frequencies, where the
+# TM round trip's plain-double 2x2 blocks meet their widest ranges.
+GRID += [(l, xi, mu, ratio)
+         for l in (200, 2000) for xi in (1e-6, 0.5, 40.0)
+         for mu in (0.0, 50.0) for ratio in (1.003, 1.03)]
+
+
 def test_log_delta_bit_identical_on_grid(compiled):
-    points = [(l, xi, mu, ratio)
-              for l in (1, 3, 10, 25) for xi in (0.05, 1.0, 8.0)
-              for mu in (0.0, 0.7, 3.0) for ratio in (1.3, 2.2)]
-    points += [(1, 0.4, 0.0, 1.5), (6, 2.5, 1.2, 1.25), (15, 9.0, 0.3, 2.0)]
-    # Near contact, at high orders, heavy masses and tiny frequencies, where
-    # the TM round trip's plain-double 2x2 blocks meet their widest ranges.
-    points += [(l, xi, mu, ratio)
-               for l in (200, 2000) for xi in (1e-6, 0.5, 40.0)
-               for mu in (0.0, 50.0) for ratio in (1.003, 1.03)]
-    for l, xi, mu, ratio in points:
+    for l, xi, mu, ratio in GRID:
         for mode in (0, 1, 2):
             a = pure.log_delta_point(l, xi, mu, ratio, mode)
             b = compiled.log_delta_point(l, xi, mu, ratio, mode)
@@ -181,6 +183,20 @@ def test_log_delta_nodes_bit_identical(compiled):
                     assert got == 0.0 and math.copysign(1.0, got) == -1.0
             point = pure.log_delta_point(4, x, 0.5, 1.6, mode)
             assert (a + b).hex() == point.hex()
+
+
+def test_dlog_delta_nodes_bit_identical(compiled):
+    # The ratio derivative at every grid point, and on a batch of nodes
+    # spanning five decades, in every mode.
+    batches = [(l, mu, ratio, (xi,)) for l, xi, mu, ratio in GRID]
+    batches += [(l, mu, ratio, tuple(1e-3 * 2.3 ** i for i in range(15)))
+                for l, mu, ratio in ((4, 0.5, 1.6), (30, 0.0, 1.05),
+                                     (300, 20.0, 1.01))]
+    for l, mu, ratio, xs in batches:
+        for mode in (0, 1, 2):
+            want = pure.dlog_delta_nodes(l, mu, ratio, mode, xs)
+            got = compiled.dlog_delta_nodes(l, mu, ratio, mode, xs)
+            assert repr(got) == repr(want), (l, mu, ratio, mode)
 
 
 def test_non_integer_order_raises(compiled):
@@ -239,6 +255,10 @@ OUT_OF_DOMAIN = [
     ("log_delta_nodes", (3, 0.5, 1.5, 2, [1.0, -2.0])),
     ("log_delta_nodes", (3, 0.5, 1.5, 7, [1.0])),
     ("log_delta_nodes", (0, 0.5, 1.5, 0, [1.0])),
+    ("dlog_delta_nodes", (3, 0.0, 1.5, 2, [0.0, 1.0])),
+    ("dlog_delta_nodes", (3, 0.5, 1.0, 1, [1.0])),
+    ("dlog_delta_nodes", (3, 0.5, 1.5, 3, [1.0])),
+    ("dlog_delta_nodes", (1, 0.0, 1.5, 2, [1.0, 3e9])),
 ]
 
 
@@ -303,6 +323,18 @@ def test_energy_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
                       "integrand_evals", "per_l_terms"):
             assert repr(getattr(got, field)) == repr(getattr(want, field)), (
                 threads, field)
+
+
+@pytest.mark.parametrize("ratio,mu,rel_tol", [(1.5, 0.5, 1e-5),
+                                               (1.05, 2.0, 1e-3)])
+def test_force_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
+    # The closed-form route's whole wave sum, on one and two threads.
+    spec = spectrum.ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol)
+    monkeypatch.setattr(spectrum, "kernel", pure)
+    want = repr(spectrum.force(spec))
+    monkeypatch.setattr(spectrum, "kernel", compiled)
+    for threads in (1, 2):
+        assert repr(spectrum.force(spec, threads=threads)) == want, threads
 
 
 def test_default_backend_is_compiled():

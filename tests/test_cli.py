@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import procasphere
 from procasphere import ProblemSpec, energy
 
 BASE = [sys.executable, "-m", "procasphere.cli"]
@@ -138,7 +139,15 @@ def test_force_command():
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["result"]["force"] < 0.0
-    assert doc["result"]["fd_step"] == pytest.approx(1e-3)
+    # No --fd-step: the closed-form route, which takes no step.
+    assert doc["result"]["fd_step"] is None
+    assert doc["manifest"]["inputs"]["fd_step"] is None
+    r = run_cli("force", "--ratio", "1.5", "--mu", "0.5",
+                "--rel-tol", "1e-5", "--fd-step", "1e-3")
+    assert r.returncode == 0, r.stderr
+    fd = json.loads(r.stdout)["result"]
+    assert fd["fd_step"] == 1e-3
+    assert fd["force"] == pytest.approx(doc["result"]["force"], rel=1e-5)
 
 
 def test_sweep_ratio_csv():
@@ -175,11 +184,14 @@ def test_sweep_mass_json_and_validation():
     ("energy", "--ratio", "1.5", "--mu", "0.5", "--rel-tol", "1e-6",
      "--mode", "te"),
     ("force", "--ratio", "1.6", "--rel-tol", "1e-3"),
+    ("force", "--ratio", "1.6", "--mu", "0.5", "--rel-tol", "1e-3",
+     "--fd-step", "1e-3"),
     ("sweep-ratio", "--from", "1.5", "--to", "1.7", "--steps", "2",
      "--rel-tol", "1e-4"),
     ("sweep-mass", "--mu-values", "0,1", "--ratio", "1.6",
      "--rel-tol", "1e-4"),
-], ids=["energy", "energy-te", "force", "sweep-ratio", "sweep-mass"])
+], ids=["energy", "energy-te", "force", "force-fd", "sweep-ratio",
+        "sweep-mass"])
 def test_replay_round_trip(tmp_path, argv):
     out = tmp_path / "run.json"
     r = run_cli(*argv)
@@ -258,3 +270,17 @@ def test_selftest_passes():
     assert r.returncode == 0, r.stdout + r.stderr
     assert "FAIL" not in r.stdout
     assert "ok - riccati-bessel wronskian" in r.stdout
+    assert "ok - force routes agree" in r.stdout
+
+
+def test_version_matches_pyproject():
+    # Replay notes in README key on the manifest version, which is
+    # __version__; the package metadata must carry the same one.
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "pyproject.toml")
+    with open(path, "rb") as fh:
+        meta = tomllib.load(fh)
+    assert meta["project"]["version"] == procasphere.__version__
+    assert run_cli("--version").stdout.split() == ["procasphere",
+                                                   procasphere.__version__]

@@ -25,6 +25,7 @@ from procasphere.oracle import (
     mp_e,
     mp_family,
     mp_s,
+    oracle_dlog_delta,
     oracle_e,
     oracle_l_term,
     oracle_log_delta,
@@ -187,6 +188,31 @@ def test_log_delta_point_vs_oracle():
             assert ref != 0, (l, xi, mu, ratio, name)
             worst = max(worst, float(abs(got / ref - 1)))
     assert worst <= 1e-12
+
+
+# The TM point grid plus nodes far above the order, where d_s + d_e, the
+# sum of two values of size z, cancels to order one.
+DLOG_GRID = TM_POINT_GRID + [(1, 1e4, 0.0, 1.003), (3, 2e4, 5.0, 1.003),
+                             (10, 1500.0, 0.0, 1.03), (2, 100.0, 0.5, 1.5)]
+
+
+def test_dlog_delta_nodes_vs_oracle():
+    """The closed-form ratio derivative of each mode factor, in modes 0, 1
+    and 2, vs mpmath's diff of the oracle's log factor."""
+    worst = 0.0
+    checked = 0
+    for l, xi, mu, ratio in DLOG_GRID:
+        ref = [oracle_dlog_delta(l, xi, mu, ratio, name)
+               for name in ("te", "tm")]
+        for mode, want in ((0, ref[0]), (1, ref[1]), (2, ref[0] + ref[1])):
+            te, tm = kernel.dlog_delta_nodes(l, mu, ratio, mode, [xi])
+            got = te[0] + tm[0]
+            assert got > 0.0 or abs(want) < 1e-300, (l, xi, mu, ratio, mode)
+            if abs(want) >= 1e-300:
+                worst = max(worst, float(abs(got / want - 1)))
+                checked += 1
+    assert checked == 3 * len(DLOG_GRID)
+    assert worst <= 1e-10
 
 
 def test_oracle_l_term_vs_fast():

@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from procasphere import spectrum
 from procasphere.spectrum import (
     ConvergenceError,
     ProblemSpec,
@@ -256,6 +258,80 @@ def test_force_attractive_and_step_insensitive():
     # O(h^4) truncation is ~1e-10 relative here; what remains is quadrature
     # noise at the inner tolerance, a few parts in 1e6 of the force.
     assert f2 == pytest.approx(f1, rel=3e-5)
+
+
+def _fd_forces(spec, h):
+    # The finite-difference route of force(spec, fd_step=h) for the TE and
+    # TM shares and the total at once: the same four energies at
+    # rel_tol/100, differenced field by field in the same order.
+    inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
+    r = spec.ratio
+    e = [energy(replace(inner, ratio=x))
+         for x in (r + h, r - h, r + 0.5 * h, r - 0.5 * h)]
+    out = {}
+    for mode, field in (("te", "te"), ("tm", "tm"), ("total", "value")):
+        v = [getattr(x, field) for x in e]
+        d1 = (v[0] - v[1]) / (2.0 * h)
+        d2 = (v[2] - v[3]) / h
+        out[mode] = -(4.0 * d2 - d1) / 3.0
+    return out
+
+
+# Both force routes at every (ratio, mu): the closed-form derivative per
+# mode at rel_tol 1e-4, and the finite-difference reference at 1e-5.
+@pytest.fixture(scope="module")
+def force_routes():
+    out = {}
+    for ratio in (1.05, 1.1, 1.5, 2.0):
+        for mu in (0.0, 0.5, 5.0):
+            spec = ProblemSpec(ratio=ratio, mu=mu, rel_tol=1e-4)
+            new = {mode: force(replace(spec, mode=mode))
+                   for mode in ("te", "tm", "total")}
+            ref = _fd_forces(replace(spec, rel_tol=1e-5),
+                             default_fd_step(spec))
+            out[ratio, mu] = new, ref
+    return out
+
+
+def test_fd_forces_is_the_library_route():
+    spec = ProblemSpec(ratio=2.0, mu=0.5, rel_tol=1e-5)
+    assert _fd_forces(spec, 1e-3)["total"] == force(spec, fd_step=1e-3)
+
+
+def test_force_routes_agree(force_routes):
+    for (ratio, mu), (new, ref) in force_routes.items():
+        for mode in ("te", "tm", "total"):
+            assert new[mode] < 0.0, (ratio, mu, mode)
+            assert abs(new[mode] - ref[mode]) <= 1e-4 * abs(ref[mode]), (
+                ratio, mu, mode, new[mode], ref[mode])
+
+
+def test_force_modes_sum_to_total(force_routes):
+    # Each mode stops on its own waves, so the sum agrees within rel_tol.
+    for (ratio, mu), (new, _ref) in force_routes.items():
+        assert new["te"] + new["tm"] == pytest.approx(new["total"],
+                                                      rel=1e-4), (ratio, mu)
+
+
+def test_force_is_one_wave_sum(monkeypatch):
+    # Without fd_step no energy runs: one sum of derivative waves at
+    # rel_tol/100, on the frame and stop rule of energy().
+    spec = ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-4)
+    calls = []
+    monkeypatch.setattr(spectrum, "energy",
+                        lambda *a, **k: calls.append(a))
+    waves = []
+
+    def wave(l, mu, ratio, mode, rel_tol):
+        waves.append((l, rel_tol))
+        return dl_term_full(l, mu, ratio, mode, rel_tol)
+
+    dl_term_full = spectrum._dl_term_full
+    monkeypatch.setattr(spectrum, "_dl_term_full", wave)
+    f = force(spec)
+    assert f < 0.0 and not calls
+    assert [l for l, _ in waves] == list(range(1, len(waves) + 1))
+    assert {t for _, t in waves} == {1e-6}
 
 
 def test_force_huge_mass_vanishes():
