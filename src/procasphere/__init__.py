@@ -8,7 +8,7 @@ unit conversion from laboratory inputs.
 """
 
 from .backend import active_backend
-from .bessel import RBFamily, eval_batch, eval_e, eval_family, eval_s
+from .bessel import RBFamily, eval_family
 from .determinants import (
     DivergenceError,
     MassOrders,
@@ -39,17 +39,14 @@ from .spectrum import (
     sweep_mass,
     sweep_ratio,
 )
-from .units import PhysicalInput, convert_units, energy_scale_joules
+from .units import convert_units, energy_scale_joules
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 __all__ = [
     "ScaledReal",
     "RBFamily",
-    "eval_s",
-    "eval_e",
     "eval_family",
-    "eval_batch",
     "SpectralPoint",
     "QBlocks",
     "MassOrders",
@@ -75,7 +72,6 @@ __all__ = [
     "sweep_mass",
     "SweepRow",
     "SweepTable",
-    "PhysicalInput",
     "convert_units",
     "energy_scale_joules",
     "active_backend",

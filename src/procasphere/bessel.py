@@ -17,16 +17,7 @@ from dataclasses import dataclass
 
 from .backend import kernel
 from .scaledrep import ScaledReal
-
-
-def _check_order(l: int) -> None:
-    if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {l!r}")
-
-
-def _check_argument(z: float) -> None:
-    if not (isinstance(z, (int, float)) and math.isfinite(z)) or z <= 0.0:
-        raise ValueError(f"argument must be a finite positive real, got {z!r}")
+from .spectrum import _real
 
 
 @dataclass(frozen=True)
@@ -47,31 +38,18 @@ class RBFamily:
     e_tilde: ScaledReal
 
 
-def eval_s(l: int, z: float) -> ScaledReal:
-    """Growing solution s_l(z); s_0 = sinh z."""
-    _check_order(l)
-    _check_argument(z)
-    m, k, _, _ = kernel.s_pair(l, float(z))
-    return ScaledReal(m, k)
-
-
-def eval_e(l: int, z: float) -> ScaledReal:
-    """Decaying solution e_l(z); e_0 = exp(-z)."""
-    _check_order(l)
-    _check_argument(z)
-    m, k, _, _ = kernel.e_pair(l, float(z))
-    return ScaledReal(m, k)
-
-
 def eval_family(l: int, z: float) -> RBFamily:
     """s, e, their derivatives, and the tilde combinations at one point."""
-    _check_order(l)
-    _check_argument(z)
+    if not isinstance(l, int) or isinstance(l, bool) or l < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {l!r}")
+    v = _real("argument", z)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"argument must be a finite positive real, got {z!r}")
     (sm, sk, em, ek, spm, spk, epm, epk,
-     stm, stk, etm, etk) = kernel.family(l, float(z))
+     stm, stk, etm, etk) = kernel.family(l, v)
     return RBFamily(
         l=l,
-        z=float(z),
+        z=v,
         s=ScaledReal(sm, sk),
         e=ScaledReal(em, ek),
         s_prime=ScaledReal(spm, spk),
@@ -79,10 +57,3 @@ def eval_family(l: int, z: float) -> RBFamily:
         s_tilde=ScaledReal(stm, stk),
         e_tilde=ScaledReal(etm, etk),
     )
-
-
-def eval_batch(l_max: int, z: float) -> list[RBFamily]:
-    """Families for every order 0..l_max at a fixed argument."""
-    _check_order(l_max)
-    _check_argument(z)
-    return [eval_family(l, z) for l in range(l_max + 1)]

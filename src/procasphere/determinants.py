@@ -26,6 +26,7 @@ from ._core_py import _log1m
 from .backend import kernel
 from .bessel import eval_family
 from .scaledrep import ScaledReal
+from .spectrum import _real
 
 
 class DivergenceError(ArithmeticError):
@@ -45,8 +46,8 @@ class SpectralPoint:
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 1:
             raise ValueError(f"partial wave must be an integer >= 1, got {self.l!r}")
         for name in ("xi_hat", "mu", "ratio"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            v = _real(name, getattr(self, name))
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if self.xi_hat < 0.0:
             raise ValueError("xi_hat must be >= 0")
@@ -294,6 +295,8 @@ def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
     """
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise ValueError(f"partial wave must be an integer >= 1, got {l!r}")
+    xi_hat = _real("xi_hat", xi_hat)
+    ratio = _real("ratio", ratio)
     if not (math.isfinite(xi_hat) and xi_hat > 0.0):
         raise ValueError("xi_hat must be > 0")
     if not (math.isfinite(ratio) and ratio > 1.0):

@@ -10,25 +10,19 @@ from .goldens import (
 )
 from .highprec import (
     OracleError,
-    PrecisionConfig,
     mp_e,
     mp_family,
     mp_s,
     oracle_dlog_delta,
-    oracle_e,
     oracle_l_term,
     oracle_log_delta,
-    oracle_s,
 )
 
 __all__ = [
-    "PrecisionConfig",
     "OracleError",
     "mp_s",
     "mp_e",
     "mp_family",
-    "oracle_s",
-    "oracle_e",
     "oracle_log_delta",
     "oracle_dlog_delta",
     "oracle_l_term",

@@ -19,8 +19,8 @@ from ..bessel import eval_family
 from ..determinants import SpectralPoint, log_delta_te, log_delta_tm, \
     log_delta_tm_massless
 from ..spectrum import ProblemSpec, l_term
-from .highprec import PrecisionConfig, mp_e, mp_family, mp_s, \
-    oracle_l_term, oracle_log_delta
+from .highprec import mp_e, mp_family, mp_s, oracle_l_term, \
+    oracle_log_delta
 
 GOLDEN_DIGITS = 30
 
@@ -82,51 +82,45 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _oracle_value(op: str, params: dict, cfg: PrecisionConfig):
+def _oracle_value(op: str, params: dict):
     if op == "s":
-        return mp_s(params["l"], params["z"], cfg)
+        return mp_s(params["l"], params["z"])
     if op == "e":
-        return mp_e(params["l"], params["z"], cfg)
+        return mp_e(params["l"], params["z"])
     if op in ("sp", "ep", "st", "et"):
-        fam = mp_family(params["l"], params["z"], cfg)
+        fam = mp_family(params["l"], params["z"])
         return fam[("sp", "ep", "st", "et").index(op) + 2]
     if op == "log_delta_te":
         return oracle_log_delta(params["l"], params["xi"], params["mu"],
-                                params["ratio"], "te", cfg)
+                                params["ratio"], "te")
     if op == "log_delta_tm":
         return oracle_log_delta(params["l"], params["xi"], params["mu"],
-                                params["ratio"], "tm", cfg)
+                                params["ratio"], "tm")
     if op == "log_delta_tm_massless":
         return oracle_log_delta(params["l"], params["xi"], 0.0,
-                                params["ratio"], "tm", cfg)
+                                params["ratio"], "tm")
     if op == "l_term":
         return oracle_l_term(params["l"], params["mu"], params["ratio"],
-                             params["mode"], cfg)
+                             params["mode"])
     raise ValueError(f"unknown golden op {op!r}")
 
 
-def generate_goldens(grid=None, cfg: PrecisionConfig | None = None) -> str:
+def generate_goldens() -> str:
     """Full golden file contents, regenerated from scratch."""
-    cfg = cfg or PrecisionConfig()
-    grid = _default_grid() if grid is None else list(grid)
-    if not grid:
-        raise ValueError("golden grid is empty")
     rows = []
-    for op, key in grid:
-        params = dict(key)
-        value = _oracle_value(op, params, cfg)
+    for op, key in _default_grid():
+        value = _oracle_value(op, dict(key))
         body = ";".join(f"{k}={_fmt(v)}" for k, v in key)
         rows.append(f"{op}\t{body}\t{mp.nstr(value, GOLDEN_DIGITS)}")
     rows.sort()
     return "\n".join(rows) + "\n"
 
 
-def write_goldens(path: Path | None = None,
-                  cfg: PrecisionConfig | None = None) -> Path:
+def write_goldens(path: Path | None = None) -> Path:
     """Regenerate and write the golden file; returns its path."""
     path = golden_path() if path is None else Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(generate_goldens(cfg=cfg), encoding="utf-8")
+    path.write_text(generate_goldens(), encoding="utf-8")
     return path
 
 
@@ -185,11 +179,11 @@ def _fast_value(op: str, params: dict):
     raise ValueError(f"unknown golden op {op!r}")
 
 
-def check_goldens(path: Path | None = None, rel_tol: float = 1e-12):
+def check_goldens(path: Path | None = None):
     """Compare the fast library against every stored row.
 
     Returns (rows checked, worst relative error, failures) where failures
-    is a list of (op, params, relative error) above rel_tol.
+    is a list of (op, params, relative error) above 1e-12.
     """
     rows = load_goldens(path)
     failures = []
@@ -204,6 +198,6 @@ def check_goldens(path: Path | None = None, rel_tol: float = 1e-12):
                 rel = float(abs(got - ref) / abs(ref))
             if rel > worst:
                 worst = rel
-            if rel > rel_tol:
+            if rel > 1e-12:
                 failures.append((op, params, rel))
     return len(rows), worst, failures

@@ -1,18 +1,18 @@
 """Arbitrary-precision reference routes, deliberately independent of the
 fast kernel.
 
-Everything here is recomputed from scratch with mpmath: the decaying
-solution by its exact terminating sum, the growing one by a positive power
-series or a guarded two-exponential form, determinants both by the
-column-pair split and by a plain 4x4 cofactor expansion, and the frequency
-integral by tanh-sinh quadrature at two precisions. Disagreement between
-internal routes raises OracleError rather than returning a number.
+Everything here is recomputed from scratch with mpmath, to a fixed 40
+digits: the decaying solution by its exact terminating sum, the growing one
+by a positive power series or a guarded two-exponential form, determinants
+both by the column-pair split and by a plain 4x4 cofactor expansion, and
+the frequency integral by tanh-sinh quadrature at two precisions.
+Disagreement between internal routes raises OracleError rather than
+returning a number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from mpmath import extradps, mp, mpf, workdps
 
@@ -21,31 +21,12 @@ class OracleError(RuntimeError):
     """Internal high-precision routes failed to agree."""
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working precision for the reference routes.
-
-    decimal_digits is the accuracy target of returned values; internal
-    passes run with guard digits on top. max_series_terms caps the growing
-    series so a bad argument fails loudly instead of spinning.
-    """
-
-    decimal_digits: int = 40
-    max_series_terms: int = 200000
-
-    def __post_init__(self):
-        if (isinstance(self.decimal_digits, bool)
-                or not isinstance(self.decimal_digits, int)
-                or self.decimal_digits < 40):
-            raise ValueError(
-                f"decimal_digits must be an integer >= 40, "
-                f"got {self.decimal_digits!r}")
-        if (isinstance(self.max_series_terms, bool)
-                or not isinstance(self.max_series_terms, int)
-                or self.max_series_terms < 1000):
-            raise ValueError(
-                f"max_series_terms must be an integer >= 1000, "
-                f"got {self.max_series_terms!r}")
+# Accuracy target of returned values; internal passes run with guard
+# digits on top.
+_DIGITS = 40
+# Cap on the growing series, so a bad argument fails loudly instead of
+# spinning.
+_MAX_TERMS = 200000
 
 
 def _check_order(l, minimum=0):
@@ -71,7 +52,7 @@ def _mp_e_ambient(l, zz):
     return mp.exp(-zz) * tot
 
 
-def _mp_s_ambient(l, zz, max_terms):
+def _mp_s_ambient(l, zz):
     if zz <= max(l, 30):
         # All-positive power series: no cancellation at any precision.
         t = zz ** (l + 1)
@@ -82,7 +63,7 @@ def _mp_s_ambient(l, zz, max_terms):
         n = 0
         while True:
             n += 1
-            if n > max_terms:
+            if n > _MAX_TERMS:
                 raise OracleError(
                     f"growing series did not converge for l={l}, z={zz}")
             t = t * zz * zz / (2 * n * (2 * n + 2 * l + 1))
@@ -108,15 +89,15 @@ def _mp_s_ambient(l, zz, max_terms):
     return val
 
 
-def _mp_family_ambient(l, zz, max_terms):
+def _mp_family_ambient(l, zz):
     # (s, e, s', e', s - z s', e - z e') at the ambient precision.
-    s = _mp_s_ambient(l, zz, max_terms)
+    s = _mp_s_ambient(l, zz)
     e = _mp_e_ambient(l, zz)
     if l == 0:
         sm1 = mp.cosh(zz)
         em1 = mp.exp(-zz)
     else:
-        sm1 = _mp_s_ambient(l - 1, zz, max_terms)
+        sm1 = _mp_s_ambient(l - 1, zz)
         em1 = _mp_e_ambient(l - 1, zz)
     sp = sm1 - l * s / zz
     ep = -em1 - l * e / zz
@@ -143,75 +124,54 @@ def _mp_log1m(rho):
 
 # -- public scalar oracles ----------------------------------------------------
 
-def mp_s(l, z, cfg: PrecisionConfig | None = None):
+def _at_argument(ambient, l, z):
+    # One Riccati-Bessel route at a checked order and argument, with guard
+    # digits on top of the returned accuracy.
+    _check_order(l)
+    with workdps(_DIGITS + 15):
+        zz = mpf(z)
+        if not zz > 0:
+            raise ValueError(f"argument must be > 0, got {z!r}")
+        return ambient(l, zz)
+
+
+def mp_s(l, z):
     """Growing Riccati-Bessel value as an mpmath float."""
-    cfg = cfg or PrecisionConfig()
-    _check_order(l)
-    with workdps(cfg.decimal_digits + 15):
-        zz = mpf(z)
-        if not zz > 0:
-            raise ValueError(f"argument must be > 0, got {z!r}")
-        return _mp_s_ambient(l, zz, cfg.max_series_terms)
+    return _at_argument(_mp_s_ambient, l, z)
 
 
-def mp_e(l, z, cfg: PrecisionConfig | None = None):
+def mp_e(l, z):
     """Decaying Riccati-Bessel value as an mpmath float."""
-    cfg = cfg or PrecisionConfig()
-    _check_order(l)
-    with workdps(cfg.decimal_digits + 15):
-        zz = mpf(z)
-        if not zz > 0:
-            raise ValueError(f"argument must be > 0, got {z!r}")
-        return _mp_e_ambient(l, zz)
+    return _at_argument(_mp_e_ambient, l, z)
 
 
-def mp_family(l, z, cfg: PrecisionConfig | None = None):
+def mp_family(l, z):
     """(s, e, s', e', s - z s', e - z e') as mpmath floats."""
-    cfg = cfg or PrecisionConfig()
-    _check_order(l)
-    with workdps(cfg.decimal_digits + 15):
-        zz = mpf(z)
-        if not zz > 0:
-            raise ValueError(f"argument must be > 0, got {z!r}")
-        return _mp_family_ambient(l, zz, cfg.max_series_terms)
-
-
-def oracle_s(l, z, cfg: PrecisionConfig | None = None) -> str:
-    """Growing value as a decimal string at the configured digit count."""
-    cfg = cfg or PrecisionConfig()
-    return mp.nstr(mp_s(l, z, cfg), cfg.decimal_digits)
-
-
-def oracle_e(l, z, cfg: PrecisionConfig | None = None) -> str:
-    """Decaying value as a decimal string at the configured digit count."""
-    cfg = cfg or PrecisionConfig()
-    return mp.nstr(mp_e(l, z, cfg), cfg.decimal_digits)
+    return _at_argument(_mp_family_ambient, l, z)
 
 
 # -- mode ratios and determinants ---------------------------------------------
 
-def _rho_te_ambient(l, x, m, r, max_terms):
+def _rho_te_ambient(l, x, m, r):
     g = x if m == 0 else mp.sqrt(x * x + m * m)
     gr_ = g * r
-    sg = _mp_s_ambient(l, g, max_terms)
+    sg = _mp_s_ambient(l, g)
     eg = _mp_e_ambient(l, g)
-    sgr = _mp_s_ambient(l, gr_, max_terms)
+    sgr = _mp_s_ambient(l, gr_)
     egr = _mp_e_ambient(l, gr_)
     return (sg * egr) / (eg * sgr)
 
 
-def _q_entries(l, x, m, r, max_terms):
+def _q_entries(l, x, m, r):
     # The 4x4 boundary matrix, rows: field matching at each shell, then
     # potential matching at each shell.
     g = x if m == 0 else mp.sqrt(x * x + m * m)
     gr_ = g * r
     xr_ = x * r
-    sg, eg, spg, epg, stg, etg = _mp_family_ambient(l, g, max_terms)
-    sr_, er_, spr, epr, str_, etr = _mp_family_ambient(l, gr_, max_terms)
-    sx, _ex_unused, _spx, _epx, stx, _etx_unused = _mp_family_ambient(
-        l, x, max_terms)
-    _sxr, exr, _spxr, _epxr, _stxr, etx = _mp_family_ambient(
-        l, xr_, max_terms)
+    sg, eg, spg, epg, stg, etg = _mp_family_ambient(l, g)
+    sr_, er_, spr, epr, str_, etr = _mp_family_ambient(l, gr_)
+    sx, _ex_unused, _spx, _epx, stx, _etx_unused = _mp_family_ambient(l, x)
+    _sxr, exr, _spxr, _epxr, _stxr, etx = _mp_family_ambient(l, xr_)
     m2 = m * m
     g2 = g * g
     x2 = x * x
@@ -256,8 +216,8 @@ def _rho_tm_from_q(q):
     return -num / det0, det0
 
 
-def _rho_tm_ambient(l, x, m, r, max_terms):
-    rho, _det0 = _rho_tm_from_q(_q_entries(l, x, m, r, max_terms))
+def _rho_tm_ambient(l, x, m, r):
+    rho, _det0 = _rho_tm_from_q(_q_entries(l, x, m, r))
     return rho
 
 
@@ -294,25 +254,22 @@ def _validate_point(l, xi, mu, ratio, zero_xi_ok=False):
         raise ValueError(f"ratio must be > 1, got {ratio!r}")
 
 
-def oracle_log_delta(l, xi, mu, ratio, mode, cfg: PrecisionConfig | None = None):
+def oracle_log_delta(l, xi, mu, ratio, mode):
     """ln of the TE or TM mode factor, with an internal route cross-check.
 
     TE is evaluated twice at different precisions; TM is evaluated by the
     split form and by a plain cofactor determinant run with enough guard
     digits to survive the det/det cancellation. Returns an mpmath float.
     """
-    cfg = cfg or PrecisionConfig()
     if mode not in ("te", "tm"):
         raise ValueError(f"mode must be 'te' or 'tm', got {mode!r}")
     _validate_point(l, xi, mu, ratio, zero_xi_ok=(mode == "te"))
-    digits = cfg.decimal_digits
-    tol = mpf(10) ** (-digits)
+    tol = mpf(10) ** (-_DIGITS)
     if mode == "te":
         vals = []
-        for dps in (digits + 15, digits + 30):
+        for dps in (_DIGITS + 15, _DIGITS + 30):
             with workdps(dps):
-                rho = _rho_te_ambient(l, mpf(xi), mpf(mu), mpf(ratio),
-                                      cfg.max_series_terms)
+                rho = _rho_te_ambient(l, mpf(xi), mpf(mu), mpf(ratio))
                 vals.append(_mp_log1m(rho))
         v1, v2 = vals
         if abs(v1 - v2) > abs(v2) * tol:
@@ -320,17 +277,16 @@ def oracle_log_delta(l, xi, mu, ratio, mode, cfg: PrecisionConfig | None = None)
                 f"TE precisions disagree at l={l}, xi={xi}, mu={mu}, "
                 f"ratio={ratio}")
         return v1
-    with workdps(digits + 15):
-        rho = _rho_tm_ambient(l, mpf(xi), mpf(mu), mpf(ratio),
-                              cfg.max_series_terms)
+    with workdps(_DIGITS + 15):
+        rho = _rho_tm_ambient(l, mpf(xi), mpf(mu), mpf(ratio))
         primary = _mp_log1m(rho)
         # Guard digits for the direct route: the full determinant agrees
         # with the decoupled one through the first -log10|rho| digits.
         cancel = 0
         if rho != 0 and abs(rho) < 1:
             cancel = max(0, -int(mp.floor(mp.log10(abs(rho)))))
-    with workdps(digits + 25 + cancel):
-        q = _q_entries(l, mpf(xi), mpf(mu), mpf(ratio), cfg.max_series_terms)
+    with workdps(_DIGITS + 25 + cancel):
+        q = _q_entries(l, mpf(xi), mpf(mu), mpf(ratio))
         det_full = _det4(q)
         d0a = q[1][0] * q[3][2] - q[1][2] * q[3][0]
         d0b = q[0][1] * q[2][3] - q[0][3] * q[2][1]
@@ -347,44 +303,39 @@ def oracle_log_delta(l, xi, mu, ratio, mode, cfg: PrecisionConfig | None = None)
     return primary
 
 
-def oracle_dlog_delta(l, xi, mu, ratio, mode,
-                      cfg: PrecisionConfig | None = None):
+def oracle_dlog_delta(l, xi, mu, ratio, mode):
     """d ln Delta / d ratio of the TE or TM mode factor at fixed l, xi, mu.
 
     mpmath's diff of the log factor in ratio, by the routes of
     oracle_log_delta (the split form for TM); diff evaluates them at about
     twice the working precision. It runs at two working precisions, which
-    must agree to the configured digits. Returns an mpmath float.
+    must agree to 40 digits. Returns an mpmath float.
     """
-    cfg = cfg or PrecisionConfig()
     if mode not in ("te", "tm"):
         raise ValueError(f"mode must be 'te' or 'tm', got {mode!r}")
     _validate_point(l, xi, mu, ratio, zero_xi_ok=(mode == "te"))
     rho_of = _rho_te_ambient if mode == "te" else _rho_tm_ambient
-    digits = cfg.decimal_digits
     vals = []
-    for dps in (digits + 15, digits + 30):
+    for dps in (_DIGITS + 15, _DIGITS + 30):
         with workdps(dps):
             x = mpf(xi)
             m = mpf(mu)
-            vals.append(mp.diff(
-                lambda r: _mp_log1m(rho_of(l, x, m, r, cfg.max_series_terms)),
-                mpf(ratio)))
+            vals.append(mp.diff(lambda r: _mp_log1m(rho_of(l, x, m, r)),
+                                mpf(ratio)))
     v1, v2 = vals
-    if abs(v1 - v2) > abs(v2) * mpf(10) ** (-digits):
+    if abs(v1 - v2) > abs(v2) * mpf(10) ** (-_DIGITS):
         raise OracleError(
             f"{mode.upper()} derivative precisions disagree at l={l}, "
             f"xi={xi}, mu={mu}, ratio={ratio}")
     return v1
 
 
-def oracle_l_term(l, mu, ratio, mode, cfg: PrecisionConfig | None = None):
+def oracle_l_term(l, mu, ratio, mode):
     """(2l+1) times the frequency integral of one partial wave's log factor.
 
-    tanh-sinh quadrature run at two precisions; they must agree to the
-    configured digits. Returns an mpmath float.
+    tanh-sinh quadrature run at two precisions; they must agree to 32
+    digits. Returns an mpmath float.
     """
-    cfg = cfg or PrecisionConfig()
     _check_order(l, minimum=1)
     if mode not in ("te", "tm"):
         raise ValueError(f"mode must be 'te' or 'tm', got {mode!r}")
@@ -400,9 +351,9 @@ def oracle_l_term(l, mu, ratio, mode, cfg: PrecisionConfig | None = None):
 
             def f(x):
                 if mode == "te":
-                    rho = _rho_te_ambient(l, x, m, r, cfg.max_series_terms)
+                    rho = _rho_te_ambient(l, x, m, r)
                 else:
-                    rho = _rho_tm_ambient(l, x, m, r, cfg.max_series_terms)
+                    rho = _rho_tm_ambient(l, x, m, r)
                 return _mp_log1m(rho)
 
             d = (45 + 2 * l * mp.log(r)) / (2 * (r - 1))
@@ -411,9 +362,9 @@ def oracle_l_term(l, mu, ratio, mode, cfg: PrecisionConfig | None = None):
                               8 * x_edge, mp.inf])
             return (2 * l + 1) * val
 
-    v1 = run(cfg.decimal_digits)
-    v2 = run(cfg.decimal_digits + 10)
-    if abs(v1 - v2) > abs(v2) * mpf(10) ** (-(cfg.decimal_digits - 8)):
+    v1 = run(_DIGITS)
+    v2 = run(_DIGITS + 10)
+    if abs(v1 - v2) > abs(v2) * mpf(10) ** (-(_DIGITS - 8)):
         raise OracleError(
             f"quadrature precisions disagree at l={l}, mu={mu}, "
             f"ratio={ratio}, mode={mode}")

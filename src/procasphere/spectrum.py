@@ -74,8 +74,9 @@ class ConvergenceError(RuntimeError):
 
 
 def _real(name: str, v) -> float:
-    # Inputs may come from an edited JSON document: reject a list, a string
-    # or None with ValueError, not a TypeError from float().
+    # The package's one real-number rule. Inputs may come from an edited
+    # JSON document: reject a bool, a list, a string or None with
+    # ValueError, not a TypeError from float() or a silent 1.0.
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {v!r}")
     return float(v)
@@ -126,7 +127,8 @@ class EnergyResult:
     sum, in order. te and tm are the two polarizations' shares, integrated
     on the same panels and summed over the same waves; each is None when
     its polarization was not requested. In mode "total" te + tm equals
-    value up to rounding.
+    value up to rounding; the CLI and sweep tables report e_total as
+    te + tm, which can differ from value in the last bit.
     """
 
     value: float
@@ -258,11 +260,9 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     # carries an extra factor of about 2*gamma, and gamma grows at most
     # like xi, by a factor below exp((xi - X)/X); so its bound takes the
     # rate minus 1/X, which the frame keeps above 44/X.
-    if deriv:
-        te, tm = kernel.dlog_delta_nodes(l, mu, ratio, mode, (X,))
-        f = te[0] + tm[0]
-    else:
-        f = kernel.log_delta_point(l, X, mu, ratio, mode)
+    nodes = kernel.dlog_delta_nodes if deriv else kernel.log_delta_nodes
+    te, tm = nodes(l, mu, ratio, mode, (X,))
+    f = te[0] + tm[0]
     evals += 1
     if math.isnan(f):
         raise ConvergenceError(
@@ -445,9 +445,6 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     return -(4.0 * d2 - d1) / 3.0
 
 
-_CSV_HEADER = "param,e_te,e_tm,e_total,abs_err,l_used"
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep point; a row that failed to converge holds NaN energies."""
@@ -470,42 +467,12 @@ class SweepTable:
 
     def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.manifest]
-        lines.append(_CSV_HEADER)
+        lines.append("param,e_te,e_tm,e_total,abs_err,l_used")
         for r in self.rows:
             lines.append(",".join((
                 repr(r.param), repr(r.e_te), repr(r.e_tm), repr(r.e_total),
                 repr(r.abs_err), str(r.l_used))))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SweepTable":
-        manifest = []
-        rows = []
-        header_seen = False
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                manifest.append((key.strip(), val.strip()))
-                continue
-            if not header_seen:
-                if line != _CSV_HEADER:
-                    raise ValueError(f"unexpected sweep header {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"malformed sweep row {line!r}")
-            rows.append(SweepRow(
-                param=float(parts[0]), e_te=float(parts[1]),
-                e_tm=float(parts[2]), e_total=float(parts[3]),
-                abs_err=float(parts[4]), l_used=int(parts[5])))
-        if not header_seen:
-            raise ValueError("sweep CSV has no header line")
-        return cls(param_name=dict(manifest).get("sweep", "param"),
-                   manifest=tuple(manifest), rows=tuple(rows))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -518,23 +485,6 @@ class SweepTable:
                 for r in self.rows
             ],
         }, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepTable":
-        obj = json.loads(text)
-        try:
-            rows = tuple(
-                SweepRow(param=float(r["param"]), e_te=float(r["e_te"]),
-                         e_tm=float(r["e_tm"]), e_total=float(r["e_total"]),
-                         abs_err=float(r["abs_err"]), l_used=int(r["l_used"]))
-                for r in obj["rows"])
-            return cls(param_name=str(obj["sweep"]),
-                       manifest=tuple((str(k), str(v))
-                                      for k, v in obj["manifest"].items()),
-                       rows=rows)
-        except (KeyError, TypeError, AttributeError) as exc:
-            # A missing key, a wrong JSON type or a null value.
-            raise ValueError(f"malformed sweep JSON: {exc!r}") from None
 
 
 def _sweep_row(spec: ProblemSpec, param_value: float, threads: int) -> SweepRow:

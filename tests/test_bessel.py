@@ -10,21 +10,24 @@ import math
 import pytest
 
 from procasphere import _core_py
-from procasphere.bessel import eval_batch, eval_e, eval_family, eval_s
+from procasphere.bessel import eval_family
 
 
 def test_order_zero_and_one_closed_forms():
     # s_0 = sinh z, e_0 = exp(-z)
-    assert eval_s(0, 1.0).to_float() == pytest.approx(math.sinh(1.0), rel=1e-15)
-    assert eval_e(0, 1.0).to_float() == pytest.approx(math.exp(-1.0), rel=1e-15)
+    f = eval_family(0, 1.0)
+    assert f.s.to_float() == pytest.approx(math.sinh(1.0), rel=1e-15)
+    assert f.e.to_float() == pytest.approx(math.exp(-1.0), rel=1e-15)
     # s_1 = cosh z - sinh(z)/z, e_1 = exp(-z) (1 + 1/z)
     z = 1.0
-    assert eval_s(1, z).to_float() == pytest.approx(
+    f = eval_family(1, z)
+    assert f.s.to_float() == pytest.approx(
         math.cosh(z) - math.sinh(z) / z, rel=1e-14)
-    assert eval_e(1, z).to_float() == pytest.approx(2.0 / math.e, rel=1e-15)
+    assert f.e.to_float() == pytest.approx(2.0 / math.e, rel=1e-15)
     # Leading small-argument behavior: s_1(z) ~ z^2/3.
     z = 1e-3
-    assert eval_s(1, z).to_float() == pytest.approx(z * z / 3.0, rel=1e-6)
+    assert eval_family(1, z).s.to_float() == pytest.approx(
+        z * z / 3.0, rel=1e-6)
 
 
 def test_family_derivative_example():
@@ -53,7 +56,7 @@ def test_three_term_recurrence_consistency():
     # s_{l+1} = s_{l-1} - (2l+1)/z s_l, and the same shape for e with a
     # sign flip; both must hold across chains with different start orders.
     for z in (0.4, 6.0, 55.0, 900.0):
-        fams = eval_batch(12, z)
+        fams = [eval_family(l, z) for l in range(13)]
         for l in range(1, 11):
             lhs = fams[l + 1].s
             rhs = fams[l - 1].s - ((2.0 * l + 1.0) / z) * fams[l].s
@@ -68,7 +71,7 @@ def test_three_term_recurrence_consistency():
 def test_derivative_recurrence_consistency():
     # s_l' = s_{l-1} - (l/z) s_l and e_l' = -e_{l-1} - (l/z) e_l.
     for z in (0.9, 20.0, 300.0):
-        fams = eval_batch(8, z)
+        fams = [eval_family(l, z) for l in range(9)]
         for l in range(1, 9):
             sp = fams[l - 1].s - (l / z) * fams[l].s
             assert fams[l].s_prime.to_float() == pytest.approx(
@@ -82,7 +85,7 @@ def test_positivity_and_order_monotonicity():
     # At fixed argument the growing solution decreases with order and the
     # decaying one increases relative to it; all values are positive.
     for z in (0.5, 5.0, 80.0):
-        fams = eval_batch(20, z)
+        fams = [eval_family(l, z) for l in range(21)]
         for l in range(21):
             assert fams[l].s.sign() == 1.0
             assert fams[l].e.sign() == 1.0
@@ -96,7 +99,8 @@ def test_product_s_e_bounded():
     # decays in both directions); a cheap global sanity net.
     for l in (1, 4, 30, 200):
         for z in (0.01, 1.0, float(l) + 0.5, 10.0 * l + 10.0):
-            p = (eval_s(l, z) * eval_e(l, z)).to_float()
+            f = eval_family(l, z)
+            p = (f.s * f.e).to_float()
             assert 0.0 < p <= 0.5 + 1e-12
 
 
@@ -104,29 +108,19 @@ def test_huge_argument_log_growth():
     # log s_l ~ z - log 2 and log e_l ~ -z at z >> l, up to the first
     # asymptotic correction l(l+1)/(2z) = 1.5e-4.
     z = 20000.0
-    s = eval_s(2, z)
-    e = eval_e(2, z)
-    assert s.log_abs() == pytest.approx(z - math.log(2.0), abs=2e-4)
-    assert e.log_abs() == pytest.approx(-z, abs=2e-4)
+    f = eval_family(2, z)
+    assert f.s.log_abs() == pytest.approx(z - math.log(2.0), abs=2e-4)
+    assert f.e.log_abs() == pytest.approx(-z, abs=2e-4)
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        eval_s(-1, 1.0)
-    with pytest.raises(ValueError):
-        eval_s(True, 1.0)
-    with pytest.raises(ValueError):
-        eval_s(1.5, 1.0)
-    with pytest.raises(ValueError):
-        eval_s(1, 0.0)
-    with pytest.raises(ValueError):
-        eval_s(1, -2.0)
-    with pytest.raises(ValueError):
-        eval_e(1, math.inf)
-    with pytest.raises(ValueError):
-        eval_family(2, math.nan)
-    with pytest.raises(ValueError):
-        eval_batch(-3, 1.0)
+    # A bool is not a real number here: eval_family(1, True) must not run
+    # at z = 1.0.
+    for l, z in ((-1, 1.0), (True, 1.0), (1.5, 1.0), (1, 0.0), (1, -2.0),
+                 (1, math.inf), (2, math.nan), (1, True), (1, "1.0"),
+                 (1, None), (1, [1.0])):
+        with pytest.raises(ValueError):
+            eval_family(l, z)
 
 
 def test_miller_start_rule():

@@ -44,6 +44,11 @@ def test_spectral_point_validation():
         SpectralPoint(l=1, xi_hat=1.0, mu=0.0, ratio=1.0)
     with pytest.raises(ValueError):
         SpectralPoint(l=1, xi_hat=math.inf, mu=0.0, ratio=1.5)
+    # A bool or a string is not a real number, even where it would pass as
+    # one: xi_hat=True would run at xi_hat = 1.0.
+    for xi_hat, mu in ((True, 0.0), (1.0, False), ("1.0", 0.0), (None, 0.0)):
+        with pytest.raises(ValueError):
+            SpectralPoint(l=2, xi_hat=xi_hat, mu=mu, ratio=1.5)
 
 
 def test_gamma_hat():
@@ -191,7 +196,8 @@ def test_tm_zero_frequency_rejected():
 def test_massless_tm_validation_and_near_touching():
     # Outside the chain range too: xi * ratio >= 2**32, and xi < 2**-64.
     for args in ((0, 1.0, 1.5), (1, 0.0, 1.5), (1, 1.0, 1.0),
-                 (1, math.nan, 1.5), (1, 3e9, 1.5), (5, 1e-40, 1.5)):
+                 (1, math.nan, 1.5), (1, 3e9, 1.5), (5, 1e-40, 1.5),
+                 (1, True, 1.5), (1, "1.0", 1.5), (1, 1.0, None)):
         with pytest.raises(ValueError):
             log_delta_tm_massless(*args)
     # Shells a few ulps apart: the mode ratio is within rounding of 1, yet

@@ -5,8 +5,6 @@ to 1e-12, and regenerating the file from the oracle must give back the
 stored bytes, so neither side can drift silently.
 """
 
-import pytest
-
 from procasphere.oracle.goldens import (
     _default_grid,
     _parse_param,
@@ -54,11 +52,6 @@ def test_default_grid_covers_modes():
     grid = _default_grid()
     ops = {entry[0] for entry in grid}
     assert "l_term" in ops and "log_delta_tm_massless" in ops
-
-
-def test_generate_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        generate_goldens(grid=[])
 
 
 def test_param_parsing():

@@ -13,7 +13,7 @@ from mpmath import mp, mpf, workdps
 
 from procasphere import _core_py as pure
 from procasphere.backend import kernel
-from procasphere.bessel import eval_e, eval_family, eval_s
+from procasphere.bessel import eval_family
 from procasphere.determinants import (
     SpectralPoint,
     log_delta_te,
@@ -21,31 +21,16 @@ from procasphere.determinants import (
 )
 from procasphere.oracle import (
     OracleError,
-    PrecisionConfig,
     mp_e,
     mp_family,
     mp_s,
     oracle_dlog_delta,
-    oracle_e,
     oracle_l_term,
     oracle_log_delta,
-    oracle_s,
 )
+from procasphere.oracle.highprec import _mp_log1m, _rho_tm_ambient
 from procasphere.scaledrep import ScaledReal
 from procasphere.spectrum import ProblemSpec, l_term
-
-
-def test_precision_config_validation():
-    cfg = PrecisionConfig()
-    assert cfg.decimal_digits == 40
-    with pytest.raises(ValueError):
-        PrecisionConfig(decimal_digits=10)
-    with pytest.raises(ValueError):
-        PrecisionConfig(decimal_digits=40.0)
-    with pytest.raises(ValueError):
-        PrecisionConfig(decimal_digits=True)
-    with pytest.raises(ValueError):
-        PrecisionConfig(max_series_terms=10)
 
 
 def test_oracle_argument_validation():
@@ -94,11 +79,11 @@ def test_oracle_matches_fast_kernel_on_grid():
         # carries exp(z) into the base-2 scale.
         for z in (2.0 ** -64, 1e-6, 0.004, 0.07, 0.9, 4.0, 17.0, 70.0, 260.0,
                   1100.0, 9000.0, 1e5, 1e6):
-            fast = [eval_s(l, z), eval_e(l, z)]
+            fam = eval_family(l, z)
+            fast = [fam.s, fam.e]
             with workdps(50):
                 refs = [mp_s(l, mpf(z)), mp_e(l, mpf(z))]
                 if l >= 1:
-                    fam = eval_family(l, z)
                     s1m, s1k = kernel.s_pair(l, z)[2:]
                     fast += [ScaledReal(s1m, s1k), fam.s_prime, fam.e_prime]
                     ref_fam = mp_family(l, mpf(z))
@@ -224,10 +209,10 @@ def test_oracle_l_term_vs_fast():
 
 
 def test_oracle_digit_strings():
-    # The printed forms carry 30 significant digits and parse back to the
+    # The printed forms carry 40 significant digits and parse back to the
     # same mpf at that precision.
-    s = oracle_s(3, 2.5)
-    e = oracle_e(3, 2.5)
+    s = mp.nstr(mp_s(3, 2.5), 40)
+    e = mp.nstr(mp_e(3, 2.5), 40)
     for text in (s, e):
         assert isinstance(text, str)
         with workdps(40):
@@ -243,9 +228,11 @@ def test_oracle_massless_uses_exact_argument():
     # With mu = 0 the propagation argument equals xi with no sqrt round-off;
     # the two mode factors must then agree between mass-aware and massless
     # calls to the last digit.
+    # The reference is the oracle's split-form route at 65 working digits,
+    # ten more than its own.
     a = oracle_log_delta(2, 1.3, 0.0, 1.7, "tm")
-    b = oracle_log_delta(2, 1.3, 0.0, 1.7, "tm",
-                         PrecisionConfig(decimal_digits=50))
+    with workdps(65):
+        b = _mp_log1m(_rho_tm_ambient(2, mpf(1.3), mpf(0), mpf(1.7)))
     assert abs(a / b - 1) < mpf(10) ** -38
 
 

@@ -11,7 +11,6 @@ from procasphere.spectrum import (
     ConvergenceError,
     ProblemSpec,
     SweepRow,
-    SweepTable,
     _gk15_combine,
     _l_term_full,
     _panel_nodes,
@@ -408,34 +407,23 @@ def test_sweep_row_failure_becomes_nan():
 def test_sweep_csv_round_trip():
     template = ProblemSpec(ratio=1.6, rel_tol=1e-4)
     table = sweep_mass(template, [0.0, 1.0])
-    text = table.to_csv()
-    lines = text.splitlines()
-    assert lines[0].startswith("# sweep=mu")
-    assert "param,e_te,e_tm,e_total,abs_err,l_used" in lines
-    back = SweepTable.from_csv(text)
-    assert back == table  # repr round-trip keeps every bit
-    with pytest.raises(ValueError):
-        SweepTable.from_csv("nonsense,header\n1,2\n")
-    with pytest.raises(ValueError):
-        SweepTable.from_csv("")
+    lines = table.to_csv().splitlines()
+    assert lines[:5] == ["# sweep=mu", "# ratio=1.6", "# rel_tol=0.0001",
+                         "# l_cap=5000",
+                         "param,e_te,e_tm,e_total,abs_err,l_used"]
+    back = tuple(SweepRow(*map(float, parts[:5]), int(parts[5]))
+                 for parts in (line.split(",") for line in lines[5:]))
+    assert back == table.rows  # repr keeps every bit
 
 
 def test_sweep_json_round_trip():
     template = ProblemSpec(ratio=1.6, rel_tol=1e-4)
     table = sweep_mass(template, [0.0, 1.0])
-    back = SweepTable.from_json(table.to_json())
-    assert back == table
-
-
-def test_sweep_json_malformed_is_value_error():
-    # As from_csv: a document without the keys, of the wrong shape, or with
-    # a null number raises ValueError, not KeyError or TypeError.
-    row = {"param": None, "e_te": -1.0, "e_tm": -1.0, "e_total": -2.0,
-           "abs_err": 1e-8, "l_used": 3}
-    null_param = json.dumps({"sweep": "mu", "manifest": {}, "rows": [row]})
-    for text in ('{"rows": []}', "[1]", null_param):
-        with pytest.raises(ValueError):
-            SweepTable.from_json(text)
+    doc = json.loads(table.to_json())
+    assert doc["sweep"] == "mu"
+    assert doc["manifest"] == {"sweep": "mu", "ratio": "1.6",
+                               "rel_tol": "0.0001", "l_cap": "5000"}
+    assert tuple(SweepRow(**r) for r in doc["rows"]) == table.rows
 
 
 def test_sweep_row_is_frozen():
