@@ -5,10 +5,14 @@
  * shell matrices, with their ratio derivatives. Its Python-visible surface
  * is the pure twin's ten functions.
  *
- * Every arithmetic statement matches _core_py.py in order, so both backends
- * produce bit-identical doubles. Edit the two together or not at all, and
- * build with -ffp-contract=off: a fused multiply-add rounds once where the
- * pure twin rounds twice.
+ * Lockstep with _core_py.py: every chain and every mode factor performs the
+ * same floating-point operations on the same doubles in the same order, so
+ * both backends produce bit-identical doubles. How a loop comes by its
+ * operands may differ: a chain step here converts its counter to the odd
+ * factor 2j + 1, where the pure twin reads the same exact double from a
+ * table. Edit the two together or not at all, and build with
+ * -ffp-contract=off: a fused multiply-add rounds once where the pure twin
+ * rounds twice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -187,26 +191,35 @@ static double c_s_ratio(long l, double z)
     return y / ym;
 }
 
-static SRP c_e_pair(long l, double z)
+/* The upward run from e_{-1} = e_0 = exp(-z): e_l in *b and e_{l-1} in *a,
+ * both unnormalized at the one offset *k. */
+static inline void c_e_run(long l, double z, double *b, double *a, double *k)
 {
     SR s = c_exp_split(-z);
-    double k = s.k;
-    double a = s.m;
-    double b = s.m;
+    *k = s.k;
+    *a = s.m;
+    *b = s.m;
+    c_steps(0, l, 1, z, b, a, k);
+}
+
+static SRP c_e_pair(long l, double z)
+{
+    double a, b, k;
     SR p, q;
-    c_steps(0, l, 1, z, &b, &a, &k);
+    c_e_run(l, z, &b, &a, &k);
     p = c_norm(b, k);
     q = c_norm(a, k);
     return (SRP){p.m, p.k, q.m, q.k};
 }
 
-/* e_l scaled, and q_e = e_{l-1}/e_l in *qe; both members of c_e_pair carry
- * one offset, so the ratio rounds once. */
+/* e_l scaled, and q_e = e_{l-1}/e_l in *qe; both members of the run carry
+ * one offset, so q_e is one division. */
 static inline SR c_e_ratio(long l, double z, double *qe)
 {
-    SRP e = c_e_pair(l, z);
-    *qe = e.bm / e.am * ldexp(1.0, (int)(e.bk - e.ak));
-    return (SR){e.am, e.ak};
+    double a, b, k;
+    c_e_run(l, z, &b, &a, &k);
+    *qe = a / b;
+    return c_norm(b, k);
 }
 
 /* The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives

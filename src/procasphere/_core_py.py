@@ -1,10 +1,14 @@
 """Pure-Python kernel: scaled Riccati-Bessel chains and mode determinants.
 
 Reference twin of the compiled core, the hand-written C kernel
-``_core.c``.  The two are kept in operation-for-operation lockstep so every
-double they produce is bit-identical; any edit here must be mirrored there,
-in order.  The flat tuple-passing style (no classes, no numpy) is
-deliberate: it transcribes one-to-one into C doubles.
+``_core.c``.  The two are kept in lockstep: every chain and every mode
+factor performs the same floating-point operations on the same doubles in
+the same order in both, so every double they produce is bit-identical, and
+any edit to an expression here must be mirrored there, in order. How a
+loop comes by its operands may differ: a chain step here reads its odd
+factor 2j + 1 from a table of doubles, where the C twin converts its loop
+counter; both give the same exact double. The flat tuple-passing style (no
+classes, no numpy) is deliberate: it transcribes one-to-one into C doubles.
 
 Scaled values travel as (mantissa, scale) pairs meaning m * 2**k with
 |m| in [0.5, 1), the range of frexp, and k integer-valued. Renormalising
@@ -28,7 +32,9 @@ gamma_arg, s_pair, e_pair, family, log_delta_point, log_delta_nodes and
 dlog_delta_nodes.
 """
 
+import itertools
 import math
+import struct
 
 BACKEND = "pure"
 
@@ -37,6 +43,14 @@ BACKEND = "pure"
 _STEP = 128.0
 _DOWN = 2.0 ** -_STEP
 _BIG = 1e250
+# The odd factors 2j + 1 of the chain step as doubles, for j < _ODD_N, in
+# a read-only buffer. A chain iterates over a slice of its memoryview,
+# which copies nothing; past the table it makes each further factor with
+# float() as it goes. Every factor is the exact double 2.0 * j + 1.0
+# (j < 2**52).
+_ODD_N = 4096
+_ODD = memoryview(
+    struct.pack(f"{_ODD_N}d", *range(1, 2 * _ODD_N, 2))).cast("d")
 # Exponent gap beyond which an addend is below one ulp of the other term.
 _ADD_CUTOFF = 64.0
 # Cody-Waite split of ln 2 (frozen bit patterns shared with the compiled
@@ -141,40 +155,69 @@ def _miller_start(l, z):
     return int(max(float(l), z)) + 26
 
 
-def _steps(js, z, y, ym, off):
-    # The three-term step t = ym + (2j + 1)/z * y of both chains, over the
-    # orders js: y is the newest value, ym the one before, and a y above
-    # _BIG moves both down by 2**-_STEP and adds _STEP to the offset.
-    for j in js:
-        t = ym + (2.0 * j + 1.0) / z * y
-        ym = y
-        y = t
-        if y > _BIG:
+def _steps(cs, z, y, ym, off):
+    # The three-term step t = ym + c/z * y of both chains, over the odd
+    # factors c = 2j + 1 in cs: y is the newest value, ym the one before,
+    # and a y above _BIG moves both down by 2**-_STEP and adds _STEP to
+    # the offset.
+    big = _BIG
+    for c in cs:
+        y, ym = ym + c / z * y, y
+        if y > big:
             y *= _DOWN
             ym *= _DOWN
             off += _STEP
     return y, ym, off
 
 
+def _up(l):
+    # The factors 2j + 1 for j = 0, 1, ..., l - 1.
+    if l <= _ODD_N:
+        return _ODD[:l]
+    return itertools.chain(_ODD, map(float, range(2 * _ODD_N + 1, 2 * l, 2)))
+
+
+def _down(start, l):
+    # The factors 2j + 1 for j = start, start - 1, ..., l.
+    if start < _ODD_N:
+        return _ODD[l:start + 1][::-1]
+    far = map(float, range(2 * start + 1, 2 * max(l, _ODD_N), -2))
+    return itertools.chain(far, _ODD[l:][::-1])
+
+
 def _s_ratio(l, z):
     # q_s = s_{l-1}/s_l: one downward run from _miller_start ends with
     # y = s_{l-1} and ym = s_l at the same offset, so no normalization is
     # needed for the ratio.
-    y, ym, _ = _steps(range(_miller_start(l, z), l - 1, -1), z, 1.0, 0.0, 0.0)
+    y, ym, _ = _steps(_down(_miller_start(l, z), l), z, 1.0, 0.0, 0.0)
     return y / ym
 
 
+def _check_chain(l, z):
+    if l < 0 or not _Z_MIN <= z < _Z_MAX:
+        raise ValueError(_CHAIN_DOMAIN)
+
+
+def _e_run(l, z):
+    # (e_l, e_{l-1}, offset): the upward run from e_{-1} = e_0 = exp(-z),
+    # both values unnormalized at the one offset.
+    m, k = _exp_split(-z)
+    return _steps(_up(l), z, m, m, k)
+
+
 def _e_ratio(l, z):
-    # (e_l scaled, q_e = e_{l-1}/e_l); both members of e_pair carry one
-    # offset, so the ratio rounds once.
-    em, ek, e0m, e0k = e_pair(l, z)
-    return em, ek, e0m / em * 2.0 ** (e0k - ek)
+    # (e_l scaled, q_e = e_{l-1}/e_l); both members of the run carry one
+    # offset, so q_e is one division.
+    b, a, k = _e_run(l, z)
+    em, ek = sr_norm(b, k)
+    return em, ek, a / b
 
 
 def _chains(l, z):
-    # (e_l scaled, q_e, s_l scaled, q_s) at z; e_pair checks the domain
-    # first. The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
-    # s_l = 1/(e_l (q_e + q_s)), a sum of positives.
+    # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check. The
+    # Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives s_l = 1/(e_l (q_e + q_s)),
+    # a sum of positives.
+    _check_chain(l, z)
     em, ek, qe = _e_ratio(l, z)
     qs = _s_ratio(l, z)
     sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
@@ -191,13 +234,9 @@ def s_pair(l, z):
 def e_pair(l, z):
     """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
     direction for the decaying solution, so no normalization pass is needed."""
-    if l < 0 or not _Z_MIN <= z < _Z_MAX:
-        raise ValueError(_CHAIN_DOMAIN)
-    m, k = _exp_split(-z)
-    b, a, k = _steps(range(l), z, m, m, k)
-    am, ak = sr_norm(b, k)
-    bm, bk = sr_norm(a, k)
-    return am, ak, bm, bk
+    _check_chain(l, z)
+    b, a, k = _e_run(l, z)
+    return sr_norm(b, k) + sr_norm(a, k)
 
 
 def family(l, z):

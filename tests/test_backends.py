@@ -141,6 +141,14 @@ def test_family_bit_identical_on_grid(compiled):
     points += [(l, z) for l in (1000, 5000)
                for z in (1e-4, 0.5 * l, 1.2 * l + 20.0)]
     points += [(l, 2.0 ** -64) for l in (0, 1, 40, 5000)]
+    # Past the end of the pure twin's factor table: orders on both sides of
+    # its size, Miller starts max(l, z) + 26 just below, at and past it,
+    # and a long Miller chain (about 3.3e5 steps) at z = 2**31.
+    n = pure._ODD_N
+    points += [(l, z) for l in (n - 1, n, n + 1) for z in (30.0, 5000.0)]
+    points += [(l, z) for l in (n - 27, n - 26, n - 25)
+               for z in (0.5, 1000.0)]
+    points += [(1, 2.0 ** 31), (n + 1, 2.0 ** 31)]
     for l, z in points:
         assert pure.family(l, z) == compiled.family(l, z), (l, z)
         assert pure.s_pair(l, z) == compiled.s_pair(l, z), (l, z)

@@ -1,8 +1,9 @@
 """Tests of the modified Riccati-Bessel evaluations.
 
-Hand-checkable values, the Wronskian identity, recurrence self-consistency
-and the Miller start rule are pinned here; digit-level accuracy against the
-high-precision oracle lives in test_oracle.py and test_goldens.py.
+Hand-checkable values, the Wronskian identity, recurrence self-consistency,
+the Miller start rule and the pure chains' doubles are pinned here;
+digit-level accuracy against the high-precision oracle lives in
+test_oracle.py and test_goldens.py.
 """
 
 import math
@@ -141,3 +142,70 @@ def test_miller_start_rule():
             else:
                 assert start == bound, (l, z)
                 assert start * start - l * l >= t * z, (l, z)
+
+
+# The chain layer of version 0.7.1 transcribed with a plain range loop,
+# forming each odd factor as 2.0 * j + 1.0 from the order j, and q_e from
+# the normalized pair. The kernel's chains read their factors from a table
+# and make those past its end lazily; every double must be the same.
+def _ref_steps(js, z, y, ym, off):
+    for j in js:
+        t = ym + (2.0 * j + 1.0) / z * y
+        ym = y
+        y = t
+        if y > 1e250:
+            y *= 2.0 ** -128
+            ym *= 2.0 ** -128
+            off += 128.0
+    return y, ym, off
+
+
+def _ref_e_pair(l, z):
+    m, k = _core_py._exp_split(-z)
+    b, a, k = _ref_steps(range(l), z, m, m, k)
+    return _core_py.sr_norm(b, k) + _core_py.sr_norm(a, k)
+
+
+def _ref_chains(l, z):
+    em, ek, e0m, e0k = _ref_e_pair(l, z)
+    qe = e0m / em * 2.0 ** (e0k - ek)
+    y, ym, _ = _ref_steps(range(_core_py._miller_start(l, z), l - 1, -1), z,
+                          1.0, 0.0, 0.0)
+    qs = y / ym
+    sm, sk = _core_py.sr_norm(1.0 / (em * (qe + qs)), -ek)
+    return em, ek, qe, sm, sk, qs
+
+
+def _ref_s_pair(l, z):
+    sm, sk, qs = _ref_chains(l, z)[3:]
+    return (sm, sk) + _core_py._sr_scale(sm, sk, qs)
+
+
+def _ref_family(l, z):
+    em, ek, qe, sm, sk, qs = _ref_chains(l, z)
+    lz = l / z
+    scale = _core_py._sr_scale
+    return ((sm, sk, em, ek) + scale(sm, sk, qs - lz)
+            + scale(em, ek, -(qe + lz))
+            + scale(sm, sk, (l + 1.0) - z * qs)
+            + scale(em, ek, (l + 1.0) + z * qe))
+
+
+def test_chains_match_plain_step_loop():
+    # Needs no compiler: the pure chains against the transcription above,
+    # by repr, with upward runs and Miller starts just below, at and just
+    # past the end of the factor table, and far past it.
+    n = _core_py._ODD_N
+    points = [(l, z) for l in (0, 1, n - 1, n, n + 1, n + 2)
+              for z in (0.5, 30.0, 5000.0)]
+    # A start past l + 25 orders only from the fallback max(l, z) + 26,
+    # which every z below covers at these orders.
+    for start in (n - 1, n, n + 1):
+        for z in (0.5, 30.0, 1000.0):
+            assert _core_py._miller_start(start - 26, z) == start, z
+            points.append((start - 26, z))
+    points += [(5000, 1e6), (1, 2.0 ** 31)]
+    for l, z in points:
+        assert repr(_core_py.e_pair(l, z)) == repr(_ref_e_pair(l, z)), (l, z)
+        assert repr(_core_py.s_pair(l, z)) == repr(_ref_s_pair(l, z)), (l, z)
+        assert repr(_core_py.family(l, z)) == repr(_ref_family(l, z)), (l, z)

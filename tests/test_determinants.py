@@ -229,11 +229,11 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     # With mu = 0 the vacuum-side chains (q_s at xi, e at xi * ratio) are
     # the ones already made at gamma and gamma * ratio, so a TM node needs
     # two s chains and two e chains instead of three each.
-    counts = {"_s_ratio": 0, "e_pair": 0}
+    counts = {"_s_ratio": 0, "_e_ratio": 0}
     for name in counts:
         def counted(l, z, _f=getattr(_core_py, name), _name=name):
             counts[_name] += 1
             return _f(l, z)
         monkeypatch.setattr(_core_py, name, counted)
     _core_py._core_point(5, 2.0, mu, 1.5, 2)
-    assert counts == {"_s_ratio": calls, "e_pair": calls}
+    assert counts == {"_s_ratio": calls, "_e_ratio": calls}
