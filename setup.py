@@ -13,9 +13,10 @@ setup(
             "procasphere._core",
             ["src/procasphere/_core.c"],
             # -ffp-contract=off: the pure backend must be bit-identical,
-            # so fused multiply-adds are off the table. -std=c99 is the
-            # standard tests/test_backends.py builds and checks.
-            extra_compile_args=["-O2", "-ffp-contract=off", "-std=c99"],
+            # so fused multiply-adds are off the table. -std=c11 is the
+            # standard tests/test_backends.py builds and checks; the
+            # kernel's per-thread chain cache is C11 _Thread_local.
+            extra_compile_args=["-O2", "-ffp-contract=off", "-std=c11"],
             optional=True,
         )
     ]

@@ -2,8 +2,10 @@
  * e_l and the ratio q_s = s_{l-1}/s_l per chain argument, scaled, s_l from
  * the Wronskian, and each mode factor ln(1 - rho) of a plain-double round
  * trip rho < 1: rho_TE, and for TM rho_TE (tr M - rho_TE det M) from 2x2
- * shell matrices, with their ratio derivatives. Its Python-visible surface
- * is the pure twin's ten functions.
+ * shell matrices, with their ratio derivatives. Each argument's upward run
+ * and the q_s of its order's block of 16 are kept in a direct-mapped table
+ * per thread, which changes no bit. Its Python-visible surface is the pure
+ * twin's ten functions.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
@@ -20,6 +22,8 @@
 
 #include <math.h>
 #include <stdarg.h>
+#include <stdint.h>
+#include <string.h>
 
 /* Chain rescale: mantissas above BIG move down by 2^-STEP, exactly. */
 static const double STEP = 128.0;
@@ -41,6 +45,11 @@ static const double Z_MAX = 0x1p+32;
 /* Miller start constant 45 / asinh(1), bit pattern shared with the pure
  * twin. */
 static const double MILLER_T = 0x1.98740f2ce783bp+5;
+/* Chain blocks: the orders with one block top l + (1 - l) mod BLOCK take
+ * q_s from one downward run started for the top (c_s_ratio). */
+#define BLOCK 16
+/* The per-argument chain cache has 2^SLOT_BITS slots per thread. */
+#define SLOT_BITS 11
 
 typedef struct {
     double m;
@@ -71,7 +80,26 @@ typedef struct {
     double dtm;
 } Modes;
 
+/* One slot of the chain cache: the argument z, the upward run's state at
+ * order n (e_n in y, e_{n-1} in ym, at offset off), and q_s for the orders
+ * top, top - 1, ... of one block. n and top are -1 when unset, and z is 0
+ * in a slot never used, which no chain argument matches. */
+typedef struct {
+    double z;
+    long n;
+    double y;
+    double ym;
+    double off;
+    long top;
+    double qs[BLOCK];
+} Slot;
+
 static const SR SR_ZERO = {0.0, 0.0};
+
+/* Direct-mapped and per thread, so the node batch needs no lock without
+ * the GIL. A slot holds only doubles that are functions of (order, z),
+ * so a hit returns the bits a fresh run would. */
+static _Thread_local Slot slots[1 << SLOT_BITS];
 
 
 /* -- scaled primitives ---------------------------------------------------- */
@@ -179,27 +207,70 @@ static inline void c_steps(long j, long n, long dj, double z, double *y,
     }
 }
 
-/* q_s = s_{l-1}/s_l: one downward run from c_miller_start ends with
- * y = s_{l-1} and ym = s_l at the same offset. */
+/* The slot of z, reset if it held another argument. */
+static Slot *c_slot(double z)
+{
+    uint64_t bits;
+    Slot *s;
+    memcpy(&bits, &z, sizeof bits);
+    s = &slots[(bits * UINT64_C(0x9e3779b97f4a7c15)) >> (64 - SLOT_BITS)];
+    if (s->z != z) {
+        s->z = z;
+        s->n = -1;
+        s->top = -1;
+    }
+    return s;
+}
+
+/* q_s = s_{l-1}/s_l from the run of l's block, started at
+ * c_miller_start(top, z), which serves every order of the block. After the
+ * step of order j the run holds y = s_{j-1} and ym = s_j at one offset, so
+ * q_s of order j is y/ym (see _s_ratio in the pure twin). */
 static double c_s_ratio(long l, double z)
 {
-    long start = c_miller_start(l, z);
-    double ym = 0.0;
-    double y = 1.0;
-    double off = 0.0;
-    c_steps(start, start - l + 1, -1, z, &y, &ym, &off);
-    return y / ym;
+    long top = l + ((1 - l) % BLOCK + BLOCK) % BLOCK;
+    Slot *s = c_slot(z);
+    if (s->top != top) {
+        long start = c_miller_start(top, z);
+        long j;
+        double ym = 0.0;
+        double y = 1.0;
+        double off = 0.0;
+        c_steps(start, start - top, -1, z, &y, &ym, &off);
+        for (j = top; j >= 0 && j > top - BLOCK; j--) {
+            c_steps(j, 1, -1, z, &y, &ym, &off);
+            s->qs[top - j] = y / ym;
+        }
+        s->top = top;
+    }
+    return s->qs[top - l];
 }
 
 /* The upward run from e_{-1} = e_0 = exp(-z): e_l in *b and e_{l-1} in *a,
- * both unnormalized at the one offset *k. */
+ * both unnormalized at the one offset *k. A run kept at z up to an order
+ * n <= l goes on from there with the steps of a run from order 0. */
 static inline void c_e_run(long l, double z, double *b, double *a, double *k)
 {
-    SR s = c_exp_split(-z);
-    *k = s.k;
-    *a = s.m;
-    *b = s.m;
-    c_steps(0, l, 1, z, b, a, k);
+    Slot *s = c_slot(z);
+    double y, ym, off;
+    if (s->n < 0 || s->n > l) {
+        SR e = c_exp_split(-z);
+        s->n = 0;
+        s->y = e.m;
+        s->ym = e.m;
+        s->off = e.k;
+    }
+    y = s->y;
+    ym = s->ym;
+    off = s->off;
+    c_steps(s->n, l - s->n, 1, z, &y, &ym, &off);
+    s->n = l;
+    s->y = y;
+    s->ym = ym;
+    s->off = off;
+    *b = y;
+    *a = ym;
+    *k = off;
 }
 
 static SRP c_e_pair(long l, double z)

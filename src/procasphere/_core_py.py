@@ -18,10 +18,20 @@ scaled primitive calls log or exp.
 Each argument needs e_l from the upward recurrence and the ratio
 q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
 Wronskian. Scaled values live only in those chains and in the families
-built on them. A mode factor is ln(1 - rho) of a round trip between the
-shells, and rho < 1 is a plain double: rho_TE for TE, and
-rho_TE (tr M - rho_TE det M) for TM, with M the product of the two
-shells' 2x2 reflection matrices.
+built on them.
+
+Orders come in blocks of 16, {0, 1}, {2, ..., 17}, {18, ..., 33} and so
+on, and the waves of a block share their nodes (spectrum frames them
+alike), so each twin keeps, per argument, the latest upward run, which a
+call at a higher order goes on from, and the q_s of the latest block, all
+made by one Miller run started for the block's top order. The twins keep
+this cache differently (dicts here, a per-thread table in C), but it holds
+only doubles that are functions of (order, argument) and the steps that
+made them, so no hit, miss or eviction changes a bit.
+
+A mode factor is ln(1 - rho) of a round trip between the shells, and
+rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
+for TM, with M the product of the two shells' 2x2 reflection matrices.
 
 The ratio derivative of each mode factor comes from the same chains: ratio
 enters only the outer shell's arguments, and the derivative of each
@@ -32,6 +42,7 @@ gamma_arg, s_pair, e_pair, family, log_delta_point, log_delta_nodes and
 dlog_delta_nodes.
 """
 
+import array
 import itertools
 import math
 import struct
@@ -72,6 +83,19 @@ _Z_MAX = 2.0 ** 32
 # compiled twin): a start L with L**2 - l**2 >= _MILLER_T * z leaves a seed
 # share of at most e**-45 at order l.
 _MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
+# The orders with one block top l + (1 - l) % _BLOCK take q_s from one
+# downward run started for the top (see _s_ratio).
+_BLOCK = 16
+# Per-argument chain cache, at most _CACHE_CAP arguments per table: the
+# state of the latest upward run, and the q_s of the latest block. Both
+# hold only doubles that are functions of (order, argument), so a hit
+# returns the bits a fresh run would. Each entry is an immutable tuple put
+# or read by one dict operation, and a full table is cleared rather than
+# pruned, so threads sharing the tables never read a half-made entry and
+# need no lock; a race at worst repeats a run.
+_CACHE_CAP = 768
+_E_RUNS = {}
+_S_BLOCKS = {}
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
 _CHAIN_DOMAIN = ("Riccati-Bessel chains need l >= 0 and "
@@ -170,11 +194,12 @@ def _steps(cs, z, y, ym, off):
     return y, ym, off
 
 
-def _up(l):
-    # The factors 2j + 1 for j = 0, 1, ..., l - 1.
+def _up(n, l):
+    # The factors 2j + 1 for j = n, n + 1, ..., l - 1.
     if l <= _ODD_N:
-        return _ODD[:l]
-    return itertools.chain(_ODD, map(float, range(2 * _ODD_N + 1, 2 * l, 2)))
+        return _ODD[n:l]
+    return itertools.chain(
+        _ODD[n:], map(float, range(2 * max(n, _ODD_N) + 1, 2 * l, 2)))
 
 
 def _down(start, l):
@@ -185,12 +210,32 @@ def _down(start, l):
     return itertools.chain(far, _ODD[l:][::-1])
 
 
+def _keep(table, z, value):
+    if len(table) >= _CACHE_CAP:
+        table.clear()
+    table[z] = value
+
+
 def _s_ratio(l, z):
-    # q_s = s_{l-1}/s_l: one downward run from _miller_start ends with
-    # y = s_{l-1} and ym = s_l at the same offset, so no normalization is
-    # needed for the ratio.
-    y, ym, _ = _steps(_down(_miller_start(l, z), l), z, 1.0, 0.0, 0.0)
-    return y / ym
+    # q_s = s_{l-1}/s_l from the run of l's block, started at
+    # _miller_start(top, z). That start serves every order of the block:
+    # L**2 - l**2 >= L**2 - top**2 >= _MILLER_T * z, and a fallback start
+    # max(top, z) + 26 leaves 26 steps at orders >= z above any l. After
+    # the step of order j the run holds y = s_{j-1} and ym = s_j at one
+    # offset, so q_s of order j is y/ym there, read after the steps that a
+    # run stopped at j makes.
+    top = l + (1 - l) % _BLOCK
+    block = _S_BLOCKS.get(z)
+    if block is None or block[0] != top:
+        y, ym, off = _steps(_down(_miller_start(top, z), top + 1), z,
+                            1.0, 0.0, 0.0)
+        qs = array.array("d")
+        for c in _down(top, max(top - _BLOCK + 1, 0)):
+            y, ym, off = _steps((c,), z, y, ym, off)
+            qs.append(y / ym)
+        block = (top, qs)
+        _keep(_S_BLOCKS, z, block)
+    return block[1][top - l]
 
 
 def _check_chain(l, z):
@@ -200,9 +245,18 @@ def _check_chain(l, z):
 
 def _e_run(l, z):
     # (e_l, e_{l-1}, offset): the upward run from e_{-1} = e_0 = exp(-z),
-    # both values unnormalized at the one offset.
-    m, k = _exp_split(-z)
-    return _steps(_up(l), z, m, m, k)
+    # both values unnormalized at the one offset. A run kept at this
+    # argument up to an order n <= l goes on from there with the steps a
+    # run from order 0 makes, so the result is the same bits.
+    run = _E_RUNS.get(z)
+    if run is None or run[0] > l:
+        m, k = _exp_split(-z)
+        run = (0, m, m, k)
+    n, y, ym, off = run
+    if n < l:
+        y, ym, off = _steps(_up(n, l), z, y, ym, off)
+        _keep(_E_RUNS, z, (l, y, ym, off))
+    return y, ym, off
 
 
 def _e_ratio(l, z):

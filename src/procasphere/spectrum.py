@@ -5,7 +5,9 @@ is the sum over partial waves l >= 1 of (2l+1) times the integral over the
 dimensionless imaginary frequency of the combined TE and TM log factors.
 Each log factor is strictly negative and decays like
 exp(-2*gamma*(ratio-1)), which drives both the quadrature framing and the
-tail bounds used here.
+tail bounds used here. Waves come in blocks of 16 orders that share one
+frame, so their start nodes coincide and the kernel's per-argument Bessel
+chains serve the whole block.
 
 Everything is deterministic by construction: panels are refined by a
 first-maximum scan, sums are accumulated in a fixed order, and partial
@@ -25,6 +27,12 @@ from typing import Sequence
 from .backend import kernel
 
 _MODE_CODE = {"te": 0, "tm": 1, "total": 2}
+# Waves are framed in blocks of _BLOCK orders, {0, 1}, {2, ..., 17},
+# {18, ..., 33} and so on, the chain blocks of both kernels: every wave of
+# a block takes the frame of its top order l + (1 - l) % _BLOCK, so their
+# start panels share nodes and the kernels' per-argument chains serve the
+# whole block.
+_BLOCK = 16
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 # Generated once at 30 digits via the Laurie recursion and frozen; the test
@@ -244,9 +252,12 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
           deriv: bool):
     # Frame the decay: the integrand falls like
     # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
-    # that exponent reaches ~45 (twenty digits below the peak). Five
-    # geometric panels start the wave; bisection places any further nodes.
-    d = (45.0 + 2.0 * l * math.log(ratio)) / (2.0 * (ratio - 1.0))
+    # that exponent, taken at the block's top order, reaches ~45 (twenty
+    # digits below the peak; at the lower orders of a block the edge lies
+    # further out). Five geometric panels start the wave; bisection places
+    # any further nodes.
+    top = l + (1 - l) % _BLOCK
+    d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
     X = math.sqrt(d * (d + 2.0 * mu))
     evals = 0
     panels = []

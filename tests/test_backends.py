@@ -10,6 +10,7 @@ tests need only a C compiler, not an installed extension, and leave the
 package's backend choice alone.
 """
 
+import dataclasses
 import importlib.util
 import math
 import os
@@ -29,7 +30,7 @@ from procasphere import _core_py as pure
 from procasphere import spectrum
 
 # extra_compile_args of setup.py, then warnings as errors.
-BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c99", "-Wall", "-Wextra",
+BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c11", "-Wall", "-Wextra",
                "-Werror"]
 
 
@@ -315,6 +316,101 @@ def test_log_delta_nodes_from_two_threads(compiled):
     assert not any(t.is_alive() for t in threads)
     for i, want in enumerate(expected):
         assert got[i] == [want] * 50
+
+
+def _empty_pure_cache():
+    pure._E_RUNS.clear()
+    pure._S_BLOCKS.clear()
+
+
+# Nodes from 1e-3 to 1e3 for the chain-cache tests.
+CACHE_XS = tuple(1e-3 * 10.0 ** (i / 2.0) for i in range(13))
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_chain_cache_changes_no_bit(compiled, backend):
+    # Both twins keep each argument's upward run and its block's q_s
+    # between calls. Each value must be the one the pure twin gives with
+    # its cache emptied before the call, whether the calls ascend in l,
+    # descend, or alternate with calls at other orders on the same nodes
+    # and at other nodes.
+    kernel = pure if backend == "pure" else compiled
+    calls = [(name, l, mu) for mu in (0.0, 0.7) for l in range(1, 41)
+             for name in ("log_delta_nodes", "dlog_delta_nodes")]
+    other = tuple(1.37 * x for x in CACHE_XS)
+
+    def call(k, name, l, mu, xs=CACHE_XS):
+        return repr(getattr(k, name)(l, mu, 1.3, 2, xs))
+
+    want = {}
+    for c in calls:
+        _empty_pure_cache()
+        want[c] = call(pure, *c)
+    assert {c: call(kernel, *c) for c in calls} == want
+    assert {c: call(kernel, *c) for c in reversed(calls)} == want
+    mixed = {}
+    for name, l, mu in calls:
+        call(kernel, name, l + 20, mu)
+        call(kernel, name, 61 - l, mu, other)
+        mixed[name, l, mu] = call(kernel, name, l, mu)
+    assert mixed == want
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_chain_cache_from_four_threads(compiled, backend):
+    # Four threads on the waves of one block at the same nodes ask for the
+    # same chain arguments at once. The pure twin's cache is shared by
+    # every thread and replaces whole tuples, the compiled one is per
+    # thread; each call must still give the serial answer.
+    kernel = pure if backend == "pure" else compiled
+    jobs = [[(l, 0.0, 1.3, 2, CACHE_XS[:8]) for l in range(2 + i, 18, 4)]
+            for i in range(4)]
+    expected = [[pure.log_delta_nodes(*job) for job in js] for js in jobs]
+    start = threading.Barrier(len(jobs))
+    got = [[] for _ in jobs]
+
+    def run(i):
+        start.wait()
+        for _ in range(10):
+            for job in reversed(jobs[i]):
+                got[i].append(kernel.log_delta_nodes(*job))
+            _empty_pure_cache()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(expected):
+        assert got[i] == list(reversed(want)) * 10
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_warm_energy_repeats_cold_energy(compiled, monkeypatch, backend):
+    # The compiled cache is per thread, so a new thread starts cold; the
+    # pure twin's is emptied. The same energy again, warm, is the same
+    # result in every field.
+    kernel = pure if backend == "pure" else compiled
+    monkeypatch.setattr(spectrum, "kernel", kernel)
+    spec = spectrum.ProblemSpec(ratio=1.3, mu=0.5, rel_tol=1e-6)
+    _empty_pure_cache()
+    cold = []
+    worker = threading.Thread(target=lambda: cold.append(spectrum.energy(spec)))
+    worker.start()
+    worker.join(timeout=120)
+    assert len(cold) == 1
+    spectrum.energy(spec)
+    warm = spectrum.energy(spec)
+    for field in dataclasses.fields(warm):
+        assert (repr(getattr(warm, field.name))
+                == repr(getattr(cold[0], field.name))), field.name
 
 
 @pytest.mark.parametrize("ratio,mu,rel_tol", [(1.5, 0.5, 1e-7),

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from procasphere import _core_py
+from procasphere import _core_py, spectrum
 from procasphere.bessel import eval_family
 
 
@@ -144,10 +144,14 @@ def test_miller_start_rule():
                 assert start * start - l * l >= t * z, (l, z)
 
 
-# The chain layer of version 0.7.1 transcribed with a plain range loop,
-# forming each odd factor as 2.0 * j + 1.0 from the order j, and q_e from
-# the normalized pair. The kernel's chains read their factors from a table
-# and make those past its end lazily; every double must be the same.
+# The chain layer transcribed with a plain range loop, forming each odd
+# factor as 2.0 * j + 1.0 from the order j, q_e from the normalized pair,
+# and every run made afresh: the upward run from order 0, and the Miller
+# run from the start of the order's block top (orders {0, 1}, {2..17},
+# {18..33}, ... share one). The kernel's chains read their factors from a
+# table, make those past its end lazily, go on from the upward run they
+# kept at the same argument, and read q_s from the block's one run; every
+# double must be the same.
 def _ref_steps(js, z, y, ym, off):
     for j in js:
         t = ym + (2.0 * j + 1.0) / z * y
@@ -160,6 +164,10 @@ def _ref_steps(js, z, y, ym, off):
     return y, ym, off
 
 
+def _ref_top(l):
+    return l + (1 - l) % 16
+
+
 def _ref_e_pair(l, z):
     m, k = _core_py._exp_split(-z)
     b, a, k = _ref_steps(range(l), z, m, m, k)
@@ -169,8 +177,8 @@ def _ref_e_pair(l, z):
 def _ref_chains(l, z):
     em, ek, e0m, e0k = _ref_e_pair(l, z)
     qe = e0m / em * 2.0 ** (e0k - ek)
-    y, ym, _ = _ref_steps(range(_core_py._miller_start(l, z), l - 1, -1), z,
-                          1.0, 0.0, 0.0)
+    start = _core_py._miller_start(_ref_top(l), z)
+    y, ym, _ = _ref_steps(range(start, l - 1, -1), z, 1.0, 0.0, 0.0)
     qs = y / ym
     sm, sk = _core_py.sr_norm(1.0 / (em * (qe + qs)), -ek)
     return em, ek, qe, sm, sk, qs
@@ -194,9 +202,13 @@ def _ref_family(l, z):
 def test_chains_match_plain_step_loop():
     # Needs no compiler: the pure chains against the transcription above,
     # by repr, with upward runs and Miller starts just below, at and just
-    # past the end of the factor table, and far past it.
+    # past the end of the factor table, and far past it. At each argument
+    # the orders ascend, so the kernel goes on from its kept upward run:
+    # across the block edges 1 | 2 and 17 | 18, up to the table's end, and
+    # past it on lazily made factors.
     n = _core_py._ODD_N
-    points = [(l, z) for l in (0, 1, n - 1, n, n + 1, n + 2)
+    points = [(l, z) for l in (0, 1, 15, 16, 17, 18, n - 1, n, n + 1, n + 2,
+                                n + 300)
               for z in (0.5, 30.0, 5000.0)]
     # A start past l + 25 orders only from the fallback max(l, z) + 26,
     # which every z below covers at these orders.
@@ -204,8 +216,29 @@ def test_chains_match_plain_step_loop():
         for z in (0.5, 30.0, 1000.0):
             assert _core_py._miller_start(start - 26, z) == start, z
             points.append((start - 26, z))
+    # Block top 4049, whose fallback start int(z) + 26 falls just below, at
+    # and just past the table's end, read at the top and at a lower order.
+    for start, z in ((n - 1, 4069.5), (n, 4070.5), (n + 1, 4071.5)):
+        assert _core_py._miller_start(4049, z) == start, z
+        points += [(4040, z), (4049, z)]
+    # An upward run that crosses the table's end in one go.
+    points += [(1, 7.0), (n + 40, 7.0)]
     points += [(5000, 1e6), (1, 2.0 ** 31)]
     for l, z in points:
         assert repr(_core_py.e_pair(l, z)) == repr(_ref_e_pair(l, z)), (l, z)
         assert repr(_core_py.s_pair(l, z)) == repr(_ref_s_pair(l, z)), (l, z)
         assert repr(_core_py.family(l, z)) == repr(_ref_family(l, z)), (l, z)
+
+
+def test_chain_cache_stays_within_its_cap(monkeypatch):
+    # A wave bisected down to 346 massive TM nodes asks for about a
+    # thousand arguments in each table of the pure twin's chain cache,
+    # more than the cap holds; the tables are cleared as they fill, and
+    # neither ends above the cap.
+    monkeypatch.setattr(spectrum, "kernel", _core_py)
+    _core_py._E_RUNS.clear()
+    _core_py._S_BLOCKS.clear()
+    evals = spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)[2]
+    assert 3 * evals > _core_py._CACHE_CAP
+    assert 0 < len(_core_py._E_RUNS) <= _core_py._CACHE_CAP
+    assert 0 < len(_core_py._S_BLOCKS) <= _core_py._CACHE_CAP

@@ -136,6 +136,33 @@ def test_short_frame_fails_fast():
     assert exc_info.value.evals == 76
 
 
+def test_waves_of_a_block_share_their_frame(monkeypatch):
+    # Blocks of 16 orders, {0, 1}, {2, ..., 17}, {18, ..., 33}, are the
+    # kernels' chain blocks, and every wave of one evaluates its five start
+    # panels and its tail node at the same nodes.
+    from procasphere import _core_py
+    assert spectrum._BLOCK == _core_py._BLOCK == 16
+    kernel = spectrum.kernel
+    batches = []
+
+    class Recorder:
+        gamma_arg = staticmethod(kernel.gamma_arg)
+
+        @staticmethod
+        def log_delta_nodes(l, mu, ratio, mode, xs):
+            batches.append(tuple(xs))
+            return kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+
+    monkeypatch.setattr(spectrum, "kernel", Recorder)
+    starts = {}
+    for l in (1, 2, 17, 18, 33):
+        batches.clear()
+        _l_term_full(l, 0.5, 1.3, 2, 1e-4)
+        starts[l] = batches[:6]
+    assert starts[2] == starts[17] and starts[18] == starts[33]
+    assert starts[1] != starts[2] and starts[17] != starts[18]
+
+
 def test_energy_bookkeeping():
     res = energy(ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-7, mode="te"))
     assert res.value < 0.0
@@ -226,10 +253,23 @@ def test_energy_beyond_chain_range_is_rejected():
     with pytest.raises(ValueError):
         energy(ProblemSpec(ratio=1.5, mu=5e9, rel_tol=1e-6))
     for spec in (ProblemSpec(ratio=1e16, mu=0.5, rel_tol=1e-5),
-                 ProblemSpec(ratio=3e17, rel_tol=1e-5),
                  ProblemSpec(ratio=1.0 + 1e-10, rel_tol=1e-5)):
         with pytest.raises(ValueError, match="ratio="):
             energy(spec)
+    # Far apart, wave 1's first node is the smallest of the sum.
+    with pytest.raises(ValueError, match=r"ratio=1e\+18, mu=0.0, l=1:"):
+        energy(ProblemSpec(ratio=1e18, rel_tol=1e-5))
+
+
+def test_energy_far_apart_follows_the_inverse_fourth_power():
+    # Just inside the chain range: wave 1's frame keeps its first node
+    # above 2**-64 at ratio 3e17, and the higher waves take the wider
+    # frame of their block's top. Far apart the energy goes like
+    # ratio**-4, so tripling the ratio divides it by 81.
+    near = energy(ProblemSpec(ratio=1e17, rel_tol=1e-5)).value
+    far = energy(ProblemSpec(ratio=3e17, rel_tol=1e-5)).value
+    assert far < 0.0
+    assert far == pytest.approx(near / 81.0, rel=1e-12)
 
 
 def test_default_fd_step():
