@@ -41,7 +41,7 @@ from .spectrum import (
 )
 from .units import convert_units, energy_scale_joules
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 __all__ = [
     "ScaledReal",

@@ -48,6 +48,9 @@ static const double MILLER_T = 0x1.98740f2ce783bp+5;
 /* Chain blocks: the orders with one block top l + (1 - l) mod BLOCK take
  * q_s from one downward run started for the top (c_s_ratio). */
 #define BLOCK 16
+/* Orders stay below 2^31, which a C long holds on every platform; the
+ * rescale headroom (2^60) and the exact odd factors (2^52) lie far above. */
+#define L_END 2147483648LL
 /* The per-argument chain cache has 2^SLOT_BITS slots per thread. */
 #define SLOT_BITS 11
 
@@ -504,10 +507,10 @@ static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
  * Each returns 0 with ValueError set. */
 static int chain_ok(long l, double z)
 {
-    if (l >= 0 && z >= Z_MIN && z < Z_MAX)
+    if (l >= 0 && l < L_END && z >= Z_MIN && z < Z_MAX)
         return 1;
     PyErr_SetString(PyExc_ValueError,
-                    "Riccati-Bessel chains need l >= 0 and "
+                    "Riccati-Bessel chains need 0 <= l < 2**31 and "
                     "2**-64 <= z < 2**32");
     return 0;
 }
@@ -518,15 +521,15 @@ static int point_ok(long l, double xi, double mu, double ratio, long mode)
 {
     double xi_min = mode == 0 ? 0.0 : Z_MIN;
     double g = c_gamma(xi, mu);
-    if (l >= 1 && mode >= 0 && mode <= 2 && xi >= xi_min && xi < INFINITY
-        && mu >= 0.0 && mu < INFINITY && ratio > 1.0 && ratio < INFINITY
-        && g >= Z_MIN && g * ratio < Z_MAX)
+    if (l >= 1 && l < L_END && mode >= 0 && mode <= 2 && xi >= xi_min
+        && xi < INFINITY && mu >= 0.0 && mu < INFINITY && ratio > 1.0
+        && ratio < INFINITY && g >= Z_MIN && g * ratio < Z_MAX)
         return 1;
     PyErr_SetString(PyExc_ValueError,
-                    "mode factors need l >= 1, mode 0, 1 or 2, a finite "
-                    "mu >= 0, a finite ratio > 1, a finite xi >= 2**-64 "
-                    "(xi >= 0 in mode 0), sqrt(xi^2 + mu^2) >= 2**-64 and "
-                    "sqrt(xi^2 + mu^2) * ratio < 2**32");
+                    "mode factors need 1 <= l < 2**31, mode 0, 1 or 2, a "
+                    "finite mu >= 0, a finite ratio > 1, a finite "
+                    "xi >= 2**-64 (xi >= 0 in mode 0), sqrt(xi^2 + mu^2) "
+                    ">= 2**-64 and sqrt(xi^2 + mu^2) * ratio < 2**32");
     return 0;
 }
 

@@ -83,9 +83,12 @@ _Z_MAX = 2.0 ** 32
 # compiled twin): a start L with L**2 - l**2 >= _MILLER_T * z leaves a seed
 # share of at most e**-45 at order l.
 _MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
-# The orders with one block top l + (1 - l) % _BLOCK take q_s from one
-# downward run started for the top (see _s_ratio).
+# The orders with one block top (_block_top) take q_s from one downward run
+# started for the top (see _s_ratio).
 _BLOCK = 16
+# Orders stay below 2**31, which a C long holds on every platform; the
+# rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
+_L_END = 2 ** 31
 # Per-argument chain cache, at most _CACHE_CAP arguments per table: the
 # state of the latest upward run, and the q_s of the latest block. Both
 # hold only doubles that are functions of (order, argument), so a hit
@@ -98,7 +101,7 @@ _E_RUNS = {}
 _S_BLOCKS = {}
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
-_CHAIN_DOMAIN = ("Riccati-Bessel chains need l >= 0 and "
+_CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
                  "2**-64 <= z < 2**32")
 
 
@@ -216,6 +219,12 @@ def _keep(table, z, value):
     table[z] = value
 
 
+def _block_top(l):
+    """The top order of l's block of _BLOCK orders: {0, 1} has top 1,
+    {2, ..., 17} has 17, and so on. Spectrum frames each wave at it too."""
+    return l + (1 - l) % _BLOCK
+
+
 def _s_ratio(l, z):
     # q_s = s_{l-1}/s_l from the run of l's block, started at
     # _miller_start(top, z). That start serves every order of the block:
@@ -223,10 +232,11 @@ def _s_ratio(l, z):
     # max(top, z) + 26 leaves 26 steps at orders >= z above any l. After
     # the step of order j the run holds y = s_{j-1} and ym = s_j at one
     # offset, so q_s of order j is y/ym there, read after the steps that a
-    # run stopped at j makes.
-    top = l + (1 - l) % _BLOCK
+    # run stopped at j makes. Block tops lie _BLOCK apart, so a kept block
+    # is l's when its top is at most _BLOCK - 1 orders above l.
     block = _S_BLOCKS.get(z)
-    if block is None or block[0] != top:
+    if block is None or not 0 <= block[0] - l < _BLOCK:
+        top = _block_top(l)
         y, ym, off = _steps(_down(_miller_start(top, z), top + 1), z,
                             1.0, 0.0, 0.0)
         qs = array.array("d")
@@ -235,11 +245,11 @@ def _s_ratio(l, z):
             qs.append(y / ym)
         block = (top, qs)
         _keep(_S_BLOCKS, z, block)
-    return block[1][top - l]
+    return block[1][block[0] - l]
 
 
 def _check_chain(l, z):
-    if l < 0 or not _Z_MIN <= z < _Z_MAX:
+    if not 0 <= l < _L_END or not _Z_MIN <= z < _Z_MAX:
         raise ValueError(_CHAIN_DOMAIN)
 
 
@@ -436,14 +446,15 @@ def _check_point(l, xi, mu, ratio, mode):
     # xi * ratio; TE alone takes any xi >= 0.
     xi_min = 0.0 if mode == 0 else _Z_MIN
     g = gamma_arg(xi, mu)
-    if (l < 1 or mode < 0 or mode > 2 or not xi_min <= xi < math.inf
+    if (not 1 <= l < _L_END or mode < 0 or mode > 2
+            or not xi_min <= xi < math.inf
             or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf
             or not _Z_MIN <= g or not g * ratio < _Z_MAX):
         raise ValueError(
-            "mode factors need l >= 1, mode 0, 1 or 2, a finite mu >= 0, a "
-            "finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in mode 0), "
-            "sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * ratio "
-            "< 2**32")
+            "mode factors need 1 <= l < 2**31, mode 0, 1 or 2, a finite "
+            "mu >= 0, a finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in "
+            "mode 0), sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * "
+            "ratio < 2**32")
 
 
 def _dlog1m(rho, drho):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backend import kernel
 from .scaledrep import ScaledReal
-from .spectrum import _real
+from .spectrum import _integer, _real
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class RBFamily:
 
 def eval_family(l: int, z: float) -> RBFamily:
     """s, e, their derivatives, and the tilde combinations at one point."""
-    if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {l!r}")
+    _integer("order", l, 0)
     v = _real("argument", z)
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"argument must be a finite positive real, got {z!r}")

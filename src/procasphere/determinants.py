@@ -26,7 +26,7 @@ from ._core_py import _log1m
 from .backend import kernel
 from .bessel import eval_family
 from .scaledrep import ScaledReal
-from .spectrum import _real
+from .spectrum import _integer, _real
 
 
 class DivergenceError(ArithmeticError):
@@ -43,8 +43,7 @@ class SpectralPoint:
     ratio: float
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 1:
-            raise ValueError(f"partial wave must be an integer >= 1, got {self.l!r}")
+        _integer("l", self.l, 1)
         for name in ("xi_hat", "mu", "ratio"):
             v = _real(name, getattr(self, name))
             if not math.isfinite(v):
@@ -259,7 +258,10 @@ def log_delta_te(p: SpectralPoint) -> float:
     """ln of the transverse-electric mode factor, always in (-inf, 0)."""
     if p.xi_hat == 0.0 and p.mu == 0.0:
         raise ValueError("TE factor needs xi_hat > 0 or mu > 0")
-    val = kernel.log_delta_point(p.l, p.xi_hat, p.mu, p.ratio, 0)
+    # A batch of one node, as in every wave: the mode not requested reads
+    # -0.0, so te + tm is the TE log bit for bit.
+    te, tm = kernel.log_delta_nodes(p.l, p.mu, p.ratio, 0, (p.xi_hat,))
+    val = te[0] + tm[0]
     if math.isnan(val):
         raise DivergenceError(f"TE mode ratio reached 1 at {p}")
     return val
@@ -278,7 +280,8 @@ def log_delta_tm(p: SpectralPoint) -> float:
     and log_delta_tm_massless stay as independent checks.
     """
     _require_positive_xi(p)
-    val = kernel.log_delta_point(p.l, p.xi_hat, p.mu, p.ratio, 1)
+    te, tm = kernel.log_delta_nodes(p.l, p.mu, p.ratio, 1, (p.xi_hat,))
+    val = te[0] + tm[0]
     if math.isnan(val):
         raise RuntimeError(f"TM determinant breakdown at {p}")
     return val
@@ -293,8 +296,7 @@ def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
     for log_delta_tm at mu = 0. Diverges to -inf as ratio -> 1+; that case
     raises DivergenceError rather than returning NaN.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ValueError(f"partial wave must be an integer >= 1, got {l!r}")
+    _integer("l", l, 1)
     xi_hat = _real("xi_hat", xi_hat)
     ratio = _real("ratio", ratio)
     if not (math.isfinite(xi_hat) and xi_hat > 0.0):

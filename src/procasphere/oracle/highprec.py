@@ -16,6 +16,8 @@ import math
 
 from mpmath import extradps, mp, mpf, workdps
 
+from ..spectrum import _integer
+
 
 class OracleError(RuntimeError):
     """Internal high-precision routes failed to agree."""
@@ -27,11 +29,6 @@ _DIGITS = 40
 # Cap on the growing series, so a bad argument fails loudly instead of
 # spinning.
 _MAX_TERMS = 200000
-
-
-def _check_order(l, minimum=0):
-    if isinstance(l, bool) or not isinstance(l, int) or l < minimum:
-        raise ValueError(f"order must be an integer >= {minimum}, got {l!r}")
 
 
 def _check_positive(name, v):
@@ -127,7 +124,7 @@ def _mp_log1m(rho):
 def _at_argument(ambient, l, z):
     # One Riccati-Bessel route at a checked order and argument, with guard
     # digits on top of the returned accuracy.
-    _check_order(l)
+    _integer("order", l, 0)
     with workdps(_DIGITS + 15):
         zz = mpf(z)
         if not zz > 0:
@@ -238,7 +235,7 @@ def _det4(q):
 
 
 def _validate_point(l, xi, mu, ratio, zero_xi_ok=False):
-    _check_order(l, minimum=1)
+    _integer("order", l, 1)
     for name, v in (("xi", xi), ("mu", mu), ("ratio", ratio)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
@@ -336,7 +333,7 @@ def oracle_l_term(l, mu, ratio, mode):
     tanh-sinh quadrature run at two precisions; they must agree to 32
     digits. Returns an mpmath float.
     """
-    _check_order(l, minimum=1)
+    _integer("order", l, 1)
     if mode not in ("te", "tm"):
         raise ValueError(f"mode must be 'te' or 'tm', got {mode!r}")
     if not (math.isfinite(mu) and mu >= 0.0):

@@ -24,15 +24,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from ._core_py import _block_top
 from .backend import kernel
 
 _MODE_CODE = {"te": 0, "tm": 1, "total": 2}
-# Waves are framed in blocks of _BLOCK orders, {0, 1}, {2, ..., 17},
-# {18, ..., 33} and so on, the chain blocks of both kernels: every wave of
-# a block takes the frame of its top order l + (1 - l) % _BLOCK, so their
-# start panels share nodes and the kernels' per-argument chains serve the
-# whole block.
-_BLOCK = 16
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 # Generated once at 30 digits via the Laurie recursion and frozen; the test
@@ -90,6 +85,14 @@ def _real(name: str, v) -> float:
     return float(v)
 
 
+def _integer(name: str, v, minimum: int) -> int:
+    # The package's one integer rule, beside _real: a bool, a float or a
+    # string raises ValueError, as does a value below minimum.
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Dimensionless statement of one two-shell problem.
@@ -110,16 +113,13 @@ class ProblemSpec:
         for name in ("ratio", "mu", "rel_tol"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         object.__setattr__(self, "mode", str(self.mode).lower())
-        if isinstance(self.l_cap, bool) or not isinstance(self.l_cap, int):
-            raise ValueError(f"l_cap must be an integer, got {self.l_cap!r}")
+        _integer("l_cap", self.l_cap, 1)
         if not (math.isfinite(self.ratio) and self.ratio > 1.0):
             raise ValueError(f"ratio must be finite and > 1, got {self.ratio!r}")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
-        if self.l_cap < 1:
-            raise ValueError(f"l_cap must be >= 1, got {self.l_cap!r}")
         if self.mode not in _MODE_CODE:
             raise ValueError(
                 f"mode must be one of {sorted(_MODE_CODE)}, got {self.mode!r}")
@@ -206,19 +206,31 @@ def _gk15_combine(fv, h: float):
     return h * k15, abs(h * (k15 - g7))
 
 
-def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
-           deriv: bool):
-    # [a, b, integral, error, TE integral, TM integral]. The integrand is the
-    # per-node te + tm, which is the requested mode's log (with deriv, its
-    # ratio derivative) bit for bit: a mode not requested reads -0.0.
-    xs, h = _panel_nodes(a, b)
+def _integrand(l: int, mu: float, ratio: float, mode: int, xs,
+               deriv: bool):
+    # (TE, TM, te + tm) at the nodes xs, one kernel batch. te + tm is the
+    # requested mode's log (with deriv, its ratio derivative) bit for bit:
+    # a mode not requested reads -0.0.
     nodes = kernel.dlog_delta_nodes if deriv else kernel.log_delta_nodes
-    te, tm = nodes(l, mu, ratio, mode, xs)
+    try:
+        te, tm = nodes(l, mu, ratio, mode, xs)
+    except ValueError as exc:
+        # A valid ProblemSpec can still put a node outside the kernel's
+        # chain range; say which inputs did.
+        raise ValueError(f"ratio={ratio!r}, mu={mu!r}, l={l}: {exc}") from None
     fv = [p + q for p, q in zip(te, tm)]
     for x, f in zip(xs, fv):
         if math.isnan(f):
             raise ConvergenceError(
                 f"mode factor not finite at l={l}, xi_hat={x!r}", l_reached=l)
+    return te, tm, fv
+
+
+def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
+           deriv: bool):
+    # [a, b, integral, error, TE integral, TM integral].
+    xs, h = _panel_nodes(a, b)
+    te, tm, fv = _integrand(l, mu, ratio, mode, xs, deriv)
     val, err = _gk15_combine(fv, h)
     return [a, b, val, err, h * _k15(te), h * _k15(tm)]
 
@@ -226,26 +238,14 @@ def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
 def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
     """One partial wave: ((2l+1)*integral, error bound, eval count, and
     the TE and TM shares of the first)."""
-    try:
-        return _wave(l, mu, ratio, mode, rel_tol, False)
-    except ValueError as exc:
-        raise _naming(exc, ratio, mu, l) from None
+    return _wave(l, mu, ratio, mode, rel_tol, False)
 
 
 def _dl_term_full(l: int, mu: float, ratio: float, mode: int,
                   rel_tol: float):
     """The ratio derivative of one partial wave, in the five fields of
     _l_term_full."""
-    try:
-        return _wave(l, mu, ratio, mode, rel_tol, True)
-    except ValueError as exc:
-        raise _naming(exc, ratio, mu, l) from None
-
-
-def _naming(exc: ValueError, ratio: float, mu: float, l: int) -> ValueError:
-    # A valid ProblemSpec can still put a node outside the kernel's chain
-    # range; say which inputs did.
-    return ValueError(f"ratio={ratio!r}, mu={mu!r}, l={l}: {exc}")
+    return _wave(l, mu, ratio, mode, rel_tol, True)
 
 
 def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
@@ -254,9 +254,9 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
     # that exponent, taken at the block's top order, reaches ~45 (twenty
     # digits below the peak; at the lower orders of a block the edge lies
-    # further out). Five geometric panels start the wave; bisection places
-    # any further nodes.
-    top = l + (1 - l) % _BLOCK
+    # further out, and the block's waves share their start nodes). Five
+    # geometric panels start the wave; bisection places any further nodes.
+    top = _block_top(l)
     d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
     X = math.sqrt(d * (d + 2.0 * mu))
     evals = 0
@@ -271,13 +271,8 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     # carries an extra factor of about 2*gamma, and gamma grows at most
     # like xi, by a factor below exp((xi - X)/X); so its bound takes the
     # rate minus 1/X, which the frame keeps above 44/X.
-    nodes = kernel.dlog_delta_nodes if deriv else kernel.log_delta_nodes
-    te, tm = nodes(l, mu, ratio, mode, (X,))
-    f = te[0] + tm[0]
+    f = _integrand(l, mu, ratio, mode, (X,), deriv)[2][0]
     evals += 1
-    if math.isnan(f):
-        raise ConvergenceError(
-            f"mode factor not finite at l={l}, xi_hat={X!r}", l_reached=l)
     g = kernel.gamma_arg(X, mu)
     if deriv:
         tail = abs(f) / (2.0 * X * (ratio - 1.0) / g - 1.0 / X)
@@ -327,19 +322,16 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
 
 def l_term(spec: ProblemSpec, l: int) -> float:
     """Contribution of one partial wave: (2l+1) times its xi integral."""
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
-        raise ValueError(f"partial wave must be an integer >= 1, got {l!r}")
+    _integer("l", l, 1)
     return _l_term_full(
         l, spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)[0]
 
 
-def _wave_sum(spec: ProblemSpec, wave, threads: int):
+def _wave_sum(spec: ProblemSpec, wave, threads: int) -> EnergyResult:
     # The partial-wave sum of energy() and force(), by the stop rule that
     # energy() describes; wave(l, mu, ratio, mode, rel_tol) gives one term
-    # in the shape of _l_term_full. Returns (sum, error estimate, l_used,
-    # evaluations, per-l terms, TE sum, TM sum).
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    # in the shape of _l_term_full. force() reads the result's value.
+    _integer("threads", threads, 1)
     mode = _MODE_CODE[spec.mode]
     s = 0.0
     c = 0.0
@@ -349,10 +341,6 @@ def _wave_sum(spec: ProblemSpec, wave, threads: int):
     tm_terms = []
     consec = 0
     evals_total = 0
-    l_used = 0
-    prev_t = 0.0
-    last_t = 0.0
-    converged = False
     for l in range(1, spec.l_cap + 1):
         value, err, ev, te, tm = wave(
             l, spec.mu, spec.ratio, mode, spec.rel_tol)
@@ -362,33 +350,31 @@ def _wave_sum(spec: ProblemSpec, wave, threads: int):
         te_terms.append(te)
         tm_terms.append(tm)
         s, c = _neumaier_step(s, c, value)
-        prev_t = last_t
-        last_t = value
-        l_used = l
         if value == 0.0 or abs(value) <= spec.rel_tol * abs(s + c):
             consec += 1
+            if consec == 3:
+                break
         else:
             consec = 0
-        if consec >= 3:
-            converged = True
-            break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"partial-wave cap {spec.l_cap} reached without convergence",
-            partial_sum=s + c, last_term=last_t, l_reached=l_used,
+            partial_sum=s + c, last_term=terms[-1][1], l_reached=l,
             evals=evals_total)
-    a_last = abs(last_t)
-    if a_last == 0.0:
-        l_tail = 0.0
-    else:
-        # Geometric bound on the dropped waves; the observed decay quotient
-        # is clamped away from 1 so the bound stays finite.
-        q = 0.95
-        if prev_t != 0.0:
-            q = min(a_last / abs(prev_t), 0.95)
-        l_tail = a_last * q / (1.0 - q)
-    return (s + c, err_quad + l_tail, l_used, evals_total, tuple(terms),
-            _neumaier(te_terms), _neumaier(tm_terms))
+    # Geometric bound on the dropped waves; the observed decay quotient of
+    # the last two terms is clamped away from 1 so the bound stays finite.
+    a_last = abs(terms[-1][1])
+    prev_t = terms[-2][1]
+    q = 0.95 if prev_t == 0.0 else min(a_last / abs(prev_t), 0.95)
+    return EnergyResult(
+        value=s + c,
+        abs_error_estimate=err_quad + a_last * q / (1.0 - q),
+        l_used=l,
+        integrand_evals=evals_total,
+        per_l_terms=tuple(terms),
+        te=None if mode == 1 else _neumaier(te_terms),
+        tm=None if mode == 0 else _neumaier(tm_terms),
+    )
 
 
 def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
@@ -404,18 +390,7 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     """
     # _l_term_full is looked up in the module at each call, so a wrapper
     # installed on spectrum._l_term_full sees every wave.
-    value, err, l_used, evals, terms, te, tm = _wave_sum(
-        spec, _l_term_full, threads)
-    mode = _MODE_CODE[spec.mode]
-    return EnergyResult(
-        value=value,
-        abs_error_estimate=err,
-        l_used=l_used,
-        integrand_evals=evals,
-        per_l_terms=terms,
-        te=None if mode == 1 else te,
-        tm=None if mode == 0 else tm,
-    )
+    return _wave_sum(spec, _l_term_full, threads)
 
 
 def default_fd_step(spec: ProblemSpec) -> float:
@@ -440,7 +415,7 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     """
     inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
     if fd_step is None:
-        return -_wave_sum(inner, _dl_term_full, threads)[0]
+        return -_wave_sum(inner, _dl_term_full, threads).value
     h = _real("fd_step", fd_step)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
@@ -516,8 +491,7 @@ def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
 
     threads is passed to each energy() call, as in force().
     """
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    _integer("steps", steps, 2)
     ratio_from = _real("ratio_from", ratio_from)
     ratio_to = _real("ratio_to", ratio_to)
     for name, v in (("ratio_from", ratio_from), ("ratio_to", ratio_to)):

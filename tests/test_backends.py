@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
-from procasphere import spectrum
+from procasphere import bessel, determinants, spectrum
 
 # extra_compile_args of setup.py, then warnings as errors.
 BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c11", "-Wall", "-Wextra",
@@ -268,6 +268,14 @@ OUT_OF_DOMAIN = [
     ("dlog_delta_nodes", (3, 0.5, 1.0, 1, [1.0])),
     ("dlog_delta_nodes", (3, 0.5, 1.5, 3, [1.0])),
     ("dlog_delta_nodes", (1, 0.0, 1.5, 2, [1.0, 3e9])),
+    # Orders from 2**31 up, which a C long need not hold, and which would
+    # start a chain that does not return (the library's entries are in
+    # test_library_rejects_orders_from_2_31).
+    ("s_pair", (2 ** 31, 1.0)),
+    ("e_pair", (2 ** 31, 1.0)),
+    ("family", (2 ** 60, 1.0)),
+    ("log_delta_point", (2 ** 31, 1.0, 0.5, 1.5, 2)),
+    ("dlog_delta_nodes", (2 ** 60, 0.5, 1.5, 1, [1.0])),
 ]
 
 
@@ -285,6 +293,20 @@ def test_out_of_domain_raises(compiled, backend):
     assert v == pure.log_delta_point(2, 0.0, 0.5, 1.5, 0)
     assert kernel.log_delta_nodes(2, 0.5, 1.5, 0, [0.0]) == ((v,), (0.0,))
     assert kernel.log_delta_point(2, 1e-100, 0.5, 1.5, 0) == v
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_library_rejects_orders_from_2_31(compiled, backend, monkeypatch):
+    # The domain checks refuse the order before any chain runs.
+    kernel = pure if backend == "pure" else compiled
+    monkeypatch.setattr(bessel, "kernel", kernel)
+    monkeypatch.setattr(determinants, "kernel", kernel)
+    with pytest.raises(ValueError, match=r"l < 2\*\*31"):
+        bessel.eval_family(2 ** 31, 1.0)
+    p = determinants.SpectralPoint(l=2 ** 31, xi_hat=1.0, mu=0.5, ratio=1.5)
+    for f in (determinants.log_delta_te, determinants.log_delta_tm):
+        with pytest.raises(ValueError, match=r"l < 2\*\*31"):
+            f(p)
 
 
 def test_log_delta_nodes_from_two_threads(compiled):

@@ -12,10 +12,16 @@ import procasphere
 from procasphere import ProblemSpec, energy
 
 BASE = [sys.executable, "-m", "procasphere.cli"]
+# The child runs the package under test, wherever this process imported it
+# from (src/ through pytest's pythonpath, or an install), ahead of any other
+# copy on the path.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(procasphere.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(BASE + list(args), capture_output=True, text=True,

@@ -5,7 +5,8 @@ import math
 import mpmath
 import pytest
 
-from procasphere import _core_py
+from procasphere import ProblemSpec, _core_py, energy, force
+from procasphere.backend import kernel
 from procasphere.determinants import (
     DivergenceError,
     SpectralPoint,
@@ -20,6 +21,7 @@ from procasphere.determinants import (
     log_delta_tm_massless,
     reference_expansion_coefficients,
 )
+from procasphere.oracle import check_goldens, golden_path
 
 # A broad but quick grid reused by several tests below.
 GRID = [
@@ -237,3 +239,22 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
         monkeypatch.setattr(_core_py, name, counted)
     _core_py._core_point(5, 2.0, mu, 1.5, 2)
     assert counts == {"_s_ratio": calls, "_e_ratio": calls}
+
+
+def test_results_come_from_the_node_batch(monkeypatch, tmp_path):
+    # Every mode factor the program evaluates comes from the kernel's node
+    # batch; the single-point entry log_delta_point serves no result.
+    def refuse(*args):
+        raise AssertionError("log_delta_point called")
+
+    monkeypatch.setattr(kernel, "log_delta_point", refuse)
+    p = SpectralPoint(l=3, xi_hat=1.0, mu=0.5, ratio=1.5)
+    assert log_delta_te(p) < 0.0 and log_delta_tm(p) < 0.0
+    assert energy(ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-5)).value < 0.0
+    assert force(ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-4)) < 0.0
+    rows = [row for row in golden_path().read_text().splitlines()
+            if row.startswith(("log_delta_te", "log_delta_tm\t"))][::4]
+    path = tmp_path / "goldens.txt"
+    path.write_text("\n".join(rows) + "\n")
+    checked, _, failures = check_goldens(path)
+    assert checked == len(rows) >= 10 and not failures

@@ -139,9 +139,12 @@ def test_short_frame_fails_fast():
 def test_waves_of_a_block_share_their_frame(monkeypatch):
     # Blocks of 16 orders, {0, 1}, {2, ..., 17}, {18, ..., 33}, are the
     # kernels' chain blocks, and every wave of one evaluates its five start
-    # panels and its tail node at the same nodes.
+    # panels and its tail node at the same nodes. The pure twin's
+    # _block_top is the one Python copy of the rule.
     from procasphere import _core_py
-    assert spectrum._BLOCK == _core_py._BLOCK == 16
+    assert _core_py._BLOCK == 16
+    assert [_core_py._block_top(l) for l in (0, 1, 2, 17, 18, 33, 34)] == [
+        1, 1, 17, 17, 33, 33, 49]
     kernel = spectrum.kernel
     batches = []
 
@@ -259,6 +262,13 @@ def test_energy_beyond_chain_range_is_rejected():
     # Far apart, wave 1's first node is the smallest of the sum.
     with pytest.raises(ValueError, match=r"ratio=1e\+18, mu=0.0, l=1:"):
         energy(ProblemSpec(ratio=1e18, rel_tol=1e-5))
+
+
+def test_force_beyond_chain_range_names_its_inputs():
+    # The derivative waves name the inputs that left the chain range, as
+    # the energy's waves do.
+    with pytest.raises(ValueError, match=r"ratio=1e\+18, mu=0.0, l=1:"):
+        force(ProblemSpec(ratio=1e18, rel_tol=1e-5))
 
 
 def test_energy_far_apart_follows_the_inverse_fourth_power():
