@@ -228,7 +228,7 @@ static Slot *c_slot(double z)
 /* q_s = s_{l-1}/s_l from the run of l's block, started at
  * c_miller_start(top, z), which serves every order of the block. After the
  * step of order j the run holds y = s_{j-1} and ym = s_j at one offset, so
- * q_s of order j is y/ym (see _s_ratio in the pure twin). */
+ * q_s of order j is y/ym (see _s_rows in the pure twin). */
 static double c_s_ratio(long l, double z)
 {
     long top = l + ((1 - l) % BLOCK + BLOCK) % BLOCK;

@@ -21,13 +21,14 @@ Wronskian. Scaled values live only in those chains and in the families
 built on them.
 
 Orders come in blocks of 16, {0, 1}, {2, ..., 17}, {18, ..., 33} and so
-on, and the waves of a block share their nodes (spectrum frames them
-alike), so each twin keeps, per argument, the latest upward run, which a
-call at a higher order goes on from, and the q_s of the latest block, all
-made by one Miller run started for the block's top order. The twins keep
-this cache differently (dicts here, a per-thread table in C), but it holds
-only doubles that are functions of (order, argument) and the steps that
-made them, so no hit, miss or eviction changes a bit.
+on. One Miller run started for a block's top order yields the q_s of every
+order of the block, and the waves of a block share their nodes (spectrum
+frames them alike). So a mode factor's node runs its chains once for the
+whole block and keeps one row per order; the other waves of the block read
+their row. The twins keep the chains differently (a node-keyed table of the
+current block here, a per-thread table of per-argument runs in C), but
+every kept double is the one a fresh run makes, by the same steps on the
+same doubles, so no hit, miss or eviction changes a bit.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
@@ -42,9 +43,9 @@ gamma_arg, s_pair, e_pair, family, log_delta_point, log_delta_nodes and
 dlog_delta_nodes.
 """
 
-import array
 import itertools
 import math
+import operator
 import struct
 
 BACKEND = "pure"
@@ -84,21 +85,27 @@ _Z_MAX = 2.0 ** 32
 # share of at most e**-45 at order l.
 _MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
 # The orders with one block top (_block_top) take q_s from one downward run
-# started for the top (see _s_ratio).
+# started for the top (see _s_rows).
 _BLOCK = 16
 # Orders stay below 2**31, which a C long holds on every platform; the
 # rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
 _L_END = 2 ** 31
-# Per-argument chain cache, at most _CACHE_CAP arguments per table: the
-# state of the latest upward run, and the q_s of the latest block. Both
-# hold only doubles that are functions of (order, argument), so a hit
-# returns the bits a fresh run would. Each entry is an immutable tuple put
-# or read by one dict operation, and a full table is cleared rather than
-# pruned, so threads sharing the tables never read a half-made entry and
-# need no lock; a race at worst repeats a run.
-_CACHE_CAP = 768
-_E_RUNS = {}
-_S_BLOCKS = {}
+# Node table of the mode factors: node xi -> (top, mu, ratio, tm, rows),
+# the chains of every order of top's block at that node (see _fill). It
+# holds the nodes of one (top, mu, ratio) only, and is cleared when a node
+# of another is filled or when it reaches _NODE_CAP nodes, so a long wave
+# cannot grow it. Each record is an immutable tuple put or read by one dict
+# operation, so threads sharing the table never read a half-made record
+# and need no lock; a race at worst repeats a fill. The rows are _ROW
+# doubles per order in one flat tuple, rho_TE's e factor among them
+# already formed (see _fill): a tuple of the ten chain values per order
+# cost 0.4 MB more peak memory on the benchmark's small-gap batch. An
+# array of doubles cost 1 MB less, but each read then makes new floats,
+# which took back a quarter of the speed-up.
+_NODE_CAP = 256
+_ROW = 8
+_NODES = {}
+_NODES_BLOCK = None
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
 _CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
@@ -213,39 +220,58 @@ def _down(start, l):
     return itertools.chain(far, _ODD[l:][::-1])
 
 
-def _keep(table, z, value):
-    if len(table) >= _CACHE_CAP:
-        table.clear()
-    table[z] = value
-
-
 def _block_top(l):
     """The top order of l's block of _BLOCK orders: {0, 1} has top 1,
     {2, ..., 17} has 17, and so on. Spectrum frames each wave at it too."""
     return l + (1 - l) % _BLOCK
 
 
-def _s_ratio(l, z):
-    # q_s = s_{l-1}/s_l from the run of l's block, started at
-    # _miller_start(top, z). That start serves every order of the block:
-    # L**2 - l**2 >= L**2 - top**2 >= _MILLER_T * z, and a fallback start
-    # max(top, z) + 26 leaves 26 steps at orders >= z above any l. After
-    # the step of order j the run holds y = s_{j-1} and ym = s_j at one
-    # offset, so q_s of order j is y/ym there, read after the steps that a
-    # run stopped at j makes. Block tops lie _BLOCK apart, so a kept block
-    # is l's when its top is at most _BLOCK - 1 orders above l.
-    block = _S_BLOCKS.get(z)
-    if block is None or not 0 <= block[0] - l < _BLOCK:
-        top = _block_top(l)
-        y, ym, off = _steps(_down(_miller_start(top, z), top + 1), z,
-                            1.0, 0.0, 0.0)
-        qs = array.array("d")
-        for c in _down(top, max(top - _BLOCK + 1, 0)):
-            y, ym, off = _steps((c,), z, y, ym, off)
-            qs.append(y / ym)
-        block = (top, qs)
-        _keep(_S_BLOCKS, z, block)
-    return block[1][block[0] - l]
+def _e_rows(top, z):
+    # (e_l mantissas, e_l scales, q_e = e_{l-1}/e_l) at the orders of top's
+    # block, top first: the upward run from e_{-1} = e_0 = exp(-z), read at
+    # the block's lowest order and after each further step. Both members of
+    # the run carry one offset, so q_e is one division; e_l > 0, so frexp
+    # is sr_norm.
+    lo = max(top - _BLOCK + 1, 0)
+    m, k = _exp_split(-z)
+    y, ym, off = _steps(_up(0, lo), z, m, m, k)
+    frexp = math.frexp
+    big = _BIG
+    em, e = frexp(y)
+    ems, eks, qes = [em], [off + e], [ym / y]
+    for c in _up(lo, top):
+        y, ym = ym + c / z * y, y
+        if y > big:
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
+        em, e = frexp(y)
+        ems.append(em)
+        eks.append(off + e)
+        qes.append(ym / y)
+    return ems[::-1], eks[::-1], qes[::-1]
+
+
+def _s_rows(top, z):
+    # q_s = s_{l-1}/s_l at the orders of top's block, top first, from one
+    # downward run started at _miller_start(top, z). That start serves every
+    # order of the block: L**2 - l**2 >= L**2 - top**2 >= _MILLER_T * z,
+    # and a fallback start max(top, z) + 26 leaves 26 steps at orders >= z
+    # above any l. After the step of order j the run holds y = s_{j-1} and
+    # ym = s_j at one offset, so q_s of order j is y/ym there, read after
+    # the steps that a run stopped at j makes. Only the ratio is read, so
+    # the offset is not kept.
+    y, ym, _ = _steps(_down(_miller_start(top, z), top + 1), z, 1.0, 0.0,
+                      0.0)
+    big = _BIG
+    qs = []
+    for c in _down(top, max(top - _BLOCK + 1, 0)):
+        y, ym = ym + c / z * y, y
+        if y > big:
+            y *= _DOWN
+            ym *= _DOWN
+        qs.append(y / ym)
+    return qs
 
 
 def _check_chain(l, z):
@@ -253,37 +279,14 @@ def _check_chain(l, z):
         raise ValueError(_CHAIN_DOMAIN)
 
 
-def _e_run(l, z):
-    # (e_l, e_{l-1}, offset): the upward run from e_{-1} = e_0 = exp(-z),
-    # both values unnormalized at the one offset. A run kept at this
-    # argument up to an order n <= l goes on from there with the steps a
-    # run from order 0 makes, so the result is the same bits.
-    run = _E_RUNS.get(z)
-    if run is None or run[0] > l:
-        m, k = _exp_split(-z)
-        run = (0, m, m, k)
-    n, y, ym, off = run
-    if n < l:
-        y, ym, off = _steps(_up(n, l), z, y, ym, off)
-        _keep(_E_RUNS, z, (l, y, ym, off))
-    return y, ym, off
-
-
-def _e_ratio(l, z):
-    # (e_l scaled, q_e = e_{l-1}/e_l); both members of the run carry one
-    # offset, so q_e is one division.
-    b, a, k = _e_run(l, z)
-    em, ek = sr_norm(b, k)
-    return em, ek, a / b
-
-
 def _chains(l, z):
-    # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check. The
-    # Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives s_l = 1/(e_l (q_e + q_s)),
-    # a sum of positives.
+    # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check, from
+    # the block rows of l. The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
+    # s_l = 1/(e_l (q_e + q_s)), a sum of positives.
     _check_chain(l, z)
-    em, ek, qe = _e_ratio(l, z)
-    qs = _s_ratio(l, z)
+    top = _block_top(l)
+    em, ek, qe = (r[top - l] for r in _e_rows(top, z))
+    qs = _s_rows(top, z)[top - l]
     sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
     return em, ek, qe, sm, sk, qs
 
@@ -299,7 +302,8 @@ def e_pair(l, z):
     """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
     direction for the decaying solution, so no normalization pass is needed."""
     _check_chain(l, z)
-    b, a, k = _e_run(l, z)
+    m, k = _exp_split(-z)
+    b, a, k = _steps(_up(0, l), z, m, m, k)
     return sr_norm(b, k) + sr_norm(a, k)
 
 
@@ -328,6 +332,43 @@ def _log1m(rho):
     return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
 
 
+def _fill(top, xi, mu, ratio, tm):
+    """The node table's record of xi at (mu, ratio) for top's block:
+    (top, mu, ratio, tm, rows), with _ROW doubles per order of the block,
+    top first, (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr))
+    at g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
+    (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
+    mantissas and nn twice the gap of the scales, the doubles that the C
+    twin forms for rho_TE. The last two are made only with tm (and read
+    0.0 otherwise), since only TM needs them."""
+    global _NODES_BLOCK
+    g = gamma_arg(xi, mu)
+    gr = g * ratio
+    egm, egk, qeg = _e_rows(top, g)
+    erm, erk, qer = _e_rows(top, gr)
+    qsg = _s_rows(top, g)
+    qsr = _s_rows(top, gr)
+    if not tm:
+        qsx = qex = itertools.repeat(0.0)
+    elif xi == g:
+        # Massless (or a mass too small to move gamma): xi*ratio == g*ratio,
+        # so the vacuum-side chains are the ones above.
+        qsx, qex = qsg, qer
+    else:
+        qsx = _s_rows(top, xi)
+        qex = _e_rows(top, xi * ratio)[2]
+    aa = [a * a for a in map(operator.truediv, erm, egm)]
+    nn = [2.0 * (rk - gk) for gk, rk in zip(egk, erk)]
+    rec = (top, mu, ratio, tm, tuple(itertools.chain.from_iterable(
+        zip(aa, nn, qeg, qer, qsg, qsr, qsx, qex))))
+    block = (top, mu, ratio)
+    if block != _NODES_BLOCK or len(_NODES) >= _NODE_CAP:
+        _NODES.clear()
+        _NODES_BLOCK = block
+    _NODES[xi] = rec
+    return rec
+
+
 def _core_point(l, xi, mu, ratio, mode, deriv=False):
     """(rho_TE, rho_TM, d rho_TE, d rho_TM) at one imaginary-frequency
     node, the last two the derivatives in ratio when deriv is true and 0.0
@@ -338,19 +379,23 @@ def _core_point(l, xi, mu, ratio, mode, deriv=False):
     """
     g = gamma_arg(xi, mu)
     gr = g * ratio
-    egm, egk, qeg = _e_ratio(l, g)
-    erm, erk, qer = _e_ratio(l, gr)
-    qsg = _s_ratio(l, g)
-    qsr = _s_ratio(l, gr)
+    top = _block_top(l)
+    tm = mode != 0
+    rec = _NODES.get(xi)
+    if (rec is None or rec[0] != top or rec[1] != mu or rec[2] != ratio
+            or rec[3] < tm):
+        rec = _fill(top, xi, mu, ratio, tm)
+    i = _ROW * (top - l)
+    aa, nn, qeg, qer, qsg, qsr, qsx, qex = rec[4][i:i + _ROW]
     pg = qeg + qsg
     pr = qer + qsr
 
-    # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)). As
-    # gr > g, s(g)/s(gr) < 1 (s_l grows) and e(gr)/e(g) < 1 (e_l decays),
-    # so rho_TE < 1 and ldexp cannot overflow; far apart it underflows
-    # to 0.
-    a = erm / egm
-    rho = math.ldexp(a * a * (pr / pg), int(2.0 * (erk - egk)))
+    # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)), so
+    # (e(gr)/e(g))**2 (pr/pg), with the e factor as aa * 2**nn from the
+    # fill. As gr > g, s(g)/s(gr) < 1 (s_l grows) and e(gr)/e(g) < 1 (e_l
+    # decays), so rho_TE < 1 and ldexp cannot overflow; far apart it
+    # underflows to 0.
+    rho = math.ldexp(aa * (pr / pg), int(nn))
     # Ratio enters only the outer chains, at gr and xr. As e'/e - s'/s =
     # -(q_e + q_s), d ln rho_TE / d ratio = -g pr.
     drho = -rho * (g * pr) if deriv else 0.0
@@ -359,15 +404,6 @@ def _core_point(l, xi, mu, ratio, mode, deriv=False):
 
     x = xi
     xr = xi * ratio
-    if x == g:
-        # Massless (or a mass too small to move gamma): x*ratio == g*ratio,
-        # so the vacuum-side chains are the ones above.
-        qsx = qsg
-        qex = qer
-    else:
-        qsx = _s_ratio(l, x)
-        qex = _e_ratio(l, xr)[2]
-
     # Divide the rows of the TM matching matrix by s(x) and e(xr) and its
     # columns by s and e at g and gr. What is left are four 2x2 blocks of
     # plain doubles, U and V at the inner shell and W and Y at the outer,

@@ -341,8 +341,7 @@ def test_log_delta_nodes_from_two_threads(compiled):
 
 
 def _empty_pure_cache():
-    pure._E_RUNS.clear()
-    pure._S_BLOCKS.clear()
+    pure._NODES.clear()
 
 
 # Nodes from 1e-3 to 1e3 for the chain-cache tests.
@@ -351,18 +350,22 @@ CACHE_XS = tuple(1e-3 * 10.0 ** (i / 2.0) for i in range(13))
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_chain_cache_changes_no_bit(compiled, backend):
-    # Both twins keep each argument's upward run and its block's q_s
-    # between calls. Each value must be the one the pure twin gives with
-    # its cache emptied before the call, whether the calls ascend in l,
-    # descend, or alternate with calls at other orders on the same nodes
-    # and at other nodes.
+    # The pure twin keeps each node's chains for the waves of a block, the
+    # compiled one each argument's upward run and its block's q_s, between
+    # calls. Each value must be the one the pure twin gives with its cache
+    # emptied before the call, whether the calls ascend in l, descend, or
+    # follow calls that leave other chains kept: one at another order on
+    # the same nodes, then one at other nodes or at the same nodes and
+    # order with another ratio or another mass, then the same call in TE
+    # alone. So no chains kept for another (mu, ratio), or without TM's,
+    # may be served.
     kernel = pure if backend == "pure" else compiled
     calls = [(name, l, mu) for mu in (0.0, 0.7) for l in range(1, 41)
              for name in ("log_delta_nodes", "dlog_delta_nodes")]
     other = tuple(1.37 * x for x in CACHE_XS)
 
-    def call(k, name, l, mu, xs=CACHE_XS):
-        return repr(getattr(k, name)(l, mu, 1.3, 2, xs))
+    def call(k, name, l, mu, xs=CACHE_XS, ratio=1.3, mode=2):
+        return repr(getattr(k, name)(l, mu, ratio, mode, xs))
 
     want = {}
     for c in calls:
@@ -372,10 +375,14 @@ def test_chain_cache_changes_no_bit(compiled, backend):
     assert {c: call(kernel, *c) for c in reversed(calls)} == want
     mixed = {}
     for name, l, mu in calls:
-        call(kernel, name, l + 20, mu)
-        call(kernel, name, 61 - l, mu, other)
-        mixed[name, l, mu] = call(kernel, name, l, mu)
-    assert mixed == want
+        got = mixed[name, l, mu] = set()
+        for before in ((61 - l, mu, other, 1.3), (l, mu, CACHE_XS, 1.7),
+                       (l, mu + 1.1, CACHE_XS, 1.3)):
+            call(kernel, name, l + 20, mu)
+            call(kernel, name, *before)
+            call(kernel, name, l, mu, mode=0)
+            got.add(call(kernel, name, l, mu))
+    assert mixed == {c: {w} for c, w in want.items()}
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])

@@ -231,14 +231,41 @@ def test_chains_match_plain_step_loop():
 
 
 def test_chain_cache_stays_within_its_cap(monkeypatch):
-    # A wave bisected down to 346 massive TM nodes asks for about a
-    # thousand arguments in each table of the pure twin's chain cache,
-    # more than the cap holds; the tables are cleared as they fill, and
-    # neither ends above the cap.
+    # A wave bisected down to 346 massive TM nodes fills more nodes than
+    # the pure twin's node table holds; the table is cleared as it fills
+    # and never holds more than its cap. The wave is the one a cold table
+    # gives, and the one a table without a cap gives.
     monkeypatch.setattr(spectrum, "kernel", _core_py)
-    _core_py._E_RUNS.clear()
-    _core_py._S_BLOCKS.clear()
-    evals = spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)[2]
-    assert 3 * evals > _core_py._CACHE_CAP
-    assert 0 < len(_core_py._E_RUNS) <= _core_py._CACHE_CAP
-    assert 0 < len(_core_py._S_BLOCKS) <= _core_py._CACHE_CAP
+    sizes = []
+
+    def fill(*args, _fill=_core_py._fill):
+        rec = _fill(*args)
+        sizes.append(len(_core_py._NODES))
+        return rec
+
+    monkeypatch.setattr(_core_py, "_fill", fill)
+    _core_py._NODES.clear()
+    cold = spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)
+    assert len(sizes) == cold[2] > _core_py._NODE_CAP
+    assert 0 < max(sizes) <= _core_py._NODE_CAP
+    assert repr(spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)) == repr(cold)
+    monkeypatch.setattr(_core_py, "_NODE_CAP", 10 ** 6)
+    _core_py._NODES.clear()
+    assert repr(spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)) == repr(cold)
+
+
+def test_rejected_node_batch_leaves_the_node_table():
+    # Every node of a batch is checked before any is evaluated: a batch
+    # whose last node leaves the chain range raises and fills nothing,
+    # although its other nodes, of another block, would clear the table.
+    xs = (0.5, 1.0, 2.0)
+    _core_py._NODES.clear()
+    _core_py.log_delta_nodes(5, 0.5, 1.3, 2, xs)
+    before = dict(_core_py._NODES)
+    block = _core_py._NODES_BLOCK
+    assert set(before) == set(xs)
+    with pytest.raises(ValueError):
+        _core_py.log_delta_nodes(40, 0.5, 1.3, 2, xs + (2.0 ** 32,))
+    assert _core_py._NODES_BLOCK == block
+    assert _core_py._NODES.keys() == before.keys()
+    assert all(_core_py._NODES[x] is before[x] for x in xs)

@@ -229,16 +229,17 @@ def test_divergence_error_is_arithmetic_error():
 @pytest.mark.parametrize("mu,calls", [(0.0, 2), (0.7, 3)])
 def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     # With mu = 0 the vacuum-side chains (q_s at xi, e at xi * ratio) are
-    # the ones already made at gamma and gamma * ratio, so a TM node needs
+    # the ones already made at gamma and gamma * ratio, so a TM node fills
     # two s chains and two e chains instead of three each.
-    counts = {"_s_ratio": 0, "_e_ratio": 0}
+    counts = {"_s_rows": 0, "_e_rows": 0}
     for name in counts:
-        def counted(l, z, _f=getattr(_core_py, name), _name=name):
+        def counted(top, z, _f=getattr(_core_py, name), _name=name):
             counts[_name] += 1
-            return _f(l, z)
+            return _f(top, z)
         monkeypatch.setattr(_core_py, name, counted)
+    _core_py._NODES.clear()
     _core_py._core_point(5, 2.0, mu, 1.5, 2)
-    assert counts == {"_s_ratio": calls, "_e_ratio": calls}
+    assert counts == {"_s_rows": calls, "_e_rows": calls}
 
 
 def test_results_come_from_the_node_batch(monkeypatch, tmp_path):
