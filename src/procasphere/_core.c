@@ -359,7 +359,7 @@ static double c_dlog1m(double rho, double drho)
 }
 
 /* With deriv, also the ratio derivatives dte and dtm, as in the pure
- * twin's _core_point. */
+ * twin's node loop, _nodes. */
 static Modes c_core_point(long l, double xi, double mu, double ratio,
                           long mode, int deriv)
 {

@@ -28,7 +28,14 @@ whole block and keeps one row per order; the other waves of the block read
 their row. The twins keep the chains differently (a node-keyed table of the
 current block here, a per-thread table of per-argument runs in C), but
 every kept double is the one a fresh run makes, by the same steps on the
-same doubles, so no hit, miss or eviction changes a bit.
+same doubles, so no hit, miss or eviction changes a bit. Here a node's
+fill runs its chains at gamma and gamma * ratio as two lanes of one loop,
+each lane making exactly the steps of its own run, and stores its rows
+lowest order first.
+
+One loop per node batch (_nodes) checks the batch, reads or fills each
+node's record and forms its mode factors; log_delta_point is a batch of
+one node, where C evaluates each node with c_core_point.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
@@ -45,7 +52,6 @@ dlog_delta_nodes.
 
 import itertools
 import math
-import operator
 import struct
 
 BACKEND = "pure"
@@ -110,6 +116,10 @@ _NODES_BLOCK = None
 # the same messages.
 _CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
                  "2**-64 <= z < 2**32")
+_POINT_DOMAIN = (
+    "mode factors need 1 <= l < 2**31, mode 0, 1 or 2, a finite mu >= 0, a "
+    "finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in mode 0), "
+    "sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * ratio < 2**32")
 
 
 # -- scaled primitives -------------------------------------------------------
@@ -226,13 +236,21 @@ def _block_top(l):
     return l + (1 - l) % _BLOCK
 
 
+def _block_lo(top):
+    # The lowest order of top's block.
+    return max(top - _BLOCK + 1, 0)
+
+
+# Each run keeps its rows in the order it makes them: an upward e run from
+# the block's lowest order up, a downward q_s run from its top down.
+
 def _e_rows(top, z):
     # (e_l mantissas, e_l scales, q_e = e_{l-1}/e_l) at the orders of top's
-    # block, top first: the upward run from e_{-1} = e_0 = exp(-z), read at
-    # the block's lowest order and after each further step. Both members of
-    # the run carry one offset, so q_e is one division; e_l > 0, so frexp
-    # is sr_norm.
-    lo = max(top - _BLOCK + 1, 0)
+    # block, lowest first: the upward run from e_{-1} = e_0 = exp(-z), read
+    # at the block's lowest order and after each further step. Both members
+    # of the run carry one offset, so q_e is one division; e_l > 0, so
+    # frexp is sr_norm.
+    lo = _block_lo(top)
     m, k = _exp_split(-z)
     y, ym, off = _steps(_up(0, lo), z, m, m, k)
     frexp = math.frexp
@@ -249,7 +267,7 @@ def _e_rows(top, z):
         ems.append(em)
         eks.append(off + e)
         qes.append(ym / y)
-    return ems[::-1], eks[::-1], qes[::-1]
+    return ems, eks, qes
 
 
 def _s_rows(top, z):
@@ -265,13 +283,104 @@ def _s_rows(top, z):
                       0.0)
     big = _BIG
     qs = []
-    for c in _down(top, max(top - _BLOCK + 1, 0)):
+    for c in _down(top, _block_lo(top)):
         y, ym = ym + c / z * y, y
         if y > big:
             y *= _DOWN
             ym *= _DOWN
         qs.append(y / ym)
     return qs
+
+
+# A node's fill runs the chains at g and gr as two lanes of one loop: the
+# upward e runs share the factors 2j + 1 from order 0, and the Miller runs
+# share them from the lower of their two starts. Each lane makes exactly
+# the steps of its own run, with its own rescale and offset, so every
+# double is the one _e_rows or _s_rows makes at that argument alone; only
+# the loop overhead is shared.
+
+def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
+    # _steps at z and at zr as two lanes of one loop over the factors cs.
+    big = _BIG
+    for c in cs:
+        y, ym = ym + c / z * y, y
+        if y > big:
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
+        yr, ymr = ymr + c / zr * yr, yr
+        if yr > big:
+            yr *= _DOWN
+            ymr *= _DOWN
+            offr += _STEP
+    return y, ym, off, yr, ymr, offr
+
+
+def _e_pair_rows(top, g, gr):
+    # (aa, nn, q_e(g), q_e(gr)) at the orders of top's block, lowest first,
+    # with aa * 2**nn = (e(gr)/e(g))**2 (see _fill) formed per order from
+    # the two lanes' e_l, as from two _e_rows runs.
+    lo = _block_lo(top)
+    m, k = _exp_split(-g)
+    mr, kr = _exp_split(-gr)
+    y, ym, off, yr, ymr, offr = _pair_steps(_up(0, lo), g, m, m, k, gr, mr,
+                                            mr, kr)
+    frexp = math.frexp
+    big = _BIG
+    m, e = frexp(y)
+    mr, er = frexp(yr)
+    a = mr / m
+    aa, nn = [a * a], [2.0 * ((offr + er) - (off + e))]
+    qe, qer = [ym / y], [ymr / yr]
+    for c in _up(lo, top):
+        y, ym = ym + c / g * y, y
+        if y > big:
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
+        yr, ymr = ymr + c / gr * yr, yr
+        if yr > big:
+            yr *= _DOWN
+            ymr *= _DOWN
+            offr += _STEP
+        m, e = frexp(y)
+        mr, er = frexp(yr)
+        a = mr / m
+        aa.append(a * a)
+        nn.append(2.0 * ((offr + er) - (off + e)))
+        qe.append(ym / y)
+        qer.append(ymr / yr)
+    return aa, nn, qe, qer
+
+
+def _s_pair_rows(top, g, gr):
+    # (q_s(g), q_s(gr)) at the orders of top's block, top first, as two
+    # _s_rows runs. The lane that starts higher runs alone down to the
+    # other's start; the starts come in either order (at top 17, g = 55
+    # starts at 81 by the fallback and gr = 60.5 at 60 by the bound).
+    start = _miller_start(top, g)
+    startr = _miller_start(top, gr)
+    y, ym = yr, ymr = 1.0, 0.0
+    if start > startr:
+        y, ym, _ = _steps(_down(start, startr + 1), g, y, ym, 0.0)
+    elif startr > start:
+        yr, ymr, _ = _steps(_down(startr, start + 1), gr, yr, ymr, 0.0)
+    y, ym, _, yr, ymr, _ = _pair_steps(_down(min(start, startr), top + 1),
+                                       g, y, ym, 0.0, gr, yr, ymr, 0.0)
+    big = _BIG
+    qs, qsr = [], []
+    for c in _down(top, _block_lo(top)):
+        y, ym = ym + c / g * y, y
+        if y > big:
+            y *= _DOWN
+            ym *= _DOWN
+        yr, ymr = ymr + c / gr * yr, yr
+        if yr > big:
+            yr *= _DOWN
+            ymr *= _DOWN
+        qs.append(y / ym)
+        qsr.append(yr / ymr)
+    return qs, qsr
 
 
 def _check_chain(l, z):
@@ -285,7 +394,7 @@ def _chains(l, z):
     # s_l = 1/(e_l (q_e + q_s)), a sum of positives.
     _check_chain(l, z)
     top = _block_top(l)
-    em, ek, qe = (r[top - l] for r in _e_rows(top, z))
+    em, ek, qe = (r[l - _block_lo(top)] for r in _e_rows(top, z))
     qs = _s_rows(top, z)[top - l]
     sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
     return em, ek, qe, sm, sk, qs
@@ -332,35 +441,30 @@ def _log1m(rho):
     return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
 
 
-def _fill(top, xi, mu, ratio, tm):
+def _fill(top, xi, g, mu, ratio, tm):
     """The node table's record of xi at (mu, ratio) for top's block:
     (top, mu, ratio, tm, rows), with _ROW doubles per order of the block,
-    top first, (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr))
+    lowest first, (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr))
     at g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
     (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
     mantissas and nn twice the gap of the scales, the doubles that the C
     twin forms for rho_TE. The last two are made only with tm (and read
     0.0 otherwise), since only TM needs them."""
     global _NODES_BLOCK
-    g = gamma_arg(xi, mu)
     gr = g * ratio
-    egm, egk, qeg = _e_rows(top, g)
-    erm, erk, qer = _e_rows(top, gr)
-    qsg = _s_rows(top, g)
-    qsr = _s_rows(top, gr)
+    aa, nn, qeg, qer = _e_pair_rows(top, g, gr)
+    qsg, qsr = _s_pair_rows(top, g, gr)
     if not tm:
         qsx = qex = itertools.repeat(0.0)
     elif xi == g:
         # Massless (or a mass too small to move gamma): xi*ratio == g*ratio,
         # so the vacuum-side chains are the ones above.
-        qsx, qex = qsg, qer
+        qsx, qex = reversed(qsg), qer
     else:
-        qsx = _s_rows(top, xi)
+        qsx = reversed(_s_rows(top, xi))
         qex = _e_rows(top, xi * ratio)[2]
-    aa = [a * a for a in map(operator.truediv, erm, egm)]
-    nn = [2.0 * (rk - gk) for gk, rk in zip(egk, erk)]
     rec = (top, mu, ratio, tm, tuple(itertools.chain.from_iterable(
-        zip(aa, nn, qeg, qer, qsg, qsr, qsx, qex))))
+        zip(aa, nn, qeg, qer, reversed(qsg), reversed(qsr), qsx, qex))))
     block = (top, mu, ratio)
     if block != _NODES_BLOCK or len(_NODES) >= _NODE_CAP:
         _NODES.clear()
@@ -369,95 +473,136 @@ def _fill(top, xi, mu, ratio, tm):
     return rec
 
 
-def _core_point(l, xi, mu, ratio, mode, deriv=False):
-    """(rho_TE, rho_TM, d rho_TE, d rho_TM) at one imaginary-frequency
-    node, the last two the derivatives in ratio when deriv is true and 0.0
-    otherwise.
+def _dlog1m(rho, drho):
+    """d ln(1 - rho) = -drho/(1 - rho); nan where _log1m is."""
+    if not rho < 1.0:
+        return math.nan
+    return -drho / (1.0 - rho)
 
-    mode: 0 transverse-electric only, 1 transverse-magnetic only, 2 both.
-    A mode not requested reads 0.0.
-    """
-    g = gamma_arg(xi, mu)
-    gr = g * ratio
+
+def _nodes(l, mu, ratio, mode, xs, deriv):
+    """(TE per node, TM per node) at the imaginary-frequency nodes xs:
+    ln(1 - rho), or with deriv its derivative in ratio. mode: 0
+    transverse-electric only, 1 transverse-magnetic only, 2 both; a mode
+    not requested has rho = 0 and reads -0.0. The C twin's c_core_point
+    makes the same operations per node."""
+    # Chains run at gamma and gamma * ratio, and in TM also at xi and
+    # xi * ratio; TE alone takes any xi >= 0. Every node is checked before
+    # any is evaluated, and an empty batch checks nothing, as in C. xs is
+    # read once, so any iterable serves, as in C.
+    xi_min = 0.0 if mode == 0 else _Z_MIN
+    nodes = []
+    for xi in xs:
+        g = gamma_arg(xi, mu)
+        if not (xi_min <= xi < math.inf and _Z_MIN <= g
+                and g * ratio < _Z_MAX):
+            raise ValueError(_POINT_DOMAIN)
+        nodes.append((xi, g))
+    if not nodes:
+        return (), ()
+    if (not 1 <= l < _L_END or mode < 0 or mode > 2
+            or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf):
+        raise ValueError(_POINT_DOMAIN)
     top = _block_top(l)
+    i = _ROW * (l - _block_lo(top))
+    j = i + _ROW
     tm = mode != 0
-    rec = _NODES.get(xi)
-    if (rec is None or rec[0] != top or rec[1] != mu or rec[2] != ratio
-            or rec[3] < tm):
-        rec = _fill(top, xi, mu, ratio, tm)
-    i = _ROW * (top - l)
-    aa, nn, qeg, qer, qsg, qsr, qsx, qex = rec[4][i:i + _ROW]
-    pg = qeg + qsg
-    pr = qer + qsr
-
-    # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)), so
-    # (e(gr)/e(g))**2 (pr/pg), with the e factor as aa * 2**nn from the
-    # fill. As gr > g, s(g)/s(gr) < 1 (s_l grows) and e(gr)/e(g) < 1 (e_l
-    # decays), so rho_TE < 1 and ldexp cannot overflow; far apart it
-    # underflows to 0.
-    rho = math.ldexp(aa * (pr / pg), int(nn))
-    # Ratio enters only the outer chains, at gr and xr. As e'/e - s'/s =
-    # -(q_e + q_s), d ln rho_TE / d ratio = -g pr.
-    drho = -rho * (g * pr) if deriv else 0.0
-    if mode == 0:
-        return rho, 0.0, drho, 0.0
-
-    x = xi
-    xr = xi * ratio
-    # Divide the rows of the TM matching matrix by s(x) and e(xr) and its
-    # columns by s and e at g and gr. What is left are four 2x2 blocks of
-    # plain doubles, U and V at the inner shell and W and Y at the outer,
-    # in d_s = z s'/s = z q_s - l, d_e = z e'/e = -(z q_e + l),
-    # t_s = 1 - d_s(x) and t_e = 1 - d_e(xr):
-    #   U = [[d_s(g), -mu^2], [L^2, g^2 t_s - x^2 (1 - d_s(g))]],
-    #   V is U with d_e(g), W is U with d_s(gr) and t_e, Y is W with d_e(gr).
-    # Then det Q / det Q0 = det(1 - rho_TE M) with M = W^-1 Y V^-1 U, the
-    # round trip through both shells' 2x2 reflection matrices. The
-    # off-diagonal entries use d_s - d_e = z (q_s + q_e), free of
-    # cancellation.
-    L2 = l * (l + 1.0)
+    fl = float(l)
+    lp = l + 1.0
+    L2 = l * lp
     m2 = mu * mu
-    x2 = x * x
     ml = m2 * L2
-    gts = g * g * ((l + 1.0) - x * qsx)
-    gte = g * g * ((l + 1.0) + xr * qex)
-    dsg = g * qsg - l
-    deg = -(g * qeg + l)
-    dsr = gr * qsr - l
-    der = -(gr * qer + l)
-    u22 = gts - x2 * (1.0 - dsg)
-    v22 = gts - x2 * (1.0 - deg)
-    w22 = gte - x2 * (1.0 - dsr)
-    y22 = gte - x2 * (1.0 - der)
-    # det V and det W cannot vanish: d_e < 0 and t_s < 0 give v22 < 0, so
-    # det V = d_e v22 + mu^2 L^2 > 0; d_s > 1 and t_e > 0 give w22 > 0, so
-    # det W = d_s w22 + mu^2 L^2 > 0.
-    dv = deg * v22 + ml
-    dw = dsr * w22 + ml
-    a11 = (v22 * dsg + ml) / dv
-    a12 = m2 * x2 * (g * pg) / dv
-    a21 = -L2 * (g * pg) / dv
-    a22 = (deg * u22 + ml) / dv
-    b11 = (w22 * der + ml) / dw
-    b12 = -m2 * x2 * (gr * pr) / dw
-    b21 = L2 * (gr * pr) / dw
-    b22 = (dsr * y22 + ml) / dw
-    tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22)
-    det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
-    # ln det(1 - rho M) = ln(1 - rho (tr M - rho det M))
-    rho_tm = rho * (tr - rho * det)
-    drho_tm = 0.0
-    if deriv:
+    get = _NODES.get
+    log1p = math.log1p
+    ldexp = math.ldexp
+    te, tmv = [], []
+    for xi, g in nodes:
+        rec = get(xi)
+        if (rec is None or rec[0] != top or rec[1] != mu or rec[2] != ratio
+                or rec[3] < tm):
+            rec = _fill(top, xi, g, mu, ratio, tm)
+        aa, nn, qeg, qer, qsg, qsr, qsx, qex = rec[4][i:j]
+        gr = g * ratio
+        pg = qeg + qsg
+        pr = qer + qsr
+        # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)), so
+        # (e(gr)/e(g))**2 (pr/pg), with the e factor as aa * 2**nn from the
+        # fill. As gr > g, s(g)/s(gr) < 1 (s_l grows) and e(gr)/e(g) < 1
+        # (e_l decays), so rho_TE < 1 and ldexp cannot overflow; far apart
+        # it underflows to 0.
+        rho = ldexp(aa * (pr / pg), int(nn))
+        if deriv:
+            # Ratio enters only the outer chains, at gr and xr. As
+            # e'/e - s'/s = -(q_e + q_s), d ln rho_TE / d ratio = -g pr.
+            drho = -rho * (g * pr)
+        if mode != 1:
+            if deriv:
+                te.append(-drho / (1.0 - rho) if rho < 0.5
+                          else _dlog1m(rho, drho))
+            else:
+                te.append(log1p(-rho) if rho < 0.5 else _log1m(rho))
+        if not tm:
+            continue
+
+        # Divide the rows of the TM matching matrix by s(x) and e(xr) and
+        # its columns by s and e at g and gr, with x = xi and xr = xi *
+        # ratio. What is left are four 2x2 blocks of plain doubles, U and V
+        # at the inner shell and W and Y at the outer, in d_s = z s'/s =
+        # z q_s - l, d_e = z e'/e = -(z q_e + l), t_s = 1 - d_s(x) and
+        # t_e = 1 - d_e(xr):
+        #   U = [[d_s(g), -mu^2], [L^2, g^2 t_s - x^2 (1 - d_s(g))]],
+        #   V is U with d_e(g), W is U with d_s(gr) and t_e, Y is W with
+        #   d_e(gr).
+        # Then det Q / det Q0 = det(1 - rho_TE M) with M = W^-1 Y V^-1 U,
+        # the round trip through both shells' 2x2 reflection matrices. The
+        # off-diagonal entries use d_s - d_e = z (q_s + q_e), free of
+        # cancellation.
+        xr = xi * ratio
+        x2 = xi * xi
+        gg = g * g
+        gts = gg * (lp - xi * qsx)
+        gte = gg * (lp + xr * qex)
+        dsg = g * qsg - fl
+        deg = -(g * qeg + fl)
+        dsr = gr * qsr - fl
+        der = -(gr * qer + fl)
+        u22 = gts - x2 * (1.0 - dsg)
+        v22 = gts - x2 * (1.0 - deg)
+        w22 = gte - x2 * (1.0 - dsr)
+        y22 = gte - x2 * (1.0 - der)
+        # det V and det W cannot vanish: d_e < 0 and t_s < 0 give v22 < 0,
+        # so det V = d_e v22 + mu^2 L^2 > 0; d_s > 1 and t_e > 0 give
+        # w22 > 0, so det W = d_s w22 + mu^2 L^2 > 0.
+        dv = deg * v22 + ml
+        dw = dsr * w22 + ml
+        gp = g * pg
+        grp = gr * pr
+        a11 = (v22 * dsg + ml) / dv
+        a12 = m2 * x2 * gp / dv
+        a21 = -L2 * gp / dv
+        a22 = (deg * u22 + ml) / dv
+        b11 = (w22 * der + ml) / dw
+        b12 = -m2 * x2 * grp / dw
+        b21 = L2 * grp / dw
+        b22 = (dsr * y22 + ml) / dw
+        tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22)
+        da = a11 * a22 - a12 * a21
+        det = da * (b11 * b22 - b12 * b21)
+        # ln det(1 - rho M) = ln(1 - rho (tr M - rho det M))
+        rho_tm = rho * (tr - rho * det)
+        if not deriv:
+            tmv.append(log1p(-rho_tm) if rho_tm < 0.5 else _log1m(rho_tm))
+            continue
         # Only W and Y depend on ratio, through d_s(gr), d_e(gr), d_e(xr)
         # and gr pr = d_s(gr) - d_e(gr). Each d obeys the Riccati equation
         # d'(z) = (d - d^2 + z^2 + L^2)/z, and dz/d ratio = z/ratio; for the
         # difference (d_s - d_e)' = p (1 - d_s - d_e) with p = q_s + q_e.
         # With x == g, gg == x2 and ddex == dder, so dy22 is exactly 0, as
         # y22 is up to rounding.
-        gg = g * g
-        dex = -(xr * qex + l)
-        ddsr = (dsr - dsr * dsr + gr * gr + L2) / ratio
-        dder = (der - der * der + gr * gr + L2) / ratio
+        dex = -(xr * qex + fl)
+        grgr = gr * gr
+        ddsr = (dsr - dsr * dsr + grgr + L2) / ratio
+        dder = (der - der * der + grgr + L2) / ratio
         ddex = (dex - dex * dex + xr * xr + L2) / ratio
         dgp = g * pr * (1.0 - dsr - der)
         dgte = -(gg * ddex)
@@ -469,51 +614,20 @@ def _core_point(l, xi, mu, ratio, mode, deriv=False):
         c21 = (L2 * dgp - b21 * ddw) / dw
         c22 = ((ddsr * y22 + dsr * dy22) - b22 * ddw) / dw
         dtr = (c11 * a11 + c12 * a21) + (c21 * a12 + c22 * a22)
-        ddet = (a11 * a22 - a12 * a21) * ((c11 * b22 + b11 * c22)
-                                          - (c12 * b21 + b12 * c21))
+        ddet = da * ((c11 * b22 + b11 * c22) - (c12 * b21 + b12 * c21))
         drho_tm = drho * (tr - 2.0 * rho * det) + rho * (dtr - rho * ddet)
+        tmv.append(-drho_tm / (1.0 - rho_tm) if rho_tm < 0.5
+                   else _dlog1m(rho_tm, drho_tm))
+    if mode == 0:
+        return tuple(te), (-0.0,) * len(nodes)
     if mode == 1:
-        return 0.0, rho_tm, 0.0, drho_tm
-    return rho, rho_tm, drho, drho_tm
-
-
-def _check_point(l, xi, mu, ratio, mode):
-    # Chains run at gamma and gamma * ratio, and in TM also at xi and
-    # xi * ratio; TE alone takes any xi >= 0.
-    xi_min = 0.0 if mode == 0 else _Z_MIN
-    g = gamma_arg(xi, mu)
-    if (not 1 <= l < _L_END or mode < 0 or mode > 2
-            or not xi_min <= xi < math.inf
-            or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf
-            or not _Z_MIN <= g or not g * ratio < _Z_MAX):
-        raise ValueError(
-            "mode factors need 1 <= l < 2**31, mode 0, 1 or 2, a finite "
-            "mu >= 0, a finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in "
-            "mode 0), sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * "
-            "ratio < 2**32")
-
-
-def _dlog1m(rho, drho):
-    """d ln(1 - rho) = -drho/(1 - rho); nan where _log1m is."""
-    if not rho < 1.0:
-        return math.nan
-    return -drho / (1.0 - rho)
+        return (-0.0,) * len(nodes), tuple(tmv)
+    return tuple(te), tuple(tmv)
 
 
 def log_delta_point(l, xi, mu, ratio, mode):
-    _check_point(l, xi, mu, ratio, mode)
-    r = _core_point(l, xi, mu, ratio, mode)
-    return _log1m(r[0]) + _log1m(r[1])
-
-
-def _nodes(l, mu, ratio, mode, xs, deriv):
-    for x in xs:
-        _check_point(l, x, mu, ratio, mode)
-    rs = [_core_point(l, x, mu, ratio, mode, deriv) for x in xs]
-    if deriv:
-        return (tuple(_dlog1m(r[0], r[2]) for r in rs),
-                tuple(_dlog1m(r[1], r[3]) for r in rs))
-    return (tuple(_log1m(r[0]) for r in rs), tuple(_log1m(r[1]) for r in rs))
+    te, tm = _nodes(l, mu, ratio, mode, (xi,), False)
+    return te[0] + tm[0]
 
 
 def log_delta_nodes(l, mu, ratio, mode, xs):

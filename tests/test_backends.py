@@ -181,6 +181,10 @@ def test_log_delta_nodes_bit_identical(compiled):
         te, tm = pure.log_delta_nodes(4, 0.5, 1.6, mode, xs)
         assert compiled.log_delta_nodes(4, 0.5, 1.6, mode, xs) == (te, tm)
         assert len(te) == len(tm) == len(xs)
+        # Nodes may come from any iterable, read once.
+        for kernel in (pure, compiled):
+            got = kernel.log_delta_nodes(4, 0.5, 1.6, mode, iter(xs))
+            assert repr(got) == repr((te, tm)), (kernel.BACKEND, mode)
         for x, a, b in zip(xs, te, tm):
             # Each requested component is the pointwise mode value; one not
             # requested reads -0.0, so the per-node sum is the requested
@@ -205,6 +209,8 @@ def test_dlog_delta_nodes_bit_identical(compiled):
         for mode in (0, 1, 2):
             want = pure.dlog_delta_nodes(l, mu, ratio, mode, xs)
             got = compiled.dlog_delta_nodes(l, mu, ratio, mode, xs)
+            assert repr(got) == repr(want), (l, mu, ratio, mode)
+            got = pure.dlog_delta_nodes(l, mu, ratio, mode, iter(xs))
             assert repr(got) == repr(want), (l, mu, ratio, mode)
 
 

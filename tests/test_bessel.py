@@ -230,6 +230,65 @@ def test_chains_match_plain_step_loop():
         assert repr(_core_py.family(l, z)) == repr(_ref_family(l, z)), (l, z)
 
 
+def _single_lane_record(top, xi, mu, ratio):
+    # A TM node record as _fill made it from one chain run per argument:
+    # e rows lowest order first, q_s rows reversed from top first.
+    g = _core_py.gamma_arg(xi, mu)
+    gr = g * ratio
+    egm, egk, qeg = _core_py._e_rows(top, g)
+    erm, erk, qer = _core_py._e_rows(top, gr)
+    qsg, qsr, qsx = (_core_py._s_rows(top, z)[::-1] for z in (g, gr, xi))
+    qex = _core_py._e_rows(top, xi * ratio)[2]
+    rows = []
+    for o in range(len(qeg)):
+        a = erm[o] / egm[o]
+        rows += [a * a, 2.0 * (erk[o] - egk[o]), qeg[o], qer[o], qsg[o],
+                 qsr[o], qsx[o], qex[o]]
+    return top, mu, ratio, True, tuple(rows)
+
+
+def _rescales(z, top, up):
+    # Whether a lone run at z rescales before the last order of top's block.
+    ms, lo = _core_py._miller_start, max(top - 15, 0)
+    if up:
+        m, k = _core_py._exp_split(-z)
+        return _ref_steps(range(top), z, m, m, k)[2] > k
+    return _ref_steps(range(ms(top, z), lo - 1, -1), z, 1.0, 0.0, 0.0)[2] > 0
+
+
+def test_paired_lanes_match_single_lane_runs():
+    # A fill runs the chains at gamma and gamma * ratio as two lanes of one
+    # loop. Each lane must make the doubles of its own run alone, by repr:
+    # whichever Miller run starts first, with equal starts, in block {0, 1},
+    # with starts and tops around the end of the factor table, and when one
+    # lane rescales and the other does not.
+    ms = _core_py._miller_start
+    n = _core_py._ODD_N
+    # At top 17 the lower argument starts higher: 55 by the fallback,
+    # 55 * 1.1 by the bound.
+    assert ms(17, 55.0) == 81 and ms(17, 55.0 * 1.1) == 60
+    assert ms(17, 0.5) == ms(17, 0.75) == 43
+    assert ms(4049, 4069.5) == n - 1 and ms(4049, 4071.5) == n + 1
+    assert n < ms(4065, 5000.0) < ms(4065, 7500.0)
+    assert _rescales(1e-15, 17, True)
+    assert not _rescales(1e-15 * 1e6, 17, True)
+    assert _rescales(1e-5, 17, False)
+    assert not _rescales(1e-5 * 100.0, 17, False)
+    past = _core_py._block_top(n + 4)
+    assert past > n
+    cases = [(17, 55.0, 0.0, 1.1), (17, 55.0, 3.0, 1.1),
+             (17, 0.5, 0.0, 1.5), (1, 2.0, 0.0, 1.3), (1, 2.0, 0.7, 1.3),
+             (4049, 4069.5, 0.0, 4071.5 / 4069.5), (4065, 5000.0, 0.0, 1.5),
+             (4065, 30.0, 0.5, 1.5), (past, 7.0, 0.0, 1.2),
+             (17, 1e-15, 0.0, 1e6), (17, 1e-5, 0.0, 100.0)]
+    for top, xi, mu, ratio in cases:
+        g = _core_py.gamma_arg(xi, mu)
+        rec = _core_py._fill(top, xi, g, mu, ratio, True)
+        want = _single_lane_record(top, xi, mu, ratio)
+        assert repr(rec) == repr(want), (top, xi, mu, ratio)
+    _core_py._NODES.clear()
+
+
 def test_chain_cache_stays_within_its_cap(monkeypatch):
     # A wave bisected down to 346 massive TM nodes fills more nodes than
     # the pure twin's node table holds; the table is cleared as it fills

@@ -230,16 +230,23 @@ def test_divergence_error_is_arithmetic_error():
 def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     # With mu = 0 the vacuum-side chains (q_s at xi, e at xi * ratio) are
     # the ones already made at gamma and gamma * ratio, so a TM node fills
-    # two s chains and two e chains instead of three each.
-    counts = {"_s_rows": 0, "_e_rows": 0}
-    for name in counts:
-        def counted(top, z, _f=getattr(_core_py, name), _name=name):
-            counts[_name] += 1
-            return _f(top, z)
+    # s and e chains at two arguments each instead of three. A fill runs
+    # the chains at gamma and gamma * ratio as two lanes of one loop, and
+    # the massive ones at xi and xi * ratio alone; every argument a chain
+    # runs at is recorded.
+    args = {"s": [], "e": []}
+    for name, kind in (("_s_rows", "s"), ("_e_rows", "e"),
+                       ("_s_pair_rows", "s"), ("_e_pair_rows", "e")):
+        def counted(top, *zs, _f=getattr(_core_py, name), _kind=kind):
+            args[_kind] += zs
+            return _f(top, *zs)
         monkeypatch.setattr(_core_py, name, counted)
     _core_py._NODES.clear()
-    _core_py._core_point(5, 2.0, mu, 1.5, 2)
-    assert counts == {"_s_rows": calls, "_e_rows": calls}
+    _core_py.log_delta_nodes(5, mu, 1.5, 2, [2.0])
+    g = _core_py.gamma_arg(2.0, mu)
+    assert len(args["s"]) == len(args["e"]) == calls
+    assert sorted(args["s"]) == sorted({g, g * 1.5, 2.0})
+    assert sorted(args["e"]) == sorted({g, g * 1.5, 2.0 * 1.5})
 
 
 def test_results_come_from_the_node_batch(monkeypatch, tmp_path):
