@@ -468,9 +468,9 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
 /* -- Python-visible surface (mirrors _core_py signatures) ----------------- */
 
 /* Convert positional arguments by a format of 'd' (double), 'l' (long) and
- * 'O' (borrowed object). An order goes through PyLong_AsLong, so a float
- * order raises TypeError, as range() does in the pure twin. Returns 0 with
- * an exception set. */
+ * 'O' (borrowed object). An order or a mode goes through PyLong_AsLong, so
+ * a float raises TypeError, as operator.index does in the pure twin.
+ * Returns 0 with an exception set. */
 static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
                   const char *fmt, ...)
 {

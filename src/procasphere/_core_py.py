@@ -52,6 +52,7 @@ dlog_delta_nodes.
 
 import itertools
 import math
+import operator
 import struct
 
 BACKEND = "pure"
@@ -244,30 +245,29 @@ def _block_lo(top):
 # Each run keeps its rows in the order it makes them: an upward e run from
 # the block's lowest order up, a downward q_s run from its top down.
 
-def _e_rows(top, z):
-    # (e_l mantissas, e_l scales, q_e = e_{l-1}/e_l) at the orders of top's
-    # block, lowest first: the upward run from e_{-1} = e_0 = exp(-z), read
-    # at the block's lowest order and after each further step. Both members
-    # of the run carry one offset, so q_e is one division; e_l > 0, so
-    # frexp is sr_norm.
-    lo = _block_lo(top)
+def _e_run(l, z):
+    # The upward run from e_{-1} = e_0 = exp(-z) to order l: (e_l, e_{l-1},
+    # offset), both members at the one offset.
     m, k = _exp_split(-z)
-    y, ym, off = _steps(_up(0, lo), z, m, m, k)
-    frexp = math.frexp
+    return _steps(_up(0, l), z, m, m, k)
+
+
+def _e_rows(top, z):
+    # q_e = e_{l-1}/e_l at the orders of top's block, lowest first: the
+    # upward run read at the block's lowest order and after each further
+    # step. Both members of the run carry one offset, so q_e is one
+    # division and the offset is not kept.
+    lo = _block_lo(top)
+    y, ym, _ = _e_run(lo, z)
     big = _BIG
-    em, e = frexp(y)
-    ems, eks, qes = [em], [off + e], [ym / y]
+    qes = [ym / y]
     for c in _up(lo, top):
         y, ym = ym + c / z * y, y
         if y > big:
             y *= _DOWN
             ym *= _DOWN
-            off += _STEP
-        em, e = frexp(y)
-        ems.append(em)
-        eks.append(off + e)
         qes.append(ym / y)
-    return ems, eks, qes
+    return qes
 
 
 def _s_rows(top, z):
@@ -296,8 +296,8 @@ def _s_rows(top, z):
 # upward e runs share the factors 2j + 1 from order 0, and the Miller runs
 # share them from the lower of their two starts. Each lane makes exactly
 # the steps of its own run, with its own rescale and offset, so every
-# double is the one _e_rows or _s_rows makes at that argument alone; only
-# the loop overhead is shared.
+# double is the one an upward run (_e_run, _e_rows) or _s_rows makes at
+# that argument alone; only the loop overhead is shared.
 
 def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
     # _steps at z and at zr as two lanes of one loop over the factors cs.
@@ -319,7 +319,7 @@ def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
 def _e_pair_rows(top, g, gr):
     # (aa, nn, q_e(g), q_e(gr)) at the orders of top's block, lowest first,
     # with aa * 2**nn = (e(gr)/e(g))**2 (see _fill) formed per order from
-    # the two lanes' e_l, as from two _e_rows runs.
+    # the two lanes' e_l, each the e_l of its own upward run (e_pair).
     lo = _block_lo(top)
     m, k = _exp_split(-g)
     mr, kr = _exp_split(-gr)
@@ -389,12 +389,16 @@ def _check_chain(l, z):
 
 
 def _chains(l, z):
-    # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check, from
-    # the block rows of l. The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
+    # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check: e_l
+    # and q_e from one upward run to l, q_s from the block rows of l; e_l > 0,
+    # so frexp is sr_norm. The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
     # s_l = 1/(e_l (q_e + q_s)), a sum of positives.
     _check_chain(l, z)
+    y, ym, off = _e_run(l, z)
+    em, e = math.frexp(y)
+    ek = off + e
+    qe = ym / y
     top = _block_top(l)
-    em, ek, qe = (r[l - _block_lo(top)] for r in _e_rows(top, z))
     qs = _s_rows(top, z)[top - l]
     sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
     return em, ek, qe, sm, sk, qs
@@ -411,8 +415,7 @@ def e_pair(l, z):
     """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
     direction for the decaying solution, so no normalization pass is needed."""
     _check_chain(l, z)
-    m, k = _exp_split(-z)
-    b, a, k = _steps(_up(0, l), z, m, m, k)
+    b, a, k = _e_run(l, z)
     return sr_norm(b, k) + sr_norm(a, k)
 
 
@@ -462,7 +465,7 @@ def _fill(top, xi, g, mu, ratio, tm):
         qsx, qex = reversed(qsg), qer
     else:
         qsx = reversed(_s_rows(top, xi))
-        qex = _e_rows(top, xi * ratio)[2]
+        qex = _e_rows(top, xi * ratio)
     rec = (top, mu, ratio, tm, tuple(itertools.chain.from_iterable(
         zip(aa, nn, qeg, qer, reversed(qsg), reversed(qsr), qsx, qex))))
     block = (top, mu, ratio)
@@ -487,9 +490,13 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     not requested has rho = 0 and reads -0.0. The C twin's c_core_point
     makes the same operations per node."""
     # Chains run at gamma and gamma * ratio, and in TM also at xi and
-    # xi * ratio; TE alone takes any xi >= 0. Every node is checked before
-    # any is evaluated, and an empty batch checks nothing, as in C. xs is
-    # read once, so any iterable serves, as in C.
+    # xi * ratio; TE alone takes any xi >= 0. l and mode are indices, as C
+    # reads them: a float raises TypeError before any node is read. Every
+    # node is checked before any is evaluated, and an empty batch checks
+    # nothing else, as in C. xs is read once, so any iterable serves, as
+    # in C.
+    l = operator.index(l)
+    mode = operator.index(mode)
     xi_min = 0.0 if mode == 0 else _Z_MIN
     nodes = []
     for xi in xs:

@@ -10,9 +10,12 @@ frame, so their start nodes coincide and the kernel's per-argument Bessel
 chains serve the whole block.
 
 Everything is deterministic by construction: panels are refined by a
-first-maximum scan, sums are accumulated in a fixed order, and partial
-waves are solved one after another in ascending order on the calling
-thread, so results are bit-identical for any thread count.
+first-maximum scan, sums are accumulated in a fixed order, and each wave's
+doubles depend on its inputs alone. With threads > 1 the blocks of waves
+are dealt round-robin to the calling process and to forked worker
+processes, which send each wave back exact; the sum still takes the waves
+in ascending order by the one stop rule, so results are bit-identical for
+any thread count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ._core_py import _block_top
+from ._core_py import _BLOCK, _block_top
 from .backend import kernel
 
 _MODE_CODE = {"te": 0, "tm": 1, "total": 2}
@@ -327,10 +330,46 @@ def l_term(spec: ProblemSpec, l: int) -> float:
         l, spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)[0]
 
 
+def _worker_count(threads: int) -> int:
+    # Processes for one wave sum: threads, at most one per CPU this process
+    # may run on, and one where os.fork is missing or another thread runs
+    # (a fork copies only the calling thread, so a lock that another thread
+    # holds would stay held in the child).
+    if threads == 1:
+        return 1
+    import os
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(threads, cpus)
+
+
+def _waves(spec: ProblemSpec, wave, workers: int):
+    # Every wave l = 1, ..., l_cap in ascending order, each the five numbers
+    # wave(l, mu, ratio, mode, rel_tol) gives; the consumer stops early by
+    # closing the generator. More than one worker forks (see _workers),
+    # never more than there are blocks of waves.
+    args = (spec.mu, spec.ratio, _MODE_CODE[spec.mode], spec.rel_tol)
+    workers = min(workers, (_block_top(spec.l_cap) - 1) // _BLOCK + 1)
+    if workers == 1:
+        for l in range(1, spec.l_cap + 1):
+            yield wave(l, *args)
+        return
+    from ._workers import forked_waves
+
+    yield from forked_waves(spec.l_cap, wave, args, workers)
+
+
 def _wave_sum(spec: ProblemSpec, wave, threads: int) -> EnergyResult:
     # The partial-wave sum of energy() and force(), by the stop rule that
     # energy() describes; wave(l, mu, ratio, mode, rel_tol) gives one term
-    # in the shape of _l_term_full. force() reads the result's value.
+    # in the shape of _l_term_full, and _waves runs the waves on up to
+    # threads processes. force() reads the result's value.
     _integer("threads", threads, 1)
     mode = _MODE_CODE[spec.mode]
     s = 0.0
@@ -341,26 +380,29 @@ def _wave_sum(spec: ProblemSpec, wave, threads: int) -> EnergyResult:
     tm_terms = []
     consec = 0
     evals_total = 0
-    for l in range(1, spec.l_cap + 1):
-        value, err, ev, te, tm = wave(
-            l, spec.mu, spec.ratio, mode, spec.rel_tol)
-        evals_total += ev
-        err_quad += err
-        terms.append((l, value))
-        te_terms.append(te)
-        tm_terms.append(tm)
-        s, c = _neumaier_step(s, c, value)
-        if value == 0.0 or abs(value) <= spec.rel_tol * abs(s + c):
-            consec += 1
-            if consec == 3:
-                break
+    waves = _waves(spec, wave, _worker_count(threads))
+    try:
+        for l, (value, err, ev, te, tm) in enumerate(waves, 1):
+            evals_total += ev
+            err_quad += err
+            terms.append((l, value))
+            te_terms.append(te)
+            tm_terms.append(tm)
+            s, c = _neumaier_step(s, c, value)
+            if value == 0.0 or abs(value) <= spec.rel_tol * abs(s + c):
+                consec += 1
+                if consec == 3:
+                    break
+            else:
+                consec = 0
         else:
-            consec = 0
-    else:
-        raise ConvergenceError(
-            f"partial-wave cap {spec.l_cap} reached without convergence",
-            partial_sum=s + c, last_term=terms[-1][1], l_reached=l,
-            evals=evals_total)
+            raise ConvergenceError(
+                f"partial-wave cap {spec.l_cap} reached without convergence",
+                partial_sum=s + c, last_term=terms[-1][1], l_reached=l,
+                evals=evals_total)
+    finally:
+        # Stops and reaps the workers, on every way out.
+        waves.close()
     # Geometric bound on the dropped waves; the observed decay quotient of
     # the last two terms is clamped away from 1 so the bound stays finite.
     a_last = abs(terms[-1][1])
@@ -381,15 +423,20 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     """Interaction energy in units of hbar*c/(2*pi*a1).
 
     One pass integrates the requested polarizations together. Partial
-    waves are solved in ascending order on the calling thread and summed
-    (with compensation) until three consecutive terms fall below rel_tol
-    relative to the running sum; exhausting l_cap first raises
-    ConvergenceError. threads is validated and otherwise unused: it is
-    kept for splitting each integral by panels, and no thread count may
-    change a bit of the result.
+    waves are summed in ascending order (with compensation) until three
+    consecutive terms fall below rel_tol relative to the running sum;
+    exhausting l_cap first raises ConvergenceError. threads > 1 runs the
+    waves on up to that many processes, at most one per available CPU:
+    the blocks {1}, {2..17}, {18..33}, ... go round-robin to this process
+    and to forked workers, each at most one block ahead of the sum, and
+    every worker is stopped and reaped before the call returns or raises.
+    Where os.fork is missing, or another thread is running, the waves run
+    on this process alone. No thread count changes a bit of the result
+    or of an error.
     """
     # _l_term_full is looked up in the module at each call, so a wrapper
-    # installed on spectrum._l_term_full sees every wave.
+    # installed on spectrum._l_term_full sees every wave, each in the
+    # process that makes it.
     return _wave_sum(spec, _l_term_full, threads)
 
 
@@ -410,8 +457,9 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     reference: central differences at steps fd_step and fd_step/2,
     Richardson-extrapolated to an O(h^4) derivative, over four energy()
     calls at rel_tol/100 so cancellation in the differences does not eat
-    the requested accuracy. threads is validated, and passed to each
-    energy() call, where it changes no bit of the result.
+    the requested accuracy. threads runs either wave sum (each energy()
+    call's, on the finite-difference route) on up to that many processes,
+    as in energy(), and changes no bit of the result.
     """
     inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
     if fd_step is None:
@@ -489,7 +537,8 @@ def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
                 steps: int, threads: int = 1) -> SweepTable:
     """Energy table over an inclusive linear grid of radius ratios.
 
-    threads is passed to each energy() call, as in force().
+    threads is passed to each energy() call, which runs its waves on up to
+    that many processes and changes no bit of a row.
     """
     _integer("steps", steps, 2)
     ratio_from = _real("ratio_from", ratio_from)
@@ -512,7 +561,7 @@ def sweep_mass(template: ProblemSpec, mu_values: Sequence[float],
                threads: int = 1) -> SweepTable:
     """Energy table over a strictly ascending list of field masses.
 
-    threads is passed to each energy() call, as in force().
+    threads is passed to each energy() call, as in sweep_ratio().
     """
     if not isinstance(mu_values, Iterable):
         raise ValueError(

@@ -223,6 +223,32 @@ def test_non_integer_order_raises(compiled):
             kernel.s_pair(2.9, 1.0)
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_mode_and_order_are_indices(request, backend):
+    # Both twins read l and mode as C reads an index: a float, even 1.0,
+    # raises C's TypeError before any node is read, also with no nodes,
+    # and True reads as 1. The pure case needs no compiler.
+    kernel = pure if backend == "pure" else request.getfixturevalue(
+        "compiled")
+    msg = "'float' object cannot be interpreted as an integer"
+    for bad in (1.5, 1.0):
+        for l, mode in ((5, bad), (bad, 1)):
+            with pytest.raises(TypeError) as exc_info:
+                kernel.log_delta_point(l, 1.0, 0.5, 1.3, mode)
+            assert str(exc_info.value) == msg
+            for name in ("log_delta_nodes", "dlog_delta_nodes"):
+                for xs in ([1.0], []):
+                    with pytest.raises(TypeError) as exc_info:
+                        getattr(kernel, name)(l, 0.5, 1.3, mode, xs)
+                    assert str(exc_info.value) == msg, (name, l, mode, xs)
+    assert (repr(kernel.log_delta_point(True, 1.0, 0.5, 1.3, True))
+            == repr(kernel.log_delta_point(1, 1.0, 0.5, 1.3, 1)))
+    for name in ("log_delta_nodes", "dlog_delta_nodes"):
+        f = getattr(kernel, name)
+        assert (repr(f(True, 0.5, 1.3, True, [1.0, 2.0]))
+                == repr(f(1, 0.5, 1.3, 1, [1.0, 2.0])))
+
+
 # Out-of-domain calls: (function name, arguments). Both kernels raise
 # ValueError before computing anything.
 OUT_OF_DOMAIN = [

@@ -232,17 +232,18 @@ def test_chains_match_plain_step_loop():
 
 def _single_lane_record(top, xi, mu, ratio):
     # A TM node record as _fill made it from one chain run per argument:
-    # e rows lowest order first, q_s rows reversed from top first.
+    # e_l from e_pair's upward run to each order, q_e rows lowest order
+    # first, q_s rows reversed from top first.
     g = _core_py.gamma_arg(xi, mu)
     gr = g * ratio
-    egm, egk, qeg = _core_py._e_rows(top, g)
-    erm, erk, qer = _core_py._e_rows(top, gr)
+    qeg, qer, qex = (_core_py._e_rows(top, z) for z in (g, gr, xi * ratio))
     qsg, qsr, qsx = (_core_py._s_rows(top, z)[::-1] for z in (g, gr, xi))
-    qex = _core_py._e_rows(top, xi * ratio)[2]
     rows = []
-    for o in range(len(qeg)):
-        a = erm[o] / egm[o]
-        rows += [a * a, 2.0 * (erk[o] - egk[o]), qeg[o], qer[o], qsg[o],
+    for o, l in enumerate(range(max(top - 15, 0), top + 1)):
+        egm, egk = _core_py.e_pair(l, g)[:2]
+        erm, erk = _core_py.e_pair(l, gr)[:2]
+        a = erm / egm
+        rows += [a * a, 2.0 * (erk - egk), qeg[o], qer[o], qsg[o],
                  qsr[o], qsx[o], qex[o]]
     return top, mu, ratio, True, tuple(rows)
 

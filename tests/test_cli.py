@@ -139,6 +139,23 @@ def test_threads_do_not_change_bits():
         assert a[k] == b[k], k
 
 
+def test_energy_on_two_threads_prints_one_document(tmp_path):
+    # Forked workers leave without flushing the parent's stdout: one JSON
+    # document, which replays ok (on two threads again).
+    r = run_cli("energy", "--ratio", "1.05", "--rel-tol", "1e-4",
+                "--threads", "2")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)  # a second document would be extra data
+    assert r.stdout.count('"manifest"') == 1
+    assert doc["manifest"]["inputs"]["threads"] == 2
+    assert doc["result"]["l_used"] > 2 * 16
+    out = tmp_path / "run.json"
+    out.write_text(r.stdout, encoding="utf-8")
+    rep = run_cli("replay", str(out))
+    assert rep.returncode == 0, rep.stderr
+    assert rep.stdout == f"replay ok: {out} (energy)\n"
+
+
 def test_force_command():
     r = run_cli("force", "--ratio", "1.5", "--mu", "0.5",
                 "--rel-tol", "1e-5")

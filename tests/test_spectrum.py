@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -220,6 +221,133 @@ def test_energy_threads_validation():
     for bad in (0, -2, True, 2.0):
         with pytest.raises(ValueError):
             energy(spec, threads=bad)
+
+
+def _no_child_left():
+    # Every worker of a wave sum is stopped and reaped when the call
+    # returns or raises.
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    # Lets threads up to 8 fork that many processes on any host, so each
+    # worker count below really deals its blocks.
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork: every wave sum runs on one process")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("ratio,mu", [(1.05, 0.0), (1.03, 0.5)])
+def test_energy_bits_do_not_depend_on_threads(eight_cpus, ratio, mu):
+    spec = ProblemSpec(ratio=ratio, mu=mu, rel_tol=1e-5)
+    want = energy(spec, threads=1)
+    assert want.l_used > 8 * 16  # at least 9 blocks: 8 workers get one
+    for threads in (2, 3, 8):
+        assert repr(energy(spec, threads=threads)) == repr(want), threads
+        _no_child_left()
+
+
+def test_force_bits_do_not_depend_on_threads(eight_cpus):
+    spec = ProblemSpec(ratio=1.05, mu=0.5, rel_tol=1e-3)
+    closed = repr(force(spec))
+    fd = repr(force(spec, fd_step=1e-3))
+    for threads in (2, 3):
+        assert repr(force(spec, threads=threads)) == closed, threads
+        _no_child_left()
+        assert repr(force(spec, fd_step=1e-3, threads=threads)) == fd, threads
+        _no_child_left()
+
+
+# Cheap stand-ins for a wave through _wave_sum: terms that fall like l**-2,
+# so the sum stops at l = 258 at rel_tol 1e-5, in block 17.
+FAKE_SPEC = ProblemSpec(ratio=1.5, rel_tol=1e-5)
+
+
+def _fake_wave(l, mu, ratio, mode, rel_tol):
+    v = -1.0 / (l * l + 0.1 * l)
+    return v, abs(v) * 1e-9, 15 * l, 0.3 * v, v - 0.3 * v
+
+
+def _raised(call):
+    # type, message and partial state of the error that call raises
+    with pytest.raises(Exception) as exc_info:
+        call()
+    _no_child_left()
+    exc = exc_info.value
+    return type(exc), exc.args, vars(exc)
+
+
+def test_fake_waves_sum_alike_on_any_worker_count(eight_cpus):
+    want = spectrum._wave_sum(FAKE_SPEC, _fake_wave, 1)
+    assert want.l_used == 258
+    for threads in (2, 3, 8):
+        got = spectrum._wave_sum(FAKE_SPEC, _fake_wave, threads)
+        assert repr(got) == repr(want), threads
+        _no_child_left()
+
+
+@pytest.mark.parametrize("error", [
+    lambda: ConvergenceError("quadrature budget exhausted at l=70",
+                             partial_sum=-0.25, l_reached=70, evals=40000),
+    lambda: ValueError("ratio=1.5, mu=0.0, l=70: out of range")],
+    ids=["ConvergenceError", "ValueError"])
+def test_worker_error_surfaces_as_the_serial_one(eight_cpus, error):
+    # Wave 70 lies in block 5 (66, ..., 81), a worker's block at 2, 3 and
+    # 8 processes. The worker sends waves 66 to 69 and stops at 70, which
+    # this process makes again and raises as the serial loop does.
+    parent = os.getpid()
+    here = []
+
+    def wave(l, *args):
+        if os.getpid() == parent:
+            here.append(l)
+        if l == 70:
+            raise error()
+        return _fake_wave(l, *args)
+
+    want = _raised(lambda: spectrum._wave_sum(FAKE_SPEC, wave, 1))
+    assert want[0] is type(error())
+    for threads in (2, 3, 8):
+        here.clear()
+        got = _raised(lambda: spectrum._wave_sum(FAKE_SPEC, wave, threads))
+        assert got == want, threads
+        assert 70 in here and not {66, 67, 68, 69} & set(here), threads
+
+
+def test_worker_error_past_the_stop_is_never_seen(eight_cpus):
+    # Every wave past the serial stop fails; workers make up to one block
+    # past it, and none of their failures may reach the result.
+    stop = spectrum._wave_sum(FAKE_SPEC, _fake_wave, 1)
+
+    def wave(l, *args):
+        if l > stop.l_used:
+            raise ConvergenceError(f"past the stop at l={l}", l_reached=l)
+        return _fake_wave(l, *args)
+
+    for threads in (1, 2, 3, 8):
+        got = spectrum._wave_sum(FAKE_SPEC, wave, threads)
+        assert repr(got) == repr(stop), threads
+        _no_child_left()
+
+
+def test_cap_inside_a_worker_block(eight_cpus):
+    # Terms like 1/l never meet the stop rule. l_cap 105 cuts block 7
+    # (98, ..., 113), a worker's block at 2, 3 and 8 processes.
+    spec = replace(FAKE_SPEC, l_cap=105)
+
+    def wave(l, mu, ratio, mode, rel_tol):
+        v = -1.0 / l
+        return v, 1e-12, 15, v, -0.0
+
+    want = _raised(lambda: spectrum._wave_sum(spec, wave, 1))
+    assert want[0] is ConvergenceError and want[2]["l_reached"] == 105
+    for threads in (2, 3, 8):
+        assert _raised(lambda: spectrum._wave_sum(spec, wave, threads)) == (
+            want), threads
 
 
 def test_energy_cap_exhaustion():
