@@ -2,8 +2,8 @@
  * e_l and the ratio q_s = s_{l-1}/s_l per chain argument, scaled, s_l from
  * the Wronskian, and each mode factor ln(1 - rho) of a plain-double round
  * trip rho < 1: rho_TE, and for TM rho_TE (tr M - rho_TE det M) from 2x2
- * shell matrices, with their ratio derivatives. Each argument's upward run
- * and the q_s of its order's block of 16 are kept in a direct-mapped table
+ * shell matrices, with their ratio derivatives. Each node's chains for the
+ * 16 orders of a block are kept in the pure twin's node table, one table
  * per thread, which changes no bit. Its Python-visible surface is the pure
  * twin's ten functions.
  *
@@ -12,9 +12,10 @@
  * both backends produce bit-identical doubles. How a loop comes by its
  * operands may differ: a chain step here converts its counter to the odd
  * factor 2j + 1, where the pure twin reads the same exact double from a
- * table. Edit the two together or not at all, and build with
- * -ffp-contract=off: a fused multiply-add rounds once where the pure twin
- * rounds twice.
+ * table, and each chain here is one lane, where the pure fill pairs the
+ * runs at gamma and gamma * ratio. Edit the two together or not at all,
+ * and build with -ffp-contract=off: a fused multiply-add rounds once where
+ * the pure twin rounds twice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,13 +47,15 @@ static const double Z_MAX = 0x1p+32;
  * twin. */
 static const double MILLER_T = 0x1.98740f2ce783bp+5;
 /* Chain blocks: the orders with one block top l + (1 - l) mod BLOCK take
- * q_s from one downward run started for the top (c_s_ratio). */
+ * q_s from one downward run started for the top (c_s_rows). */
 #define BLOCK 16
 /* Orders stay below 2^31, which a C long holds on every platform; the
  * rescale headroom (2^60) and the exact odd factors (2^52) lie far above. */
 #define L_END 2147483648LL
-/* The per-argument chain cache has 2^SLOT_BITS slots per thread. */
-#define SLOT_BITS 11
+/* The node table (table, below): at most NODE_CAP nodes, found by open
+ * addressing in an index of 2^NODE_BITS entries, at most half of it used. */
+#define NODE_CAP 256
+#define NODE_BITS 9
 
 typedef struct {
     double m;
@@ -83,26 +86,34 @@ typedef struct {
     double dtm;
 } Modes;
 
-/* One slot of the chain cache: the argument z, the upward run's state at
- * order n (e_n in y, e_{n-1} in ym, at offset off), and q_s for the orders
- * top, top - 1, ... of one block. n and top are -1 when unset, and z is 0
- * in a slot never used, which no chain argument matches. */
+/* One order of a node's record, the pure twin's _ROW doubles (see _fill). */
 typedef struct {
-    double z;
-    long n;
-    double y;
-    double ym;
-    double off;
-    long top;
-    double qs[BLOCK];
-} Slot;
+    double aa, nn, qeg, qer, qsg, qsr, qsx, qex;
+} Row;
+
+/* A node's record: its bits, whether it holds TM's chains, and a row per
+ * order of the block, lowest order first. */
+typedef struct {
+    uint64_t key;
+    int tm;
+    Row rows[BLOCK];
+} Node;
 
 static const SR SR_ZERO = {0.0, 0.0};
 
-/* Direct-mapped and per thread, so the node batch needs no lock without
- * the GIL. A slot holds only doubles that are functions of (order, z),
- * so a hit returns the bits a fresh run would. */
-static _Thread_local Slot slots[1 << SLOT_BITS];
+/* The pure twin's _NODES: the records of one (top, mu, ratio) only, cleared
+ * when a node of another is filled or when it holds NODE_CAP nodes. at[i]
+ * is 1 + the number of the record at index entry i, 0 for a free entry.
+ * Per thread (about 261 KiB), so the node batch needs no lock without the
+ * GIL; top is 0 until the first fill, and no block has that top. */
+static _Thread_local struct {
+    long top;
+    double mu;
+    double ratio;
+    int n;
+    short at[1 << NODE_BITS];
+    Node node[NODE_CAP];
+} table;
 
 
 /* -- scaled primitives ---------------------------------------------------- */
@@ -210,101 +221,89 @@ static inline void c_steps(long j, long n, long dj, double z, double *y,
     }
 }
 
-/* The slot of z, reset if it held another argument. */
-static Slot *c_slot(double z)
+/* The top order of l's block, as _block_top, and the lowest order of top's
+ * block. */
+static long c_block_top(long l)
 {
-    uint64_t bits;
-    Slot *s;
-    memcpy(&bits, &z, sizeof bits);
-    s = &slots[(bits * UINT64_C(0x9e3779b97f4a7c15)) >> (64 - SLOT_BITS)];
-    if (s->z != z) {
-        s->z = z;
-        s->n = -1;
-        s->top = -1;
-    }
-    return s;
+    return l + ((1 - l) % BLOCK + BLOCK) % BLOCK;
 }
 
-/* q_s = s_{l-1}/s_l from the run of l's block, started at
- * c_miller_start(top, z), which serves every order of the block. After the
- * step of order j the run holds y = s_{j-1} and ym = s_j at one offset, so
- * q_s of order j is y/ym (see _s_rows in the pure twin). */
-static double c_s_ratio(long l, double z)
+static long c_block_lo(long top)
 {
-    long top = l + ((1 - l) % BLOCK + BLOCK) % BLOCK;
-    Slot *s = c_slot(z);
-    if (s->top != top) {
-        long start = c_miller_start(top, z);
-        long j;
-        double ym = 0.0;
-        double y = 1.0;
-        double off = 0.0;
-        c_steps(start, start - top, -1, z, &y, &ym, &off);
-        for (j = top; j >= 0 && j > top - BLOCK; j--) {
-            c_steps(j, 1, -1, z, &y, &ym, &off);
-            s->qs[top - j] = y / ym;
-        }
-        s->top = top;
-    }
-    return s->qs[top - l];
+    return top - BLOCK + 1 > 0 ? top - BLOCK + 1 : 0;
 }
 
-/* The upward run from e_{-1} = e_0 = exp(-z): e_l in *b and e_{l-1} in *a,
- * both unnormalized at the one offset *k. A run kept at z up to an order
- * n <= l goes on from there with the steps of a run from order 0. */
-static inline void c_e_run(long l, double z, double *b, double *a, double *k)
+/* The upward run from e_{-1} = e_0 = exp(-z) to order l: e_l in *y and
+ * e_{l-1} in *ym, both at the one offset *off, as _e_run. */
+static void c_e_run(long l, double z, double *y, double *ym, double *off)
 {
-    Slot *s = c_slot(z);
+    SR e = c_exp_split(-z);
+    *y = *ym = e.m;
+    *off = e.k;
+    c_steps(0, l, 1, z, y, ym, off);
+}
+
+/* q_e = e_{l-1}/e_l at the orders of top's block, lowest first, as _e_rows,
+ * and with e also e_l scaled: the upward run read at the block's lowest
+ * order and after each further step. */
+static void c_e_rows(long top, double z, double *qe, SR *e)
+{
+    long lo = c_block_lo(top);
+    long j;
     double y, ym, off;
-    if (s->n < 0 || s->n > l) {
-        SR e = c_exp_split(-z);
-        s->n = 0;
-        s->y = e.m;
-        s->ym = e.m;
-        s->off = e.k;
+    c_e_run(lo, z, &y, &ym, &off);
+    for (j = lo; j <= top; j++) {
+        if (j > lo)
+            c_steps(j - 1, 1, 1, z, &y, &ym, &off);
+        qe[j - lo] = ym / y;
+        if (e != NULL)
+            e[j - lo] = c_norm(y, off);
     }
-    y = s->y;
-    ym = s->ym;
-    off = s->off;
-    c_steps(s->n, l - s->n, 1, z, &y, &ym, &off);
-    s->n = l;
-    s->y = y;
-    s->ym = ym;
-    s->off = off;
-    *b = y;
-    *a = ym;
-    *k = off;
+}
+
+/* q_s = s_{l-1}/s_l at the orders of top's block, lowest first, from one
+ * downward run started at c_miller_start(top, z), as _s_rows: after the
+ * step of order j the run holds y = s_{j-1} and ym = s_j at one offset, so
+ * q_s of order j is y/ym. */
+static void c_s_rows(long top, double z, double *qs)
+{
+    long start = c_miller_start(top, z);
+    long lo = c_block_lo(top);
+    long j;
+    double ym = 0.0;
+    double y = 1.0;
+    double off = 0.0;
+    c_steps(start, start - top, -1, z, &y, &ym, &off);
+    for (j = top; j >= lo; j--) {
+        c_steps(j, 1, -1, z, &y, &ym, &off);
+        qs[j - lo] = y / ym;
+    }
+}
+
+/* The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
+ * s_l = 1/(e_l (q_e + q_s)), a sum of positives; as _chains. */
+static Chains c_chains(long l, double z)
+{
+    long top = c_block_top(l);
+    double y, ym, off, qs[BLOCK];
+    Chains c;
+    c_e_run(l, z, &y, &ym, &off);
+    c.e = c_norm(y, off);
+    c.qe = ym / y;
+    c_s_rows(top, z, qs);
+    c.qs = qs[l - c_block_lo(top)];
+    c.s = c_norm(1.0 / (c.e.m * (c.qe + c.qs)), -c.e.k);
+    return c;
 }
 
 static SRP c_e_pair(long l, double z)
 {
-    double a, b, k;
+    double y, ym, off;
     SR p, q;
-    c_e_run(l, z, &b, &a, &k);
-    p = c_norm(b, k);
-    q = c_norm(a, k);
+    c_e_run(l, z, &y, &ym, &off);
+    p = c_norm(y, off);
+    q = c_norm(ym, off);
     return (SRP){p.m, p.k, q.m, q.k};
-}
-
-/* e_l scaled, and q_e = e_{l-1}/e_l in *qe; both members of the run carry
- * one offset, so q_e is one division. */
-static inline SR c_e_ratio(long l, double z, double *qe)
-{
-    double a, b, k;
-    c_e_run(l, z, &b, &a, &k);
-    *qe = a / b;
-    return c_norm(b, k);
-}
-
-/* The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
- * s_l = 1/(e_l (q_e + q_s)), a sum of positives. */
-static Chains c_chains(long l, double z)
-{
-    Chains c;
-    c.e = c_e_ratio(l, z, &c.qe);
-    c.qs = c_s_ratio(l, z);
-    c.s = c_norm(1.0 / (c.e.m * (c.qe + c.qs)), -c.e.k);
-    return c;
 }
 
 static SRP c_s_pair(long l, double z)
@@ -358,6 +357,81 @@ static double c_dlog1m(double rho, double drho)
     return -drho / (1.0 - rho);
 }
 
+/* The index entry of the node with bits key: its record's, or the free
+ * entry where it goes. */
+static short *c_find(uint64_t key)
+{
+    unsigned i = (unsigned)((key * UINT64_C(0x9e3779b97f4a7c15))
+                            >> (64 - NODE_BITS));
+    while (table.at[i] && table.node[table.at[i] - 1].key != key)
+        i = (i + 1) & ((1u << NODE_BITS) - 1);
+    return &table.at[i];
+}
+
+/* xi's record at (mu, ratio) for top's block, made and put in the table as
+ * _fill does, with the rows (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr),
+ * q_s(x), q_e(xr)) at g = gamma, gr = g * ratio, x = xi and xr = xi * ratio;
+ * (e(gr)/e(g))^2 is aa 2^nn, and the last two are 0.0 without tm. A node
+ * already in the table takes its new record in place. */
+static const Row *c_fill(long top, uint64_t key, double xi, double g,
+                         double mu, double ratio, int tm)
+{
+    double gr = g * ratio;
+    double qeg[BLOCK], qer[BLOCK], qsg[BLOCK], qsr[BLOCK];
+    double qsx[BLOCK], qex[BLOCK];
+    SR eg[BLOCK], er[BLOCK];
+    short *at;
+    Node *node;
+    long i;
+    c_e_rows(top, g, qeg, eg);
+    c_e_rows(top, gr, qer, er);
+    c_s_rows(top, g, qsg);
+    c_s_rows(top, gr, qsr);
+    /* Massless (or a mass too small to move gamma): xi*ratio == g*ratio, so
+     * the vacuum-side chains are the ones above. */
+    if (tm && xi != g) {
+        c_s_rows(top, xi, qsx);
+        c_e_rows(top, xi * ratio, qex, NULL);
+    }
+    if (top != table.top || mu != table.mu || ratio != table.ratio
+        || table.n >= NODE_CAP) {
+        memset(table.at, 0, sizeof table.at);
+        table.n = 0;
+        table.top = top;
+        table.mu = mu;
+        table.ratio = ratio;
+    }
+    at = c_find(key);
+    if (!*at)
+        *at = (short)++table.n;
+    node = &table.node[*at - 1];
+    node->key = key;
+    node->tm = tm;
+    for (i = 0; i <= top - c_block_lo(top); i++) {
+        double a = er[i].m / eg[i].m;
+        node->rows[i] = (Row){a * a, 2.0 * (er[i].k - eg[i].k), qeg[i],
+                              qer[i], qsg[i], qsr[i],
+                              !tm ? 0.0 : xi == g ? qsg[i] : qsx[i],
+                              !tm ? 0.0 : xi == g ? qer[i] : qex[i]};
+    }
+    return node->rows;
+}
+
+/* xi's rows for top's block at (mu, ratio), with TM's when tm, as _nodes
+ * reads them: the table's record when it serves the call, else a fill. */
+static const Row *c_rows(long top, double xi, double g, double mu,
+                         double ratio, int tm)
+{
+    uint64_t key;
+    short *at;
+    memcpy(&key, &xi, sizeof key);
+    at = c_find(key);
+    if (*at && top == table.top && mu == table.mu && ratio == table.ratio
+        && table.node[*at - 1].tm >= tm)
+        return table.node[*at - 1].rows;
+    return c_fill(top, key, xi, g, mu, ratio, tm);
+}
+
 /* With deriv, also the ratio derivatives dte and dtm, as in the pure
  * twin's node loop, _nodes. */
 static Modes c_core_point(long l, double xi, double mu, double ratio,
@@ -365,15 +439,11 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
 {
     double g = c_gamma(xi, mu);
     double gr = g * ratio;
-    double qeg, qer, qex, qsx;
-    SR eg = c_e_ratio(l, g, &qeg);
-    SR er = c_e_ratio(l, gr, &qer);
-    double qsg = c_s_ratio(l, g);
-    double qsr = c_s_ratio(l, gr);
-    double pg = qeg + qsg;
-    double pr = qer + qsr;
-    double a = er.m / eg.m;
-    double n = 2.0 * (er.k - eg.k);
+    long top = c_block_top(l);
+    const Row *w = c_rows(top, xi, g, mu, ratio, mode != 0)
+                   + (l - c_block_lo(top));
+    double pg = w->qeg + w->qsg;
+    double pr = w->qer + w->qsr;
     double x, xr, L2, m2, x2, ml, gts, gte, dsg, deg, dsr, der;
     double u22, v22, w22, y22, dv, dw, a11, a12, a21, a22;
     double b11, b12, b21, b22, tr, det, rho;
@@ -386,7 +456,7 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
      * the exponent can pass INT_MIN (e_l(z) ~ e^-z, z < 2^32); any
      * exponent below -4200 already gives 0, so it is clamped before the
      * cast. */
-    rho = ldexp(a * a * (pr / pg), n < -4200.0 ? -4200 : (int)n);
+    rho = ldexp(w->aa * (pr / pg), w->nn < -4200.0 ? -4200 : (int)w->nn);
     /* d ln rho_TE / d ratio = -g pr: ratio enters only at gr and xr. */
     drho = deriv ? -rho * (g * pr) : 0.0;
     if (mode != 1) {
@@ -398,15 +468,6 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
 
     x = xi;
     xr = xi * ratio;
-    if (x == g) {
-        /* Massless (or a mass too small to move gamma): x*ratio == g*ratio,
-         * so the vacuum-side chains are the ones above. */
-        qsx = qsg;
-        qex = qer;
-    } else {
-        qsx = c_s_ratio(l, x);
-        c_e_ratio(l, xr, &qex);
-    }
 
     /* The four 2x2 blocks U, V, W, Y and the round trip
      * M = W^-1 Y V^-1 U, as in the pure twin. */
@@ -414,12 +475,12 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
     m2 = mu * mu;
     x2 = x * x;
     ml = m2 * L2;
-    gts = g * g * ((l + 1.0) - x * qsx);
-    gte = g * g * ((l + 1.0) + xr * qex);
-    dsg = g * qsg - l;
-    deg = -(g * qeg + l);
-    dsr = gr * qsr - l;
-    der = -(gr * qer + l);
+    gts = g * g * ((l + 1.0) - x * w->qsx);
+    gte = g * g * ((l + 1.0) + xr * w->qex);
+    dsg = g * w->qsg - l;
+    deg = -(g * w->qeg + l);
+    dsr = gr * w->qsr - l;
+    der = -(gr * w->qer + l);
     u22 = gts - x2 * (1.0 - dsg);
     v22 = gts - x2 * (1.0 - deg);
     w22 = gte - x2 * (1.0 - dsr);
@@ -444,7 +505,7 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
     /* W and Y through the Riccati equation of each d, as in the pure
      * twin. */
     gg = g * g;
-    dex = -(xr * qex + l);
+    dex = -(xr * w->qex + l);
     ddsr = (dsr - dsr * dsr + gr * gr + L2) / ratio;
     dder = (der - der * der + gr * gr + L2) / ratio;
     ddex = (dex - dex * dex + xr * xr + L2) / ratio;

@@ -23,19 +23,25 @@ built on them.
 Orders come in blocks of 16, {0, 1}, {2, ..., 17}, {18, ..., 33} and so
 on. One Miller run started for a block's top order yields the q_s of every
 order of the block, and the waves of a block share their nodes (spectrum
-frames them alike). So a mode factor's node runs its chains once for the
-whole block and keeps one row per order; the other waves of the block read
-their row. The twins keep the chains differently (a node-keyed table of the
-current block here, a per-thread table of per-argument runs in C), but
-every kept double is the one a fresh run makes, by the same steps on the
-same doubles, so no hit, miss or eviction changes a bit. Here a node's
-fill runs its chains at gamma and gamma * ratio as two lanes of one loop,
-each lane making exactly the steps of its own run, and stores its rows
-lowest order first.
+frames them alike). So both twins keep one node table for the mode
+factors: a node's first call in a block fills its record, the chains of
+every order of the block at that node, _ROW doubles per order, lowest
+order first; the other waves of the block read their row. The table holds
+the nodes of one (top, mu, ratio), at most _NODE_CAP of them, and is
+cleared when a node of another is filled or when it is full; a record
+without TM's chains is filled again, in place, for a TM call. Here the
+table is one dict that threads share; in C it is a table per thread,
+keyed by the node's bits. Every kept double is the one a fresh fill
+makes, by the same steps on the same doubles, so no hit, miss or clear
+changes a bit. Each chain function has one C counterpart: _e_run, _e_rows,
+_s_rows, _fill and _chains are c_e_run, c_e_rows, c_s_rows, c_fill and
+c_chains, and the lookup in _nodes is c_rows. Only a fill's loops differ:
+here the chains at gamma and gamma * ratio run as two lanes of one loop,
+each lane making exactly the steps of its own run; C runs each alone.
 
 One loop per node batch (_nodes) checks the batch, reads or fills each
 node's record and forms its mode factors; log_delta_point is a batch of
-one node, where C evaluates each node with c_core_point.
+one node. family, s_pair and e_pair run their chains afresh.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)

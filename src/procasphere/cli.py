@@ -6,7 +6,8 @@ inputs) and "result". The manifest is sufficient to re-run the computation,
 which is exactly what the replay subcommand does; since the numerics are
 deterministic, a replay must reproduce the stored result bit for bit.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 failure to converge.
+Exit codes: 0 success, 1 replay mismatch or selftest failure, 2 usage or
+parameter error, 3 failure to converge.
 """
 
 from __future__ import annotations
@@ -372,9 +373,10 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l-cap", dest="l_cap", type=int, default=5000,
                    help="hard ceiling on the partial-wave order")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, recorded in the manifest; waves "
-                        "run serially and no count changes the result "
-                        "(default: 1)")
+                   help="processes for each wave sum, at most one per CPU "
+                        "this process may use; forked workers make some of "
+                        "the blocks of waves. Recorded in the manifest; no "
+                        "count changes the result (default: 1)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                    default="json", help="output format (default: json)")
 

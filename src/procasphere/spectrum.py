@@ -6,8 +6,9 @@ dimensionless imaginary frequency of the combined TE and TM log factors.
 Each log factor is strictly negative and decays like
 exp(-2*gamma*(ratio-1)), which drives both the quadrature framing and the
 tail bounds used here. Waves come in blocks of 16 orders that share one
-frame, so their start nodes coincide and the kernel's per-argument Bessel
-chains serve the whole block.
+frame, so their start nodes coincide, and the kernel's node table, which
+keeps each node's Bessel chains for every order of the block, serves the
+whole block.
 
 Everything is deterministic by construction: panels are refined by a
 first-maximum scan, sums are accumulated in a fixed order, and each wave's

@@ -7,7 +7,9 @@ on which backend happened to import.
 The compiled kernel under test is built here from ``_core.c`` with the
 flags of setup.py plus strict warnings, and loaded by file path, so these
 tests need only a C compiler, not an installed extension, and leave the
-package's backend choice alone.
+package's backend choice alone. A second build with the undefined-behaviour
+sanitizer runs the chain-cache tests and a whole energy, where any
+undefined behaviour in the kernel aborts the run.
 """
 
 import dataclasses
@@ -32,25 +34,58 @@ from procasphere import bessel, determinants, spectrum
 # extra_compile_args of setup.py, then warnings as errors.
 BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c11", "-Wall", "-Wextra",
                "-Werror"]
+# Undefined behaviour (an index out of a fixed-size array, an overflowing
+# signed sum or shift) stops the process at once instead of going on.
+UBSAN_FLAGS = ["-ffp-contract=off", "-std=c11", "-fsanitize=undefined",
+               "-fno-sanitize-recover=all"]
 
 
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
+def _cc():
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("no C compiler found to build the compiled kernel")
+    return cc
+
+
+def _build(cc, flags, src, out):
+    return subprocess.run(
+        [*cc, *flags, "-shared", "-fPIC",
+         "-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out),
+         "-lm"], capture_output=True, text=True)
+
+
+def _load(cc, flags, tmp_path_factory):
     src = Path(pure.__file__).with_name("_core.c")
     out = (tmp_path_factory.mktemp("core")
            / ("_core" + sysconfig.get_config_var("EXT_SUFFIX")))
-    cmd = [*cc, *BUILD_FLAGS, "-shared", "-fPIC",
-           "-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out),
-           "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = _build(cc, flags, src, out)
     assert proc.returncode == 0, proc.stderr
     spec = importlib.util.spec_from_file_location("procasphere._core", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    return _load(_cc(), BUILD_FLAGS, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def ubsan(tmp_path_factory):
+    cc = _cc()
+    probe = tmp_path_factory.mktemp("probe")
+    (probe / "empty.c").write_text("int empty(void) { return 0; }\n")
+    proc = _build(cc, UBSAN_FLAGS, probe / "empty.c", probe / "empty.so")
+    if proc.returncode != 0:
+        pytest.skip("the compiler cannot link the undefined-behaviour "
+                    "sanitizer")
+    return _load(cc, UBSAN_FLAGS, tmp_path_factory)
+
+
+def _kernel(request, backend):
+    # The pure twin needs no compiler; a build is made on first use.
+    return pure if backend == "pure" else request.getfixturevalue(backend)
 
 
 def test_backend_tags(compiled):
@@ -228,8 +263,7 @@ def test_mode_and_order_are_indices(request, backend):
     # Both twins read l and mode as C reads an index: a float, even 1.0,
     # raises C's TypeError before any node is read, also with no nodes,
     # and True reads as 1. The pure case needs no compiler.
-    kernel = pure if backend == "pure" else request.getfixturevalue(
-        "compiled")
+    kernel = _kernel(request, backend)
     msg = "'float' object cannot be interpreted as an integer"
     for bad in (1.5, 1.0):
         for l, mode in ((5, bad), (bad, 1)):
@@ -378,20 +412,28 @@ def _empty_pure_cache():
 
 # Nodes from 1e-3 to 1e3 for the chain-cache tests.
 CACHE_XS = tuple(1e-3 * 10.0 ** (i / 2.0) for i in range(13))
+# More nodes than the node table holds (256), from 1e-3 to 30.
+LONG_XS = tuple(1e-3 * 10.0 ** (4.5 * i / 299) for i in range(300))
+# The cache tests run on every twin and on the sanitizer build.
+CACHE_BACKENDS = ["pure", "compiled", "ubsan"]
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_chain_cache_changes_no_bit(compiled, backend):
-    # The pure twin keeps each node's chains for the waves of a block, the
-    # compiled one each argument's upward run and its block's q_s, between
-    # calls. Each value must be the one the pure twin gives with its cache
-    # emptied before the call, whether the calls ascend in l, descend, or
-    # follow calls that leave other chains kept: one at another order on
-    # the same nodes, then one at other nodes or at the same nodes and
-    # order with another ratio or another mass, then the same call in TE
-    # alone. So no chains kept for another (mu, ratio), or without TM's,
-    # may be served.
-    kernel = pure if backend == "pure" else compiled
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_chain_cache_changes_no_bit(request, backend):
+    # Both twins keep one node table between calls: each node's chains for
+    # the 16 orders of a block, for one (block top, mu, ratio) at a time, at
+    # most 256 nodes; C keeps one table per thread and finds a node by
+    # probing from the hash of its bits. Each value must be the one the
+    # pure twin gives with its cache emptied before the call, whether the
+    # calls ascend in l, descend, or follow calls that leave other chains
+    # kept: one at another order on the same nodes, then one at other nodes
+    # or at the same nodes and order with another ratio or another mass,
+    # then the same call in TE alone. So no chains kept for another
+    # (mu, ratio), or without TM's, may be served. Last, a batch longer
+    # than the cap, in TE then TM, on 256 of its nodes and on all 300: the
+    # table fills, is cleared when full, and a TE record is upgraded to TM
+    # in a full table, with the index's probe runs at their longest.
+    kernel = _kernel(request, backend)
     calls = [(name, l, mu) for mu in (0.0, 0.7) for l in range(1, 41)
              for name in ("log_delta_nodes", "dlog_delta_nodes")]
     other = tuple(1.37 * x for x in CACHE_XS)
@@ -415,15 +457,25 @@ def test_chain_cache_changes_no_bit(compiled, backend):
             call(kernel, name, l, mu, mode=0)
             got.add(call(kernel, name, l, mu))
     assert mixed == {c: {w} for c, w in want.items()}
+    capped = [(name, l, mu, xs, 1.45, mode)
+              for l, mu in ((3, 0.7), (20, 0.0))
+              for xs in (LONG_XS[:256], LONG_XS) for mode in (0, 2)
+              for name in ("log_delta_nodes", "dlog_delta_nodes")]
+    want = {}
+    for c in capped:
+        _empty_pure_cache()
+        want[c] = call(pure, *c)
+    assert {c: call(kernel, *c) for c in capped} == want
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_chain_cache_from_four_threads(compiled, backend):
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_chain_cache_from_four_threads(request, backend):
     # Four threads on the waves of one block at the same nodes ask for the
-    # same chain arguments at once. The pure twin's cache is shared by
-    # every thread and replaces whole tuples, the compiled one is per
-    # thread; each call must still give the serial answer.
-    kernel = pure if backend == "pure" else compiled
+    # same node records at once. The pure twin's node table is shared by
+    # every thread and replaces whole tuples; the compiled twin's is per
+    # thread, so each thread fills its own. Each call must still give the
+    # serial answer.
+    kernel = _kernel(request, backend)
     jobs = [[(l, 0.0, 1.3, 2, CACHE_XS[:8]) for l in range(2 + i, 18, 4)]
             for i in range(4)]
     expected = [[pure.log_delta_nodes(*job) for job in js] for js in jobs]
@@ -453,12 +505,13 @@ def test_chain_cache_from_four_threads(compiled, backend):
         assert got[i] == list(reversed(want)) * 10
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_warm_energy_repeats_cold_energy(compiled, monkeypatch, backend):
-    # The compiled cache is per thread, so a new thread starts cold; the
-    # pure twin's is emptied. The same energy again, warm, is the same
-    # result in every field.
-    kernel = pure if backend == "pure" else compiled
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_warm_energy_repeats_cold_energy(request, monkeypatch, backend):
+    # The compiled node table is per thread, so a new thread starts with
+    # an empty one; the pure twin's shared table is emptied. The same
+    # energy again, on this thread, where the table holds the last
+    # block's nodes, is the same result in every field.
+    kernel = _kernel(request, backend)
     monkeypatch.setattr(spectrum, "kernel", kernel)
     spec = spectrum.ProblemSpec(ratio=1.3, mu=0.5, rel_tol=1e-6)
     _empty_pure_cache()
@@ -474,14 +527,27 @@ def test_warm_energy_repeats_cold_energy(compiled, monkeypatch, backend):
                 == repr(getattr(cold[0], field.name))), field.name
 
 
-@pytest.mark.parametrize("ratio,mu,rel_tol", [(1.5, 0.5, 1e-7),
-                                               (1.05, 2.0, 1e-5)])
+ENERGY_CASES = pytest.mark.parametrize("ratio,mu,rel_tol",
+                                       [(1.5, 0.5, 1e-7), (1.05, 2.0, 1e-5)])
+
+
+@ENERGY_CASES
 def test_energy_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
+    _assert_energy_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol)
+
+
+@ENERGY_CASES
+def test_energy_bit_identical_under_ubsan(ubsan, monkeypatch, ratio, mu,
+                                          rel_tol):
+    _assert_energy_bit_identical(ubsan, monkeypatch, ratio, mu, rel_tol)
+
+
+def _assert_energy_bit_identical(kernel, monkeypatch, ratio, mu, rel_tol):
     # Every node, panel and wave of a whole energy, on one and two threads.
     spec = spectrum.ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol)
     monkeypatch.setattr(spectrum, "kernel", pure)
     want = spectrum.energy(spec)
-    monkeypatch.setattr(spectrum, "kernel", compiled)
+    monkeypatch.setattr(spectrum, "kernel", kernel)
     for threads in (1, 2):
         got = spectrum.energy(spec, threads=threads)
         for field in ("value", "abs_error_estimate", "te", "tm", "l_used",
