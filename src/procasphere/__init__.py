@@ -41,7 +41,7 @@ from .spectrum import (
 )
 from .units import convert_units, energy_scale_joules
 
-__version__ = "0.9.1"
+__version__ = "0.9.2"
 
 __all__ = [
     "ScaledReal",

@@ -28,16 +28,24 @@ factors: a node's first call in a block fills its record, the chains of
 every order of the block at that node, _ROW doubles per order, lowest
 order first; the other waves of the block read their row. The table holds
 the nodes of one (top, mu, ratio), at most _NODE_CAP of them, and is
-cleared when a node of another is filled or when it is full; a record
+cleared when a node of another is asked for or when it is full; a record
 without TM's chains is filled again, in place, for a TM call. Here the
 table is one dict that threads share; in C it is a table per thread,
 keyed by the node's bits. Every kept double is the one a fresh fill
 makes, by the same steps on the same doubles, so no hit, miss or clear
 changes a bit. Each chain function has one C counterpart: _e_run, _e_rows,
 _s_rows, _fill and _chains are c_e_run, c_e_rows, c_s_rows, c_fill and
-c_chains, and the lookup in _nodes is c_rows. Only a fill's loops differ:
-here the chains at gamma and gamma * ratio run as two lanes of one loop,
-each lane making exactly the steps of its own run; C runs each alone.
+c_chains, and the lookup in _nodes is c_rows.
+
+A fill makes its record's rows in this order: one upward loop runs the e
+chains at gamma and gamma * ratio and appends each order's row; then the
+q_s chains at both write their columns (_s_pair_rows); then TM's columns
+are copied in, with a mass from runs at xi and xi * ratio. Only these
+loops differ from C's: here the chains at gamma and gamma * ratio run as
+two lanes of one loop, each lane making exactly the steps of its own run,
+where C runs each alone (c_e_rows, c_s_rows); and a node batch compares
+its (top, mu, ratio) with the table's once, where c_rows does so per
+node.
 
 One loop per node batch (_nodes) checks the batch, reads or fills each
 node's record and forms its mode factors; log_delta_point is a batch of
@@ -103,18 +111,20 @@ _BLOCK = 16
 # Orders stay below 2**31, which a C long holds on every platform; the
 # rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
 _L_END = 2 ** 31
-# Node table of the mode factors: node xi -> (top, mu, ratio, tm, rows),
-# the chains of every order of top's block at that node (see _fill). It
-# holds the nodes of one (top, mu, ratio) only, and is cleared when a node
-# of another is filled or when it reaches _NODE_CAP nodes, so a long wave
-# cannot grow it. Each record is an immutable tuple put or read by one dict
-# operation, so threads sharing the table never read a half-made record
-# and need no lock; a race at worst repeats a fill. The rows are _ROW
-# doubles per order in one flat tuple, rho_TE's e factor among them
-# already formed (see _fill): a tuple of the ten chain values per order
-# cost 0.4 MB more peak memory on the benchmark's small-gap batch. An
-# array of doubles cost 1 MB less, but each read then makes new floats,
-# which took back a quarter of the speed-up.
+# Node table of the mode factors: node xi -> (block, tm, rows), the chains
+# of every order of block = (top, mu, ratio) at that node (see _fill). It
+# holds the nodes of _NODES_BLOCK only: a node batch of another block
+# clears it and makes its own block current, and a fill into a full table
+# (_NODE_CAP nodes) clears it, so a long wave cannot grow it. A record
+# serves a batch only if it holds the very block object that the batch
+# found current. Each record is an immutable tuple put or read by one dict
+# operation, so threads sharing the table never read a half-made record or
+# one of another block, and need no lock; a race at worst repeats a fill.
+# The rows are _ROW doubles per order in one flat tuple, rho_TE's e factor
+# among them already formed (see _fill): a tuple of the ten chain values
+# per order cost 0.4 MB more peak memory on the benchmark's small-gap
+# batch. An array of doubles cost 1 MB less, but each read then makes new
+# floats, which took back a quarter of the speed-up.
 _NODE_CAP = 256
 _ROW = 8
 _NODES = {}
@@ -322,47 +332,11 @@ def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
     return y, ym, off, yr, ymr, offr
 
 
-def _e_pair_rows(top, g, gr):
-    # (aa, nn, q_e(g), q_e(gr)) at the orders of top's block, lowest first,
-    # with aa * 2**nn = (e(gr)/e(g))**2 (see _fill) formed per order from
-    # the two lanes' e_l, each the e_l of its own upward run (e_pair).
-    lo = _block_lo(top)
-    m, k = _exp_split(-g)
-    mr, kr = _exp_split(-gr)
-    y, ym, off, yr, ymr, offr = _pair_steps(_up(0, lo), g, m, m, k, gr, mr,
-                                            mr, kr)
-    frexp = math.frexp
-    big = _BIG
-    m, e = frexp(y)
-    mr, er = frexp(yr)
-    a = mr / m
-    aa, nn = [a * a], [2.0 * ((offr + er) - (off + e))]
-    qe, qer = [ym / y], [ymr / yr]
-    for c in _up(lo, top):
-        y, ym = ym + c / g * y, y
-        if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-            off += _STEP
-        yr, ymr = ymr + c / gr * yr, yr
-        if yr > big:
-            yr *= _DOWN
-            ymr *= _DOWN
-            offr += _STEP
-        m, e = frexp(y)
-        mr, er = frexp(yr)
-        a = mr / m
-        aa.append(a * a)
-        nn.append(2.0 * ((offr + er) - (off + e)))
-        qe.append(ym / y)
-        qer.append(ymr / yr)
-    return aa, nn, qe, qer
-
-
-def _s_pair_rows(top, g, gr):
-    # (q_s(g), q_s(gr)) at the orders of top's block, top first, as two
-    # _s_rows runs. The lane that starts higher runs alone down to the
-    # other's start; the starts come in either order (at top 17, g = 55
+def _s_pair_rows(top, g, gr, rows):
+    # q_s(g) and q_s(gr) at the orders of top's block, as two _s_rows runs,
+    # written into columns 4 and 5 of a fill's rows (see _fill), from the
+    # top order's row down. The lane that starts higher runs alone down to
+    # the other's start; the starts come in either order (at top 17, g = 55
     # starts at 81 by the fallback and gr = 60.5 at 60 by the bound).
     start = _miller_start(top, g)
     startr = _miller_start(top, gr)
@@ -374,7 +348,7 @@ def _s_pair_rows(top, g, gr):
     y, ym, _, yr, ymr, _ = _pair_steps(_down(min(start, startr), top + 1),
                                        g, y, ym, 0.0, gr, yr, ymr, 0.0)
     big = _BIG
-    qs, qsr = [], []
+    p = len(rows) - _ROW + 4
     for c in _down(top, _block_lo(top)):
         y, ym = ym + c / g * y, y
         if y > big:
@@ -384,9 +358,9 @@ def _s_pair_rows(top, g, gr):
         if yr > big:
             yr *= _DOWN
             ymr *= _DOWN
-        qs.append(y / ym)
-        qsr.append(yr / ymr)
-    return qs, qsr
+        rows[p] = y / ym
+        rows[p + 1] = yr / ymr
+        p -= _ROW
 
 
 def _check_chain(l, z):
@@ -450,34 +424,54 @@ def _log1m(rho):
     return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
 
 
-def _fill(top, xi, g, mu, ratio, tm):
-    """The node table's record of xi at (mu, ratio) for top's block:
-    (top, mu, ratio, tm, rows), with _ROW doubles per order of the block,
-    lowest first, (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr))
-    at g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
+def _fill(block, xi, g, tm):
+    """The node table's record of xi for block = (top, mu, ratio): (block,
+    tm, rows), with _ROW doubles per order of the block, lowest first,
+    (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr)) at
+    g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
     (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
     mantissas and nn twice the gap of the scales, the doubles that the C
     twin forms for rho_TE. The last two are made only with tm (and read
-    0.0 otherwise), since only TM needs them."""
-    global _NODES_BLOCK
+    0.0 otherwise), since only TM needs them. The module docstring gives
+    the order in which the rows are made. The upward loop reads an order,
+    then steps, so its last step, past top, is not read."""
+    top, _, ratio = block
     gr = g * ratio
-    aa, nn, qeg, qer = _e_pair_rows(top, g, gr)
-    qsg, qsr = _s_pair_rows(top, g, gr)
-    if not tm:
-        qsx = qex = itertools.repeat(0.0)
-    elif xi == g:
-        # Massless (or a mass too small to move gamma): xi*ratio == g*ratio,
-        # so the vacuum-side chains are the ones above.
-        qsx, qex = reversed(qsg), qer
-    else:
-        qsx = reversed(_s_rows(top, xi))
-        qex = _e_rows(top, xi * ratio)
-    rec = (top, mu, ratio, tm, tuple(itertools.chain.from_iterable(
-        zip(aa, nn, qeg, qer, reversed(qsg), reversed(qsr), qsx, qex))))
-    block = (top, mu, ratio)
-    if block != _NODES_BLOCK or len(_NODES) >= _NODE_CAP:
+    lo = _block_lo(top)
+    m, k = _exp_split(-g)
+    mr, kr = _exp_split(-gr)
+    y, ym, off, yr, ymr, offr = _pair_steps(_up(0, lo), g, m, m, k, gr, mr,
+                                            mr, kr)
+    frexp = math.frexp
+    big = _BIG
+    rows = []
+    for c in _up(lo, top + 1):
+        m, e = frexp(y)
+        mr, er = frexp(yr)
+        a = mr / m
+        rows += (a * a, 2.0 * ((offr + er) - (off + e)), ym / y, ymr / yr,
+                 0.0, 0.0, 0.0, 0.0)
+        y, ym = ym + c / g * y, y
+        if y > big:
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
+        yr, ymr = ymr + c / gr * yr, yr
+        if yr > big:
+            yr *= _DOWN
+            ymr *= _DOWN
+            offr += _STEP
+    _s_pair_rows(top, g, gr, rows)
+    if tm:
+        if xi == g:
+            rows[6::_ROW] = rows[4::_ROW]
+            rows[7::_ROW] = rows[3::_ROW]
+        else:
+            rows[6::_ROW] = _s_rows(top, xi)[::-1]
+            rows[7::_ROW] = _e_rows(top, xi * ratio)
+    rec = (block, tm, tuple(rows))
+    if len(_NODES) >= _NODE_CAP:
         _NODES.clear()
-        _NODES_BLOCK = block
     _NODES[xi] = rec
     return rec
 
@@ -500,41 +494,49 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     # reads them: a float raises TypeError before any node is read. Every
     # node is checked before any is evaluated, and an empty batch checks
     # nothing else, as in C. xs is read once, so any iterable serves, as
-    # in C.
+    # in C. A batch of another block than the table's clears the table
+    # before its first node is read (see _NODES).
+    global _NODES_BLOCK
     l = operator.index(l)
     mode = operator.index(mode)
     xi_min = 0.0 if mode == 0 else _Z_MIN
-    nodes = []
+    xs = tuple(xs)
+    m2 = mu * mu
+    sqrt = math.sqrt
+    gs = []
     for xi in xs:
-        g = gamma_arg(xi, mu)
+        # gamma_arg, inline.
+        g = xi if mu == 0.0 else mu if xi == 0.0 else sqrt(xi * xi + m2)
         if not (xi_min <= xi < math.inf and _Z_MIN <= g
                 and g * ratio < _Z_MAX):
             raise ValueError(_POINT_DOMAIN)
-        nodes.append((xi, g))
-    if not nodes:
+        gs.append(g)
+    if not xs:
         return (), ()
     if (not 1 <= l < _L_END or mode < 0 or mode > 2
             or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf):
         raise ValueError(_POINT_DOMAIN)
     top = _block_top(l)
+    block = _NODES_BLOCK
+    if block != (top, mu, ratio):
+        _NODES.clear()
+        block = _NODES_BLOCK = (top, mu, ratio)
     i = _ROW * (l - _block_lo(top))
     j = i + _ROW
     tm = mode != 0
     fl = float(l)
     lp = l + 1.0
     L2 = l * lp
-    m2 = mu * mu
     ml = m2 * L2
     get = _NODES.get
     log1p = math.log1p
     ldexp = math.ldexp
     te, tmv = [], []
-    for xi, g in nodes:
+    for xi, g in zip(xs, gs):
         rec = get(xi)
-        if (rec is None or rec[0] != top or rec[1] != mu or rec[2] != ratio
-                or rec[3] < tm):
-            rec = _fill(top, xi, g, mu, ratio, tm)
-        aa, nn, qeg, qer, qsg, qsr, qsx, qex = rec[4][i:j]
+        if rec is None or rec[0] is not block or rec[1] < tm:
+            rec = _fill(block, xi, g, tm)
+        aa, nn, qeg, qer, qsg, qsr, qsx, qex = rec[2][i:j]
         gr = g * ratio
         pg = qeg + qsg
         pr = qer + qsr
@@ -632,9 +634,9 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
         tmv.append(-drho_tm / (1.0 - rho_tm) if rho_tm < 0.5
                    else _dlog1m(rho_tm, drho_tm))
     if mode == 0:
-        return tuple(te), (-0.0,) * len(nodes)
+        return tuple(te), (-0.0,) * len(xs)
     if mode == 1:
-        return (-0.0,) * len(nodes), tuple(tmv)
+        return (-0.0,) * len(xs), tuple(tmv)
     return tuple(te), tuple(tmv)
 
 

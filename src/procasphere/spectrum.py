@@ -8,7 +8,9 @@ exp(-2*gamma*(ratio-1)), which drives both the quadrature framing and the
 tail bounds used here. Waves come in blocks of 16 orders that share one
 frame, so their start nodes coincide, and the kernel's node table, which
 keeps each node's Bessel chains for every order of the block, serves the
-whole block.
+whole block. A wave's start, its five panels and the tail node, is one
+kernel batch of 76 nodes, and the frame's nodes are made once per block:
+the last frame is kept.
 
 Everything is deterministic by construction: panels are refined by a
 first-maximum scan, sums are accumulated in a fixed order, and each wave's
@@ -21,6 +23,7 @@ any thread count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -223,20 +226,40 @@ def _integrand(l: int, mu: float, ratio: float, mode: int, xs,
         # chain range; say which inputs did.
         raise ValueError(f"ratio={ratio!r}, mu={mu!r}, l={l}: {exc}") from None
     fv = [p + q for p, q in zip(te, tm)]
-    for x, f in zip(xs, fv):
-        if math.isnan(f):
-            raise ConvergenceError(
-                f"mode factor not finite at l={l}, xi_hat={x!r}", l_reached=l)
+    # A NaN anywhere makes the sum NaN; only then look for the first one.
+    if math.isnan(sum(fv)):
+        for x, f in zip(xs, fv):
+            if math.isnan(f):
+                raise ConvergenceError(
+                    f"mode factor not finite at l={l}, xi_hat={x!r}",
+                    l_reached=l)
     return te, tm, fv
+
+
+def _combine(a: float, b: float, h: float, te, tm, fv):
+    # [a, b, integral, error, TE integral, TM integral] from 15 node values.
+    val, err = _gk15_combine(fv, h)
+    return [a, b, val, err, h * _k15(te), h * _k15(tm)]
 
 
 def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
            deriv: bool):
-    # [a, b, integral, error, TE integral, TM integral].
     xs, h = _panel_nodes(a, b)
-    te, tm, fv = _integrand(l, mu, ratio, mode, xs, deriv)
-    val, err = _gk15_combine(fv, h)
-    return [a, b, val, err, h * _k15(te), h * _k15(tm)]
+    return _combine(a, b, h, *_integrand(l, mu, ratio, mode, xs, deriv))
+
+
+@functools.lru_cache(maxsize=1)
+def _frame(X: float):
+    # A wave's start, which depends on X alone: the nodes of the five
+    # geometric panels on [0, X] in order, then X, and each panel's
+    # (a, b, h). The waves of a block share X and run one after another.
+    edges = [0.0] + [X * 2.0 ** (-j) for j in range(4, -1, -1)]
+    xs, spans = [], []
+    for a, b in zip(edges, edges[1:]):
+        pxs, h = _panel_nodes(a, b)
+        xs += pxs
+        spans.append((a, b, h))
+    return tuple(xs) + (X,), tuple(spans)
 
 
 def _l_term_full(l: int, mu: float, ratio: float, mode: int, rel_tol: float):
@@ -260,23 +283,25 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     # digits below the peak; at the lower orders of a block the edge lies
     # further out, and the block's waves share their start nodes). Five
     # geometric panels start the wave; bisection places any further nodes.
+    # The start panels and the tail node X are one kernel batch, on the
+    # frame that the block's first wave made.
     top = _block_top(l)
     d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
     X = math.sqrt(d * (d + 2.0 * mu))
-    evals = 0
+    xs, spans = _frame(X)
+    te, tm, fv = _integrand(l, mu, ratio, mode, xs, deriv)
     panels = []
-    edges = [0.0] + [X * 2.0 ** (-j) for j in range(4, -1, -1)]
-    for a, b in zip(edges, edges[1:]):
-        panels.append(_panel(l, mu, ratio, mode, a, b, deriv))
-        evals += 15
+    for p, (a, b, h) in enumerate(spans):
+        at = slice(15 * p, 15 * p + 15)
+        panels.append(_combine(a, b, h, te[at], tm[at], fv[at]))
+    evals = len(xs)
 
     # The tail past X: an exponential with local rate 2*(ratio-1)*X/gamma(X),
     # and the rate only grows to the right of X. The derivative integrand
     # carries an extra factor of about 2*gamma, and gamma grows at most
     # like xi, by a factor below exp((xi - X)/X); so its bound takes the
     # rate minus 1/X, which the frame keeps above 44/X.
-    f = _integrand(l, mu, ratio, mode, (X,), deriv)[2][0]
-    evals += 1
+    f = fv[-1]
     g = kernel.gamma_arg(X, mu)
     if deriv:
         tail = abs(f) / (2.0 * X * (ratio - 1.0) / g - 1.0 / X)

@@ -7,6 +7,8 @@ test_oracle.py and test_goldens.py.
 """
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -231,7 +233,7 @@ def test_chains_match_plain_step_loop():
 
 
 def _single_lane_record(top, xi, mu, ratio):
-    # A TM node record as _fill made it from one chain run per argument:
+    # A TM node record as _fill makes it, from one chain run per argument:
     # e_l from e_pair's upward run to each order, q_e rows lowest order
     # first, q_s rows reversed from top first.
     g = _core_py.gamma_arg(xi, mu)
@@ -245,7 +247,7 @@ def _single_lane_record(top, xi, mu, ratio):
         a = erm / egm
         rows += [a * a, 2.0 * (erk - egk), qeg[o], qer[o], qsg[o],
                  qsr[o], qsx[o], qex[o]]
-    return top, mu, ratio, True, tuple(rows)
+    return (top, mu, ratio), True, tuple(rows)
 
 
 def _rescales(z, top, up):
@@ -284,9 +286,16 @@ def test_paired_lanes_match_single_lane_runs():
              (17, 1e-15, 0.0, 1e6), (17, 1e-5, 0.0, 100.0)]
     for top, xi, mu, ratio in cases:
         g = _core_py.gamma_arg(xi, mu)
-        rec = _core_py._fill(top, xi, g, mu, ratio, True)
+        block = (top, mu, ratio)
+        rec = _core_py._fill(block, xi, g, True)
         want = _single_lane_record(top, xi, mu, ratio)
         assert repr(rec) == repr(want), (top, xi, mu, ratio)
+        # Without TM's chains the record reads 0.0 in the two TM columns,
+        # q_s(x) and q_e(xr), and what the TM record reads everywhere else.
+        te_rec = _core_py._fill(block, xi, g, False)
+        rows = list(rec[2])
+        rows[6::8] = rows[7::8] = [0.0] * (len(rows) // 8)
+        assert repr(te_rec) == repr((block, False, tuple(rows))), block
     _core_py._NODES.clear()
 
 
@@ -329,3 +338,42 @@ def test_rejected_node_batch_leaves_the_node_table():
     assert _core_py._NODES_BLOCK == block
     assert _core_py._NODES.keys() == before.keys()
     assert all(_core_py._NODES[x] is before[x] for x in xs)
+
+
+def test_node_table_from_threads_of_other_blocks():
+    # Threads share the pure twin's node table, and a node batch clears it
+    # when its block is not the table's. Four threads on four blocks (top
+    # or mu differ) at the same nodes clear it for one another between a
+    # batch's block check and its reads, and fill the same keys; a record
+    # serves only the batch of the block it was made for, so every call
+    # still gives the serial answer.
+    xs = tuple(0.05 * 1.6 ** i for i in range(12))
+    jobs = [(l, mu, 1.3, 2, xs)
+            for l, mu in ((5, 0.0), (20, 0.0), (5, 0.5), (40, 0.5))]
+    expected = []
+    for job in jobs:
+        _core_py._NODES.clear()
+        expected.append(_core_py.log_delta_nodes(*job))
+    start = threading.Barrier(len(jobs))
+    got = [[] for _ in jobs]
+
+    def run(i):
+        start.wait()
+        for _ in range(40):
+            got[i].append(_core_py.log_delta_nodes(*jobs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, want in enumerate(expected):
+        assert got[i] == [want] * 40, jobs[i][:2]
+    _core_py._NODES.clear()

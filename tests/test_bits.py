@@ -5,7 +5,9 @@ float.hex of each energy's value, error estimate and per-mode parts, its
 wave and evaluation counts, and two closed-form forces. The inputs are
 four figure-grid energies, one small-gap energy and two forces of the
 benchmark's force workload. The pins were made by version 0.8.2; both
-twins give them, since the twins are bit-identical.
+twins give them, since the twins are bit-identical. Two single-mode
+energies, pinned by version 0.9.1, take the node fills that make only
+TE's chains and the ones that make TM's too.
 """
 
 import pytest
@@ -30,6 +32,13 @@ ENERGY_PINS = [
                           130, 10300)),
 ]
 
+MODE_PINS = [
+    ((1.5, 0.5, 1e-07, "te"), ('-0x1.4b8c4449d094cp+2', '0x1.471ba28b9a34fp-24',
+                               27, 2112)),
+    ((1.5, 0.5, 1e-07, "tm"), ('-0x1.5c289b8b38492p+2', '0x1.2c6ea04ee01e5p-24',
+                               27, 2172)),
+]
+
 FORCE_PINS = [
     ((1.3, 0.5, 1e-4), '-0x1.cf4d982209f11p+8'),
     ((2.0, 0.0, 1e-4), '-0x1.1c214a85c6bb0p+2'),
@@ -42,6 +51,17 @@ def test_energy_bits(case, pin):
     r = energy(ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol))
     got = (r.value.hex(), r.abs_error_estimate.hex(), r.te.hex(), r.tm.hex(),
            r.l_used, r.integrand_evals)
+    assert got == pin
+
+
+@pytest.mark.parametrize("case, pin", MODE_PINS)
+def test_single_mode_energy_bits(case, pin):
+    ratio, mu, rel_tol, mode = case
+    r = energy(ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol, mode=mode))
+    part = r.te if mode == "te" else r.tm
+    assert (r.te is None) == (mode == "tm") and part == r.value
+    got = (r.value.hex(), r.abs_error_estimate.hex(), r.l_used,
+           r.integrand_evals)
     assert got == pin
 
 

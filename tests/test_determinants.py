@@ -231,16 +231,22 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     # With mu = 0 the vacuum-side chains (q_s at xi, e at xi * ratio) are
     # the ones already made at gamma and gamma * ratio, so a TM node fills
     # s and e chains at two arguments each instead of three. A fill runs
-    # the chains at gamma and gamma * ratio as two lanes of one loop, and
-    # the massive ones at xi and xi * ratio alone; every argument a chain
-    # runs at is recorded.
+    # the q_s chains at gamma and gamma * ratio as two lanes of one loop
+    # (_s_pair_rows), then the e chains at both as two lanes of its own
+    # upward loop; the massive ones at xi and xi * ratio run alone. Every
+    # argument a chain runs at is recorded, an e chain's by the
+    # _exp_split(-z) that starts every upward run.
     args = {"s": [], "e": []}
-    for name, kind in (("_s_rows", "s"), ("_e_rows", "e"),
-                       ("_s_pair_rows", "s"), ("_e_pair_rows", "e")):
-        def counted(top, *zs, _f=getattr(_core_py, name), _kind=kind):
-            args[_kind] += zs
-            return _f(top, *zs)
+
+    def record(name, kind, take):
+        def counted(*a, _f=getattr(_core_py, name)):
+            args[kind] += take(*a)
+            return _f(*a)
         monkeypatch.setattr(_core_py, name, counted)
+
+    record("_s_rows", "s", lambda top, z: (z,))
+    record("_s_pair_rows", "s", lambda top, g, gr, rows: (g, gr))
+    record("_exp_split", "e", lambda x: (-x,))
     _core_py._NODES.clear()
     _core_py.log_delta_nodes(5, mu, 1.5, 2, [2.0])
     g = _core_py.gamma_arg(2.0, mu)

@@ -140,8 +140,9 @@ def test_short_frame_fails_fast():
 def test_waves_of_a_block_share_their_frame(monkeypatch):
     # Blocks of 16 orders, {0, 1}, {2, ..., 17}, {18, ..., 33}, are the
     # kernels' chain blocks, and every wave of one evaluates its five start
-    # panels and its tail node at the same nodes. The pure twin's
-    # _block_top is the one Python copy of the rule.
+    # panels and its tail node X at the same nodes, as its first kernel
+    # batch: 75 panel nodes, then X. The pure twin's _block_top is the one
+    # Python copy of the rule.
     from procasphere import _core_py
     assert _core_py._BLOCK == 16
     assert [_core_py._block_top(l) for l in (0, 1, 2, 17, 18, 33, 34)] == [
@@ -158,13 +159,50 @@ def test_waves_of_a_block_share_their_frame(monkeypatch):
             return kernel.log_delta_nodes(l, mu, ratio, mode, xs)
 
     monkeypatch.setattr(spectrum, "kernel", Recorder)
+    mu, ratio = 0.5, 1.3
     starts = {}
     for l in (1, 2, 17, 18, 33):
         batches.clear()
-        _l_term_full(l, 0.5, 1.3, 2, 1e-4)
-        starts[l] = batches[:6]
+        _l_term_full(l, mu, ratio, 2, 1e-4)
+        starts[l] = batches[0]
+        top = _core_py._block_top(l)
+        d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
+        X = math.sqrt(d * (d + 2.0 * mu))
+        assert len(starts[l]) == 76 and starts[l][-1] == X == max(starts[l])
     assert starts[2] == starts[17] and starts[18] == starts[33]
     assert starts[1] != starts[2] and starts[17] != starts[18]
+
+
+@pytest.mark.parametrize("at", [3, 4 * 15 + 7, 75],
+                         ids=["panel-1", "panel-4", "tail"])
+def test_nan_at_a_start_node_names_it(monkeypatch, at):
+    # A wave's start is one kernel batch, checked for NaN by one sum. A NaN
+    # at any of its nodes, in the first panel, in the fourth or at the tail
+    # node X, raises ConvergenceError naming that node; a batch without
+    # one passes.
+    kernel = spectrum.kernel
+    bad = []
+
+    class Stub:
+        gamma_arg = staticmethod(kernel.gamma_arg)
+
+        @staticmethod
+        def log_delta_nodes(l, mu, ratio, mode, xs):
+            te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+            if bad and len(xs) == 76:
+                te = te[:at] + (math.nan,) + te[at + 1:]
+                bad.append(xs[at])
+            return te, tm
+
+    want = _l_term_full(20, 0.5, 1.3, 2, 1e-6)
+    monkeypatch.setattr(spectrum, "kernel", Stub)
+    assert repr(_l_term_full(20, 0.5, 1.3, 2, 1e-6)) == repr(want)
+    bad.append(None)
+    with pytest.raises(ConvergenceError) as exc_info:
+        _l_term_full(20, 0.5, 1.3, 2, 1e-6)
+    assert str(exc_info.value) == (
+        f"mode factor not finite at l=20, xi_hat={bad[-1]!r}")
+    assert exc_info.value.l_reached == 20
 
 
 def test_energy_bookkeeping():
