@@ -4,28 +4,15 @@ The public surface: overflow-safe scalars (ScaledReal), modified
 Riccati-Bessel families in that form, the TE/TM mode factors (plain
 doubles from the kernel) with the determinant routes and the massless TM
 reference that check them, the spectral sum (energy, force, sweeps), and
-unit conversion from laboratory inputs.
+unit conversion from laboratory inputs. Only ``backend`` and ``spectrum``
+(all that an energy, force or sweep runs) load with the package; the rest of
+``__all__`` and the ``bessel``, ``scaledrep``, ``determinants`` and ``units``
+modules load on first use (PEP 562), so no fresh process compiles them idly.
 """
 
+from importlib import import_module
+
 from .backend import active_backend
-from .bessel import RBFamily, eval_family
-from .determinants import (
-    DivergenceError,
-    MassOrders,
-    QBlocks,
-    SpectralPoint,
-    build_q_blocks,
-    det_q0_expansion,
-    det_q0_factored,
-    det_q_direct,
-    det_q_expansion,
-    expansion_coefficients,
-    log_delta_te,
-    log_delta_tm,
-    log_delta_tm_massless,
-    reference_expansion_coefficients,
-)
-from .scaledrep import ScaledReal
 from .spectrum import (
     ConvergenceError,
     EnergyResult,
@@ -39,9 +26,8 @@ from .spectrum import (
     sweep_mass,
     sweep_ratio,
 )
-from .units import convert_units, energy_scale_joules
 
-__version__ = "0.9.2"
+__version__ = "0.9.3"
 
 __all__ = [
     "ScaledReal",
@@ -77,3 +63,28 @@ __all__ = [
     "active_backend",
     "__version__",
 ]
+
+# The defining submodule of each name that loads on first use.
+_LAZY = dict.fromkeys((
+    "SpectralPoint", "QBlocks", "MassOrders", "DivergenceError",
+    "build_q_blocks", "expansion_coefficients",
+    "reference_expansion_coefficients", "det_q_expansion", "det_q0_expansion",
+    "det_q0_factored", "det_q_direct", "log_delta_te", "log_delta_tm",
+    "log_delta_tm_massless"), "determinants")
+_LAZY.update(RBFamily="bessel", eval_family="bessel", ScaledReal="scaledrep",
+             convert_units="units", energy_scale_joules="units")
+
+
+def __getattr__(name):
+    if name in _LAZY.values():
+        value = import_module(f".{name}", __name__)
+    elif name in _LAZY:
+        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

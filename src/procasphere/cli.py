@@ -6,6 +6,9 @@ inputs) and "result". The manifest is sufficient to re-run the computation,
 which is exactly what the replay subcommand does; since the numerics are
 deterministic, a replay must reproduce the stored result bit for bit.
 
+A module that only one subcommand needs (selftest's Bessel and determinant
+routes, the unit conversion of radii in meters) loads when that runs.
+
 Exit codes: 0 success, 1 replay mismatch or selftest failure, 2 usage or
 parameter error, 3 failure to converge.
 """
@@ -19,18 +22,6 @@ import time
 
 from . import __version__
 from .backend import active_backend
-from .bessel import eval_family
-from .determinants import (
-    SpectralPoint,
-    det_q0_expansion,
-    det_q0_factored,
-    det_q_direct,
-    det_q_expansion,
-    expansion_coefficients,
-    log_delta_tm,
-    log_delta_tm_massless,
-    reference_expansion_coefficients,
-)
 from .spectrum import (
     ConvergenceError,
     ProblemSpec,
@@ -41,7 +32,6 @@ from .spectrum import (
     sweep_mass,
     sweep_ratio,
 )
-from .units import convert_units, energy_scale_joules
 
 
 class UsageError(Exception):
@@ -58,6 +48,7 @@ def _problem_inputs(args) -> dict:
     if physical:
         if args.a1_m is None or args.a2_m is None:
             raise UsageError("physical input needs both --a1-m and --a2-m")
+        from .units import convert_units
         ratio, mu = convert_units(
             args.a1_m, args.a2_m,
             args.mass_ev if args.mass_ev is not None else 0.0)
@@ -156,6 +147,7 @@ def _energy(inputs: dict) -> dict:
         "integrand_evals": r.integrand_evals,
     }
     if si_a1 is not None:
+        from .units import energy_scale_joules
         e0 = energy_scale_joules(si_a1)
         for key in ("e_te", "e_tm", "e_total"):
             v = result[key]
@@ -171,6 +163,7 @@ def _force(inputs: dict) -> dict:
     f = force(spec, fd_step=fd_step, threads=threads)
     result = {"force": f, "fd_step": fd_step, "mode": spec.mode}
     if si_a1 is not None:
+        from .units import energy_scale_joules
         # F = -dE/da2 = (E0/a1) * (-dE_hat/dratio)
         result["force_newtons"] = f * energy_scale_joules(si_a1) / si_a1
     return result
@@ -270,6 +263,12 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .bessel import eval_family
+    from .determinants import (
+        SpectralPoint, det_q0_expansion, det_q0_factored, det_q_direct,
+        det_q_expansion, expansion_coefficients, log_delta_tm,
+        log_delta_tm_massless, reference_expansion_coefficients)
+
     failures = 0
 
     def check(name, fn):
