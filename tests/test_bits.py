@@ -7,7 +7,9 @@ four figure-grid energies, one small-gap energy and two forces of the
 benchmark's force workload. The pins were made by version 0.8.2; both
 twins give them, since the twins are bit-identical. Two single-mode
 energies, pinned by version 0.9.1, take the node fills that make only
-TE's chains and the ones that make TM's too.
+TE's chains and the ones that make TM's too. The massive small-gap
+energy, pinned by version 0.9.3, has the longest Miller runs and the most
+massive TM node fills of the benchmark's inputs.
 """
 
 import pytest
@@ -30,6 +32,9 @@ ENERGY_PINS = [
     ((1.05, 0.0, 1e-05), ('-0x1.1b5770431e8f5p+13', '0x1.92d5229536b2cp-1',
                           '-0x1.1b2708eae3293p+12', '-0x1.1b87d79b59f56p+12',
                           130, 10300)),
+    ((1.03, 0.5, 1e-05), ('-0x1.4218092e3a189p+15', '0x1.b39a7b3bb967cp+2',
+                          '-0x1.42036c2846dbep+14', '-0x1.422ca6342d555p+14',
+                          203, 16178)),
 ]
 
 MODE_PINS = [
