@@ -33,19 +33,20 @@ without TM's chains is filled again, in place, for a TM call. Here the
 table is one dict that threads share; in C it is a table per thread,
 keyed by the node's bits. Every kept double is the one a fresh fill
 makes, by the same steps on the same doubles, so no hit, miss or clear
-changes a bit. Each chain function has one C counterpart: _e_run, _e_rows,
-_s_rows, _fill and _chains are c_e_run, c_e_rows, c_s_rows, c_fill and
-c_chains, and the lookup in _nodes is c_rows.
+changes a bit. Each chain function has one C counterpart: _e_run, _fill
+and _chains are c_e_run, c_fill and c_chains, and the lookup in _nodes is
+c_rows.
 
-A fill makes its record's rows in this order: one upward loop runs the e
-chains at gamma and gamma * ratio and appends each order's row; then the
-q_s chains at both write their columns (_s_pair_rows); then TM's columns
-are copied in, with a mass from runs at xi and xi * ratio. Only these
-loops differ from C's: here the chains at gamma and gamma * ratio run as
-two lanes of one loop, each lane making exactly the steps of its own run,
-where C runs each alone (c_e_rows, c_s_rows); and a node batch compares
-its (top, mu, ratio) with the table's once, where c_rows does so per
-node.
+A fill makes its record's rows in two loops, with a lane per chain: an
+upward loop runs the e chains at gamma, gamma * ratio and, for TM with a
+mass, xi * ratio, and appends each order's row; a Miller loop runs the q_s
+chains at gamma, gamma * ratio and, for TM with a mass, xi, and writes
+their columns. Without a mass TM's columns are copies. Only these loops
+differ from C's: here the chains run as lanes of one loop, each lane
+making exactly the steps of its own run, where C runs each alone
+(c_e_rows, c_s_rows); _chains stops the Miller run at l, where c_chains
+reads l's row of c_s_rows; and a node batch compares its (top, mu, ratio)
+with the table's once, where c_rows does so per node.
 
 One loop per node batch (_nodes) checks the batch, reads or fills each
 node's record and forms its mode factors; log_delta_point is a batch of
@@ -106,7 +107,7 @@ _Z_MAX = 2.0 ** 32
 # share of at most e**-45 at order l.
 _MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
 # The orders with one block top (_block_top) take q_s from one downward run
-# started for the top (see _s_rows).
+# started for the top (see _e_run).
 _BLOCK = 16
 # Orders stay below 2**31, which a C long holds on every platform; the
 # rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
@@ -225,9 +226,7 @@ def _steps(cs, z, y, ym, off):
     for c in cs:
         y, ym = ym + c / z * y, y
         if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-            off += _STEP
+            y, ym, off = y * _DOWN, ym * _DOWN, off + _STEP
     return y, ym, off
 
 
@@ -258,8 +257,13 @@ def _block_lo(top):
     return max(top - _BLOCK + 1, 0)
 
 
-# Each run keeps its rows in the order it makes them: an upward e run from
-# the block's lowest order up, a downward q_s run from its top down.
+# An upward e run goes from order 0 up. A downward Miller run for q_s
+# starts at _miller_start(top, z) for the top order of a block, and that
+# start serves every order of the block: L**2 - l**2 >= L**2 - top**2 >=
+# _MILLER_T * z, and a fallback start max(top, z) + 26 leaves 26 steps at
+# orders >= z above any l. After the step of order j a Miller run holds
+# y = s_{j-1} and ym = s_j at one offset, so q_s of order j is y/ym there;
+# only the ratio is read, so the offset is not kept.
 
 def _e_run(l, z):
     # The upward run from e_{-1} = e_0 = exp(-z) to order l: (e_l, e_{l-1},
@@ -268,52 +272,10 @@ def _e_run(l, z):
     return _steps(_up(0, l), z, m, m, k)
 
 
-def _e_rows(top, z):
-    # q_e = e_{l-1}/e_l at the orders of top's block, lowest first: the
-    # upward run read at the block's lowest order and after each further
-    # step. Both members of the run carry one offset, so q_e is one
-    # division and the offset is not kept.
-    lo = _block_lo(top)
-    y, ym, _ = _e_run(lo, z)
-    big = _BIG
-    qes = [ym / y]
-    for c in _up(lo, top):
-        y, ym = ym + c / z * y, y
-        if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-        qes.append(ym / y)
-    return qes
-
-
-def _s_rows(top, z):
-    # q_s = s_{l-1}/s_l at the orders of top's block, top first, from one
-    # downward run started at _miller_start(top, z). That start serves every
-    # order of the block: L**2 - l**2 >= L**2 - top**2 >= _MILLER_T * z,
-    # and a fallback start max(top, z) + 26 leaves 26 steps at orders >= z
-    # above any l. After the step of order j the run holds y = s_{j-1} and
-    # ym = s_j at one offset, so q_s of order j is y/ym there, read after
-    # the steps that a run stopped at j makes. Only the ratio is read, so
-    # the offset is not kept.
-    y, ym, _ = _steps(_down(_miller_start(top, z), top + 1), z, 1.0, 0.0,
-                      0.0)
-    big = _BIG
-    qs = []
-    for c in _down(top, _block_lo(top)):
-        y, ym = ym + c / z * y, y
-        if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-        qs.append(y / ym)
-    return qs
-
-
-# A node's fill runs the chains at g and gr as two lanes of one loop: the
-# upward e runs share the factors 2j + 1 from order 0, and the Miller runs
-# share them from the lower of their two starts. Each lane makes exactly
-# the steps of its own run, with its own rescale and offset, so every
-# double is the one an upward run (_e_run, _e_rows) or _s_rows makes at
-# that argument alone; only the loop overhead is shared.
+# A node's fill runs its chains as lanes of its two loops (see _fill). Each
+# lane makes exactly the steps, rescales and divisions of its own run, so
+# every double is the one a lone run at that argument makes; only the loop
+# overhead is shared.
 
 def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
     # _steps at z and at zr as two lanes of one loop over the factors cs.
@@ -321,46 +283,27 @@ def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
     for c in cs:
         y, ym = ym + c / z * y, y
         if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-            off += _STEP
+            y, ym, off = y * _DOWN, ym * _DOWN, off + _STEP
         yr, ymr = ymr + c / zr * yr, yr
         if yr > big:
-            yr *= _DOWN
-            ymr *= _DOWN
-            offr += _STEP
+            yr, ymr, offr = yr * _DOWN, ymr * _DOWN, offr + _STEP
     return y, ym, off, yr, ymr, offr
 
 
-def _s_pair_rows(top, g, gr, rows):
-    # q_s(g) and q_s(gr) at the orders of top's block, as two _s_rows runs,
-    # written into columns 4 and 5 of a fill's rows (see _fill), from the
-    # top order's row down. The lane that starts higher runs alone down to
-    # the other's start; the starts come in either order (at top 17, g = 55
-    # starts at 81 by the fallback and gr = 60.5 at 60 by the bound).
-    start = _miller_start(top, g)
-    startr = _miller_start(top, gr)
-    y, ym = yr, ymr = 1.0, 0.0
-    if start > startr:
-        y, ym, _ = _steps(_down(start, startr + 1), g, y, ym, 0.0)
-    elif startr > start:
-        yr, ymr, _ = _steps(_down(startr, start + 1), gr, yr, ymr, 0.0)
-    y, ym, _, yr, ymr, _ = _pair_steps(_down(min(start, startr), top + 1),
-                                       g, y, ym, 0.0, gr, yr, ymr, 0.0)
+def _trio_steps(cs, z, y, ym, off, zr, yr, ymr, offr, zx, yx, ymx, offx):
+    # _steps at z, zr and zx as three lanes of one loop over the factors cs.
     big = _BIG
-    p = len(rows) - _ROW + 4
-    for c in _down(top, _block_lo(top)):
-        y, ym = ym + c / g * y, y
+    for c in cs:
+        y, ym = ym + c / z * y, y
         if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-        yr, ymr = ymr + c / gr * yr, yr
+            y, ym, off = y * _DOWN, ym * _DOWN, off + _STEP
+        yr, ymr = ymr + c / zr * yr, yr
         if yr > big:
-            yr *= _DOWN
-            ymr *= _DOWN
-        rows[p] = y / ym
-        rows[p + 1] = yr / ymr
-        p -= _ROW
+            yr, ymr, offr = yr * _DOWN, ymr * _DOWN, offr + _STEP
+        yx, ymx = ymx + c / zx * yx, yx
+        if yx > big:
+            yx, ymx, offx = yx * _DOWN, ymx * _DOWN, offx + _STEP
+    return y, ym, off, yr, ymr, offr, yx, ymx, offx
 
 
 def _check_chain(l, z):
@@ -370,16 +313,18 @@ def _check_chain(l, z):
 
 def _chains(l, z):
     # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check: e_l
-    # and q_e from one upward run to l, q_s from the block rows of l; e_l > 0,
-    # so frexp is sr_norm. The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
-    # s_l = 1/(e_l (q_e + q_s)), a sum of positives.
+    # and q_e from one upward run to l, q_s from the Miller run of l's block
+    # top stopped at l; e_l > 0, so frexp is sr_norm. The Wronskian
+    # s_l e_{l-1} + s_{l-1} e_l = 1 gives s_l = 1/(e_l (q_e + q_s)), a sum of
+    # positives.
     _check_chain(l, z)
     y, ym, off = _e_run(l, z)
     em, e = math.frexp(y)
     ek = off + e
     qe = ym / y
-    top = _block_top(l)
-    qs = _s_rows(top, z)[top - l]
+    y, ym, _ = _steps(_down(_miller_start(_block_top(l), z), l), z, 1.0, 0.0,
+                      0.0)
+    qs = y / ym
     sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
     return em, ek, qe, sm, sk, qs
 
@@ -432,16 +377,31 @@ def _fill(block, xi, g, tm):
     (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
     mantissas and nn twice the gap of the scales, the doubles that the C
     twin forms for rho_TE. The last two are made only with tm (and read
-    0.0 otherwise), since only TM needs them. The module docstring gives
-    the order in which the rows are made. The upward loop reads an order,
-    then steps, so its last step, past top, is not read."""
+    0.0 otherwise), since only TM needs them; without a mass x = g and
+    xr = gr, so they are copied.
+
+    Two loops make the rows, with a lane per chain: three for a TM record
+    with a mass, two otherwise. The upward loop runs e at g, gr (and xr)
+    from order 0 and reads an order, then steps, so its last step, past
+    top, is not read. The Miller loop runs q_s at g, gr (and x): each lane
+    runs alone from its own start down to the lowest start, where all
+    join, and the rows are written from top down."""
     top, _, ratio = block
     gr = g * ratio
     lo = _block_lo(top)
+    three = tm and xi != g
     m, k = _exp_split(-g)
     mr, kr = _exp_split(-gr)
-    y, ym, off, yr, ymr, offr = _pair_steps(_up(0, lo), g, m, m, k, gr, mr,
-                                            mr, kr)
+    qx = 0.0
+    if three:
+        xr = xi * ratio
+        mx, _ = _exp_split(-xr)
+        y, ym, off, yr, ymr, offr, yx, ymx, _ = _trio_steps(
+            _up(0, lo), g, m, m, k, gr, mr, mr, kr, xr, mx, mx, 0.0)
+        qx = ymx / yx
+    else:
+        y, ym, off, yr, ymr, offr = _pair_steps(_up(0, lo), g, m, m, k, gr,
+                                                mr, mr, kr)
     frexp = math.frexp
     big = _BIG
     rows = []
@@ -450,25 +410,56 @@ def _fill(block, xi, g, tm):
         mr, er = frexp(yr)
         a = mr / m
         rows += (a * a, 2.0 * ((offr + er) - (off + e)), ym / y, ymr / yr,
-                 0.0, 0.0, 0.0, 0.0)
+                 0.0, 0.0, 0.0, qx)
         y, ym = ym + c / g * y, y
         if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-            off += _STEP
+            y, ym, off = y * _DOWN, ym * _DOWN, off + _STEP
         yr, ymr = ymr + c / gr * yr, yr
         if yr > big:
-            yr *= _DOWN
-            ymr *= _DOWN
-            offr += _STEP
-    _s_pair_rows(top, g, gr, rows)
-    if tm:
-        if xi == g:
-            rows[6::_ROW] = rows[4::_ROW]
-            rows[7::_ROW] = rows[3::_ROW]
-        else:
-            rows[6::_ROW] = _s_rows(top, xi)[::-1]
-            rows[7::_ROW] = _e_rows(top, xi * ratio)
+            yr, ymr, offr = yr * _DOWN, ymr * _DOWN, offr + _STEP
+        if three:
+            yx, ymx = ymx + c / xr * yx, yx
+            if yx > big:
+                yx, ymx = yx * _DOWN, ymx * _DOWN
+            qx = ymx / yx
+    start = _miller_start(top, g)
+    startr = _miller_start(top, gr)
+    startx = _miller_start(top, xi) if three else start
+    low = min(start, startr, startx)
+    y = yr = yx = 1.0
+    ym = ymr = ymx = 0.0
+    if start > low:
+        y, ym, _ = _steps(_down(start, low + 1), g, y, ym, 0.0)
+    if startr > low:
+        yr, ymr, _ = _steps(_down(startr, low + 1), gr, yr, ymr, 0.0)
+    if startx > low:
+        yx, ymx, _ = _steps(_down(startx, low + 1), xi, yx, ymx, 0.0)
+    if three:
+        y, ym, _, yr, ymr, _, yx, ymx, _ = _trio_steps(
+            _down(low, top + 1), g, y, ym, 0.0, gr, yr, ymr, 0.0, xi, yx, ymx,
+            0.0)
+    else:
+        y, ym, _, yr, ymr, _ = _pair_steps(_down(low, top + 1), g, y, ym, 0.0,
+                                           gr, yr, ymr, 0.0)
+    p = len(rows) - _ROW + 4
+    for c in _down(top, lo):
+        y, ym = ym + c / g * y, y
+        if y > big:
+            y, ym = y * _DOWN, ym * _DOWN
+        yr, ymr = ymr + c / gr * yr, yr
+        if yr > big:
+            yr, ymr = yr * _DOWN, ymr * _DOWN
+        rows[p] = y / ym
+        rows[p + 1] = yr / ymr
+        if three:
+            yx, ymx = ymx + c / xi * yx, yx
+            if yx > big:
+                yx, ymx = yx * _DOWN, ymx * _DOWN
+            rows[p + 2] = yx / ymx
+        p -= _ROW
+    if tm and not three:
+        rows[6::_ROW] = rows[4::_ROW]
+        rows[7::_ROW] = rows[3::_ROW]
     rec = (block, tm, tuple(rows))
     if len(_NODES) >= _NODE_CAP:
         _NODES.clear()

@@ -232,14 +232,41 @@ def test_chains_match_plain_step_loop():
         assert repr(_core_py.family(l, z)) == repr(_ref_family(l, z)), (l, z)
 
 
+# The single-run references of a fill's lanes: one chain run alone per
+# argument, read at every order of top's block.
+def _e_rows(top, z):
+    # q_e = e_{l-1}/e_l, lowest order first: the upward run read at the
+    # block's lowest order and after each further step. Both members of the
+    # run carry one offset, so q_e is one division.
+    lo = max(top - 15, 0)
+    y, ym, _ = _core_py._e_run(lo, z)
+    qes = [ym / y]
+    for j in range(lo, top):
+        y, ym, _ = _ref_steps((j,), z, y, ym, 0.0)
+        qes.append(ym / y)
+    return qes
+
+
+def _s_rows(top, z):
+    # q_s = s_{l-1}/s_l, top order first: the Miller run started for top,
+    # read after the step of each order of the block.
+    start = _core_py._miller_start(top, z)
+    y, ym, _ = _ref_steps(range(start, top, -1), z, 1.0, 0.0, 0.0)
+    qs = []
+    for j in range(top, max(top - 15, 0) - 1, -1):
+        y, ym, _ = _ref_steps((j,), z, y, ym, 0.0)
+        qs.append(y / ym)
+    return qs
+
+
 def _single_lane_record(top, xi, mu, ratio):
     # A TM node record as _fill makes it, from one chain run per argument:
     # e_l from e_pair's upward run to each order, q_e rows lowest order
     # first, q_s rows reversed from top first.
     g = _core_py.gamma_arg(xi, mu)
     gr = g * ratio
-    qeg, qer, qex = (_core_py._e_rows(top, z) for z in (g, gr, xi * ratio))
-    qsg, qsr, qsx = (_core_py._s_rows(top, z)[::-1] for z in (g, gr, xi))
+    qeg, qer, qex = (_e_rows(top, z) for z in (g, gr, xi * ratio))
+    qsg, qsr, qsx = (_s_rows(top, z)[::-1] for z in (g, gr, xi))
     rows = []
     for o, l in enumerate(range(max(top - 15, 0), top + 1)):
         egm, egk = _core_py.e_pair(l, g)[:2]
@@ -260,11 +287,12 @@ def _rescales(z, top, up):
 
 
 def test_paired_lanes_match_single_lane_runs():
-    # A fill runs the chains at gamma and gamma * ratio as two lanes of one
-    # loop. Each lane must make the doubles of its own run alone, by repr:
-    # whichever Miller run starts first, with equal starts, in block {0, 1},
-    # with starts and tops around the end of the factor table, and when one
-    # lane rescales and the other does not.
+    # A fill runs the chains at gamma and gamma * ratio, and for a massive
+    # TM record also at xi and xi * ratio, as lanes of its two loops. Each
+    # lane must make the doubles of its own run alone, by repr: whichever
+    # Miller run starts first, with equal starts, in block {0, 1}, with
+    # starts and tops around the end of the factor table, and when one lane
+    # rescales and the others do not.
     ms = _core_py._miller_start
     n = _core_py._ODD_N
     # At top 17 the lower argument starts higher: 55 by the fallback,
@@ -284,7 +312,33 @@ def test_paired_lanes_match_single_lane_runs():
              (4049, 4069.5, 0.0, 4071.5 / 4069.5), (4065, 5000.0, 0.0, 1.5),
              (4065, 30.0, 0.5, 1.5), (past, 7.0, 0.0, 1.2),
              (17, 1e-15, 0.0, 1e6), (17, 1e-5, 0.0, 100.0)]
-    for top, xi, mu, ratio in cases:
+    # Massive TM records, whose xi lanes run with the others: the Miller
+    # start at xi (first of the three starts) above, between, below and
+    # level with those at gamma and gamma * ratio, and past the table's
+    # end while both others stay below it.
+    mu = math.sqrt(60.5 ** 2 - 55.0 ** 2)
+    massive = {(17, 55.0, mu, 1.1): (81, 60, 62),
+               (17, 55.0, mu, 2.0): (81, 60, 82),
+               (17, 55.0, mu, 118.0 / 60.5): (81, 60, 81),
+               (17, 0.5, 100.0, 1.5): (43, 75, 91),
+               (17, 0.5, 3.0, 30.0): (43, 43, 72),
+               (17, 0.5, 0.7, 1.3): (43, 43, 43),
+               (4049, 4071.5, math.sqrt(4090.0 ** 2 - 4071.5 ** 2), 1.5):
+                   (n + 1, 4076, 4089),
+               (4065, 5000.0, 100.0, 1.5): (n + 2, n + 2, 4113)}
+    for (top, xi, mu, ratio), starts in massive.items():
+        g = _core_py.gamma_arg(xi, mu)
+        assert (ms(top, xi), ms(top, g), ms(top, g * ratio)) == starts
+    # Of the upward lanes only the one at xi * ratio rescales, and of the
+    # Miller lanes only the one at xi.
+    for (xi, mu, ratio), up in (((1e-16, 1e-9, 10.0), True),
+                                ((1e-5, 1e-3, 2.0), False)):
+        g = _core_py.gamma_arg(xi, mu)
+        x = xi * ratio if up else xi
+        assert [_rescales(z, 17, up) for z in (x, g, g * ratio)] == [
+            True, False, False], (xi, mu, ratio)
+        massive[(17, xi, mu, ratio)] = None
+    for top, xi, mu, ratio in cases + list(massive):
         g = _core_py.gamma_arg(xi, mu)
         block = (top, mu, ratio)
         rec = _core_py._fill(block, xi, g, True)

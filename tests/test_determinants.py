@@ -231,11 +231,10 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     # With mu = 0 the vacuum-side chains (q_s at xi, e at xi * ratio) are
     # the ones already made at gamma and gamma * ratio, so a TM node fills
     # s and e chains at two arguments each instead of three. A fill runs
-    # the q_s chains at gamma and gamma * ratio as two lanes of one loop
-    # (_s_pair_rows), then the e chains at both as two lanes of its own
-    # upward loop; the massive ones at xi and xi * ratio run alone. Every
-    # argument a chain runs at is recorded, an e chain's by the
-    # _exp_split(-z) that starts every upward run.
+    # its chains as lanes of two loops, and every argument a lane runs at is
+    # recorded where the lane starts: a Miller lane's by the _miller_start
+    # that places it, an upward lane's by the _exp_split(-z) of its first
+    # member.
     args = {"s": [], "e": []}
 
     def record(name, kind, take):
@@ -244,8 +243,7 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
             return _f(*a)
         monkeypatch.setattr(_core_py, name, counted)
 
-    record("_s_rows", "s", lambda top, z: (z,))
-    record("_s_pair_rows", "s", lambda top, g, gr, rows: (g, gr))
+    record("_miller_start", "s", lambda top, z: (z,))
     record("_exp_split", "e", lambda x: (-x,))
     _core_py._NODES.clear()
     _core_py.log_delta_nodes(5, mu, 1.5, 2, [2.0])
