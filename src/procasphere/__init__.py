@@ -5,9 +5,10 @@ Riccati-Bessel families in that form, the TE/TM mode factors (plain
 doubles from the kernel) with the determinant routes and the massless TM
 reference that check them, the spectral sum (energy, force, sweeps), and
 unit conversion from laboratory inputs. Only ``backend`` and ``spectrum``
-(all that an energy, force or sweep runs) load with the package; the rest of
-``__all__`` and the ``bessel``, ``scaledrep``, ``determinants`` and ``units``
-modules load on first use (PEP 562), so no fresh process compiles them idly.
+(all that an energy or force runs) load with the package; the rest of
+``__all__`` and the ``bessel``, ``scaledrep``, ``determinants``, ``units``
+and ``sweeps`` modules load on first use (PEP 562), so no fresh process
+compiles them idly.
 """
 
 from importlib import import_module
@@ -17,17 +18,13 @@ from .spectrum import (
     ConvergenceError,
     EnergyResult,
     ProblemSpec,
-    SweepRow,
-    SweepTable,
     default_fd_step,
     energy,
     force,
     l_term,
-    sweep_mass,
-    sweep_ratio,
 )
 
-__version__ = "0.9.3"
+__version__ = "0.9.4"
 
 __all__ = [
     "ScaledReal",
@@ -72,7 +69,9 @@ _LAZY = dict.fromkeys((
     "det_q0_factored", "det_q_direct", "log_delta_te", "log_delta_tm",
     "log_delta_tm_massless"), "determinants")
 _LAZY.update(RBFamily="bessel", eval_family="bessel", ScaledReal="scaledrep",
-             convert_units="units", energy_scale_joules="units")
+             convert_units="units", energy_scale_joules="units",
+             SweepRow="sweeps", SweepTable="sweeps", sweep_ratio="sweeps",
+             sweep_mass="sweeps")
 
 
 def __getattr__(name):

@@ -5,15 +5,16 @@
  * shell matrices, with their ratio derivatives. Each node's chains for the
  * 16 orders of a block are kept in the pure twin's node table, one table
  * per thread, which changes no bit. Its Python-visible surface is the pure
- * twin's ten functions.
+ * twin's ten functions, and the block rule _BLOCK and _block_top, private
+ * names that spectrum frames its waves with.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
  * both backends produce bit-identical doubles. How a loop comes by its
  * operands may differ: a chain step here converts its counter to the odd
  * factor 2j + 1, where the pure twin reads the same exact double from a
- * table, and each chain here is one lane, where the pure fill pairs the
- * runs at gamma and gamma * ratio. Edit the two together or not at all,
+ * table, and each chain here runs alone, where the pure fill runs a node's
+ * chains as lanes of its two loops. Edit the two together or not at all,
  * and build with -ffp-contract=off: a fused multiply-add rounds once where
  * the pure twin rounds twice.
  */
@@ -243,9 +244,9 @@ static void c_e_run(long l, double z, double *y, double *ym, double *off)
     c_steps(0, l, 1, z, y, ym, off);
 }
 
-/* q_e = e_{l-1}/e_l at the orders of top's block, lowest first, as _e_rows,
- * and with e also e_l scaled: the upward run read at the block's lowest
- * order and after each further step. */
+/* q_e = e_{l-1}/e_l at the orders of top's block, lowest first, as one lane
+ * of the pure fill's upward loop, and with e also e_l scaled: the upward
+ * run read at the block's lowest order and after each further step. */
 static void c_e_rows(long top, double z, double *qe, SR *e)
 {
     long lo = c_block_lo(top);
@@ -262,9 +263,9 @@ static void c_e_rows(long top, double z, double *qe, SR *e)
 }
 
 /* q_s = s_{l-1}/s_l at the orders of top's block, lowest first, from one
- * downward run started at c_miller_start(top, z), as _s_rows: after the
- * step of order j the run holds y = s_{j-1} and ym = s_j at one offset, so
- * q_s of order j is y/ym. */
+ * downward run started at c_miller_start(top, z), as one lane of the pure
+ * fill's Miller loop: after the step of order j the run holds y = s_{j-1}
+ * and ym = s_j at one offset, so q_s of order j is y/ym. */
 static void c_s_rows(long top, double z, double *qs)
 {
     long start = c_miller_start(top, z);
@@ -769,6 +770,23 @@ static PyObject *py_dlog_delta_nodes(PyObject *Py_UNUSED(self),
     return nodes("dlog_delta_nodes", args, nargs, 1);
 }
 
+/* _block_top(l): the block rule for spectrum's framing, on any Python int
+ * as in the pure twin. (1 - l) mod BLOCK needs only l mod 2^64, which
+ * BLOCK divides. */
+static PyObject *py_block_top(PyObject *Py_UNUSED(self), PyObject *l)
+{
+    unsigned long low = PyLong_AsUnsignedLongMask(l);
+    PyObject *gap, *top;
+    if (low == (unsigned long)-1 && PyErr_Occurred())
+        return NULL;
+    gap = PyLong_FromUnsignedLong((1UL - low) % BLOCK);
+    if (gap == NULL)
+        return NULL;
+    top = PyNumber_Add(l, gap);
+    Py_DECREF(gap);
+    return top;
+}
+
 #define FASTCALL(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
@@ -783,11 +801,14 @@ static PyMethodDef core_methods[] = {
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
     FASTCALL(dlog_delta_nodes),
+    {"_block_top", py_block_top, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 
 static int core_exec(PyObject *mod)
 {
+    if (PyModule_AddIntConstant(mod, "_BLOCK", BLOCK) < 0)
+        return -1;
     return PyModule_AddStringConstant(mod, "BACKEND", "compiled");
 }
 

@@ -16,7 +16,7 @@ import os
 import signal
 import struct
 
-from ._core_py import _block_top
+from .backend import kernel
 
 # One wave: (value, error, evaluations, TE share, TM share).
 _RECORD = struct.Struct("ddqdd")
@@ -26,7 +26,7 @@ def _blocks(l_cap):
     # The waves 1, ..., l_cap in blocks, the last one clipped at l_cap.
     lo = 1
     while lo <= l_cap:
-        hi = min(_block_top(lo), l_cap)
+        hi = min(kernel._block_top(lo), l_cap)
         yield range(lo, hi + 1)
         lo = hi + 1
 

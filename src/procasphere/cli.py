@@ -7,7 +7,8 @@ which is exactly what the replay subcommand does; since the numerics are
 deterministic, a replay must reproduce the stored result bit for bit.
 
 A module that only one subcommand needs (selftest's Bessel and determinant
-routes, the unit conversion of radii in meters) loads when that runs.
+routes, the unit conversion of radii in meters, the sweep tables) loads
+when that runs.
 
 Exit codes: 0 success, 1 replay mismatch or selftest failure, 2 usage or
 parameter error, 3 failure to converge.
@@ -25,12 +26,9 @@ from .backend import active_backend
 from .spectrum import (
     ConvergenceError,
     ProblemSpec,
-    SweepTable,
     default_fd_step,
     energy,
     force,
-    sweep_mass,
-    sweep_ratio,
 )
 
 
@@ -169,14 +167,18 @@ def _force(inputs: dict) -> dict:
     return result
 
 
-def _sweep_ratio(inputs: dict) -> SweepTable:
+def _sweep_ratio(inputs: dict):
+    from .sweeps import sweep_ratio
+
     template = ProblemSpec(ratio=inputs["from"], mu=inputs["mu"],
                            rel_tol=inputs["rel_tol"], l_cap=inputs["l_cap"])
     return sweep_ratio(template, inputs["from"], inputs["to"],
                        inputs["steps"], threads=inputs["threads"])
 
 
-def _sweep_mass(inputs: dict) -> SweepTable:
+def _sweep_mass(inputs: dict):
+    from .sweeps import sweep_mass
+
     template = ProblemSpec(ratio=inputs["ratio"], rel_tol=inputs["rel_tol"],
                            l_cap=inputs["l_cap"])
     return sweep_mass(template, inputs["mu_values"],
@@ -207,9 +209,10 @@ def _run(command, inputs):
 
 
 def _as_json(result):
-    if isinstance(result, SweepTable):
-        return json.loads(result.to_json())
-    return result
+    # A sweep's table, the one result that is not a dict, as its JSON.
+    if isinstance(result, dict):
+        return result
+    return json.loads(result.to_json())
 
 
 # -- subcommands -------------------------------------------------------------
@@ -219,7 +222,7 @@ def _cmd_compute(args) -> int:
     t0 = time.perf_counter()
     result = _run(args.command, inputs)
     wall = time.perf_counter() - t0
-    if args.fmt == "csv" and isinstance(result, SweepTable):
+    if args.fmt == "csv" and not isinstance(result, dict):
         sys.stdout.write(result.to_csv())
         return 0
     result = _as_json(result)

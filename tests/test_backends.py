@@ -14,6 +14,7 @@ undefined behaviour in the kernel aborts the run.
 
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import shlex
@@ -566,6 +567,37 @@ def test_force_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
     monkeypatch.setattr(spectrum, "kernel", compiled)
     for threads in (1, 2):
         assert repr(spectrum.force(spec, threads=threads)) == want, threads
+
+
+def test_compiled_energy_loads_no_pure_twin(compiled):
+    # On the compiled backend the wave framing reads the block rule from
+    # the compiled kernel, so an energy run, serial or on forked workers,
+    # never loads the pure twin. The child registers this build as
+    # procasphere._core before the package picks its backend.
+    code = "\n".join((
+        "import importlib.util, json, sys",
+        "spec = importlib.util.spec_from_file_location(",
+        f"    'procasphere._core', {compiled.__file__!r})",
+        "core = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(core)",
+        "sys.modules['procasphere._core'] = core",
+        "import procasphere",
+        "assert procasphere.active_backend() == 'compiled'",
+        "spec = procasphere.ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-3)",
+        "for threads in (1, 2):",
+        "    procasphere.energy(spec, threads=threads)",
+        "print(json.dumps(sorted(sys.modules)))"))
+    env = {k: v for k, v in os.environ.items() if k != "PROCASPHERE_PURE"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    root = os.path.dirname(os.path.dirname(pure.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout.splitlines()[-1]))
+    assert "procasphere.spectrum" in loaded
+    assert "procasphere._core_py" not in loaded
 
 
 def test_default_backend_is_compiled():

@@ -3,8 +3,8 @@
 Every exported name must resolve, and eval_family, the one Bessel
 accessor, must return exactly the leading pairs of the kernel's s_pair and
 e_pair, the entries the benchmark times and the chains run on. The package
-loads its Bessel, determinant, scaled-arithmetic and unit modules on first
-use: a fresh energy run or CLI command must not load them, yet every
+loads its Bessel, determinant, scaled-arithmetic, unit and sweep modules on
+first use: a fresh energy run or CLI command must not load them, yet every
 exported name must be the object its submodule defines.
 """
 
@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import procasphere
-from procasphere import oracle
+from procasphere import oracle, spectrum, sweeps
 from procasphere.backend import kernel
 from procasphere.bessel import eval_family
 
@@ -39,7 +39,7 @@ def test_eval_family_is_the_kernel_pairs():
                 kernel.e_pair(l, z)[:2]), (l, z)
 
 
-LAZY_MODULES = ("bessel", "determinants", "scaledrep", "units")
+LAZY_MODULES = ("bessel", "determinants", "scaledrep", "units", "sweeps")
 # What neither a bare import nor an energy run may load.
 UNUSED = {f"procasphere.{m}" for m in LAZY_MODULES + ("_workers", "oracle")}
 UNUSED.add("mpmath")
@@ -129,3 +129,33 @@ def test_a_name_is_resolved_once(monkeypatch):
         assert getattr(procasphere, name) is first
         assert vars(procasphere)[name] is first
     assert calls == ["log_delta_te", "ScaledReal", "units"]
+
+
+SWEEP_NAMES = ("SweepRow", "SweepTable", "sweep_ratio", "sweep_mass")
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES + ("_sweep_row",))
+def test_sweep_names_resolve_from_spectrum(monkeypatch, name):
+    # spectrum serves the names that moved to sweeps, on first use too.
+    monkeypatch.delitem(vars(spectrum), name, raising=False)
+    assert getattr(spectrum, name) is vars(sweeps)[name]
+    assert vars(spectrum)[name] is vars(sweeps)[name]
+    if not name.startswith("_"):
+        assert getattr(procasphere, name) is vars(sweeps)[name]
+    with pytest.raises(AttributeError, match="procasphere.spectrum"):
+        spectrum.nope
+
+
+def test_sweep_rows_call_energy_through_spectrum(monkeypatch):
+    # A wrapper installed on spectrum.energy sees every row of a sweep.
+    calls = []
+    energy = spectrum.energy
+
+    def counting(spec, threads=1):
+        calls.append(spec.mu)
+        return energy(spec, threads=threads)
+
+    monkeypatch.setattr(spectrum, "energy", counting)
+    template = procasphere.ProblemSpec(ratio=1.5, rel_tol=1e-3)
+    table = procasphere.sweep_mass(template, [0.0, 1.0])
+    assert calls == [0.0, 1.0] and len(table.rows) == 2
