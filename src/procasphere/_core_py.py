@@ -226,7 +226,9 @@ def _steps(cs, z, y, ym, off):
     for c in cs:
         y, ym = ym + c / z * y, y
         if y > big:
-            y, ym, off = y * _DOWN, ym * _DOWN, off + _STEP
+            y *= _DOWN
+            ym *= _DOWN
+            off += _STEP
     return y, ym, off
 
 
