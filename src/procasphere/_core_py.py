@@ -426,7 +426,7 @@ def _fill(block, xi, g, tm):
             qx = ymx / yx
     start = _miller_start(top, g)
     startr = _miller_start(top, gr)
-    startx = _miller_start(top, xi) if three else start
+    startx = _miller_start(top, xi) if three else min(start, startr)
     low = min(start, startr, startx)
     y = yr = yx = 1.0
     ym = ymr = ymx = 0.0

@@ -360,6 +360,10 @@ def test_out_of_domain_raises(compiled, backend):
     assert v == pure.log_delta_point(2, 0.0, 0.5, 1.5, 0)
     assert kernel.log_delta_nodes(2, 0.5, 1.5, 0, [0.0]) == ((v,), (0.0,))
     assert kernel.log_delta_point(2, 1e-100, 0.5, 1.5, 0) == v
+    # Also where the Miller run at gamma = mu starts above the one at
+    # gamma * ratio (81 against 60 in the block of order 2).
+    w = kernel.log_delta_point(2, 0.0, 55.0, 1.1, 0)
+    assert math.isfinite(w) and w == pure.log_delta_point(2, 0.0, 55.0, 1.1, 0)
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])

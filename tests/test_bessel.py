@@ -353,6 +353,29 @@ def test_paired_lanes_match_single_lane_runs():
     _core_py._NODES.clear()
 
 
+def test_te_fill_runs_no_lane_at_xi(monkeypatch):
+    # A TE record's Miller lanes run at gamma and gamma * ratio only, also
+    # when the run at gamma starts above the one at gamma * ratio (81
+    # against 60 at top 17): at xi = 0, where gamma is the mass, a lane at
+    # xi would divide by zero. Whatever xi, the record reads what a record
+    # of the same gamma and ratio reads outside the two TM columns.
+    rows = list(_single_lane_record(17, 55.0, 0.0, 1.1)[2])
+    rows[6::8] = rows[7::8] = [0.0] * (len(rows) // 8)
+    zs = []
+
+    def steps(cs, z, *a, _f=_core_py._steps):
+        zs.append(z)
+        return _f(cs, z, *a)
+
+    monkeypatch.setattr(_core_py, "_steps", steps)
+    for xi in (0.0, 1.0):
+        del zs[:]
+        rec = _core_py._fill((17, 55.0, 1.1), xi, 55.0, False)
+        assert repr(rec[2]) == repr(tuple(rows)), xi
+        assert zs == [55.0], xi
+    _core_py._NODES.clear()
+
+
 def test_chain_cache_stays_within_its_cap(monkeypatch):
     # A wave bisected down to 346 massive TM nodes fills more nodes than
     # the pure twin's node table holds; the table is cleared as it fills
