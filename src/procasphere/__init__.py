@@ -24,7 +24,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.9.4"
+__version__ = "0.9.5"
 
 __all__ = [
     "ScaledReal",

@@ -45,12 +45,18 @@ their columns. Without a mass TM's columns are copies. Only these loops
 differ from C's: here the chains run as lanes of one loop, each lane
 making exactly the steps of its own run, where C runs each alone
 (c_e_rows, c_s_rows); _chains stops the Miller run at l, where c_chains
-reads l's row of c_s_rows; and a node batch compares its (top, mu, ratio)
-with the table's once, where c_rows does so per node.
+reads l's row of c_s_rows; a node batch compares its (top, mu, ratio)
+with the table's once, where c_rows does so per node; a fill keeps its
+scales as ints, where C keeps doubles of the same integer values; and a
+batch on the nodes of the batch before it, in the same block and asking
+for no more modes, takes that batch's node list (_KEPT): each node's rows
+and the products of xi, gamma, ratio and mu that do not depend on l,
+which C forms again per node.
 
-One loop per node batch (_nodes) checks the batch, reads or fills each
-node's record and forms its mode factors; log_delta_point is a batch of
-one node. family, s_pair and e_pair run their chains afresh.
+One node batch (_nodes) checks the batch, reads or fills each node's
+record into its node list, unless it takes the kept one, and forms each
+node's mode factors in one loop over the list; log_delta_point is a batch
+of one node. family, s_pair and e_pair run their chains afresh.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
@@ -73,8 +79,9 @@ import struct
 BACKEND = "pure"
 
 # Chain rescale: mantissas above _BIG move down by the exact power of two
-# 2**-_STEP.
-_STEP = 128.0
+# 2**-_STEP. An offset that starts as a float stays one; a fill's start as
+# an int (see _fill).
+_STEP = 128
 _DOWN = 2.0 ** -_STEP
 _BIG = 1e250
 # The odd factors 2j + 1 of the chain step as doubles, for j < _ODD_N, in
@@ -130,6 +137,19 @@ _NODE_CAP = 256
 _ROW = 8
 _NODES = {}
 _NODES_BLOCK = None
+# The node list of the last batch that checked its nodes (see _nodes):
+# (nodes, block, tm, record of the last node, list), the list holding per
+# node its record's rows and the products that do not depend on l, (rows,
+# xi, g, g * ratio, xi * ratio, xi**2, g**2, mu**2 xi**2, -mu**2 xi**2),
+# each formed as the wave loop formed it. A batch on the same nodes, block
+# object and no more modes takes it: the waves of a block share their
+# start nodes, so each wave after the first skips each node's lookup,
+# checks and products unless a bisection batch came between. Any other
+# batch drops it before it fills, so it never keeps records that the
+# table has dropped or replaced, and it serves only while the table holds
+# its last node's record, so not after a clear from outside either. Like
+# a record it is one immutable tuple, put or read in one operation.
+_KEPT = None
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
 _CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
@@ -377,10 +397,10 @@ def _fill(block, xi, g, tm):
     (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr)) at
     g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
     (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
-    mantissas and nn twice the gap of the scales, the doubles that the C
-    twin forms for rho_TE. The last two are made only with tm (and read
-    0.0 otherwise), since only TM needs them; without a mass x = g and
-    xr = gr, so they are copied.
+    mantissas and nn twice the gap of the scales, as the C twin forms them
+    for rho_TE (nn is an int here, a double there). The last two are made
+    only with tm (and read 0.0 otherwise), since only TM needs them;
+    without a mass x = g and xr = gr, so they are copied.
 
     Two loops make the rows, with a lane per chain: three for a TM record
     with a mass, two otherwise. The upward loop runs e at g, gr (and xr)
@@ -394,6 +414,7 @@ def _fill(block, xi, g, tm):
     three = tm and xi != g
     m, k = _exp_split(-g)
     mr, kr = _exp_split(-gr)
+    k, kr = int(k), int(kr)
     qx = 0.0
     if three:
         xr = xi * ratio
@@ -411,7 +432,7 @@ def _fill(block, xi, g, tm):
         m, e = frexp(y)
         mr, er = frexp(yr)
         a = mr / m
-        rows += (a * a, 2.0 * ((offr + er) - (off + e)), ym / y, ymr / yr,
+        rows += (a * a, 2 * ((offr + er) - (off + e)), ym / y, ymr / yr,
                  0.0, 0.0, 0.0, qx)
         y, ym = ym + c / g * y, y
         if y > big:
@@ -469,13 +490,6 @@ def _fill(block, xi, g, tm):
     return rec
 
 
-def _dlog1m(rho, drho):
-    """d ln(1 - rho) = -drho/(1 - rho); nan where _log1m is."""
-    if not rho < 1.0:
-        return math.nan
-    return -drho / (1.0 - rho)
-
-
 def _nodes(l, mu, ratio, mode, xs, deriv):
     """(TE per node, TM per node) at the imaginary-frequency nodes xs:
     ln(1 - rho), or with deriv its derivative in ratio. mode: 0
@@ -489,48 +503,63 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     # nothing else, as in C. xs is read once, so any iterable serves, as
     # in C. A batch of another block than the table's clears the table
     # before its first node is read (see _NODES).
-    global _NODES_BLOCK
+    # A batch that may take the kept list (see _KEPT) skips the node
+    # checks, which its nodes passed for this block and modes; any other
+    # batch makes its own list and keeps it.
+    global _NODES_BLOCK, _KEPT
     l = operator.index(l)
     mode = operator.index(mode)
-    xi_min = 0.0 if mode == 0 else _Z_MIN
     xs = tuple(xs)
+    tm = mode != 0
+    top = _block_top(l)
     m2 = mu * mu
-    sqrt = math.sqrt
-    gs = []
-    for xi in xs:
-        # gamma_arg, inline.
-        g = xi if mu == 0.0 else mu if xi == 0.0 else sqrt(xi * xi + m2)
-        if not (xi_min <= xi < math.inf and _Z_MIN <= g
-                and g * ratio < _Z_MAX):
-            raise ValueError(_POINT_DOMAIN)
-        gs.append(g)
-    if not xs:
-        return (), ()
+    block = _NODES_BLOCK
+    kept = _KEPT
+    if (kept is None or kept[0] != xs or kept[1] is not block
+            or kept[2] < tm or block != (top, mu, ratio)
+            or _NODES.get(xs[-1]) is not kept[3]):
+        # Not held past here, so that the fills below free its records.
+        kept = None
+        xi_min = 0.0 if mode == 0 else _Z_MIN
+        sqrt = math.sqrt
+        gs = []
+        for xi in xs:
+            # gamma_arg, inline.
+            g = xi if mu == 0.0 else mu if xi == 0.0 else sqrt(xi * xi + m2)
+            if not (xi_min <= xi < math.inf and _Z_MIN <= g
+                    and g * ratio < _Z_MAX):
+                raise ValueError(_POINT_DOMAIN)
+            gs.append(g)
+        if not xs:
+            return (), ()
     if (not 1 <= l < _L_END or mode < 0 or mode > 2
             or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf):
         raise ValueError(_POINT_DOMAIN)
-    top = _block_top(l)
-    block = _NODES_BLOCK
-    if block != (top, mu, ratio):
-        _NODES.clear()
-        block = _NODES_BLOCK = (top, mu, ratio)
+    if kept is None:
+        _KEPT = None
+        if block != (top, mu, ratio):
+            _NODES.clear()
+            block = _NODES_BLOCK = (top, mu, ratio)
+        nodes = []
+        for xi, g in zip(xs, gs):
+            rec = _NODES.get(xi)
+            if rec is None or rec[0] is not block or rec[1] < tm:
+                rec = _fill(block, xi, g, tm)
+            x2 = xi * xi
+            nodes.append((rec[2], xi, g, g * ratio, xi * ratio, x2, g * g,
+                          m2 * x2, -m2 * x2))
+        kept = _KEPT = (xs, block, tm, rec, tuple(nodes))
     i = _ROW * (l - _block_lo(top))
     j = i + _ROW
-    tm = mode != 0
     fl = float(l)
     lp = l + 1.0
     L2 = l * lp
     ml = m2 * L2
-    get = _NODES.get
     log1p = math.log1p
     ldexp = math.ldexp
     te, tmv = [], []
-    for xi, g in zip(xs, gs):
-        rec = get(xi)
-        if rec is None or rec[0] is not block or rec[1] < tm:
-            rec = _fill(block, xi, g, tm)
-        aa, nn, qeg, qer, qsg, qsr, qsx, qex = rec[2][i:j]
-        gr = g * ratio
+    for rows, xi, g, gr, xr, x2, gg, m2x2, nm2x2 in kept[4]:
+        aa, nn, qeg, qer, qsg, qsr, qsx, qex = rows[i:j]
         pg = qeg + qsg
         pr = qer + qsr
         # rho_TE = s(g) e(gr) / (e(g) s(gr)) with s = 1/(e (q_e + q_s)), so
@@ -538,15 +567,15 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
         # fill. As gr > g, s(g)/s(gr) < 1 (s_l grows) and e(gr)/e(g) < 1
         # (e_l decays), so rho_TE < 1 and ldexp cannot overflow; far apart
         # it underflows to 0.
-        rho = ldexp(aa * (pr / pg), int(nn))
+        rho = ldexp(aa * (pr / pg), nn)
         if deriv:
             # Ratio enters only the outer chains, at gr and xr. As
             # e'/e - s'/s = -(q_e + q_s), d ln rho_TE / d ratio = -g pr.
             drho = -rho * (g * pr)
         if mode != 1:
             if deriv:
-                te.append(-drho / (1.0 - rho) if rho < 0.5
-                          else _dlog1m(rho, drho))
+                # d ln(1 - rho) = -drho/(1 - rho), nan where _log1m is.
+                te.append(-drho / (1.0 - rho) if rho < 1.0 else math.nan)
             else:
                 te.append(log1p(-rho) if rho < 0.5 else _log1m(rho))
         if not tm:
@@ -565,9 +594,6 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
         # the round trip through both shells' 2x2 reflection matrices. The
         # off-diagonal entries use d_s - d_e = z (q_s + q_e), free of
         # cancellation.
-        xr = xi * ratio
-        x2 = xi * xi
-        gg = g * g
         gts = gg * (lp - xi * qsx)
         gte = gg * (lp + xr * qex)
         dsg = g * qsg - fl
@@ -586,11 +612,11 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
         gp = g * pg
         grp = gr * pr
         a11 = (v22 * dsg + ml) / dv
-        a12 = m2 * x2 * gp / dv
+        a12 = m2x2 * gp / dv
         a21 = -L2 * gp / dv
         a22 = (deg * u22 + ml) / dv
         b11 = (w22 * der + ml) / dw
-        b12 = -m2 * x2 * grp / dw
+        b12 = nm2x2 * grp / dw
         b21 = L2 * grp / dw
         b22 = (dsr * y22 + ml) / dw
         tr = (b11 * a11 + b12 * a21) + (b21 * a12 + b22 * a22)
@@ -618,14 +644,13 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
         dy22 = dgte + x2 * dder
         ddw = ddsr * w22 + dsr * dw22
         c11 = ((dw22 * der + w22 * dder) - b11 * ddw) / dw
-        c12 = (-m2 * x2 * dgp - b12 * ddw) / dw
+        c12 = (nm2x2 * dgp - b12 * ddw) / dw
         c21 = (L2 * dgp - b21 * ddw) / dw
         c22 = ((ddsr * y22 + dsr * dy22) - b22 * ddw) / dw
         dtr = (c11 * a11 + c12 * a21) + (c21 * a12 + c22 * a22)
         ddet = da * ((c11 * b22 + b11 * c22) - (c12 * b21 + b12 * c21))
         drho_tm = drho * (tr - 2.0 * rho * det) + rho * (dtr - rho * ddet)
-        tmv.append(-drho_tm / (1.0 - rho_tm) if rho_tm < 0.5
-                   else _dlog1m(rho_tm, drho_tm))
+        tmv.append(-drho_tm / (1.0 - rho_tm) if rho_tm < 1.0 else math.nan)
     if mode == 0:
         return tuple(te), (-0.0,) * len(xs)
     if mode == 1:

@@ -262,7 +262,8 @@ def _s_rows(top, z):
 def _single_lane_record(top, xi, mu, ratio):
     # A TM node record as _fill makes it, from one chain run per argument:
     # e_l from e_pair's upward run to each order, q_e rows lowest order
-    # first, q_s rows reversed from top first.
+    # first, q_s rows reversed from top first. A fill keeps its scales as
+    # ints, so nn is the int of the gap e_pair's float scales give.
     g = _core_py.gamma_arg(xi, mu)
     gr = g * ratio
     qeg, qer, qex = (_e_rows(top, z) for z in (g, gr, xi * ratio))
@@ -272,7 +273,7 @@ def _single_lane_record(top, xi, mu, ratio):
         egm, egk = _core_py.e_pair(l, g)[:2]
         erm, erk = _core_py.e_pair(l, gr)[:2]
         a = erm / egm
-        rows += [a * a, 2.0 * (erk - egk), qeg[o], qer[o], qsg[o],
+        rows += [a * a, int(2.0 * (erk - egk)), qeg[o], qer[o], qsg[o],
                  qsr[o], qsx[o], qex[o]]
     return (top, mu, ratio), True, tuple(rows)
 
@@ -453,4 +454,94 @@ def test_node_table_from_threads_of_other_blocks():
     assert not any(t.is_alive() for t in threads)
     for i, want in enumerate(expected):
         assert got[i] == [want] * 40, jobs[i][:2]
+    _core_py._NODES.clear()
+
+
+def test_kept_node_list_serves_as_a_cleared_table(monkeypatch):
+    # The waves of a block at one node tuple take the node list that the
+    # batch before them kept. Every wave lo..top of the block, in both
+    # entries and every mode, must give what a cleared table gives, also
+    # when its TE-only batch came just before on fresh records and when a
+    # batch on other nodes came in between. A cleared table serves nothing
+    # from the list: the next batch fills every node.
+    xs = tuple(0.05 * 1.6 ** i for i in range(12))
+    other = xs[1:]
+    names = ("log_delta_nodes", "dlog_delta_nodes")
+    fills = []
+
+    def fill(block, xi, *a, _f=_core_py._fill):
+        fills.append(xi)
+        return _f(block, xi, *a)
+
+    def call(name, l, mode, nodes):
+        return repr(getattr(_core_py, name)(l, 0.7, 1.3, mode, nodes))
+
+    monkeypatch.setattr(_core_py, "_fill", fill)
+    order = []
+    for l in range(2, 18):
+        if l % 2:
+            order.append((names[0], l, 2, other))
+        order += [(name, l, mode, xs) for mode in (0, 1, 2) for name in names]
+    cold = {}
+    for c in sorted(set(order), key=lambda c: (len(c[3]), c[:3])):
+        _core_py._NODES.clear()
+        del fills[:]
+        cold[c] = call(*c)
+        assert fills == list(c[3]), c
+    _core_py._NODES.clear()
+    assert [call(*c) for c in order] == [cold[c] for c in order]
+    kept = _core_py._KEPT
+    call(names[1], 9, 1, xs)
+    assert _core_py._KEPT is kept
+    _core_py._NODES.clear()
+
+
+def test_kept_node_list_is_checked_again():
+    # A batch that asks for TM after a TE batch checks its nodes again, as
+    # TM needs xi >= 2**-64 where TE takes xi = 0; a batch at another
+    # ratio does too, where gamma * ratio can leave the chain range.
+    xs = (0.0, 0.5, 2.0)
+    _core_py._NODES.clear()
+    te = _core_py.log_delta_nodes(5, 0.7, 1.3, 0, xs)
+    for name in ("log_delta_nodes", "dlog_delta_nodes"):
+        for mode in (1, 2):
+            with pytest.raises(ValueError):
+                getattr(_core_py, name)(5, 0.7, 1.3, mode, xs)
+    assert _core_py.log_delta_nodes(5, 0.7, 1.3, 0, xs) == te
+    ys = (1.0, 2.0 ** 31)
+    _core_py.log_delta_nodes(5, 0.7, 1.3, 2, ys)
+    _core_py.log_delta_nodes(6, 0.7, 1.3, 2, ys)
+    for ratio in (2.0, 2.5):
+        with pytest.raises(ValueError):
+            _core_py.log_delta_nodes(6, 0.7, ratio, 2, ys)
+    _core_py._NODES.clear()
+
+
+def test_kept_node_list_holds_no_cleared_record(monkeypatch):
+    # Once a batch of another block or a fill into a full table has
+    # cleared the table, or a TM batch has filled a TE record again, no
+    # kept list, the module's or one a batch still holds, may keep the rows
+    # of a record that the table dropped: at each later fill of that batch
+    # the rows have no more references than once the batch is done.
+    xs = tuple(0.05 * 1.6 ** i for i in range(12))
+    long = tuple(40.0 + 0.01 * i for i in range(_core_py._NODE_CAP + 20))
+    for mode, other in ((2, (20, xs)), (2, (5, long)), (0, (6, xs))):
+        _core_py._NODES.clear()
+        _core_py.log_delta_nodes(5, 0.7, 1.3, mode, xs)
+        _core_py.log_delta_nodes(6, 0.7, 1.3, mode, xs)
+        old = _core_py._NODES[xs[0]][2]
+        counts = []
+
+        def fill(*a, _f=_core_py._fill):
+            gone = all(r[2] is not old for r in _core_py._NODES.values())
+            rec = _f(*a)
+            if gone:
+                counts.append(sys.getrefcount(old))
+            return rec
+
+        monkeypatch.setattr(_core_py, "_fill", fill)
+        _core_py.log_delta_nodes(other[0], 0.7, 1.3, 2, other[1])
+        monkeypatch.undo()
+        assert counts and set(counts) == {sys.getrefcount(old)}, other[0]
+        assert all(n[0] is not old for n in _core_py._KEPT[4])
     _core_py._NODES.clear()

@@ -9,7 +9,8 @@ twins give them, since the twins are bit-identical. Two single-mode
 energies, pinned by version 0.9.1, take the node fills that make only
 TE's chains and the ones that make TM's too. The massive small-gap
 energy, pinned by version 0.9.3, has the longest Miller runs and the most
-massive TM node fills of the benchmark's inputs.
+massive TM node fills of the benchmark's inputs. A TE-only and a TM-only
+force, pinned by version 0.9.4, are the derivative sums of one mode each.
 """
 
 import pytest
@@ -49,6 +50,11 @@ FORCE_PINS = [
     ((2.0, 0.0, 1e-4), '-0x1.1c214a85c6bb0p+2'),
 ]
 
+MODE_FORCE_PINS = [
+    ((1.5, 5.0, 1e-4, "te"), '-0x1.3eb0cdebfc9c6p+2'),
+    ((1.5, 5.0, 1e-4, "tm"), '-0x1.5292643065200p+2'),
+]
+
 
 @pytest.mark.parametrize("case, pin", ENERGY_PINS)
 def test_energy_bits(case, pin):
@@ -74,3 +80,10 @@ def test_single_mode_energy_bits(case, pin):
 def test_force_bits(case, pin):
     ratio, mu, rel_tol = case
     assert force(ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol)).hex() == pin
+
+
+@pytest.mark.parametrize("case, pin", MODE_FORCE_PINS)
+def test_single_mode_force_bits(case, pin):
+    ratio, mu, rel_tol, mode = case
+    spec = ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol, mode=mode)
+    assert force(spec).hex() == pin
