@@ -3,20 +3,23 @@
  * the Wronskian, and each mode factor ln(1 - rho) of a plain-double round
  * trip rho < 1: rho_TE, and for TM rho_TE (tr M - rho_TE det M) from 2x2
  * shell matrices, with their ratio derivatives. Each node's chains for the
- * 16 orders of a block are kept in the pure twin's node table, one table
- * per thread, which changes no bit. Its Python-visible surface is the pure
- * twin's ten functions, and the block rule _BLOCK and _block_top, private
- * names that spectrum frames its waves with.
+ * 16 orders of a block are kept in a node table, one per thread and keyed
+ * by each node's bits, where the pure twin keys one shared table by each
+ * batch's node tuple; neither changes a bit. Its Python-visible surface is
+ * the pure twin's ten functions, and the block rule _BLOCK and _block_top,
+ * private names that spectrum frames its waves with.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
  * both backends produce bit-identical doubles. How a loop comes by its
  * operands may differ: a chain step here converts its counter to the odd
  * factor 2j + 1, where the pure twin reads the same exact double from a
- * table, and each chain here runs alone, where the pure fill runs a node's
- * chains as lanes of its two loops. Edit the two together or not at all,
- * and build with -ffp-contract=off: a fused multiply-add rounds once where
- * the pure twin rounds twice.
+ * table; each chain here runs alone, where the pure fill runs a node's
+ * chains as lanes of its two loops and keeps its scales as ints; and a
+ * node's record here holds its rows only, where the pure twin's batch
+ * entry also holds the products that do not depend on l. Edit the two
+ * together or not at all, and build with -ffp-contract=off: a fused
+ * multiply-add rounds once where the pure twin rounds twice.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -102,8 +105,8 @@ typedef struct {
 
 static const SR SR_ZERO = {0.0, 0.0};
 
-/* The pure twin's _NODES: the records of one (top, mu, ratio) only, cleared
- * when a node of another is filled or when it holds NODE_CAP nodes. at[i]
+/* The node table: the records of one (top, mu, ratio) only, cleared when a
+ * node of another is filled or when it holds NODE_CAP nodes. at[i]
  * is 1 + the number of the record at index entry i, 0 for a free entry.
  * Per thread (about 261 KiB), so the node batch needs no lock without the
  * GIL; top is 0 until the first fill, and no block has that top. */
@@ -124,9 +127,10 @@ static inline SR c_norm(double m, double k)
     int e;
     if (m == 0.0)
         return SR_ZERO;
-    /* frexp leaves the exponent of inf and NaN unspecified. */
+    /* frexp leaves the exponent of inf and NaN unspecified. k + 0.0 is the
+     * pure twin's k + 0, which turns a scale of -0.0 into 0.0. */
     if (!isfinite(m))
-        return (SR){m, k};
+        return (SR){m, k + 0.0};
     m = frexp(m, &e);
     return (SR){m, k + e};
 }
@@ -281,18 +285,21 @@ static void c_s_rows(long top, double z, double *qs)
     }
 }
 
-/* The Wronskian s_l e_{l-1} + s_{l-1} e_l = 1 gives
- * s_l = 1/(e_l (q_e + q_s)), a sum of positives; as _chains. */
+/* q_s from the Miller run of l's block top stopped at l; the Wronskian
+ * s_l e_{l-1} + s_{l-1} e_l = 1 gives s_l = 1/(e_l (q_e + q_s)), a sum of
+ * positives; as _chains. */
 static Chains c_chains(long l, double z)
 {
-    long top = c_block_top(l);
-    double y, ym, off, qs[BLOCK];
+    long start = c_miller_start(c_block_top(l), z);
+    double y, ym, off;
     Chains c;
     c_e_run(l, z, &y, &ym, &off);
     c.e = c_norm(y, off);
     c.qe = ym / y;
-    c_s_rows(top, z, qs);
-    c.qs = qs[l - c_block_lo(top)];
+    y = 1.0;
+    ym = off = 0.0;
+    c_steps(start, start - l + 1, -1, z, &y, &ym, &off);
+    c.qs = y / ym;
     c.s = c_norm(1.0 / (c.e.m * (c.qe + c.qs)), -c.e.k);
     return c;
 }
@@ -418,8 +425,9 @@ static const Row *c_fill(long top, uint64_t key, double xi, double g,
     return node->rows;
 }
 
-/* xi's rows for top's block at (mu, ratio), with TM's when tm, as _nodes
- * reads them: the table's record when it serves the call, else a fill. */
+/* xi's rows for top's block at (mu, ratio), with TM's when tm: the table's
+ * record when it serves the call, else a fill. The pure twin's _nodes finds
+ * a batch's rows by its node tuple instead, and compares the block once. */
 static const Row *c_rows(long top, double xi, double g, double mu,
                          double ratio, int tm)
 {

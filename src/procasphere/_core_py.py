@@ -23,40 +23,38 @@ built on them.
 Orders come in blocks of 16, {0, 1}, {2, ..., 17}, {18, ..., 33} and so
 on. One Miller run started for a block's top order yields the q_s of every
 order of the block, and the waves of a block share their nodes (spectrum
-frames them alike). So both twins keep one node table for the mode
-factors: a node's first call in a block fills its record, the chains of
-every order of the block at that node, _ROW doubles per order, lowest
-order first; the other waves of the block read their row. The table holds
-the nodes of one (top, mu, ratio), at most _NODE_CAP of them, and is
-cleared when a node of another is asked for or when it is full; a record
-without TM's chains is filled again, in place, for a TM call. Here the
-table is one dict that threads share; in C it is a table per thread,
-keyed by the node's bits. Every kept double is the one a fresh fill
-makes, by the same steps on the same doubles, so no hit, miss or clear
-changes a bit. Each chain function has one C counterpart: _e_run, _fill
-and _chains are c_e_run, c_fill and c_chains, and the lookup in _nodes is
+frames them alike). So both twins keep a node table for the mode factors:
+a node's first call in a block fills its rows, the chains of every order
+of the block at that node, _ROW doubles per order, lowest order first; the
+other waves of the block read their row. The table holds the nodes of one
+(top, mu, ratio), at most _NODE_CAP of them, and is cleared for another
+or when it would pass the cap; rows without TM's chains are filled again
+for a TM call. Here the table is one dict that threads share, from a
+batch's node tuple to its node list; in C it is a table per thread, keyed
+by each node's bits. Every kept double is the one a fresh fill makes, by
+the same steps on the same doubles, so no hit, miss or clear changes a
+bit. Each chain function has one C counterpart: _e_run, _fill and _chains
+are c_e_run, c_fill and c_chains, and the table lookup in _nodes is
 c_rows.
 
-A fill makes its record's rows in two loops, with a lane per chain: an
-upward loop runs the e chains at gamma, gamma * ratio and, for TM with a
-mass, xi * ratio, and appends each order's row; a Miller loop runs the q_s
+A fill makes its rows in two loops, with a lane per chain: an upward loop
+runs the e chains at gamma, gamma * ratio and, for TM with a mass,
+xi * ratio, and appends each order's row; a Miller loop runs the q_s
 chains at gamma, gamma * ratio and, for TM with a mass, xi, and writes
 their columns. Without a mass TM's columns are copies. Only these loops
 differ from C's: here the chains run as lanes of one loop, each lane
 making exactly the steps of its own run, where C runs each alone
-(c_e_rows, c_s_rows); _chains stops the Miller run at l, where c_chains
-reads l's row of c_s_rows; a node batch compares its (top, mu, ratio)
-with the table's once, where c_rows does so per node; a fill keeps its
-scales as ints, where C keeps doubles of the same integer values; and a
-batch on the nodes of the batch before it, in the same block and asking
-for no more modes, takes that batch's node list (_KEPT): each node's rows
-and the products of xi, gamma, ratio and mu that do not depend on l,
-which C forms again per node.
+(c_e_rows, c_s_rows); a fill keeps its scales as ints, where C keeps
+doubles of the same integer values; and the table finds a batch's node
+list by its node tuple and compares its (top, mu, ratio) once, where
+c_rows finds and compares each node, and the list holds per node the
+products of xi, gamma, ratio and mu that do not depend on l, which C
+forms again per node.
 
-One node batch (_nodes) checks the batch, reads or fills each node's
-record into its node list, unless it takes the kept one, and forms each
-node's mode factors in one loop over the list; log_delta_point is a batch
-of one node. family, s_pair and e_pair run their chains afresh.
+One node batch (_nodes) reads its node list from the table, or checks
+its nodes and fills their rows into a new one, and forms each node's mode
+factors in one loop over the list; log_delta_point is a batch of one
+node. family, s_pair and e_pair run their chains afresh.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
@@ -119,37 +117,30 @@ _BLOCK = 16
 # Orders stay below 2**31, which a C long holds on every platform; the
 # rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
 _L_END = 2 ** 31
-# Node table of the mode factors: node xi -> (block, tm, rows), the chains
-# of every order of block = (top, mu, ratio) at that node (see _fill). It
-# holds the nodes of _NODES_BLOCK only: a node batch of another block
-# clears it and makes its own block current, and a fill into a full table
-# (_NODE_CAP nodes) clears it, so a long wave cannot grow it. A record
-# serves a batch only if it holds the very block object that the batch
-# found current. Each record is an immutable tuple put or read by one dict
-# operation, so threads sharing the table never read a half-made record or
-# one of another block, and need no lock; a race at worst repeats a fill.
-# The rows are _ROW doubles per order in one flat tuple, rho_TE's e factor
-# among them already formed (see _fill): a tuple of the ten chain values
-# per order cost 0.4 MB more peak memory on the benchmark's small-gap
-# batch. An array of doubles cost 1 MB less, but each read then makes new
-# floats, which took back a quarter of the speed-up.
+# Node table of the mode factors: a batch's node tuple -> (block, tm,
+# node list), the list holding per node its rows, the chains of every
+# order of block = (top, mu, ratio) at that node (see _fill), and the
+# products that do not depend on l, (rows, xi, g, g * ratio, xi * ratio,
+# xi**2, g**2, mu**2 xi**2, -mu**2 xi**2), each formed as the wave loop
+# formed it. The waves of a block share their nodes, bisection batches
+# included, so each batch after the first on a tuple skips each node's
+# checks, fill and products. The table holds the nodes of _NODES_BLOCK
+# only: a batch of another block, or one whose nodes would take the table
+# past _NODE_CAP nodes, clears it and makes its own block current, so a
+# long wave cannot grow it (a batch of more nodes is held alone). An
+# entry serves a batch only if it holds the very block object that the
+# batch found current. Each entry is an immutable tuple put or read by one
+# dict operation, so threads sharing the table never read a half-made
+# entry or one of another block, and need no lock; a race at worst repeats
+# a fill. The rows are _ROW doubles per order in one flat tuple, rho_TE's
+# e factor among them already formed (see _fill): a tuple of the ten chain
+# values per order cost 0.4 MB more peak memory on the benchmark's
+# small-gap batch. An array of doubles cost 1 MB less, but each read then
+# makes new floats, which took back a quarter of the speed-up.
 _NODE_CAP = 256
 _ROW = 8
 _NODES = {}
 _NODES_BLOCK = None
-# The node list of the last batch that checked its nodes (see _nodes):
-# (nodes, block, tm, record of the last node, list), the list holding per
-# node its record's rows and the products that do not depend on l, (rows,
-# xi, g, g * ratio, xi * ratio, xi**2, g**2, mu**2 xi**2, -mu**2 xi**2),
-# each formed as the wave loop formed it. A batch on the same nodes, block
-# object and no more modes takes it: the waves of a block share their
-# start nodes, so each wave after the first skips each node's lookup,
-# checks and products unless a bisection batch came between. Any other
-# batch drops it before it fills, so it never keeps records that the
-# table has dropped or replaced, and it serves only while the table holds
-# its last node's record, so not after a clear from outside either. Like
-# a record it is one immutable tuple, put or read in one operation.
-_KEPT = None
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
 _CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
@@ -392,8 +383,8 @@ def _log1m(rho):
 
 
 def _fill(block, xi, g, tm):
-    """The node table's record of xi for block = (top, mu, ratio): (block,
-    tm, rows), with _ROW doubles per order of the block, lowest first,
+    """The rows of xi for block = (top, mu, ratio) in the node table, _ROW
+    doubles per order of the block, lowest first,
     (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr)) at
     g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
     (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
@@ -402,8 +393,8 @@ def _fill(block, xi, g, tm):
     only with tm (and read 0.0 otherwise), since only TM needs them;
     without a mass x = g and xr = gr, so they are copied.
 
-    Two loops make the rows, with a lane per chain: three for a TM record
-    with a mass, two otherwise. The upward loop runs e at g, gr (and xr)
+    Two loops make the rows, with a lane per chain: three for TM rows with
+    a mass, two otherwise. The upward loop runs e at g, gr (and xr)
     from order 0 and reads an order, then steps, so its last step, past
     top, is not read. The Miller loop runs q_s at g, gr (and x): each lane
     runs alone from its own start down to the lowest start, where all
@@ -483,11 +474,7 @@ def _fill(block, xi, g, tm):
     if tm and not three:
         rows[6::_ROW] = rows[4::_ROW]
         rows[7::_ROW] = rows[3::_ROW]
-    rec = (block, tm, tuple(rows))
-    if len(_NODES) >= _NODE_CAP:
-        _NODES.clear()
-    _NODES[xi] = rec
-    return rec
+    return tuple(rows)
 
 
 def _nodes(l, mu, ratio, mode, xs, deriv):
@@ -501,12 +488,11 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     # reads them: a float raises TypeError before any node is read. Every
     # node is checked before any is evaluated, and an empty batch checks
     # nothing else, as in C. xs is read once, so any iterable serves, as
-    # in C. A batch of another block than the table's clears the table
-    # before its first node is read (see _NODES).
-    # A batch that may take the kept list (see _KEPT) skips the node
+    # in C. A batch that its entry serves (see _NODES) skips the node
     # checks, which its nodes passed for this block and modes; any other
-    # batch makes its own list and keeps it.
-    global _NODES_BLOCK, _KEPT
+    # batch clears the table if it must before it fills, and puts its
+    # entry.
+    global _NODES_BLOCK
     l = operator.index(l)
     mode = operator.index(mode)
     xs = tuple(xs)
@@ -514,12 +500,11 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     top = _block_top(l)
     m2 = mu * mu
     block = _NODES_BLOCK
-    kept = _KEPT
-    if (kept is None or kept[0] != xs or kept[1] is not block
-            or kept[2] < tm or block != (top, mu, ratio)
-            or _NODES.get(xs[-1]) is not kept[3]):
-        # Not held past here, so that the fills below free its records.
-        kept = None
+    entry = _NODES.get(xs)
+    if (entry is None or entry[0] is not block or entry[1] < tm
+            or block != (top, mu, ratio)):
+        # Not held past here, so that the fills below free its rows.
+        entry = None
         xi_min = 0.0 if mode == 0 else _Z_MIN
         sqrt = math.sqrt
         gs = []
@@ -535,20 +520,20 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     if (not 1 <= l < _L_END or mode < 0 or mode > 2
             or not 0.0 <= mu < math.inf or not 1.0 < ratio < math.inf):
         raise ValueError(_POINT_DOMAIN)
-    if kept is None:
-        _KEPT = None
-        if block != (top, mu, ratio):
+    if entry is None:
+        # An entry with too few modes goes first; the nodes held are
+        # counted over a snapshot, as another thread may put one meanwhile.
+        _NODES.pop(xs, None)
+        held = len(xs) + sum(len(e[2]) for e in list(_NODES.values()))
+        if block != (top, mu, ratio) or held > _NODE_CAP:
             _NODES.clear()
             block = _NODES_BLOCK = (top, mu, ratio)
         nodes = []
         for xi, g in zip(xs, gs):
-            rec = _NODES.get(xi)
-            if rec is None or rec[0] is not block or rec[1] < tm:
-                rec = _fill(block, xi, g, tm)
             x2 = xi * xi
-            nodes.append((rec[2], xi, g, g * ratio, xi * ratio, x2, g * g,
-                          m2 * x2, -m2 * x2))
-        kept = _KEPT = (xs, block, tm, rec, tuple(nodes))
+            nodes.append((_fill(block, xi, g, tm), xi, g, g * ratio,
+                          xi * ratio, x2, g * g, m2 * x2, -m2 * x2))
+        entry = _NODES[xs] = (block, tm, tuple(nodes))
     i = _ROW * (l - _block_lo(top))
     j = i + _ROW
     fl = float(l)
@@ -558,7 +543,7 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     log1p = math.log1p
     ldexp = math.ldexp
     te, tmv = [], []
-    for rows, xi, g, gr, xr, x2, gg, m2x2, nm2x2 in kept[4]:
+    for rows, xi, g, gr, xr, x2, gg, m2x2, nm2x2 in entry[2]:
         aa, nn, qeg, qer, qsg, qsr, qsx, qex = rows[i:j]
         pg = qeg + qsg
         pr = qer + qsr

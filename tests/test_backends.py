@@ -150,6 +150,14 @@ def test_non_finite_operands_agree(compiled, x):
     for kernel in (pure, compiled):
         assert repr(kernel.sr_norm(x, 0.0)) == repr((x, 0.0))
         assert repr(kernel.sr_mul(1.5, 0.0, x, 0.0)) == repr((x, 0.0))
+    # The twins agree by repr at a scale of -0.0 too, where a scale sign
+    # may differ though the values compare equal.
+    for k in (-0.0, 0.0, 3.0):
+        for name, args in (("sr_norm", (x, k)), ("sr_mul", (1.5, k, x, k)),
+                           ("sr_add", (x, k, 0.75, k)),
+                           ("sr_add", (0.75, k, x, k))):
+            want = repr(getattr(pure, name)(*args))
+            assert repr(getattr(compiled, name)(*args)) == want, (name, args)
 
 
 @settings(max_examples=100, deadline=None)

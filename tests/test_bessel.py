@@ -259,8 +259,8 @@ def _s_rows(top, z):
     return qs
 
 
-def _single_lane_record(top, xi, mu, ratio):
-    # A TM node record as _fill makes it, from one chain run per argument:
+def _single_lane_rows(top, xi, mu, ratio):
+    # A TM node's rows as _fill makes them, from one chain run per argument:
     # e_l from e_pair's upward run to each order, q_e rows lowest order
     # first, q_s rows reversed from top first. A fill keeps its scales as
     # ints, so nn is the int of the gap e_pair's float scales give.
@@ -275,7 +275,7 @@ def _single_lane_record(top, xi, mu, ratio):
         a = erm / egm
         rows += [a * a, int(2.0 * (erk - egk)), qeg[o], qer[o], qsg[o],
                  qsr[o], qsx[o], qex[o]]
-    return (top, mu, ratio), True, tuple(rows)
+    return tuple(rows)
 
 
 def _rescales(z, top, up):
@@ -289,7 +289,7 @@ def _rescales(z, top, up):
 
 def test_paired_lanes_match_single_lane_runs():
     # A fill runs the chains at gamma and gamma * ratio, and for a massive
-    # TM record also at xi and xi * ratio, as lanes of its two loops. Each
+    # TM node also at xi and xi * ratio, as lanes of its two loops. Each
     # lane must make the doubles of its own run alone, by repr: whichever
     # Miller run starts first, with equal starts, in block {0, 1}, with
     # starts and tops around the end of the factor table, and when one lane
@@ -313,7 +313,7 @@ def test_paired_lanes_match_single_lane_runs():
              (4049, 4069.5, 0.0, 4071.5 / 4069.5), (4065, 5000.0, 0.0, 1.5),
              (4065, 30.0, 0.5, 1.5), (past, 7.0, 0.0, 1.2),
              (17, 1e-15, 0.0, 1e6), (17, 1e-5, 0.0, 100.0)]
-    # Massive TM records, whose xi lanes run with the others: the Miller
+    # Massive TM nodes, whose xi lanes run with the others: the Miller
     # start at xi (first of the three starts) above, between, below and
     # level with those at gamma and gamma * ratio, and past the table's
     # end while both others stay below it.
@@ -342,25 +342,24 @@ def test_paired_lanes_match_single_lane_runs():
     for top, xi, mu, ratio in cases + list(massive):
         g = _core_py.gamma_arg(xi, mu)
         block = (top, mu, ratio)
-        rec = _core_py._fill(block, xi, g, True)
-        want = _single_lane_record(top, xi, mu, ratio)
-        assert repr(rec) == repr(want), (top, xi, mu, ratio)
-        # Without TM's chains the record reads 0.0 in the two TM columns,
-        # q_s(x) and q_e(xr), and what the TM record reads everywhere else.
-        te_rec = _core_py._fill(block, xi, g, False)
-        rows = list(rec[2])
+        got = _core_py._fill(block, xi, g, True)
+        want = _single_lane_rows(top, xi, mu, ratio)
+        assert repr(got) == repr(want), (top, xi, mu, ratio)
+        # Without TM's chains the rows read 0.0 in the two TM columns,
+        # q_s(x) and q_e(xr), and what the TM rows read everywhere else.
+        te_rows = _core_py._fill(block, xi, g, False)
+        rows = list(got)
         rows[6::8] = rows[7::8] = [0.0] * (len(rows) // 8)
-        assert repr(te_rec) == repr((block, False, tuple(rows))), block
-    _core_py._NODES.clear()
+        assert repr(te_rows) == repr(tuple(rows)), block
 
 
 def test_te_fill_runs_no_lane_at_xi(monkeypatch):
-    # A TE record's Miller lanes run at gamma and gamma * ratio only, also
+    # A TE fill's Miller lanes run at gamma and gamma * ratio only, also
     # when the run at gamma starts above the one at gamma * ratio (81
     # against 60 at top 17): at xi = 0, where gamma is the mass, a lane at
-    # xi would divide by zero. Whatever xi, the record reads what a record
-    # of the same gamma and ratio reads outside the two TM columns.
-    rows = list(_single_lane_record(17, 55.0, 0.0, 1.1)[2])
+    # xi would divide by zero. Whatever xi, the rows read what the rows of
+    # the same gamma and ratio read outside the two TM columns.
+    rows = list(_single_lane_rows(17, 55.0, 0.0, 1.1))
     rows[6::8] = rows[7::8] = [0.0] * (len(rows) // 8)
     zs = []
 
@@ -371,29 +370,34 @@ def test_te_fill_runs_no_lane_at_xi(monkeypatch):
     monkeypatch.setattr(_core_py, "_steps", steps)
     for xi in (0.0, 1.0):
         del zs[:]
-        rec = _core_py._fill((17, 55.0, 1.1), xi, 55.0, False)
-        assert repr(rec[2]) == repr(tuple(rows)), xi
+        got = _core_py._fill((17, 55.0, 1.1), xi, 55.0, False)
+        assert repr(got) == repr(tuple(rows)), xi
         assert zs == [55.0], xi
-    _core_py._NODES.clear()
 
 
 def test_chain_cache_stays_within_its_cap(monkeypatch):
     # A wave bisected down to 346 massive TM nodes fills more nodes than
     # the pure twin's node table holds; the table is cleared as it fills
-    # and never holds more than its cap. The wave is the one a cold table
-    # gives, and the one a table without a cap gives.
+    # and never holds more than its cap, counted over the node lists of
+    # its entries. The wave is the one a cold table gives, and the one a
+    # table without a cap gives.
     monkeypatch.setattr(spectrum, "kernel", _core_py)
-    sizes = []
+    fills, sizes = [], []
 
     def fill(*args, _fill=_core_py._fill):
-        rec = _fill(*args)
-        sizes.append(len(_core_py._NODES))
-        return rec
+        fills.append(args[1])
+        return _fill(*args)
+
+    def nodes(*args, _nodes=_core_py._nodes):
+        out = _nodes(*args)
+        sizes.append(sum(len(e[2]) for e in _core_py._NODES.values()))
+        return out
 
     monkeypatch.setattr(_core_py, "_fill", fill)
+    monkeypatch.setattr(_core_py, "_nodes", nodes)
     _core_py._NODES.clear()
     cold = spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)
-    assert len(sizes) == cold[2] > _core_py._NODE_CAP
+    assert len(fills) == cold[2] > _core_py._NODE_CAP
     assert 0 < max(sizes) <= _core_py._NODE_CAP
     assert repr(spectrum._l_term_full(3, 0.5, 1.5, 2, 1e-13)) == repr(cold)
     monkeypatch.setattr(_core_py, "_NODE_CAP", 10 ** 6)
@@ -410,12 +414,28 @@ def test_rejected_node_batch_leaves_the_node_table():
     _core_py.log_delta_nodes(5, 0.5, 1.3, 2, xs)
     before = dict(_core_py._NODES)
     block = _core_py._NODES_BLOCK
-    assert set(before) == set(xs)
+    assert set(before) == {xs}
     with pytest.raises(ValueError):
         _core_py.log_delta_nodes(40, 0.5, 1.3, 2, xs + (2.0 ** 32,))
     assert _core_py._NODES_BLOCK == block
     assert _core_py._NODES.keys() == before.keys()
-    assert all(_core_py._NODES[x] is before[x] for x in xs)
+    assert _core_py._NODES[xs] is before[xs]
+
+
+def _run_threads(run, n, interval):
+    # Runs run(i) for i < n in n threads, a switch interval apart, and
+    # joins them.
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_node_table_from_threads_of_other_blocks():
@@ -440,30 +460,50 @@ def test_node_table_from_threads_of_other_blocks():
         for _ in range(40):
             got[i].append(_core_py.log_delta_nodes(*jobs[i]))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(len(jobs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _run_threads(run, len(jobs), 1e-6)
     for i, want in enumerate(expected):
         assert got[i] == [want] * 40, jobs[i][:2]
     _core_py._NODES.clear()
 
 
+def test_node_table_cap_from_threads():
+    # Four threads on one block fill more nodes between them than the
+    # table holds, in batches of two, so a batch counts the nodes held
+    # while the others put their entries and clear the table. Every call
+    # still gives the serial answer, and none raises.
+    per = _core_py._NODE_CAP // 4 + 16
+    xs = [0.05 * 1.01 ** n for n in range(4 * per)]
+    jobs = [[tuple(xs[j:j + 2]) for j in range(i * per, (i + 1) * per, 2)]
+            for i in range(4)]
+    expected = []
+    for batches in jobs:
+        want = []
+        for batch in batches:
+            _core_py._NODES.clear()
+            want.append(_core_py.log_delta_nodes(5, 0.7, 1.3, 2, batch))
+        expected.append(want * 3)
+    _core_py._NODES.clear()
+    got = [[] for _ in jobs]
+
+    def run(i):
+        for _ in range(3):
+            for batch in jobs[i]:
+                got[i].append(_core_py.log_delta_nodes(5, 0.7, 1.3, 2,
+                                                       batch))
+
+    _run_threads(run, len(jobs), 1e-6)
+    for i, want in enumerate(expected):
+        assert got[i] == want, i
+    _core_py._NODES.clear()
+
+
 def test_kept_node_list_serves_as_a_cleared_table(monkeypatch):
     # The waves of a block at one node tuple take the node list that the
-    # batch before them kept. Every wave lo..top of the block, in both
+    # tuple's entry keeps. Every wave lo..top of the block, in both node
     # entries and every mode, must give what a cleared table gives, also
-    # when its TE-only batch came just before on fresh records and when a
+    # when its TE-only batch came just before on fresh rows and when a
     # batch on other nodes came in between. A cleared table serves nothing
-    # from the list: the next batch fills every node.
+    # from an entry: the next batch fills every node.
     xs = tuple(0.05 * 1.6 ** i for i in range(12))
     other = xs[1:]
     names = ("log_delta_nodes", "dlog_delta_nodes")
@@ -490,9 +530,9 @@ def test_kept_node_list_serves_as_a_cleared_table(monkeypatch):
         assert fills == list(c[3]), c
     _core_py._NODES.clear()
     assert [call(*c) for c in order] == [cold[c] for c in order]
-    kept = _core_py._KEPT
+    entry = _core_py._NODES[xs]
     call(names[1], 9, 1, xs)
-    assert _core_py._KEPT is kept
+    assert _core_py._NODES[xs] is entry
     _core_py._NODES.clear()
 
 
@@ -517,31 +557,37 @@ def test_kept_node_list_is_checked_again():
     _core_py._NODES.clear()
 
 
+def _holds(rows):
+    # Whether an entry of the node table keeps these rows.
+    return any(n[0] is rows for e in list(_core_py._NODES.values())
+               for n in e[2])
+
+
 def test_kept_node_list_holds_no_cleared_record(monkeypatch):
-    # Once a batch of another block or a fill into a full table has
-    # cleared the table, or a TM batch has filled a TE record again, no
-    # kept list, the module's or one a batch still holds, may keep the rows
-    # of a record that the table dropped: at each later fill of that batch
-    # the rows have no more references than once the batch is done.
+    # Once a batch of another block or a batch past the cap has cleared
+    # the table, or a TM batch has filled a TE entry again, no entry, the
+    # table's or one a batch still holds, may keep the rows that the table
+    # dropped: at each later fill of that batch the rows have no more
+    # references than once the batch is done.
     xs = tuple(0.05 * 1.6 ** i for i in range(12))
     long = tuple(40.0 + 0.01 * i for i in range(_core_py._NODE_CAP + 20))
     for mode, other in ((2, (20, xs)), (2, (5, long)), (0, (6, xs))):
         _core_py._NODES.clear()
         _core_py.log_delta_nodes(5, 0.7, 1.3, mode, xs)
         _core_py.log_delta_nodes(6, 0.7, 1.3, mode, xs)
-        old = _core_py._NODES[xs[0]][2]
+        old = _core_py._NODES[xs][2][0][0]
         counts = []
 
         def fill(*a, _f=_core_py._fill):
-            gone = all(r[2] is not old for r in _core_py._NODES.values())
-            rec = _f(*a)
+            gone = not _holds(old)
+            rows = _f(*a)
             if gone:
                 counts.append(sys.getrefcount(old))
-            return rec
+            return rows
 
         monkeypatch.setattr(_core_py, "_fill", fill)
         _core_py.log_delta_nodes(other[0], 0.7, 1.3, 2, other[1])
         monkeypatch.undo()
         assert counts and set(counts) == {sys.getrefcount(old)}, other[0]
-        assert all(n[0] is not old for n in _core_py._KEPT[4])
+        assert not _holds(old)
     _core_py._NODES.clear()

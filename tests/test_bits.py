@@ -11,11 +11,14 @@ TE's chains and the ones that make TM's too. The massive small-gap
 energy, pinned by version 0.9.3, has the longest Miller runs and the most
 massive TM node fills of the benchmark's inputs. A TE-only and a TM-only
 force, pinned by version 0.9.4, are the derivative sums of one mode each.
+One massive TM wave, pinned by version 0.9.5, is bisected down to 346
+node evaluations, more than the pure twin's node table holds (256), so
+its fills pass the table's cap.
 """
 
 import pytest
 
-from procasphere import ProblemSpec, energy, force
+from procasphere import ProblemSpec, energy, force, l_term
 
 ENERGY_PINS = [
     ((1.15, 0.0, 1e-07), ('-0x1.697a8698797e2p+8', '0x1.13508781801afp-14',
@@ -87,3 +90,8 @@ def test_single_mode_force_bits(case, pin):
     ratio, mu, rel_tol, mode = case
     spec = ProblemSpec(ratio=ratio, mu=mu, rel_tol=rel_tol, mode=mode)
     assert force(spec).hex() == pin
+
+
+def test_over_cap_wave_bits():
+    spec = ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-13)
+    assert l_term(spec, 3).hex() == '-0x1.e8a1aa440d068p+0'
