@@ -24,7 +24,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.9.6"
+__version__ = "0.10.0"
 
 __all__ = [
     "ScaledReal",

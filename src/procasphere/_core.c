@@ -5,9 +5,13 @@
  * shell matrices, with their ratio derivatives. Each node's chains for the
  * 16 orders of a block are kept in a node table, one per thread and keyed
  * by each node's bits, where the pure twin keys one shared table by each
- * batch's node tuple; neither changes a bit. Its Python-visible surface is
- * the pure twin's ten functions, and the block rule _BLOCK and _block_top,
- * private names that spectrum frames its waves with.
+ * batch's node tuple. A record also keeps its node's upward runs after the
+ * last order its fill made, and a fill of a later block at that node goes
+ * on from there; neither the table nor a run that goes on changes a bit.
+ * Its Python-visible surface is the pure twin's ten functions; the block
+ * rule _BLOCK and _block_top, private names that spectrum frames its waves
+ * with; and _log1m, _exp_split and _sr_scale, which determinants and
+ * scaledrep take from the active kernel.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
@@ -16,8 +20,10 @@
  * factor 2j + 1, where the pure twin reads the same exact double from a
  * table; each chain here runs alone, where the pure fill runs a node's
  * chains as lanes of its two loops and keeps its scales as ints; and a
- * node's record here holds its rows only, where the pure twin's batch
- * entry also holds the products that do not depend on l. Edit the two
+ * node's record here holds its rows and runs only, where the pure twin's
+ * batch entry also holds the products that do not depend on l, and where
+ * the pure twin keeps the runs of the nodes that its last clear dropped,
+ * this table keeps each record's runs until the record goes. Edit the two
  * together or not at all, and build with -ffp-contract=off: a fused
  * multiply-add rounds once where the pure twin rounds twice.
  */
@@ -95,23 +101,29 @@ typedef struct {
     double aa, nn, qeg, qer, qsg, qsr, qsx, qex;
 } Row;
 
-/* A node's record: its bits, whether it holds TM's chains, and a row per
- * order of the block, lowest order first. */
+/* A node's record: its bits, whether it holds TM's chains, the top order
+ * of its block and a row per order of that block, lowest order first; and
+ * the upward state {e_n, e_{n-1}, offset} of each upward lane, at g, gr
+ * and (with three) xr, after the last order its fills made, n. */
 typedef struct {
     uint64_t key;
     int tm;
+    int three;
+    long top;
+    long n;
+    double run[3][3];
     Row rows[BLOCK];
 } Node;
 
 static const SR SR_ZERO = {0.0, 0.0};
 
-/* The node table: the records of one (top, mu, ratio) only, cleared when a
- * node of another is filled or when it holds NODE_CAP nodes. at[i]
- * is 1 + the number of the record at index entry i, 0 for a free entry.
- * Per thread (about 261 KiB), so the node batch needs no lock without the
- * GIL; top is 0 until the first fill, and no block has that top. */
+/* The node table: the records of one (mu, ratio) only, of any block,
+ * cleared when a node of another is filled or when it holds NODE_CAP
+ * nodes. at[i] is 1 + the number of the record at index entry i, 0 for a
+ * free entry. Per thread (about 283 KiB), so the node batch needs no lock
+ * without the GIL; ratio is 0 until the first fill, and no call has that
+ * ratio. */
 static _Thread_local struct {
-    long top;
     double mu;
     double ratio;
     int n;
@@ -250,19 +262,23 @@ static void c_e_run(long l, double z, double *y, double *ym, double *off)
 
 /* q_e = e_{l-1}/e_l at the orders of top's block, lowest first, as one lane
  * of the pure fill's upward loop, and with e also e_l scaled: the upward
- * run read at the block's lowest order and after each further step. */
-static void c_e_rows(long top, double z, double *qe, SR *e)
+ * run read at the block's lowest order and after each further step. The
+ * run goes on from s = {e_n, e_{n-1}, offset} at an order 0 < n <= lo, or
+ * starts at order 0 when n is 0, and leaves s at order top + 1. */
+static void c_e_rows(long top, double z, long n, double *s, double *qe,
+                     SR *e)
 {
     long lo = c_block_lo(top);
     long j;
-    double y, ym, off;
-    c_e_run(lo, z, &y, &ym, &off);
+    if (n == 0)
+        c_e_run(lo, z, &s[0], &s[1], &s[2]);
+    else
+        c_steps(n, lo - n, 1, z, &s[0], &s[1], &s[2]);
     for (j = lo; j <= top; j++) {
-        if (j > lo)
-            c_steps(j - 1, 1, 1, z, &y, &ym, &off);
-        qe[j - lo] = ym / y;
+        qe[j - lo] = s[1] / s[0];
         if (e != NULL)
-            e[j - lo] = c_norm(y, off);
+            e[j - lo] = c_norm(s[0], s[2]);
+        c_steps(j, 1, 1, z, &s[0], &s[1], &s[2]);
     }
 }
 
@@ -380,7 +396,9 @@ static short *c_find(uint64_t key)
  * _fill does, with the rows (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr),
  * q_s(x), q_e(xr)) at g = gamma, gr = g * ratio, x = xi and xr = xi * ratio;
  * (e(gr)/e(g))^2 is aa 2^nn, and the last two are 0.0 without tm. A node
- * already in the table takes its new record in place. */
+ * already in the table takes its new record in place, and its upward runs
+ * go on from the record's state if that holds the same lanes at an order
+ * n <= lo; otherwise they start at order 0. */
 static const Row *c_fill(long top, uint64_t key, double xi, double g,
                          double mu, double ratio, int tm)
 {
@@ -388,39 +406,46 @@ static const Row *c_fill(long top, uint64_t key, double xi, double g,
     double qeg[BLOCK], qer[BLOCK], qsg[BLOCK], qsr[BLOCK];
     double qsx[BLOCK], qex[BLOCK];
     SR eg[BLOCK], er[BLOCK];
+    /* Massless (or a mass too small to move gamma): xi*ratio == g*ratio, so
+     * the vacuum-side chains are the ones at g and gr. */
+    int three = tm && xi != g;
+    long lo = c_block_lo(top);
+    long n;
     short *at;
     Node *node;
     long i;
-    c_e_rows(top, g, qeg, eg);
-    c_e_rows(top, gr, qer, er);
-    c_s_rows(top, g, qsg);
-    c_s_rows(top, gr, qsr);
-    /* Massless (or a mass too small to move gamma): xi*ratio == g*ratio, so
-     * the vacuum-side chains are the ones above. */
-    if (tm && xi != g) {
-        c_s_rows(top, xi, qsx);
-        c_e_rows(top, xi * ratio, qex, NULL);
-    }
-    if (top != table.top || mu != table.mu || ratio != table.ratio
-        || table.n >= NODE_CAP) {
+    if (mu != table.mu || ratio != table.ratio || table.n >= NODE_CAP) {
         memset(table.at, 0, sizeof table.at);
         table.n = 0;
-        table.top = top;
         table.mu = mu;
         table.ratio = ratio;
     }
     at = c_find(key);
-    if (!*at)
+    if (!*at) {
         *at = (short)++table.n;
+        table.node[*at - 1].n = 0;
+    }
     node = &table.node[*at - 1];
+    n = node->three == three && node->n <= lo ? node->n : 0;
+    c_e_rows(top, g, n, node->run[0], qeg, eg);
+    c_e_rows(top, gr, n, node->run[1], qer, er);
+    c_s_rows(top, g, qsg);
+    c_s_rows(top, gr, qsr);
+    if (three) {
+        c_s_rows(top, xi, qsx);
+        c_e_rows(top, xi * ratio, n, node->run[2], qex, NULL);
+    }
     node->key = key;
     node->tm = tm;
-    for (i = 0; i <= top - c_block_lo(top); i++) {
+    node->three = three;
+    node->top = top;
+    node->n = top + 1;
+    for (i = 0; i <= top - lo; i++) {
         double a = er[i].m / eg[i].m;
         node->rows[i] = (Row){a * a, 2.0 * (er[i].k - eg[i].k), qeg[i],
                               qer[i], qsg[i], qsr[i],
-                              !tm ? 0.0 : xi == g ? qsg[i] : qsx[i],
-                              !tm ? 0.0 : xi == g ? qer[i] : qex[i]};
+                              !tm ? 0.0 : three ? qsx[i] : qsg[i],
+                              !tm ? 0.0 : three ? qex[i] : qer[i]};
     }
     return node->rows;
 }
@@ -435,8 +460,8 @@ static const Row *c_rows(long top, double xi, double g, double mu,
     short *at;
     memcpy(&key, &xi, sizeof key);
     at = c_find(key);
-    if (*at && top == table.top && mu == table.mu && ratio == table.ratio
-        && table.node[*at - 1].tm >= tm)
+    if (*at && mu == table.mu && ratio == table.ratio
+        && table.node[*at - 1].top == top && table.node[*at - 1].tm >= tm)
         return table.node[*at - 1].rows;
     return c_fill(top, key, xi, g, mu, ratio, tm);
 }
@@ -795,6 +820,49 @@ static PyObject *py_block_top(PyObject *Py_UNUSED(self), PyObject *l)
     return top;
 }
 
+/* _log1m, _exp_split and _sr_scale: the private helpers that determinants
+ * and scaledrep take from the active kernel, as in the pure twin. */
+static PyObject *py__log1m(PyObject *Py_UNUSED(self), PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    double rho;
+    if (!unpack("_log1m", args, nargs, "d", &rho))
+        return NULL;
+    return PyFloat_FromDouble(c_log1m(rho));
+}
+
+static PyObject *py__exp_split(PyObject *Py_UNUSED(self),
+                               PyObject *const *args, Py_ssize_t nargs)
+{
+    double x;
+    SR r;
+    if (!unpack("_exp_split", args, nargs, "d", &x))
+        return NULL;
+    /* The pure twin's floor to an int raises these for a non-finite x, and
+     * its n is never -0.0. */
+    if (isnan(x)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cannot convert float NaN to integer");
+        return NULL;
+    }
+    if (isinf(x)) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "cannot convert float infinity to integer");
+        return NULL;
+    }
+    r = c_exp_split(x);
+    return sr_tuple((SR){r.m, r.k + 0.0});
+}
+
+static PyObject *py__sr_scale(PyObject *Py_UNUSED(self),
+                              PyObject *const *args, Py_ssize_t nargs)
+{
+    double m, k, c;
+    if (!unpack("_sr_scale", args, nargs, "ddd", &m, &k, &c))
+        return NULL;
+    return sr_tuple(c_scale(m, k, c));
+}
+
 #define FASTCALL(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
@@ -809,6 +877,9 @@ static PyMethodDef core_methods[] = {
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
     FASTCALL(dlog_delta_nodes),
+    FASTCALL(_log1m),
+    FASTCALL(_exp_split),
+    FASTCALL(_sr_scale),
     {"_block_top", py_block_top, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };

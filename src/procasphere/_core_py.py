@@ -22,20 +22,29 @@ built on them.
 
 Orders come in blocks of 16, {0, 1}, {2, ..., 17}, {18, ..., 33} and so
 on. One Miller run started for a block's top order yields the q_s of every
-order of the block, and the waves of a block share their nodes (spectrum
-frames them alike). So both twins keep a node table for the mode factors:
-a node's first call in a block fills its rows, the chains of every order
-of the block at that node, _ROW doubles per order, lowest order first; the
-other waves of the block read their row. The table holds the nodes of one
-(top, mu, ratio), at most _NODE_CAP of them, and is cleared for another
-or when it would pass the cap; rows without TM's chains are filled again
-for a TM call. Here the table is one dict that threads share, from a
-batch's node tuple to its node list; in C it is a table per thread, keyed
-by each node's bits. Every kept double is the one a fresh fill makes, by
-the same steps on the same doubles, so no hit, miss or clear changes a
-bit. Each chain function has one C counterpart: _e_run, _fill and _chains
-are c_e_run, c_fill and c_chains, and the table lookup in _nodes is
-c_rows.
+order of the block, and the waves of a block share their nodes, as do
+the blocks that spectrum frames alike. So both twins keep a node table for
+the mode factors: a node's first call in a block fills its rows, the
+chains of every order of the block at that node, _ROW doubles per order,
+lowest order first; the other waves of the block read their row. A fill
+also keeps the node's upward runs at the order after the block's top, and
+a fill of a later block at that node, with lanes at the same arguments,
+goes on from there instead of from order 0: with no step to make for the
+next block, and 16 steps per lane for each block skipped. Upward is e's
+stable direction, so a run that goes on makes the steps of a run from
+order 0 on the same doubles. The Miller runs start afresh in each block.
+Rows without TM's chains are filled again for a TM call, from order 0.
+Here the table is one dict that threads share, from a batch's node tuple
+to its node list, and it holds the nodes of one (top, mu, ratio), at most
+_NODE_CAP of them; it is cleared for another or when it would pass the
+cap, and a clear keeps the runs of the nodes it held (_RUNS). In C it is a
+table per thread, keyed by each node's bits, whose records hold their
+rows and runs together; it holds the nodes of one (mu, ratio), of any
+block, and is cleared for another or when full. Every kept double is the
+one a fresh fill makes, by the same steps on the same doubles, so no hit,
+miss, run that goes on or clear changes a bit. Each chain function has
+one C counterpart: _e_run, _fill and _chains are c_e_run, c_fill and
+c_chains, and the table lookup in _nodes is c_rows.
 
 A fill makes its rows in two loops, with a lane per chain: an upward loop
 runs the e chains at gamma, gamma * ratio and, for TM with a mass,
@@ -127,20 +136,27 @@ _L_END = 2 ** 31
 # checks, fill and products. The table holds the nodes of _NODES_BLOCK
 # only: a batch of another block, or one whose nodes would take the table
 # past _NODE_CAP nodes, clears it and makes its own block current, so a
-# long wave cannot grow it (a batch of more nodes is held alone). An
-# entry serves a batch only if it holds the very block object that the
-# batch found current. Each entry is an immutable tuple put or read by one
-# dict operation, so threads sharing the table never read a half-made
-# entry or one of another block, and need no lock; a race at worst repeats
-# a fill. The rows are _ROW doubles per order in one flat tuple, rho_TE's
-# e factor among them already formed (see _fill): a tuple of the ten chain
-# values per order cost 0.4 MB more peak memory on the benchmark's
-# small-gap batch. An array of doubles cost 1 MB less, but each read then
-# makes new floats, which took back a quarter of the speed-up.
+# long wave cannot grow it (a batch of more nodes is held alone). _RUNS
+# maps a node to the upward runs its last fill left (see _fill), which a
+# fill of a later block goes on from if they hold its lanes' arguments; a
+# clear keeps only the runs of the nodes the table held and of the
+# clearing batch, so _RUNS holds at most the runs of two full tables and
+# a batch. An entry serves a batch only if it holds the very block object
+# that the batch found current. Each entry and each run is an immutable
+# tuple put or read by one dict operation, and a clear replaces _RUNS
+# whole, so threads sharing the table never read a half-made entry or one
+# of another block, and need no lock; a race at worst repeats a fill or
+# starts one from order 0. The rows are _ROW doubles per order in one flat
+# tuple, rho_TE's e factor among them already formed (see _fill): a tuple
+# of the ten chain values per order cost 0.4 MB more peak memory on the
+# benchmark's small-gap batch. An array of doubles cost 1 MB less, but
+# each read then makes new floats, which took back a quarter of the
+# speed-up.
 _NODE_CAP = 256
 _ROW = 8
 _NODES = {}
 _NODES_BLOCK = None
+_RUNS = {}
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
 _CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
@@ -270,7 +286,9 @@ def _block_lo(top):
     return max(top - _BLOCK + 1, 0)
 
 
-# An upward e run goes from order 0 up. A downward Miller run for q_s
+# An upward e run goes from order 0 up, or a fill's from the order where
+# an earlier fill at its node left it (see _fill). A downward Miller run
+# for q_s
 # starts at _miller_start(top, z) for the top order of a block, and that
 # start serves every order of the block: L**2 - l**2 >= L**2 - top**2 >=
 # _MILLER_T * z, and a fallback start max(top, z) + 26 leaves 26 steps at
@@ -303,8 +321,9 @@ def _pair_steps(cs, z, y, ym, off, zr, yr, ymr, offr):
     return y, ym, off, yr, ymr, offr
 
 
-def _trio_steps(cs, z, y, ym, off, zr, yr, ymr, offr, zx, yx, ymx, offx):
-    # _steps at z, zr and zx as three lanes of one loop over the factors cs.
+def _trio_steps(cs, z, y, ym, off, zr, yr, ymr, offr, zx, yx, ymx):
+    # _steps at z, zr and zx as three lanes of one loop over the factors cs;
+    # the lane at zx keeps no offset, as only its ratios are read.
     big = _BIG
     for c in cs:
         y, ym = ym + c / z * y, y
@@ -315,8 +334,8 @@ def _trio_steps(cs, z, y, ym, off, zr, yr, ymr, offr, zx, yx, ymx, offx):
             yr, ymr, offr = yr * _DOWN, ymr * _DOWN, offr + _STEP
         yx, ymx = ymx + c / zx * yx, yx
         if yx > big:
-            yx, ymx, offx = yx * _DOWN, ymx * _DOWN, offx + _STEP
-    return y, ym, off, yr, ymr, offr, yx, ymx, offx
+            yx, ymx = yx * _DOWN, ymx * _DOWN
+    return y, ym, off, yr, ymr, offr, yx, ymx
 
 
 def _check_chain(l, z):
@@ -382,40 +401,47 @@ def _log1m(rho):
     return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
 
 
-def _fill(block, xi, g, tm):
+def _fill(block, xi, g, tm, run):
     """The rows of xi for block = (top, mu, ratio) in the node table, _ROW
     doubles per order of the block, lowest first,
     (aa, nn, q_e(g), q_e(gr), q_s(g), q_s(gr), q_s(x), q_e(xr)) at
-    g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio.
-    (e(gr)/e(g))**2 is aa * 2**nn: aa is the squared ratio of the
-    mantissas and nn twice the gap of the scales, as the C twin forms them
-    for rho_TE (nn is an int here, a double there). The last two are made
-    only with tm (and read 0.0 otherwise), since only TM needs them;
-    without a mass x = g and xr = gr, so they are copied.
+    g = gamma_arg(xi, mu), gr = g * ratio, x = xi and xr = xi * ratio,
+    and the node's upward state after them. (e(gr)/e(g))**2 is aa * 2**nn:
+    aa is the squared ratio of the mantissas and nn twice the gap of the
+    scales, as the C twin forms them for rho_TE (nn is an int here, a
+    double there). The last two are made only with tm (and read 0.0
+    otherwise), since only TM needs them; without a mass x = g and
+    xr = gr, so they are copied.
 
     Two loops make the rows, with a lane per chain: three for TM rows with
-    a mass, two otherwise. The upward loop runs e at g, gr (and xr)
-    from order 0 and reads an order, then steps, so its last step, past
-    top, is not read. The Miller loop runs q_s at g, gr (and x): each lane
-    runs alone from its own start down to the lowest start, where all
-    join, and the rows are written from top down."""
+    a mass, two otherwise. The upward loop runs e at g, gr (and xr) and
+    reads an order, then steps, so its last step, past top, is not read;
+    it goes on from run, the state (n, lanes, y, ym, off, ...) that a fill
+    of an earlier block left at order n, if run holds these lanes' own
+    arguments at an order n <= lo, and from order 0 otherwise. The Miller
+    loop runs q_s at g, gr (and x): each lane runs alone from its own
+    start down to the lowest start, where all join, and the rows are
+    written from top down."""
     top, _, ratio = block
     gr = g * ratio
+    xr = xi * ratio
     lo = _block_lo(top)
     three = tm and xi != g
-    m, k = _exp_split(-g)
-    mr, kr = _exp_split(-gr)
-    k, kr = int(k), int(kr)
+    lanes = g, gr, three and xr
+    if not (run and run[0] <= lo and run[1] == lanes):
+        m, k = _exp_split(-g)
+        mr, kr = _exp_split(-gr)
+        mx = _exp_split(-xr)[0] if three else 0.0
+        run = 0, lanes, m, m, int(k), mr, mr, int(kr), mx, mx
+    n, _, y, ym, off, yr, ymr, offr, yx, ymx = run
     qx = 0.0
     if three:
-        xr = xi * ratio
-        mx, _ = _exp_split(-xr)
-        y, ym, off, yr, ymr, offr, yx, ymx, _ = _trio_steps(
-            _up(0, lo), g, m, m, k, gr, mr, mr, kr, xr, mx, mx, 0.0)
+        y, ym, off, yr, ymr, offr, yx, ymx = _trio_steps(
+            _up(n, lo), g, y, ym, off, gr, yr, ymr, offr, xr, yx, ymx)
         qx = ymx / yx
     else:
-        y, ym, off, yr, ymr, offr = _pair_steps(_up(0, lo), g, m, m, k, gr,
-                                                mr, mr, kr)
+        y, ym, off, yr, ymr, offr = _pair_steps(_up(n, lo), g, y, ym, off,
+                                                gr, yr, ymr, offr)
     frexp = math.frexp
     big = _BIG
     rows = []
@@ -436,6 +462,7 @@ def _fill(block, xi, g, tm):
             if yx > big:
                 yx, ymx = yx * _DOWN, ymx * _DOWN
             qx = ymx / yx
+    run = top + 1, lanes, y, ym, off, yr, ymr, offr, yx, ymx
     start = _miller_start(top, g)
     startr = _miller_start(top, gr)
     startx = _miller_start(top, xi) if three else min(start, startr)
@@ -449,9 +476,8 @@ def _fill(block, xi, g, tm):
     if startx > low:
         yx, ymx, _ = _steps(_down(startx, low + 1), xi, yx, ymx, 0.0)
     if three:
-        y, ym, _, yr, ymr, _, yx, ymx, _ = _trio_steps(
-            _down(low, top + 1), g, y, ym, 0.0, gr, yr, ymr, 0.0, xi, yx, ymx,
-            0.0)
+        y, ym, _, yr, ymr, _, yx, ymx = _trio_steps(
+            _down(low, top + 1), g, y, ym, 0.0, gr, yr, ymr, 0.0, xi, yx, ymx)
     else:
         y, ym, _, yr, ymr, _ = _pair_steps(_down(low, top + 1), g, y, ym, 0.0,
                                            gr, yr, ymr, 0.0)
@@ -474,7 +500,7 @@ def _fill(block, xi, g, tm):
     if tm and not three:
         rows[6::_ROW] = rows[4::_ROW]
         rows[7::_ROW] = rows[3::_ROW]
-    return tuple(rows)
+    return tuple(rows), run
 
 
 def _nodes(l, mu, ratio, mode, xs, deriv):
@@ -490,9 +516,9 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     # nothing else, as in C. xs is read once, so any iterable serves, as
     # in C. A batch that its entry serves (see _NODES) skips the node
     # checks, which its nodes passed for this block and modes; any other
-    # batch clears the table if it must before it fills, and puts its
-    # entry.
-    global _NODES_BLOCK
+    # batch clears the table if it must before it fills, fills each node
+    # from its kept runs if it has them, and puts its entry.
+    global _NODES_BLOCK, _RUNS
     l = operator.index(l)
     mode = operator.index(mode)
     xs = tuple(xs)
@@ -523,16 +549,19 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     if entry is None:
         # An entry with too few modes goes first; the nodes held are
         # counted over a snapshot, as another thread may put one meanwhile.
+        # A clear keeps the runs of those nodes and of the batch's own.
         _NODES.pop(xs, None)
-        held = len(xs) + sum(len(e[2]) for e in list(_NODES.values()))
-        if block != (top, mu, ratio) or held > _NODE_CAP:
+        held = [n[1] for e in list(_NODES.values()) for n in e[2]] + [*xs]
+        if block != (top, mu, ratio) or len(held) > _NODE_CAP:
+            _RUNS = {x: _RUNS.get(x) for x in held}
             _NODES.clear()
             block = _NODES_BLOCK = (top, mu, ratio)
         nodes = []
         for xi, g in zip(xs, gs):
             x2 = xi * xi
-            nodes.append((_fill(block, xi, g, tm), xi, g, g * ratio,
-                          xi * ratio, x2, g * g, m2 * x2, -m2 * x2))
+            rows, _RUNS[xi] = _fill(block, xi, g, tm, _RUNS.get(xi))
+            nodes.append((rows, xi, g, g * ratio, xi * ratio, x2, g * g,
+                          m2 * x2, -m2 * x2))
         entry = _NODES[xs] = (block, tm, tuple(nodes))
     i = _ROW * (l - _block_lo(top))
     j = i + _ROW
@@ -636,11 +665,9 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
         ddet = da * ((c11 * b22 + b11 * c22) - (c12 * b21 + b12 * c21))
         drho_tm = drho * (tr - 2.0 * rho * det) + rho * (dtr - rho * ddet)
         tmv.append(-drho_tm / (1.0 - rho_tm) if rho_tm < 1.0 else math.nan)
-    if mode == 0:
-        return tuple(te), (-0.0,) * len(xs)
-    if mode == 1:
-        return (-0.0,) * len(xs), tuple(tmv)
-    return tuple(te), tuple(tmv)
+    # A mode not requested reads -0.0 at every node.
+    none = (-0.0,) * len(xs)
+    return tuple(te) or none, tuple(tmv) or none
 
 
 def log_delta_point(l, xi, mu, ratio, mode):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._core_py import _log1m
 from .backend import kernel
 from .bessel import eval_family
 from .scaledrep import ScaledReal
@@ -306,7 +305,7 @@ def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
     f = eval_family(l, xi_hat)
     fr = eval_family(l, xi_hat * ratio)
     rho = (f.s_prime * fr.e_prime) / (f.e_prime * fr.s_prime)
-    val = _log1m(rho.to_float())
+    val = kernel._log1m(rho.to_float())
     if math.isnan(val):
         raise DivergenceError(
             f"massless TM mode ratio reached 1 (l={l}, xi_hat={xi_hat}, ratio={ratio})"

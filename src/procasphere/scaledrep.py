@@ -6,16 +6,21 @@ A value is stored as ``mantissa * 2**log2_scale`` with ``|mantissa|`` in
 exact: differences and sums of scales carry no rounding, and only mantissa
 operations accumulate error (about one ulp each).  That property is what
 lets determinant ratios of astronomically scaled quantities come out to
-near-full double precision.  The arithmetic is the pure kernel's, so a
-ScaledReal rounds exactly as the kernels do.
+near-full double precision.  The arithmetic is the active kernel's (the
+two twins round alike), so a ScaledReal rounds exactly as the kernels do.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._core_py import _exp_split, _sr_scale, sr_add, sr_mul
-from ._core_py import sr_norm as _norm
+from .backend import kernel
+
+_exp_split = kernel._exp_split
+_sr_scale = kernel._sr_scale
+sr_add = kernel.sr_add
+sr_mul = kernel.sr_mul
+_norm = kernel.sr_norm
 
 _LN2 = math.log(2.0)
 

@@ -8,9 +8,11 @@ exp(-2*gamma*(ratio-1)), which drives both the quadrature framing and the
 tail bounds used here. Waves come in blocks of 16 orders that share one
 frame, so their start nodes coincide, and the kernel's node table, which
 keeps each node's Bessel chains for every order of the block, serves the
-whole block. A wave's start, its five panels and the tail node, is one
-kernel batch of 76 nodes, and the frame's nodes are made once per block:
-the last frame is kept.
+whole block. The frame's panels end on a power of two, so consecutive
+blocks share their panel nodes too, and the kernel's upward runs at those
+nodes go on from block to block. A wave's start, its five panels and the
+tail node, is one kernel batch of 76 nodes, and the frame's nodes are made
+once per block: the last frame is kept.
 
 Everything is deterministic by construction: panels are refined by a
 first-maximum scan, sums are accumulated in a fixed order, and each wave's
@@ -250,10 +252,16 @@ def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
 
 @functools.lru_cache(maxsize=1)
 def _frame(X: float):
-    # A wave's start, which depends on X alone: the nodes of the five
-    # geometric panels on [0, X] in order, then X, and each panel's
-    # (a, b, h). The waves of a block share X and run one after another.
-    edges = [0.0] + [X * 2.0 ** (-j) for j in range(4, -1, -1)]
+    # A wave's start, which depends on X alone: the nodes of five panels on
+    # [0, E] in order, then the tail node X, and each panel's (a, b, h).
+    # The edge E is X rounded up to a power of two, and at least 2**-51,
+    # so the waves of consecutive blocks, whose X differ, share the panel
+    # nodes. The panels are graded toward 0, with edges E * (2**j - 1)/31
+    # for j = 0, ..., 5, and their first node, about 1.4e-4 * E, stays at
+    # or above 2**-64.
+    m, e = math.frexp(X)
+    E = max(math.ldexp(0.5 if m == 0.5 else 1.0, e), 2.0 ** -51)
+    edges = [E * (2 ** j - 1) / 31.0 for j in range(6)]
     xs, spans = [], []
     for a, b in zip(edges, edges[1:]):
         pxs, h = _panel_nodes(a, b)
@@ -278,13 +286,14 @@ def _dl_term_full(l: int, mu: float, ratio: float, mode: int,
 def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
           deriv: bool):
     # Frame the decay: the integrand falls like
-    # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the right edge where
+    # exp(-2*gamma*(ratio-1) - 2*l*log(ratio)), so put the tail node X where
     # that exponent, taken at the block's top order, reaches ~45 (twenty
-    # digits below the peak; at the lower orders of a block the edge lies
-    # further out, and the block's waves share their start nodes). Five
-    # geometric panels start the wave; bisection places any further nodes.
-    # The start panels and the tail node X are one kernel batch, on the
-    # frame that the block's first wave made.
+    # digits below the peak; at the lower orders of a block X lies further
+    # out, and the block's waves share their start nodes). Five panels
+    # graded toward 0 on [0, E], E >= X a power of two (see _frame), start
+    # the wave; bisection places any further nodes. The start panels and
+    # the tail node are one kernel batch, on the frame that the block's
+    # first wave made.
     top = _block_top(l)
     d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
     X = math.sqrt(d * (d + 2.0 * mu))
@@ -297,10 +306,11 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     evals = len(xs)
 
     # The tail past X: an exponential with local rate 2*(ratio-1)*X/gamma(X),
-    # and the rate only grows to the right of X. The derivative integrand
-    # carries an extra factor of about 2*gamma, and gamma grows at most
-    # like xi, by a factor below exp((xi - X)/X); so its bound takes the
-    # rate minus 1/X, which the frame keeps above 44/X.
+    # and the rate only grows to the right of X. The panels also cover
+    # [X, E], so the bound counts that part twice and stays a bound. The
+    # derivative integrand carries an extra factor of about 2*gamma, and
+    # gamma grows at most like xi, by a factor below exp((xi - X)/X); so
+    # its bound takes the rate minus 1/X, which the frame keeps above 44/X.
     f = fv[-1]
     g = kernel.gamma_arg(X, mu)
     if deriv:

@@ -160,6 +160,29 @@ def test_non_finite_operands_agree(compiled, x):
             assert repr(getattr(compiled, name)(*args)) == want, (name, args)
 
 
+def test_private_helpers_agree(compiled):
+    # determinants and scaledrep take _log1m, _exp_split and _sr_scale from
+    # the active kernel, so both twins must give the same bits, and raise
+    # the same errors, on finite and non-finite inputs alike.
+    def result(f, *args):
+        try:
+            return repr(f(*args))
+        except (ValueError, OverflowError) as exc:
+            return type(exc).__name__ + ": " + str(exc)
+
+    specials = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    cases = [("_log1m", (rho,)) for rho in (
+        -1.0, 1e-300, 0.3, 0.5, 0.75, 1.0 - 2.0 ** -53, 1.0, 2.0) + specials]
+    cases += [("_exp_split", (x,)) for x in (
+        -745.2, -1e5, -20000.0, -1e-300, 1e-300, 1.0, 709.0, 1e5, 6e9)
+        + specials]
+    cases += [("_sr_scale", (m, k, c)) for m in (0.75, -0.5, 0.0, math.inf)
+              for k in (-7.0, 0.0, 1e5) for c in (3.0, 0.0, -1e-300, math.nan)]
+    for name, args in cases:
+        want = result(getattr(pure, name), *args)
+        assert result(getattr(compiled, name), *args) == want, (name, args)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1e8),
        st.floats(min_value=0.0, max_value=1e8))
@@ -420,7 +443,10 @@ def test_log_delta_nodes_from_two_threads(compiled):
 
 
 def _empty_pure_cache():
+    # The node table and the upward runs it kept, so that every fill after
+    # this starts from order 0.
     pure._NODES.clear()
+    pure._RUNS.clear()
 
 
 # Nodes from 1e-3 to 1e3 for the chain-cache tests.
@@ -479,6 +505,111 @@ def test_chain_cache_changes_no_bit(request, backend):
         _empty_pure_cache()
         want[c] = call(pure, *c)
     assert {c: call(kernel, *c) for c in capped} == want
+
+
+# Nodes that consecutive blocks share, as the waves of one frame do.
+RUN_XS = tuple(0.05 * 1.5 ** i for i in range(14))
+
+
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_continued_runs_change_no_bit(request, backend):
+    # Both twins keep each node's upward runs at the order after the last
+    # one a fill made, and a fill of a later block at that node, at the
+    # same mu and ratio and with the same lanes, goes on from there. Each
+    # call of each sequence below must give what the pure twin gives with
+    # its table and kept runs emptied first: blocks in a row (each fill
+    # goes on with no step to make), blocks that skip one or three blocks
+    # (16 steps per lane per skipped block), and fills that must start
+    # from order 0: at another mass or ratio in between, a massive TM fill
+    # after TE fills (a third lane), TM after TE in one block (the kept
+    # runs are past the block's orders, without a mass too), and after a
+    # batch longer than the table's cap.
+    kernel = _kernel(request, backend)
+    runs = [[(l, 0.7, 1.3, 2, RUN_XS) for l in (2, 18, 34, 50)],
+            [(l, 0.7, 1.3, 2, RUN_XS) for l in (5, 37, 101, 133)],
+            [(5, 0.7, 1.3, 2, RUN_XS), (20, 0.9, 1.3, 2, RUN_XS),
+             (40, 0.7, 1.3, 2, RUN_XS), (50, 0.7, 1.6, 2, RUN_XS),
+             (70, 0.7, 1.3, 2, RUN_XS)],
+            [(5, 0.7, 1.3, 0, RUN_XS), (20, 0.7, 1.3, 2, RUN_XS),
+             (40, 0.7, 1.3, 0, RUN_XS), (41, 0.7, 1.3, 1, RUN_XS)],
+            [(5, 0.0, 1.3, 0, RUN_XS), (20, 0.0, 1.3, 0, RUN_XS),
+             (21, 0.0, 1.3, 2, RUN_XS), (40, 0.0, 1.3, 2, RUN_XS)],
+            [(5, 0.7, 1.45, 2, LONG_XS[:40]), (8, 0.7, 1.45, 2, LONG_XS),
+             (20, 0.7, 1.45, 2, LONG_XS[:40]),
+             (40, 0.7, 1.45, 2, LONG_XS[:40])]]
+    for name in ("log_delta_nodes", "dlog_delta_nodes"):
+        for seq in runs:
+            want = []
+            for c in seq:
+                _empty_pure_cache()
+                want.append(repr(getattr(pure, name)(*c)))
+            _empty_pure_cache()
+            got = [repr(getattr(kernel, name)(*c)) for c in seq]
+            assert got == want, (name, seq[0])
+
+
+def test_fills_go_on_from_their_kept_order(monkeypatch):
+    # A clock-free count of the upward steps of the pure twin's fills on a
+    # sum of many blocks. The first factors a fill draws (_up) are those of
+    # the steps that take a node's upward runs to the block's lowest order.
+    # A node filled in the block before, on this process, goes on from
+    # the order its last fill reached, one past that block's top: serially
+    # with no step to make, and where a worker skips blocks (every other
+    # block of the same sum here), with 16 steps per lane per skipped
+    # block. Most fills go on; the others start at order 0, or go on from
+    # an older fill of their node.
+    monkeypatch.setattr(spectrum, "kernel", pure)
+    starts = []
+    pending = []
+
+    def fill(block, xi, g, tm, run, _f=pure._fill):
+        pending[:] = [(xi, block[0])]
+        return _f(block, xi, g, tm, run)
+
+    def up(n, l, _f=pure._up):
+        if pending:
+            starts.append(pending.pop() + (n, l))
+        return _f(n, l)
+
+    monkeypatch.setattr(pure, "_fill", fill)
+    monkeypatch.setattr(pure, "_up", up)
+    for stride in (1, 2):
+        _empty_pure_cache()
+        del starts[:]
+        tops = list(range(17, 16 * 8 + 2, 16 * stride))
+        for top in tops:
+            for l in range(top - 15, top + 1):
+                spectrum._l_term_full(l, 0.5, 1.05, 2, 1e-5)
+        last = {}
+        went_on = 0
+        for xi, top, n, lo in starts:
+            before = last.get(xi)
+            # Any fill that does not start at order 0 goes on from the
+            # order where its node's last fill left it.
+            assert n == 0 or n == before + 1, (xi, top)
+            if before in tops and tops.index(top) == tops.index(before) + 1:
+                assert n == before + 1, (xi, top)
+                assert lo - n == 16 * (stride - 1), (xi, top)
+                went_on += 1
+            last[xi] = top
+        assert went_on >= 75 * (len(tops) - 2), stride
+
+
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_threads_keep_the_bits_of_continued_runs(request, monkeypatch,
+                                                 backend):
+    # A worker's fills go on through the blocks it skips, so a sum of five
+    # blocks on one, two and three processes must give the same result in
+    # every field.
+    kernel = _kernel(request, backend)
+    monkeypatch.setattr(spectrum, "kernel", kernel)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    spec = spectrum.ProblemSpec(ratio=1.1, mu=0.5, rel_tol=1e-5)
+    want = spectrum.energy(spec)
+    assert want.l_used > 4 * 16 + 1
+    for threads in (2, 3):
+        assert repr(spectrum.energy(spec, threads=threads)) == repr(want)
 
 
 @pytest.mark.parametrize("backend", CACHE_BACKENDS)
@@ -583,8 +714,10 @@ def test_force_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
 
 def test_compiled_energy_loads_no_pure_twin(compiled):
     # On the compiled backend the wave framing reads the block rule from
-    # the compiled kernel, so an energy run, serial or on forked workers,
-    # never loads the pure twin. The child registers this build as
+    # the compiled kernel, and determinants and scaledrep take their
+    # private helpers from it too, so an energy run, serial or on forked
+    # workers, the determinant routes, selftest and the golden checks never
+    # load the pure twin. The child registers this build as
     # procasphere._core before the package picks its backend.
     code = "\n".join((
         "import importlib.util, json, sys",
@@ -598,6 +731,12 @@ def test_compiled_energy_loads_no_pure_twin(compiled):
         "spec = procasphere.ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-3)",
         "for threads in (1, 2):",
         "    procasphere.energy(spec, threads=threads)",
+        "import procasphere.determinants",
+        "from procasphere.cli import main",
+        "from procasphere.oracle.goldens import check_goldens",
+        "assert main(['selftest']) == 0",
+        "checked, _, failures = check_goldens()",
+        "assert checked > 0 and not failures",
         "print(json.dumps(sorted(sys.modules)))"))
     env = {k: v for k, v in os.environ.items() if k != "PROCASPHERE_PURE"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -608,7 +747,8 @@ def test_compiled_energy_loads_no_pure_twin(compiled):
                        text=True, env=env)
     assert r.returncode == 0, r.stderr
     loaded = set(json.loads(r.stdout.splitlines()[-1]))
-    assert "procasphere.spectrum" in loaded
+    assert {"procasphere.spectrum", "procasphere.determinants",
+            "procasphere.scaledrep", "procasphere.oracle.goldens"} <= loaded
     assert "procasphere._core_py" not in loaded
 
 

@@ -342,12 +342,12 @@ def test_paired_lanes_match_single_lane_runs():
     for top, xi, mu, ratio in cases + list(massive):
         g = _core_py.gamma_arg(xi, mu)
         block = (top, mu, ratio)
-        got = _core_py._fill(block, xi, g, True)
+        got = _core_py._fill(block, xi, g, True, None)[0]
         want = _single_lane_rows(top, xi, mu, ratio)
         assert repr(got) == repr(want), (top, xi, mu, ratio)
         # Without TM's chains the rows read 0.0 in the two TM columns,
         # q_s(x) and q_e(xr), and what the TM rows read everywhere else.
-        te_rows = _core_py._fill(block, xi, g, False)
+        te_rows = _core_py._fill(block, xi, g, False, None)[0]
         rows = list(got)
         rows[6::8] = rows[7::8] = [0.0] * (len(rows) // 8)
         assert repr(te_rows) == repr(tuple(rows)), block
@@ -370,7 +370,7 @@ def test_te_fill_runs_no_lane_at_xi(monkeypatch):
     monkeypatch.setattr(_core_py, "_steps", steps)
     for xi in (0.0, 1.0):
         del zs[:]
-        got = _core_py._fill((17, 55.0, 1.1), xi, 55.0, False)
+        got = _core_py._fill((17, 55.0, 1.1), xi, 55.0, False, None)[0]
         assert repr(got) == repr(tuple(rows)), xi
         assert zs == [55.0], xi
 

@@ -234,7 +234,7 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     # its chains as lanes of two loops, and every argument a lane runs at is
     # recorded where the lane starts: a Miller lane's by the _miller_start
     # that places it, an upward lane's by the _exp_split(-z) of its first
-    # member.
+    # member, from order 0.
     args = {"s": [], "e": []}
 
     def record(name, kind, take):
@@ -245,7 +245,9 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
 
     record("_miller_start", "s", lambda top, z: (z,))
     record("_exp_split", "e", lambda x: (-x,))
+    # No node table and no kept upward runs: the fill starts every lane.
     _core_py._NODES.clear()
+    _core_py._RUNS.clear()
     _core_py.log_delta_nodes(5, mu, 1.5, 2, [2.0])
     g = _core_py.gamma_arg(2.0, mu)
     assert len(args["s"]) == len(args["e"]) == calls

@@ -139,10 +139,13 @@ def test_short_frame_fails_fast():
 
 def test_waves_of_a_block_share_their_frame(monkeypatch):
     # Blocks of 16 orders, {0, 1}, {2, ..., 17}, {18, ..., 33}, are the
-    # kernels' chain blocks, and every wave of one evaluates its five start
-    # panels and its tail node X at the same nodes, as its first kernel
-    # batch: 75 panel nodes, then X. The pure twin's _block_top is the one
-    # Python copy of the rule.
+    # kernels' chain blocks. Every wave evaluates its five start panels and
+    # its tail node X, the frame edge at its block's top, as its first
+    # kernel batch: 75 panel nodes, then X. The panels cover [0, E], with E
+    # the power of two at or above X, graded toward 0 at the edges
+    # E * (2**j - 1)/31. So the waves of a block share all 76 nodes, and
+    # blocks whose X round up to one E share all 75 panel nodes. The pure
+    # twin's _block_top is the one Python copy of the block rule.
     from procasphere import _core_py
     assert _core_py._BLOCK == 16
     assert [_core_py._block_top(l) for l in (0, 1, 2, 17, 18, 33, 34)] == [
@@ -159,18 +162,26 @@ def test_waves_of_a_block_share_their_frame(monkeypatch):
             return kernel.log_delta_nodes(l, mu, ratio, mode, xs)
 
     monkeypatch.setattr(spectrum, "kernel", Recorder)
-    mu, ratio = 0.5, 1.3
+    mu, ratio = 0.5, 1.05
     starts = {}
-    for l in (1, 2, 17, 18, 33):
+    for l in (1, 2, 17, 18, 33, 34, 49, 50, 65):
         batches.clear()
         _l_term_full(l, mu, ratio, 2, 1e-4)
-        starts[l] = batches[0]
+        xs = starts[l] = batches[0]
         top = _core_py._block_top(l)
         d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
         X = math.sqrt(d * (d + 2.0 * mu))
-        assert len(starts[l]) == 76 and starts[l][-1] == X == max(starts[l])
+        E = 2.0 ** math.ceil(math.log2(X))
+        assert len(xs) == 76 and xs[-1] == X <= E < 2.0 * X
+        assert max(xs) < E
+        for p in range(5):
+            a, b = (E * (2 ** j - 1) / 31.0 for j in (p, p + 1))
+            assert xs[15 * p:15 * p + 15] == tuple(_panel_nodes(a, b)[0])
     assert starts[2] == starts[17] and starts[18] == starts[33]
-    assert starts[1] != starts[2] and starts[17] != starts[18]
+    assert starts[34] == starts[49] and starts[50] == starts[65]
+    assert len({starts[l][:75] for l in (1, 2, 18, 34)}) == 1
+    assert len({starts[l][75] for l in (1, 2, 18, 34)}) == 4
+    assert starts[34][:75] != starts[50][:75]
 
 
 @pytest.mark.parametrize("at", [3, 4 * 15 + 7, 75],
