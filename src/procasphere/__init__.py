@@ -4,8 +4,9 @@ The public surface: overflow-safe scalars (ScaledReal), modified
 Riccati-Bessel families in that form, the TE/TM mode factors (plain
 doubles from the kernel) with the determinant routes and the massless TM
 reference that check them, the spectral sum (energy, force, sweeps), and
-unit conversion from laboratory inputs. Only ``backend`` and ``spectrum``
-(all that an energy or force runs) load with the package; the rest of
+unit conversion from laboratory inputs. Only ``backend`` and ``spectrum``,
+with the kernel and its scalar rules ``_rules`` (all that an energy or
+force runs), load with the package; the rest of
 ``__all__`` and the ``bessel``, ``scaledrep``, ``determinants``, ``units``
 and ``sweeps`` modules load on first use (PEP 562), so no fresh process
 compiles them idly.
@@ -24,7 +25,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.10.1"
 
 __all__ = [
     "ScaledReal",

@@ -8,10 +8,10 @@
  * batch's node tuple. A record also keeps its node's upward runs after the
  * last order its fill made, and a fill of a later block at that node goes
  * on from there; neither the table nor a run that goes on changes a bit.
- * Its Python-visible surface is the pure twin's ten functions; the block
- * rule _BLOCK and _block_top, private names that spectrum frames its waves
- * with; and _log1m, _exp_split and _sr_scale, which determinants and
- * scaledrep take from the active kernel.
+ * Its Python-visible surface is the pure twin's ten functions. The scalar
+ * rules (c_norm, c_mul, c_scale, c_add, c_exp_split, c_log1m and
+ * c_block_top) are the static twins of _rules.py, whose one Python copy
+ * the rest of the package imports on either backend.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
@@ -184,7 +184,7 @@ static inline SR c_add(double m1, double k1, double m2, double k2)
 
 
 /* exp(x) as {exp(r), n} with x = n ln 2 + r, n = floor(x / ln 2); see
- * _exp_split in the pure twin for why r is good to about an ulp. */
+ * _exp_split in _rules.py for why r is good to about an ulp. */
 static inline SR c_exp_split(double x)
 {
     double n = floor(x * INV_LN2);
@@ -803,66 +803,6 @@ static PyObject *py_dlog_delta_nodes(PyObject *Py_UNUSED(self),
     return nodes("dlog_delta_nodes", args, nargs, 1);
 }
 
-/* _block_top(l): the block rule for spectrum's framing, on any Python int
- * as in the pure twin. (1 - l) mod BLOCK needs only l mod 2^64, which
- * BLOCK divides. */
-static PyObject *py_block_top(PyObject *Py_UNUSED(self), PyObject *l)
-{
-    unsigned long low = PyLong_AsUnsignedLongMask(l);
-    PyObject *gap, *top;
-    if (low == (unsigned long)-1 && PyErr_Occurred())
-        return NULL;
-    gap = PyLong_FromUnsignedLong((1UL - low) % BLOCK);
-    if (gap == NULL)
-        return NULL;
-    top = PyNumber_Add(l, gap);
-    Py_DECREF(gap);
-    return top;
-}
-
-/* _log1m, _exp_split and _sr_scale: the private helpers that determinants
- * and scaledrep take from the active kernel, as in the pure twin. */
-static PyObject *py__log1m(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    double rho;
-    if (!unpack("_log1m", args, nargs, "d", &rho))
-        return NULL;
-    return PyFloat_FromDouble(c_log1m(rho));
-}
-
-static PyObject *py__exp_split(PyObject *Py_UNUSED(self),
-                               PyObject *const *args, Py_ssize_t nargs)
-{
-    double x;
-    SR r;
-    if (!unpack("_exp_split", args, nargs, "d", &x))
-        return NULL;
-    /* The pure twin's floor to an int raises these for a non-finite x, and
-     * its n is never -0.0. */
-    if (isnan(x)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cannot convert float NaN to integer");
-        return NULL;
-    }
-    if (isinf(x)) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "cannot convert float infinity to integer");
-        return NULL;
-    }
-    r = c_exp_split(x);
-    return sr_tuple((SR){r.m, r.k + 0.0});
-}
-
-static PyObject *py__sr_scale(PyObject *Py_UNUSED(self),
-                              PyObject *const *args, Py_ssize_t nargs)
-{
-    double m, k, c;
-    if (!unpack("_sr_scale", args, nargs, "ddd", &m, &k, &c))
-        return NULL;
-    return sr_tuple(c_scale(m, k, c));
-}
-
 #define FASTCALL(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
@@ -877,17 +817,11 @@ static PyMethodDef core_methods[] = {
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
     FASTCALL(dlog_delta_nodes),
-    FASTCALL(_log1m),
-    FASTCALL(_exp_split),
-    FASTCALL(_sr_scale),
-    {"_block_top", py_block_top, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 
 static int core_exec(PyObject *mod)
 {
-    if (PyModule_AddIntConstant(mod, "_BLOCK", BLOCK) < 0)
-        return -1;
     return PyModule_AddStringConstant(mod, "BACKEND", "compiled");
 }
 

@@ -10,10 +10,10 @@ factor 2j + 1 from a table of doubles, where the C twin converts its loop
 counter; both give the same exact double. The flat tuple-passing style (no
 classes, no numpy) is deliberate: it transcribes one-to-one into C doubles.
 
-Scaled values travel as (mantissa, scale) pairs meaning m * 2**k with
-|m| in [0.5, 1), the range of frexp, and k integer-valued. Renormalising
-and aligning are then exact: only mantissa products and sums round, and no
-scaled primitive calls log or exp.
+The scalar rules, the scaled primitives sr_norm, sr_mul, sr_add and
+_sr_scale, _exp_split, _log1m and the block rule, come from _rules, their
+one Python copy, which the rest of the package imports too; the C twin
+follows them in static functions of its own.
 
 Each argument needs e_l from the upward recurrence and the ratio
 q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
@@ -83,6 +83,9 @@ import math
 import operator
 import struct
 
+from ._rules import (_BLOCK, _block_top, _exp_split, _log1m, _sr_scale,
+                     sr_add, sr_mul, sr_norm)
+
 BACKEND = "pure"
 
 # Chain rescale: mantissas above _BIG move down by the exact power of two
@@ -99,15 +102,6 @@ _BIG = 1e250
 _ODD_N = 4096
 _ODD = memoryview(
     struct.pack(f"{_ODD_N}d", *range(1, 2 * _ODD_N, 2))).cast("d")
-# Exponent gap beyond which an addend is below one ulp of the other term.
-_ADD_CUTOFF = 64.0
-# Cody-Waite split of ln 2 (frozen bit patterns shared with the compiled
-# twin): _LN2_HI and _LN2_MID have 20 significant bits, so n * _LN2_HI and
-# n * _LN2_MID are exact for |n| < 2**33, and _LN2_LO holds the next 53.
-_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
-_LN2_HI = float.fromhex("0x1.62e42p-1")
-_LN2_MID = float.fromhex("0x1.fdf44p-22")
-_LN2_LO = float.fromhex("0x1.9ef35793c7673p-41")
 # Chain arguments stay in [_Z_MIN, _Z_MAX). Above, the ln 2 split's
 # products stop being exact (past 2**33 ln 2 ~ 5.95e9); a Miller chain at
 # z = 2**32 starts near order 4.7e5 (see _miller_start), so that limit is
@@ -120,9 +114,6 @@ _Z_MAX = 2.0 ** 32
 # compiled twin): a start L with L**2 - l**2 >= _MILLER_T * z leaves a seed
 # share of at most e**-45 at order l.
 _MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
-# The orders with one block top (_block_top) take q_s from one downward run
-# started for the top (see _e_run).
-_BLOCK = 16
 # Orders stay below 2**31, which a C long holds on every platform; the
 # rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
 _L_END = 2 ** 31
@@ -165,57 +156,6 @@ _POINT_DOMAIN = (
     "mode factors need 1 <= l < 2**31, mode 0, 1 or 2, a finite mu >= 0, a "
     "finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in mode 0), "
     "sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * ratio < 2**32")
-
-
-# -- scaled primitives -------------------------------------------------------
-
-def sr_norm(m, k):
-    if m == 0.0:
-        return 0.0, 0.0
-    # math.frexp returns inf and NaN with exponent 0, so they keep their
-    # scale; C leaves that exponent unspecified, so the twin tests for them.
-    m, e = math.frexp(m)
-    return m, k + e
-
-
-def sr_mul(m1, k1, m2, k2):
-    if m1 == 0.0 or m2 == 0.0:
-        return 0.0, 0.0
-    return sr_norm(m1 * m2, k1 + k2)
-
-
-def _sr_scale(m, k, c):
-    if m == 0.0 or c == 0.0:
-        return 0.0, 0.0
-    return sr_norm(m * c, k)
-
-
-def sr_add(m1, k1, m2, k2):
-    if m1 == 0.0:
-        return m2, k2
-    if m2 == 0.0:
-        return m1, k1
-    # 2.0 ** -d is exact. A NaN gap (non-finite scales) takes the early
-    # exit, so the C twin never converts it to an integer.
-    if k1 >= k2:
-        d = k1 - k2
-        if not d <= _ADD_CUTOFF:
-            return m1, k1
-        return sr_norm(m1 + m2 * 2.0 ** -d, k1)
-    d = k2 - k1
-    if not d <= _ADD_CUTOFF:
-        return m2, k2
-    return sr_norm(m2 + m1 * 2.0 ** -d, k2)
-
-
-def _exp_split(x):
-    # exp(x) as (exp(r), n) with x = n ln 2 + r and n = floor(x / ln 2).
-    # For |n| < 2**33 the products n * _LN2_HI and n * _LN2_MID are exact,
-    # and each subtraction rounds at most at the scale of r, so r is good
-    # to about an ulp, not to the |x| * eps of a one-part reduction.
-    n = math.floor(x * _INV_LN2)
-    r = ((x - n * _LN2_HI) - n * _LN2_MID) - n * _LN2_LO
-    return math.exp(r), float(n)
 
 
 # -- modified Riccati-Bessel chains ------------------------------------------
@@ -273,12 +213,6 @@ def _down(start, l):
         return _ODD[l:start + 1][::-1]
     far = map(float, range(2 * start + 1, 2 * max(l, _ODD_N), -2))
     return itertools.chain(far, _ODD[l:][::-1])
-
-
-def _block_top(l):
-    """The top order of l's block of _BLOCK orders: {0, 1} has top 1,
-    {2, ..., 17} has 17, and so on. Spectrum frames each wave at it too."""
-    return l + (1 - l) % _BLOCK
 
 
 def _block_lo(top):
@@ -387,19 +321,6 @@ def family(l, z):
 
 
 # -- mode determinants -------------------------------------------------------
-
-def _log1m(rho):
-    """ln(1 - rho); nan when rho >= 1 or rho is not a number (callers turn
-    that into a domain failure)."""
-    if rho < 0.5:
-        return math.log1p(-rho)
-    if not rho < 1.0:
-        return math.nan
-    # 1 - rho is exact from 1/2 up, and k ln 2 goes by the split of
-    # _exp_split: k * _LN2_HI is exact.
-    m, k = math.frexp(1.0 - rho)
-    return k * _LN2_HI + (k * _LN2_MID + (k * _LN2_LO + math.log(m)))
-
 
 def _fill(block, xi, g, tm, run):
     """The rows of xi for block = (top, mu, ratio) in the node table, _ROW

@@ -2,8 +2,11 @@
 
 spectrum imports this module only when a wave sum runs on more than one
 process. The waves come in the kernels' chain blocks {1}, {2, ..., 17},
-{18, ..., 33}, ..., whose waves share their nodes; different blocks share
-none, so a block is the unit of work. The blocks are dealt round-robin:
+{18, ..., 33}, ..., whose waves share their nodes and the rows that the
+kernels keep for them. Consecutive blocks framed alike share their panel
+nodes too, and a node's upward runs go on from one block to a later one
+on the same process, but the rows are kept per block, so a block is the
+unit of work. The blocks are dealt round-robin:
 the calling process makes blocks 0, n, 2n, ... of n processes itself, and
 forked worker j makes blocks j, j + n, .... A worker's waves come back
 exact, as struct "ddqdd". Any wave that a worker does not send, the
@@ -16,7 +19,7 @@ import os
 import signal
 import struct
 
-from .backend import kernel
+from ._rules import _block_top
 
 # One wave: (value, error, evaluations, TE share, TM share).
 _RECORD = struct.Struct("ddqdd")
@@ -26,7 +29,7 @@ def _blocks(l_cap):
     # The waves 1, ..., l_cap in blocks, the last one clipped at l_cap.
     lo = 1
     while lo <= l_cap:
-        hi = min(kernel._block_top(lo), l_cap)
+        hi = min(_block_top(lo), l_cap)
         yield range(lo, hi + 1)
         lo = hi + 1
 

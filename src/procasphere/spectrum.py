@@ -30,11 +30,10 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
+# The kernels' chain blocks, which frame the waves: one rule on either
+# backend, from the scalar rules that both twins follow.
+from ._rules import _BLOCK, _block_top
 from .backend import kernel
-
-# The chain blocks of the active kernel, which frame the waves.
-_BLOCK = kernel._BLOCK
-_block_top = kernel._block_top
 
 _MODE_CODE = {"te": 0, "tm": 1, "total": 2}
 

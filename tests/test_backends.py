@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
-from procasphere import bessel, determinants, spectrum
+from procasphere import _rules, bessel, determinants, spectrum
 
 # extra_compile_args of setup.py, then warnings as errors.
 BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c11", "-Wall", "-Wextra",
@@ -109,6 +109,14 @@ def test_twins_export_the_same_callables(compiled):
     assert public(compiled) == SURFACE
 
 
+def test_compiled_exports_no_private_name(compiled):
+    # The scalar rules (_log1m, _exp_split, _sr_scale, _block_top, _BLOCK)
+    # have one Python copy, _rules, on both backends; the C twin keeps its
+    # own as static functions and exports no private name at all.
+    assert {name for name in vars(compiled)
+            if name.startswith("_") and not name.startswith("__")} == set()
+
+
 # Normalized mantissa/scale pairs as the kernels produce them.
 mantissas = st.one_of(
     st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
@@ -130,7 +138,7 @@ def test_sr_add_across_the_cutoff(compiled):
     # unnormalized 1.5 shows which side of the cutoff a gap fell on: up to
     # it the sum is renormalized, beyond it the larger operand comes back
     # as it was.
-    cut = pure._ADD_CUTOFF
+    cut = _rules._ADD_CUTOFF
     for gap in (cut - 2.0, cut - 1.0, cut, cut + 1.0, cut + 2.0):
         for m1, m2 in ((0.75, 0.6), (0.5, -0.9), (-0.99, 0.5), (1.5, 0.6)):
             for big, args in ((0, (m1, 40.0 + gap, m2, 40.0)),
@@ -158,29 +166,6 @@ def test_non_finite_operands_agree(compiled, x):
                            ("sr_add", (0.75, k, x, k))):
             want = repr(getattr(pure, name)(*args))
             assert repr(getattr(compiled, name)(*args)) == want, (name, args)
-
-
-def test_private_helpers_agree(compiled):
-    # determinants and scaledrep take _log1m, _exp_split and _sr_scale from
-    # the active kernel, so both twins must give the same bits, and raise
-    # the same errors, on finite and non-finite inputs alike.
-    def result(f, *args):
-        try:
-            return repr(f(*args))
-        except (ValueError, OverflowError) as exc:
-            return type(exc).__name__ + ": " + str(exc)
-
-    specials = (0.0, -0.0, math.inf, -math.inf, math.nan)
-    cases = [("_log1m", (rho,)) for rho in (
-        -1.0, 1e-300, 0.3, 0.5, 0.75, 1.0 - 2.0 ** -53, 1.0, 2.0) + specials]
-    cases += [("_exp_split", (x,)) for x in (
-        -745.2, -1e5, -20000.0, -1e-300, 1e-300, 1.0, 709.0, 1e5, 6e9)
-        + specials]
-    cases += [("_sr_scale", (m, k, c)) for m in (0.75, -0.5, 0.0, math.inf)
-              for k in (-7.0, 0.0, 1e5) for c in (3.0, 0.0, -1e-300, math.nan)]
-    for name, args in cases:
-        want = result(getattr(pure, name), *args)
-        assert result(getattr(compiled, name), *args) == want, (name, args)
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,6 +202,11 @@ def test_family_bit_identical_on_grid(compiled):
     points += [(l, z) for l in (n - 27, n - 26, n - 25)
                for z in (0.5, 1000.0)]
     points += [(1, 2.0 ** 31), (n + 1, 2.0 ** 31)]
+    # The last argument below the chain range's top, 2**32, where the ln 2
+    # split of exp(-z) takes n = floor(-z / ln 2) near -6.2e9, its largest
+    # |n|; the floor 2**-64 above takes n = -1.
+    top = math.nextafter(2.0 ** 32, 0.0)
+    points += [(0, top), (1, top)]
     for l, z in points:
         assert pure.family(l, z) == compiled.family(l, z), (l, z)
         assert pure.s_pair(l, z) == compiled.s_pair(l, z), (l, z)
@@ -263,6 +253,14 @@ def test_log_delta_nodes_bit_identical(compiled):
                     assert got == 0.0 and math.copysign(1.0, got) == -1.0
             point = pure.log_delta_point(4, x, 0.5, 1.6, mode)
             assert (a + b).hex() == point.hex()
+    # Near contact at l = 1 and small xi, rho is about 0.99 in both modes,
+    # so ln(1 - rho) takes its branch from rho = 1/2 up (below -ln 2).
+    for mu in (0.0, 0.5):
+        xs = (1e-3, 0.01, 0.1, 0.5)
+        want = pure.log_delta_nodes(1, mu, 1.003, 2, xs)
+        assert repr(compiled.log_delta_nodes(1, mu, 1.003, 2, xs)) == repr(
+            want), mu
+        assert max(want[0] + want[1]) < -math.log(2.0), mu
 
 
 def test_dlog_delta_nodes_bit_identical(compiled):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procasphere._core_py import _ADD_CUTOFF
+from procasphere._rules import _ADD_CUTOFF
 from procasphere.scaledrep import ScaledReal, _norm
 
 # Values over most of the double range, normal and near its ends.

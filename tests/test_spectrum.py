@@ -144,11 +144,12 @@ def test_waves_of_a_block_share_their_frame(monkeypatch):
     # kernel batch: 75 panel nodes, then X. The panels cover [0, E], with E
     # the power of two at or above X, graded toward 0 at the edges
     # E * (2**j - 1)/31. So the waves of a block share all 76 nodes, and
-    # blocks whose X round up to one E share all 75 panel nodes. The pure
-    # twin's _block_top is the one Python copy of the block rule.
-    from procasphere import _core_py
-    assert _core_py._BLOCK == 16
-    assert [_core_py._block_top(l) for l in (0, 1, 2, 17, 18, 33, 34)] == [
+    # blocks whose X round up to one E share all 75 panel nodes. _rules
+    # holds the one Python copy of the block rule, which the pure twin and
+    # spectrum both use.
+    from procasphere import _rules
+    assert _rules._BLOCK == 16
+    assert [_rules._block_top(l) for l in (0, 1, 2, 17, 18, 33, 34)] == [
         1, 1, 17, 17, 33, 33, 49]
     kernel = spectrum.kernel
     batches = []
@@ -168,7 +169,7 @@ def test_waves_of_a_block_share_their_frame(monkeypatch):
         batches.clear()
         _l_term_full(l, mu, ratio, 2, 1e-4)
         xs = starts[l] = batches[0]
-        top = _core_py._block_top(l)
+        top = _rules._block_top(l)
         d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
         X = math.sqrt(d * (d + 2.0 * mu))
         E = 2.0 ** math.ceil(math.log2(X))

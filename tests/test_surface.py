@@ -5,10 +5,13 @@ accessor, must return exactly the leading pairs of the kernel's s_pair and
 e_pair, the entries the benchmark times and the chains run on. The package
 loads its Bessel, determinant, scaled-arithmetic, unit and sweep modules on
 first use: a fresh energy run or CLI command must not load them, yet every
-exported name must be the object its submodule defines. The pure kernel's
-source stays below a step of CPython's parser at 4,096 tokens.
+exported name must be the object its submodule defines. Every module that
+a bare import compiles stays below a step of CPython's parser at 4,096
+tokens. The scalar rules have one Python copy, _rules, which every module
+imports; none reads a private name off the active kernel.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -19,7 +22,7 @@ import tokenize
 import pytest
 
 import procasphere
-from procasphere import oracle, spectrum, sweeps
+from procasphere import _rules, oracle, spectrum, sweeps
 from procasphere.backend import kernel
 from procasphere.bessel import eval_family
 
@@ -84,18 +87,76 @@ def test_cli_physical_input_loads_units_only():
     assert loaded & (UNUSED - {"procasphere.units"}) == set()
 
 
+# The package modules that a bare pure-backend import compiles.
+ALWAYS_LOADED = ("__init__", "_core_py", "_rules", "backend", "spectrum")
+
+
 def test_pure_kernel_stays_below_the_parser_step():
     # CPython's parser doubles its token array when a source passes 4,096
     # tokens, and a fresh process without a bytecode cache (the CLI's, the
     # benchmark's) then holds about 0.12 MB more after it imports the pure
     # kernel. A kernel that grows past the step fails here, so that the
-    # cost is seen before it is paid. The parser reads no comments and no
-    # non-logical newlines, so neither is counted.
-    path = os.path.join(os.path.dirname(procasphere.__file__), "_core_py.py")
-    with open(path, encoding="utf-8") as f:
-        tokens = [t for t in tokenize.generate_tokens(f.readline)
-                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
-    assert len(tokens) < 4096
+    # cost is seen before it is paid, and so does any other module that
+    # every import compiles, so that a move out of the kernel cannot push
+    # one of them past it. The parser reads no comments and no non-logical
+    # newlines, so neither is counted.
+    loaded = {m for m in _modules_after("import procasphere")
+              if m.partition(".")[0] == "procasphere"}
+    assert loaded == {"procasphere"} | {
+        f"procasphere.{name}" for name in ALWAYS_LOADED[1:]}
+    home = os.path.dirname(procasphere.__file__)
+    for name in ALWAYS_LOADED:
+        with open(os.path.join(home, name + ".py"), encoding="utf-8") as f:
+            tokens = [t for t in tokenize.generate_tokens(f.readline)
+                      if t.type not in (tokenize.COMMENT, tokenize.NL)]
+        assert len(tokens) < 4096, name
+
+
+# The scalar rules each module takes from _rules, as (its name, the rule).
+RULE_USERS = {
+    "_core_py": [(n, n) for n in ("_BLOCK", "_block_top", "_exp_split",
+                                  "_log1m", "_sr_scale", "sr_add", "sr_mul",
+                                  "sr_norm")],
+    "scaledrep": [("_exp_split", "_exp_split"), ("_sr_scale", "_sr_scale"),
+                  ("sr_add", "sr_add"), ("sr_mul", "sr_mul"),
+                  ("_norm", "sr_norm")],
+    "determinants": [("_log1m", "_log1m")],
+    "spectrum": [("_BLOCK", "_BLOCK"), ("_block_top", "_block_top")],
+    "_workers": [("_block_top", "_block_top")],
+}
+
+
+def test_scalar_rules_are_the_rules_objects():
+    for module, pairs in RULE_USERS.items():
+        namespace = vars(importlib.import_module(f"procasphere.{module}"))
+        for name, rule in pairs:
+            assert namespace[name] is vars(_rules)[rule], (module, name)
+
+
+def _reads_kernel(node):
+    # kernel or anything.kernel, as "from .backend import kernel" or
+    # "backend.kernel" would name the active kernel.
+    return ((isinstance(node, ast.Name) and node.id == "kernel")
+            or (isinstance(node, ast.Attribute) and node.attr == "kernel"))
+
+
+def test_no_module_reads_a_private_kernel_name():
+    # A private helper read off the active kernel would tie that module to
+    # a kernel export outside the public surface; the rules come from
+    # _rules instead.
+    home = os.path.dirname(procasphere.__file__)
+    reads = []
+    for folder, _, files in os.walk(home):
+        for file in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(folder, file)
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), path)
+            reads += [f"{file}:{node.lineno} kernel.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr.startswith("_")
+                      and _reads_kernel(node.value)]
+    assert reads == []
 
 
 def test_every_name_is_its_submodules_object():
