@@ -25,7 +25,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.10.1"
+__version__ = "0.10.2"
 
 __all__ = [
     "ScaledReal",

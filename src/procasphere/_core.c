@@ -8,10 +8,10 @@
  * batch's node tuple. A record also keeps its node's upward runs after the
  * last order its fill made, and a fill of a later block at that node goes
  * on from there; neither the table nor a run that goes on changes a bit.
- * Its Python-visible surface is the pure twin's ten functions. The scalar
- * rules (c_norm, c_mul, c_scale, c_add, c_exp_split, c_log1m and
- * c_block_top) are the static twins of _rules.py, whose one Python copy
- * the rest of the package imports on either backend.
+ * Its Python-visible surface is the pure twin's: six kernel functions, and
+ * sr_norm, sr_mul, sr_add and gamma_arg, the very objects of _rules.py
+ * (core_exec). The rules the chains run (c_norm, c_scale, c_exp_split,
+ * c_log1m, c_block_top and c_gamma) stay static twins of that module.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
@@ -40,8 +40,6 @@
 static const double STEP = 128.0;
 static const double DOWN = 0x1p-128;
 static const double BIG = 1e250;
-/* Exponent gap beyond which an addend is below one ulp of the other term. */
-static const double ADD_CUTOFF = 64.0;
 /* Cody-Waite split of ln 2, bit patterns shared with the pure twin. */
 static const double INV_LN2 = 0x1.71547652b82fep+0;
 static const double LN2_HI = 0x1.62e42p-1;
@@ -134,24 +132,15 @@ static _Thread_local struct {
 
 /* -- scaled primitives ---------------------------------------------------- */
 
+/* m is a finite chain value: frexp leaves the exponent of inf and NaN
+ * unspecified. */
 static inline SR c_norm(double m, double k)
 {
     int e;
     if (m == 0.0)
         return SR_ZERO;
-    /* frexp leaves the exponent of inf and NaN unspecified. k + 0.0 is the
-     * pure twin's k + 0, which turns a scale of -0.0 into 0.0. */
-    if (!isfinite(m))
-        return (SR){m, k + 0.0};
     m = frexp(m, &e);
     return (SR){m, k + e};
-}
-
-static inline SR c_mul(double m1, double k1, double m2, double k2)
-{
-    if (m1 == 0.0 || m2 == 0.0)
-        return SR_ZERO;
-    return c_norm(m1 * m2, k1 + k2);
 }
 
 static inline SR c_scale(double m, double k, double c)
@@ -159,27 +148,6 @@ static inline SR c_scale(double m, double k, double c)
     if (m == 0.0 || c == 0.0)
         return SR_ZERO;
     return c_norm(m * c, k);
-}
-
-static inline SR c_add(double m1, double k1, double m2, double k2)
-{
-    double d;
-    if (m1 == 0.0)
-        return (SR){m2, k2};
-    if (m2 == 0.0)
-        return (SR){m1, k1};
-    /* ldexp(1, -d) is the pure twin's exact 2.0 ** -d; a NaN gap takes the
-     * early exit before the cast. */
-    if (k1 >= k2) {
-        d = k1 - k2;
-        if (!(d <= ADD_CUTOFF))
-            return (SR){m1, k1};
-        return c_norm(m1 + m2 * ldexp(1.0, -(int)d), k1);
-    }
-    d = k2 - k1;
-    if (!(d <= ADD_CUTOFF))
-        return (SR){m2, k2};
-    return c_norm(m2 + m1 * ldexp(1.0, -(int)d), k2);
 }
 
 
@@ -645,50 +613,9 @@ static PyObject *float_tuple(Py_ssize_t n, const double *v)
     return tup;
 }
 
-static PyObject *sr_tuple(SR r)
-{
-    return float_tuple(2, (const double[]){r.m, r.k});
-}
-
 static PyObject *srp_tuple(SRP r)
 {
     return float_tuple(4, (const double[]){r.am, r.ak, r.bm, r.bk});
-}
-
-static PyObject *py_sr_norm(PyObject *Py_UNUSED(self), PyObject *const *args,
-                            Py_ssize_t nargs)
-{
-    double m, k;
-    if (!unpack("sr_norm", args, nargs, "dd", &m, &k))
-        return NULL;
-    return sr_tuple(c_norm(m, k));
-}
-
-static PyObject *py_sr_mul(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    double m1, k1, m2, k2;
-    if (!unpack("sr_mul", args, nargs, "dddd", &m1, &k1, &m2, &k2))
-        return NULL;
-    return sr_tuple(c_mul(m1, k1, m2, k2));
-}
-
-static PyObject *py_sr_add(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    double m1, k1, m2, k2;
-    if (!unpack("sr_add", args, nargs, "dddd", &m1, &k1, &m2, &k2))
-        return NULL;
-    return sr_tuple(c_add(m1, k1, m2, k2));
-}
-
-static PyObject *py_gamma_arg(PyObject *Py_UNUSED(self), PyObject *const *args,
-                              Py_ssize_t nargs)
-{
-    double xi, mu;
-    if (!unpack("gamma_arg", args, nargs, "dd", &xi, &mu))
-        return NULL;
-    return PyFloat_FromDouble(c_gamma(xi, mu));
 }
 
 static PyObject *py_s_pair(PyObject *Py_UNUSED(self), PyObject *const *args,
@@ -807,10 +734,6 @@ static PyObject *py_dlog_delta_nodes(PyObject *Py_UNUSED(self),
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef core_methods[] = {
-    FASTCALL(sr_norm),
-    FASTCALL(sr_mul),
-    FASTCALL(sr_add),
-    FASTCALL(gamma_arg),
     FASTCALL(s_pair),
     FASTCALL(e_pair),
     FASTCALL(family),
@@ -820,9 +743,23 @@ static PyMethodDef core_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* The scalar entries, the _rules objects themselves on both twins. */
+static const char *const RULES[] = {"sr_norm", "sr_mul", "sr_add",
+                                    "gamma_arg", NULL};
+
 static int core_exec(PyObject *mod)
 {
-    return PyModule_AddStringConstant(mod, "BACKEND", "compiled");
+    PyObject *rules = PyImport_ImportModule("procasphere._rules");
+    const char *const *name;
+    int err = rules == NULL
+              || PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0;
+    for (name = RULES; !err && *name != NULL; name++) {
+        PyObject *f = PyObject_GetAttrString(rules, *name);
+        err = f == NULL || PyModule_AddObjectRef(mod, *name, f) < 0;
+        Py_XDECREF(f);
+    }
+    Py_XDECREF(rules);
+    return -err;
 }
 
 static PyModuleDef_Slot core_slots[] = {
@@ -830,8 +767,9 @@ static PyModuleDef_Slot core_slots[] = {
     {0, NULL},
 };
 
-/* Multi-phase init: loading the file by path (as the tests do) leaves
- * sys.modules alone, so it cannot change which backend the package picks. */
+/* Multi-phase init. Exec imports procasphere._rules, and so the package if
+ * it is not loaded yet, whose backend choice imports procasphere._core: a
+ * loader by file path registers the module in sys.modules before exec. */
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     "_core",

@@ -11,9 +11,9 @@ counter; both give the same exact double. The flat tuple-passing style (no
 classes, no numpy) is deliberate: it transcribes one-to-one into C doubles.
 
 The scalar rules, the scaled primitives sr_norm, sr_mul, sr_add and
-_sr_scale, _exp_split, _log1m and the block rule, come from _rules, their
-one Python copy, which the rest of the package imports too; the C twin
-follows them in static functions of its own.
+_sr_scale, gamma_arg, _exp_split, _log1m and the block rule, come from
+_rules, their one Python copy, which the rest of the package imports too;
+the C twin follows those its chains run in static functions of its own.
 
 Each argument needs e_l from the upward recurrence and the ratio
 q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
@@ -73,9 +73,9 @@ The ratio derivative of each mode factor comes from the same chains: ratio
 enters only the outer shell's arguments, and the derivative of each
 logarithmic derivative d = z f'/f follows from the Riccati equation.
 
-Public surface, the same on both twins: sr_norm, sr_mul, sr_add,
-gamma_arg, s_pair, e_pair, family, log_delta_point, log_delta_nodes and
-dlog_delta_nodes.
+Public surface, the same on both twins: s_pair, e_pair, family,
+log_delta_point, log_delta_nodes and dlog_delta_nodes, and the _rules
+objects sr_norm, sr_mul, sr_add and gamma_arg themselves.
 """
 
 import itertools
@@ -84,7 +84,7 @@ import operator
 import struct
 
 from ._rules import (_BLOCK, _block_top, _exp_split, _log1m, _sr_scale,
-                     sr_add, sr_mul, sr_norm)
+                     gamma_arg, sr_add, sr_mul, sr_norm)
 
 BACKEND = "pure"
 
@@ -159,15 +159,6 @@ _POINT_DOMAIN = (
 
 
 # -- modified Riccati-Bessel chains ------------------------------------------
-
-def gamma_arg(xi, mu):
-    """sqrt(xi^2 + mu^2), exact in the single-parameter limits."""
-    if mu == 0.0:
-        return xi
-    if xi == 0.0:
-        return mu
-    return math.sqrt(xi * xi + mu * mu)
-
 
 def _miller_start(l, z):
     # Start order of the downward recurrence for s_l(z). From the uniform

@@ -2,11 +2,12 @@
 
 Scaled values are (mantissa, scale) pairs meaning m * 2**k with |m| in
 [0.5, 1), the range of frexp, and k integer-valued, so renormalising and
-aligning are exact and only mantissa products and sums round. The pure
-twin _core_py and the rest of the package import these names from here on
-either backend; the C twin keeps a static copy of each (c_norm, c_mul,
-c_scale, c_add, c_exp_split, c_log1m and c_block_top) that makes the same
-operations on the same doubles. This module imports only math.
+aligning are exact and only mantissa products and sums round. Both
+kernel twins export sr_norm, sr_mul, sr_add and gamma_arg as these very
+objects, and the rest of the package imports its rules from here. The C
+twin's chains run static copies (c_norm, c_scale, c_exp_split, c_log1m,
+c_block_top and c_gamma) that make the same operations on the same
+doubles. This module imports only math.
 """
 
 import math
@@ -28,8 +29,7 @@ _BLOCK = 16
 def sr_norm(m, k):
     if m == 0.0:
         return 0.0, 0.0
-    # math.frexp returns inf and NaN with exponent 0, so they keep their
-    # scale; C leaves that exponent unspecified, so the twin tests for them.
+    # math.frexp returns inf and NaN with exponent 0: they keep their scale.
     m, e = math.frexp(m)
     return m, k + e
 
@@ -51,8 +51,7 @@ def sr_add(m1, k1, m2, k2):
         return m2, k2
     if m2 == 0.0:
         return m1, k1
-    # 2.0 ** -d is exact. A NaN gap (non-finite scales) takes the early
-    # exit, so the C twin never converts it to an integer.
+    # 2.0 ** -d is exact; a NaN gap (non-finite scales) takes the early exit.
     if k1 >= k2:
         d = k1 - k2
         if not d <= _ADD_CUTOFF:
@@ -62,6 +61,15 @@ def sr_add(m1, k1, m2, k2):
     if not d <= _ADD_CUTOFF:
         return m2, k2
     return sr_norm(m2 + m1 * 2.0 ** -d, k2)
+
+
+def gamma_arg(xi, mu):
+    """sqrt(xi^2 + mu^2), exact in the single-parameter limits."""
+    if mu == 0.0:
+        return xi
+    if xi == 0.0:
+        return mu
+    return math.sqrt(xi * xi + mu * mu)
 
 
 def _exp_split(x):

@@ -56,20 +56,28 @@ def _serve(blocks, wave, args, token, out):
 
 def forked_waves(l_cap, wave, args, workers):
     """Every wave(l, *args), l = 1, ..., l_cap, in ascending order, made
-    by this process and workers - 1 forked workers. Closing the generator,
-    or an exception out of it, closes the pipes and kills and reaps every
-    worker."""
+    by this process and up to workers - 1 forked workers, as many as can
+    start. Closing the generator, or an exception out of it, closes the
+    pipes and kills and reaps every worker."""
     fds = []    # the pipe ends this process holds
     lanes = []  # (token write end, result reader) per worker
     pids = []
     try:
         for j in range(1, workers):
-            res_r, res_w = os.pipe()
-            fds += (res_r, res_w)
-            tok_r, tok_w = os.pipe()
-            fds += (tok_r, tok_w)
-            os.write(tok_w, b"\0")  # the token of the worker's first block
-            pid = os.fork()
+            made = len(fds)
+            try:
+                res_r, res_w = os.pipe()
+                fds += (res_r, res_w)
+                tok_r, tok_w = os.pipe()
+                fds += (tok_r, tok_w)
+                os.write(tok_w, b"\0")  # the token of the worker's first block
+                pid = os.fork()
+            except OSError:
+                # Out of processes or descriptors: this process makes the
+                # blocks of each worker that did not start.
+                while len(fds) > made:
+                    os.close(fds.pop())
+                break
             if pid == 0:
                 # The worker never returns into the caller's frames, and
                 # leaves without running atexit or flushing stdio.
@@ -86,7 +94,7 @@ def forked_waves(l_cap, wave, args, workers):
                 os.close(fd)
                 fds.remove(fd)
             lanes.append((tok_w, open(res_r, "rb", closefd=False)))
-        live = [True] * workers
+        live = [j <= len(pids) for j in range(workers)]
         size = _RECORD.size
         for b, block in enumerate(_blocks(l_cap)):
             j = b % workers

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._rules import _log1m
+from ._rules import _log1m, gamma_arg
 from .backend import kernel
 from .bessel import eval_family
 from .scaledrep import ScaledReal
@@ -58,7 +58,7 @@ class SpectralPoint:
     @property
     def gamma_hat(self) -> float:
         """sqrt(xi_hat^2 + mu^2): the massive propagation argument."""
-        return kernel.gamma_arg(self.xi_hat, self.mu)
+        return gamma_arg(self.xi_hat, self.mu)
 
 
 @dataclass(frozen=True)

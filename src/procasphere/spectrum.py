@@ -30,9 +30,9 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-# The kernels' chain blocks, which frame the waves: one rule on either
-# backend, from the scalar rules that both twins follow.
-from ._rules import _BLOCK, _block_top
+# The kernels' chain blocks, which frame the waves, and gamma: one rule on
+# either backend, from the scalar rules that both twins follow.
+from ._rules import _BLOCK, _block_top, gamma_arg
 from .backend import kernel
 
 _MODE_CODE = {"te": 0, "tm": 1, "total": 2}
@@ -311,7 +311,7 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     # gamma grows at most like xi, by a factor below exp((xi - X)/X); so
     # its bound takes the rate minus 1/X, which the frame keeps above 44/X.
     f = fv[-1]
-    g = kernel.gamma_arg(X, mu)
+    g = gamma_arg(X, mu)
     if deriv:
         tail = abs(f) / (2.0 * X * (ratio - 1.0) / g - 1.0 / X)
     else:
@@ -466,8 +466,8 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     and to forked workers, each at most one block ahead of the sum, and
     every worker is stopped and reaped before the call returns or raises.
     Where os.fork is missing, or another thread is running, the waves run
-    on this process alone. No thread count changes a bit of the result
-    or of an error.
+    on this process alone, and where a fork fails, on the workers that
+    started. No thread count changes a bit of the result or of an error.
     """
     # _l_term_full is looked up in the module at each call, so a wrapper
     # installed on spectrum._l_term_full sees every wave, each in the
@@ -492,9 +492,10 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     reference: central differences at steps fd_step and fd_step/2,
     Richardson-extrapolated to an O(h^4) derivative, over four energy()
     calls at rel_tol/100 so cancellation in the differences does not eat
-    the requested accuracy. threads runs either wave sum (each energy()
-    call's, on the finite-difference route) on up to that many processes,
-    as in energy(), and changes no bit of the result.
+    the requested accuracy; a step whose half rounds away at ratio raises
+    ValueError. threads runs either wave sum (each energy() call's, on the
+    finite-difference route) on up to that many processes, as in energy(),
+    and changes no bit of the result.
     """
     inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
     if fd_step is None:
@@ -504,12 +505,16 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     if spec.ratio - h <= 1.0:
         raise ValueError("fd_step too large: ratio - fd_step must stay > 1")
+    half = 0.5 * h
+    if spec.ratio - half == spec.ratio or spec.ratio + half == spec.ratio:
+        # A difference of one energy with itself would read as a force of 0.
+        raise ValueError(f"fd_step too small: ratio +- fd_step/2 rounds to "
+                         f"ratio, got {fd_step!r}")
 
     def e_at(r: float) -> float:
         return energy(replace(inner, ratio=r), threads=threads).value
 
     d1 = (e_at(spec.ratio + h) - e_at(spec.ratio - h)) / (2.0 * h)
-    half = 0.5 * h
     d2 = (e_at(spec.ratio + half) - e_at(spec.ratio - half)) / h
     return -(4.0 * d2 - d1) / 3.0
 

@@ -4,84 +4,26 @@ The two implementations share expression shapes on purpose; every public
 kernel entry point must agree to the last bit, so that results never depend
 on which backend happened to import.
 
-The compiled kernel under test is built here from ``_core.c`` with the
-flags of setup.py plus strict warnings, and loaded by file path, so these
-tests need only a C compiler, not an installed extension, and leave the
-package's backend choice alone. A second build with the undefined-behaviour
-sanitizer runs the chain-cache tests and a whole energy, where any
-undefined behaviour in the kernel aborts the run.
+The compiled kernel under test, and a build of it with the
+undefined-behaviour sanitizer, come from the fixtures of conftest.py. The
+scalar entries sr_norm, sr_mul, sr_add and gamma_arg are the _rules
+objects on both twins (tests/test_surface.py), so their rules are tested
+once, on _rules; the compiled chains' own copies of them are compared
+through the kernel entries.
 """
 
 import dataclasses
-import importlib.util
 import json
 import math
 import os
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
 import threading
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
 from procasphere import _rules, bessel, determinants, spectrum
-
-# extra_compile_args of setup.py, then warnings as errors.
-BUILD_FLAGS = ["-O2", "-ffp-contract=off", "-std=c11", "-Wall", "-Wextra",
-               "-Werror"]
-# Undefined behaviour (an index out of a fixed-size array, an overflowing
-# signed sum or shift) stops the process at once instead of going on.
-UBSAN_FLAGS = ["-ffp-contract=off", "-std=c11", "-fsanitize=undefined",
-               "-fno-sanitize-recover=all"]
-
-
-def _cc():
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler found to build the compiled kernel")
-    return cc
-
-
-def _build(cc, flags, src, out):
-    return subprocess.run(
-        [*cc, *flags, "-shared", "-fPIC",
-         "-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out),
-         "-lm"], capture_output=True, text=True)
-
-
-def _load(cc, flags, tmp_path_factory):
-    src = Path(pure.__file__).with_name("_core.c")
-    out = (tmp_path_factory.mktemp("core")
-           / ("_core" + sysconfig.get_config_var("EXT_SUFFIX")))
-    proc = _build(cc, flags, src, out)
-    assert proc.returncode == 0, proc.stderr
-    spec = importlib.util.spec_from_file_location("procasphere._core", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    return _load(_cc(), BUILD_FLAGS, tmp_path_factory)
-
-
-@pytest.fixture(scope="module")
-def ubsan(tmp_path_factory):
-    cc = _cc()
-    probe = tmp_path_factory.mktemp("probe")
-    (probe / "empty.c").write_text("int empty(void) { return 0; }\n")
-    proc = _build(cc, UBSAN_FLAGS, probe / "empty.c", probe / "empty.so")
-    if proc.returncode != 0:
-        pytest.skip("the compiler cannot link the undefined-behaviour "
-                    "sanitizer")
-    return _load(cc, UBSAN_FLAGS, tmp_path_factory)
 
 
 def _kernel(request, backend):
@@ -117,22 +59,7 @@ def test_compiled_exports_no_private_name(compiled):
             if name.startswith("_") and not name.startswith("__")} == set()
 
 
-# Normalized mantissa/scale pairs as the kernels produce them.
-mantissas = st.one_of(
-    st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
-    st.floats(min_value=-1.0, max_value=-0.5, exclude_min=True))
-scales = st.integers(min_value=-100000, max_value=100000).map(float)
-
-
-@settings(max_examples=250, deadline=None)
-@given(mantissas, scales, mantissas, scales)
-def test_scalar_primitives_bit_identical(compiled, m1, k1, m2, k2):
-    assert pure.sr_norm(m1 * 2.5, k1) == compiled.sr_norm(m1 * 2.5, k1)
-    assert pure.sr_mul(m1, k1, m2, k2) == compiled.sr_mul(m1, k1, m2, k2)
-    assert pure.sr_add(m1, k1, m2, k2) == compiled.sr_add(m1, k1, m2, k2)
-
-
-def test_sr_add_across_the_cutoff(compiled):
+def test_sr_add_across_the_cutoff():
     # Scale gaps just below, at and just above the cutoff beyond which the
     # smaller addend is dropped, in both operand orders and both signs. The
     # unnormalized 1.5 shows which side of the cutoff a gap fell on: up to
@@ -143,8 +70,7 @@ def test_sr_add_across_the_cutoff(compiled):
         for m1, m2 in ((0.75, 0.6), (0.5, -0.9), (-0.99, 0.5), (1.5, 0.6)):
             for big, args in ((0, (m1, 40.0 + gap, m2, 40.0)),
                               (1, (m2, -7.0, m1, -7.0 + gap))):
-                got = pure.sr_add(*args)
-                assert got == compiled.sr_add(*args), (gap, args)
+                got = _rules.sr_add(*args)
                 if gap > cut:
                     assert got == args[2 * big:2 * big + 2], (gap, args)
                 else:
@@ -152,27 +78,20 @@ def test_sr_add_across_the_cutoff(compiled):
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-def test_non_finite_operands_agree(compiled, x):
-    # inf and NaN pass through the scaled primitives with their scale, on
-    # both kernels.
-    for kernel in (pure, compiled):
-        assert repr(kernel.sr_norm(x, 0.0)) == repr((x, 0.0))
-        assert repr(kernel.sr_mul(1.5, 0.0, x, 0.0)) == repr((x, 0.0))
-    # The twins agree by repr at a scale of -0.0 too, where a scale sign
-    # may differ though the values compare equal.
+def test_non_finite_operands_agree(x):
+    # inf and NaN pass through the scaled primitives with their scale.
+    assert repr(_rules.sr_norm(x, 0.0)) == repr((x, 0.0))
+    assert repr(_rules.sr_mul(1.5, 0.0, x, 0.0)) == repr((x, 0.0))
+    # By repr at a scale of -0.0 too, where a scale sign may differ though
+    # the values compare equal: the scale comes back as the operands' scale
+    # plus 0, so -0.0 becomes 0.0.
     for k in (-0.0, 0.0, 3.0):
-        for name, args in (("sr_norm", (x, k)), ("sr_mul", (1.5, k, x, k)),
-                           ("sr_add", (x, k, 0.75, k)),
-                           ("sr_add", (0.75, k, x, k))):
-            want = repr(getattr(pure, name)(*args))
-            assert repr(getattr(compiled, name)(*args)) == want, (name, args)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e8),
-       st.floats(min_value=0.0, max_value=1e8))
-def test_gamma_arg_bit_identical(compiled, xi, mu):
-    assert pure.gamma_arg(xi, mu) == compiled.gamma_arg(xi, mu)
+        for name, args, scale in (("sr_norm", (x, k), k),
+                                  ("sr_mul", (1.5, k, x, k), k + k),
+                                  ("sr_add", (x, k, 0.75, k), k),
+                                  ("sr_add", (0.75, k, x, k), k)):
+            got = getattr(_rules, name)(*args)
+            assert repr(got) == repr((x, scale + 0.0)), (name, args)
 
 
 def test_family_bit_identical_on_grid(compiled):
@@ -261,6 +180,13 @@ def test_log_delta_nodes_bit_identical(compiled):
         assert repr(compiled.log_delta_nodes(1, mu, 1.003, 2, xs)) == repr(
             want), mu
         assert max(want[0] + want[1]) < -math.log(2.0), mu
+    # The TE node xi = 0 at a mass, where gamma is mu exactly (c_gamma's
+    # xi == 0 branch; mu = 0 takes the other exact branch on the grid).
+    for mu in (0.5, 3.0):
+        xs = (0.0, 0.25, 1.0)
+        want = pure.log_delta_nodes(4, mu, 1.6, 0, xs)
+        assert repr(compiled.log_delta_nodes(4, mu, 1.6, 0, xs)) == repr(
+            want), mu
 
 
 def test_dlog_delta_nodes_bit_identical(compiled):
@@ -277,6 +203,12 @@ def test_dlog_delta_nodes_bit_identical(compiled):
             assert repr(got) == repr(want), (l, mu, ratio, mode)
             got = pure.dlog_delta_nodes(l, mu, ratio, mode, iter(xs))
             assert repr(got) == repr(want), (l, mu, ratio, mode)
+    # The TE node xi = 0 at a mass, where gamma is mu exactly.
+    for l, mu, ratio in ((4, 0.5, 1.6), (30, 3.0, 1.05)):
+        xs = (0.0, 0.25, 1.0)
+        want = pure.dlog_delta_nodes(l, mu, ratio, 0, xs)
+        got = compiled.dlog_delta_nodes(l, mu, ratio, 0, xs)
+        assert repr(got) == repr(want), (l, mu, ratio)
 
 
 def test_non_integer_order_raises(compiled):
@@ -711,19 +643,21 @@ def test_force_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
 
 
 def test_compiled_energy_loads_no_pure_twin(compiled):
-    # On the compiled backend the wave framing reads the block rule from
-    # the compiled kernel, and determinants and scaledrep take their
-    # private helpers from it too, so an energy run, serial or on forked
-    # workers, the determinant routes, selftest and the golden checks never
-    # load the pure twin. The child registers this build as
-    # procasphere._core before the package picks its backend.
+    # On the compiled backend the wave framing, determinants and scaledrep
+    # take their scalar rules from _rules, and the kernel hands out the
+    # _rules objects as its scalar entries, so an energy run, serial or on
+    # forked workers, the determinant routes, selftest and the golden
+    # checks never load the pure twin. The build's exec imports
+    # procasphere._rules, and with it the package, which picks its
+    # backend then: so the child registers this build as procasphere._core
+    # before it runs exec, as the importlib documentation does.
     code = "\n".join((
         "import importlib.util, json, sys",
         "spec = importlib.util.spec_from_file_location(",
         f"    'procasphere._core', {compiled.__file__!r})",
         "core = importlib.util.module_from_spec(spec)",
-        "spec.loader.exec_module(core)",
         "sys.modules['procasphere._core'] = core",
+        "spec.loader.exec_module(core)",
         "import procasphere",
         "assert procasphere.active_backend() == 'compiled'",
         "spec = procasphere.ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-3)",

@@ -171,6 +171,11 @@ def test_force_command():
     fd = json.loads(r.stdout)["result"]
     assert fd["fd_step"] == 1e-3
     assert fd["force"] == pytest.approx(doc["result"]["force"], rel=1e-5)
+    # A step below the rounding of ratio would print a force of -0.0.
+    r = run_cli("force", "--ratio", "1.5", "--mu", "0.5", "--rel-tol", "1e-5",
+                "--fd-step", "1e-16")
+    assert r.returncode == 2, r.stdout
+    assert "fd_step" in r.stderr and r.stdout == ""
 
 
 def test_sweep_ratio_csv():

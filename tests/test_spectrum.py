@@ -1,5 +1,6 @@
 """Tests of the quadrature, the partial-wave sum, and the sweep tables."""
 
+import errno
 import json
 import math
 import os
@@ -400,6 +401,59 @@ def test_cap_inside_a_worker_block(eight_cpus):
             want), threads
 
 
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_failed_fork_runs_the_waves_here(monkeypatch, call):
+    # Out of processes (EAGAIN) or descriptors, no worker starts: the waves
+    # run on this process, with the serial result's bits, and every pipe
+    # end made for the worker is closed.
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork: every wave sum runs on one process")
+    spec = ProblemSpec(ratio=1.3, mu=0.5, rel_tol=1e-5)
+    want = repr(energy(spec))
+    real_pipe = os.pipe
+    ends = []
+
+    def pipe():
+        fds = real_pipe()
+        ends.extend(fds)
+        return fds
+
+    def fail(*args):
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "pipe", pipe if call == "fork" else fail)
+    monkeypatch.setattr(os, "fork", fail)
+    assert repr(energy(spec, threads=2)) == want
+    assert ends or call == "pipe"
+    for fd in ends:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_second_fork_failing_keeps_the_first_worker(monkeypatch):
+    # Of two workers the first starts and the second cannot: this process
+    # makes its own blocks and those of the second.
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork: every wave sum runs on one process")
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forks.append(os.getpid())
+        return real_fork()
+
+    want = repr(spectrum._wave_sum(FAKE_SPEC, _fake_wave, 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    assert repr(spectrum._wave_sum(FAKE_SPEC, _fake_wave, 3)) == want
+    assert len(forks) == 1
+
+
 def test_energy_cap_exhaustion():
     spec = ProblemSpec(ratio=1.05, rel_tol=1e-8, l_cap=2)
     with pytest.raises(ConvergenceError) as exc_info:
@@ -475,6 +529,13 @@ def test_force_validation():
         force(spec, fd_step=math.nan)
     with pytest.raises(ValueError):
         force(spec, fd_step=0.6)  # would push the inner ratio below 1
+    # ratio +- fd_step/2 that rounds to ratio would difference an energy
+    # with itself, a force of -0.0. At ratio 2 the step 2**-51 leaves
+    # ratio - fd_step/2 below 2 but rounds ratio + fd_step/2 to 2 (a tie,
+    # to even), so either side alone raises.
+    for ratio, h in ((1.5, 1e-16), (1.5, 2.0 ** -52), (2.0, 2.0 ** -51)):
+        with pytest.raises(ValueError, match="fd_step"):
+            force(replace(spec, ratio=ratio), fd_step=h)
 
 
 def test_force_attractive_and_step_insensitive():

@@ -8,7 +8,8 @@ first use: a fresh energy run or CLI command must not load them, yet every
 exported name must be the object its submodule defines. Every module that
 a bare import compiles stays below a step of CPython's parser at 4,096
 tokens. The scalar rules have one Python copy, _rules, which every module
-imports; none reads a private name off the active kernel.
+imports and both kernel twins hand out as their scalar entries; none
+reads a private name off the active kernel.
 """
 
 import ast
@@ -115,22 +116,31 @@ def test_pure_kernel_stays_below_the_parser_step():
 # The scalar rules each module takes from _rules, as (its name, the rule).
 RULE_USERS = {
     "_core_py": [(n, n) for n in ("_BLOCK", "_block_top", "_exp_split",
-                                  "_log1m", "_sr_scale", "sr_add", "sr_mul",
-                                  "sr_norm")],
+                                  "_log1m", "_sr_scale", "gamma_arg",
+                                  "sr_add", "sr_mul", "sr_norm")],
     "scaledrep": [("_exp_split", "_exp_split"), ("_sr_scale", "_sr_scale"),
                   ("sr_add", "sr_add"), ("sr_mul", "sr_mul"),
                   ("_norm", "sr_norm")],
-    "determinants": [("_log1m", "_log1m")],
-    "spectrum": [("_BLOCK", "_BLOCK"), ("_block_top", "_block_top")],
+    "determinants": [("_log1m", "_log1m"), ("gamma_arg", "gamma_arg")],
+    "spectrum": [("_BLOCK", "_BLOCK"), ("_block_top", "_block_top"),
+                 ("gamma_arg", "gamma_arg")],
     "_workers": [("_block_top", "_block_top")],
 }
+# The kernel entries that both twins hand out as the _rules objects.
+SCALAR_ENTRIES = ("sr_norm", "sr_mul", "sr_add", "gamma_arg")
 
 
-def test_scalar_rules_are_the_rules_objects():
+def test_scalar_rules_are_the_rules_objects(request):
     for module, pairs in RULE_USERS.items():
         namespace = vars(importlib.import_module(f"procasphere.{module}"))
         for name, rule in pairs:
             assert namespace[name] is vars(_rules)[rule], (module, name)
+    # The compiled twin last: without a C compiler its build skips the
+    # test after the checks above have run.
+    for twin in (kernel, request.getfixturevalue("compiled")):
+        for name in SCALAR_ENTRIES:
+            assert getattr(twin, name) is vars(_rules)[name], (
+                twin.BACKEND, name)
 
 
 def _reads_kernel(node):
