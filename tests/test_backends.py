@@ -7,9 +7,9 @@ on which backend happened to import.
 The compiled kernel under test, and a build of it with the
 undefined-behaviour sanitizer, come from the fixtures of conftest.py. The
 scalar entries sr_norm, sr_mul, sr_add and gamma_arg are the _rules
-objects on both twins (tests/test_surface.py), so their rules are tested
-once, on _rules; the compiled chains' own copies of them are compared
-through the kernel entries.
+objects on both twins (tests/test_surface.py); the twins' entries are
+still compared here, and the compiled chains' own copies of the rules are
+compared through the kernel entries.
 """
 
 import dataclasses
@@ -21,6 +21,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
 from procasphere import _rules, bessel, determinants, spectrum
@@ -59,6 +61,26 @@ def test_compiled_exports_no_private_name(compiled):
             if name.startswith("_") and not name.startswith("__")} == set()
 
 
+# Normalized mantissa/scale pairs as the kernels produce them.
+mantissas = st.one_of(
+    st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+    st.floats(min_value=-1.0, max_value=-0.5, exclude_min=True))
+scales = st.integers(min_value=-100000, max_value=100000).map(float)
+
+
+@settings(max_examples=250, deadline=None)
+@given(mantissas, scales, mantissas, scales)
+def test_scalar_primitives_bit_identical(compiled, m1, k1, m2, k2):
+    assert pure.sr_norm(m1 * 2.5, k1) == compiled.sr_norm(m1 * 2.5, k1)
+    assert pure.sr_mul(m1, k1, m2, k2) == compiled.sr_mul(m1, k1, m2, k2)
+    assert pure.sr_add(m1, k1, m2, k2) == compiled.sr_add(m1, k1, m2, k2)
+    # Renormalising is exact: the mantissa lands in [0.5, 1) and the value
+    # m * 2**k is unchanged.
+    m, k = compiled.sr_norm(m1 * 2.5, k1)
+    assert 0.5 <= abs(m) < 1.0
+    assert math.ldexp(m, int(k - k1)) == m1 * 2.5
+
+
 def test_sr_add_across_the_cutoff():
     # Scale gaps just below, at and just above the cutoff beyond which the
     # smaller addend is dropped, in both operand orders and both signs. The
@@ -92,6 +114,16 @@ def test_non_finite_operands_agree(x):
                                   ("sr_add", (0.75, k, x, k), k)):
             got = getattr(_rules, name)(*args)
             assert repr(got) == repr((x, scale + 0.0)), (name, args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e8),
+       st.floats(min_value=0.0, max_value=1e8))
+def test_gamma_arg_bit_identical(compiled, xi, mu):
+    assert pure.gamma_arg(xi, mu) == compiled.gamma_arg(xi, mu)
+    # Exact in the single-parameter limits.
+    assert compiled.gamma_arg(xi, 0.0) == xi
+    assert compiled.gamma_arg(0.0, mu) == mu
 
 
 def test_family_bit_identical_on_grid(compiled):
