@@ -12,7 +12,8 @@ and ``sweeps`` modules load on first use (PEP 562), so no fresh process
 compiles them idly.
 """
 
-from importlib import import_module
+import importlib
+import types
 
 from .backend import active_backend
 from .spectrum import (
@@ -25,42 +26,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.10.2"
-
-__all__ = [
-    "ScaledReal",
-    "RBFamily",
-    "eval_family",
-    "SpectralPoint",
-    "QBlocks",
-    "MassOrders",
-    "DivergenceError",
-    "build_q_blocks",
-    "expansion_coefficients",
-    "reference_expansion_coefficients",
-    "det_q_expansion",
-    "det_q0_expansion",
-    "det_q0_factored",
-    "det_q_direct",
-    "log_delta_te",
-    "log_delta_tm",
-    "log_delta_tm_massless",
-    "ProblemSpec",
-    "EnergyResult",
-    "ConvergenceError",
-    "l_term",
-    "energy",
-    "force",
-    "default_fd_step",
-    "sweep_ratio",
-    "sweep_mass",
-    "SweepRow",
-    "SweepTable",
-    "convert_units",
-    "energy_scale_joules",
-    "active_backend",
-    "__version__",
-]
+__version__ = "0.10.3"
 
 # The defining submodule of each name that loads on first use.
 _LAZY = dict.fromkeys((
@@ -74,12 +40,18 @@ _LAZY.update(RBFamily="bessel", eval_family="bessel", ScaledReal="scaledrep",
              SweepRow="sweeps", SweepTable="sweeps", sweep_ratio="sweeps",
              sweep_mass="sweeps")
 
+# The public names: those imported above, then those that load on first use.
+__all__ = [n for n, v in globals().items()
+           if not (n.startswith("_") or isinstance(v, types.ModuleType))]
+__all__ += ["__version__", *_LAZY]
+
 
 def __getattr__(name):
     if name in _LAZY.values():
-        value = import_module(f".{name}", __name__)
+        value = importlib.import_module(f".{name}", __name__)
     elif name in _LAZY:
-        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__),
+                        name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value  # later reads skip this function

@@ -12,7 +12,6 @@ normalization. Arguments outside that range raise ValueError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .backend import kernel
@@ -41,9 +40,7 @@ class RBFamily:
 def eval_family(l: int, z: float) -> RBFamily:
     """s, e, their derivatives, and the tilde combinations at one point."""
     _integer("order", l, 0)
-    v = _real("argument", z)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"argument must be a finite positive real, got {z!r}")
+    v = _real("argument", z, 0, strict=True)
     (sm, sk, em, ek, spm, spk, epm, epk,
      stm, stk, etm, etk) = kernel.family(l, v)
     return RBFamily(

@@ -44,16 +44,9 @@ class SpectralPoint:
 
     def __post_init__(self):
         _integer("l", self.l, 1)
-        for name in ("xi_hat", "mu", "ratio"):
-            v = _real(name, getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.xi_hat < 0.0:
-            raise ValueError("xi_hat must be >= 0")
-        if self.mu < 0.0:
-            raise ValueError("mu must be >= 0")
-        if self.ratio <= 1.0:
-            raise ValueError("ratio must be > 1")
+        _real("xi_hat", self.xi_hat, 0)
+        _real("mu", self.mu, 0)
+        _real("ratio", self.ratio, 1, strict=True)
 
     @property
     def gamma_hat(self) -> float:
@@ -254,17 +247,22 @@ def det_q0_factored(p: SpectralPoint) -> ScaledReal:
     )
 
 
+def _log_delta_node(p: SpectralPoint, mode: int) -> float:
+    # A batch of one node, as in every wave: the mode not requested reads
+    # -0.0, so te + tm is the requested log bit for bit.
+    te, tm = kernel.log_delta_nodes(p.l, p.mu, p.ratio, mode, (p.xi_hat,))
+    val = te[0] + tm[0]
+    if math.isnan(val):
+        raise DivergenceError(f"{('TE', 'TM')[mode]} mode ratio reached 1 "
+                              f"at {p}")
+    return val
+
+
 def log_delta_te(p: SpectralPoint) -> float:
     """ln of the transverse-electric mode factor, always in (-inf, 0)."""
     if p.xi_hat == 0.0 and p.mu == 0.0:
         raise ValueError("TE factor needs xi_hat > 0 or mu > 0")
-    # A batch of one node, as in every wave: the mode not requested reads
-    # -0.0, so te + tm is the TE log bit for bit.
-    te, tm = kernel.log_delta_nodes(p.l, p.mu, p.ratio, 0, (p.xi_hat,))
-    val = te[0] + tm[0]
-    if math.isnan(val):
-        raise DivergenceError(f"TE mode ratio reached 1 at {p}")
-    return val
+    return _log_delta_node(p, 0)
 
 
 def log_delta_tm(p: SpectralPoint) -> float:
@@ -280,11 +278,7 @@ def log_delta_tm(p: SpectralPoint) -> float:
     and log_delta_tm_massless stay as independent checks.
     """
     _require_positive_xi(p)
-    te, tm = kernel.log_delta_nodes(p.l, p.mu, p.ratio, 1, (p.xi_hat,))
-    val = te[0] + tm[0]
-    if math.isnan(val):
-        raise RuntimeError(f"TM determinant breakdown at {p}")
-    return val
+    return _log_delta_node(p, 1)
 
 
 def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
@@ -297,12 +291,8 @@ def log_delta_tm_massless(l: int, xi_hat: float, ratio: float) -> float:
     raises DivergenceError rather than returning NaN.
     """
     _integer("l", l, 1)
-    xi_hat = _real("xi_hat", xi_hat)
-    ratio = _real("ratio", ratio)
-    if not (math.isfinite(xi_hat) and xi_hat > 0.0):
-        raise ValueError("xi_hat must be > 0")
-    if not (math.isfinite(ratio) and ratio > 1.0):
-        raise ValueError("ratio must be > 1")
+    xi_hat = _real("xi_hat", xi_hat, 0, strict=True)
+    ratio = _real("ratio", ratio, 1, strict=True)
     f = eval_family(l, xi_hat)
     fr = eval_family(l, xi_hat * ratio)
     rho = (f.s_prime * fr.e_prime) / (f.e_prime * fr.s_prime)

@@ -12,11 +12,9 @@ returning a number.
 
 from __future__ import annotations
 
-import math
-
 from mpmath import extradps, mp, mpf, workdps
 
-from ..spectrum import _integer
+from ..spectrum import _integer, _real
 
 
 class OracleError(RuntimeError):
@@ -29,11 +27,6 @@ _DIGITS = 40
 # Cap on the growing series, so a bad argument fails loudly instead of
 # spinning.
 _MAX_TERMS = 200000
-
-
-def _check_positive(name, v):
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
 # -- scalar building blocks (ambient precision) ------------------------------
@@ -236,19 +229,12 @@ def _det4(q):
 
 def _validate_point(l, xi, mu, ratio, zero_xi_ok=False):
     _integer("order", l, 1)
-    for name, v in (("xi", xi), ("mu", mu), ("ratio", ratio)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu!r}")
-    if zero_xi_ok and xi == 0.0:
-        # TE with a massive field: the factor only sees gamma = mu > 0.
-        if mu <= 0.0:
-            raise ValueError("xi = 0 needs mu > 0")
-    else:
-        _check_positive("xi", xi)
-    if ratio <= 1.0:
-        raise ValueError(f"ratio must be > 1, got {ratio!r}")
+    _real("mu", mu, 0)
+    _real("ratio", ratio, 1, strict=True)
+    # TE with a massive field takes xi = 0: the factor only sees gamma = mu.
+    _real("xi", xi, 0, strict=not zero_xi_ok)
+    if xi == 0.0 and mu <= 0.0:
+        raise ValueError("xi = 0 needs mu > 0")
 
 
 def oracle_log_delta(l, xi, mu, ratio, mode):
@@ -336,10 +322,8 @@ def oracle_l_term(l, mu, ratio, mode):
     _integer("order", l, 1)
     if mode not in ("te", "tm"):
         raise ValueError(f"mode must be 'te' or 'tm', got {mode!r}")
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
-    if not (math.isfinite(ratio) and ratio > 1.0):
-        raise ValueError(f"ratio must be > 1, got {ratio!r}")
+    _real("mu", mu, 0)
+    _real("ratio", ratio, 1, strict=True)
 
     def run(dps):
         with workdps(dps):

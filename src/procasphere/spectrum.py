@@ -84,13 +84,20 @@ class ConvergenceError(RuntimeError):
         self.evals = evals
 
 
-def _real(name: str, v) -> float:
+def _real(name: str, v, bound: float | None = None,
+          strict: bool = False) -> float:
     # The package's one real-number rule. Inputs may come from an edited
     # JSON document: reject a bool, a list, a string or None with
-    # ValueError, not a TypeError from float() or a silent 1.0.
+    # ValueError, not a TypeError from float() or a silent 1.0. Given a
+    # bound, the value must also be finite and > bound (strict) or >= it.
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    x = float(v)
+    if bound is not None and not (
+            math.isfinite(x) and (x > bound if strict else x >= bound)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='}"
+                         f" {bound}, got {v!r}")
+    return x
 
 
 def _integer(name: str, v, minimum: int) -> int:
@@ -118,14 +125,12 @@ class ProblemSpec:
     mode: str = "total"
 
     def __post_init__(self):
-        for name in ("ratio", "mu", "rel_tol"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "ratio",
+                           _real("ratio", self.ratio, 1, strict=True))
+        object.__setattr__(self, "mu", _real("mu", self.mu, 0))
+        object.__setattr__(self, "rel_tol", _real("rel_tol", self.rel_tol))
         object.__setattr__(self, "mode", str(self.mode).lower())
         _integer("l_cap", self.l_cap, 1)
-        if not (math.isfinite(self.ratio) and self.ratio > 1.0):
-            raise ValueError(f"ratio must be finite and > 1, got {self.ratio!r}")
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol!r}")
         if self.mode not in _MODE_CODE:
@@ -477,8 +482,20 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
 
 def default_fd_step(spec: ProblemSpec) -> float:
     """A step for force()'s finite-difference reference, small enough
-    that ratio - step stays well above 1."""
-    return min(1e-3, (spec.ratio - 1.0) / 10.0)
+    that ratio - step stays well above 1: min(1e-3, (ratio - 1)/10).
+
+    The offsets ratio +- step and ratio +- step/2 round to within
+    ulp(ratio + step)/step of themselves, relatively. Where that bound
+    exceeds 1e-2, the loosest rel_tol a spec may ask for, the reference
+    could meet no tolerance: ValueError names the ratio. That is near
+    contact (ratio - 1 below about 2.2e-13) and from ratio + step = 2**36
+    up.
+    """
+    h = min(1e-3, (spec.ratio - 1.0) / 10.0)
+    if math.ulp(spec.ratio + h) > 1e-2 * h:
+        raise ValueError(f"no finite-difference step at ratio={spec.ratio!r}:"
+                         f" its offsets would round by more than 1e-2")
+    return h
 
 
 def force(spec: ProblemSpec, fd_step: float | None = None,
@@ -500,9 +517,7 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
     if fd_step is None:
         return -_wave_sum(inner, _dl_term_full, threads).value
-    h = _real("fd_step", fd_step)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
+    h = _real("fd_step", fd_step, 0, strict=True)
     if spec.ratio - h <= 1.0:
         raise ValueError("fd_step too large: ratio - fd_step must stay > 1")
     half = 0.5 * h

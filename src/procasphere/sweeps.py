@@ -9,7 +9,6 @@ installed on spectrum.energy sees every row.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
@@ -79,11 +78,8 @@ def sweep_ratio(template: ProblemSpec, ratio_from: float, ratio_to: float,
     that many processes and changes no bit of a row.
     """
     _integer("steps", steps, 2)
-    ratio_from = _real("ratio_from", ratio_from)
-    ratio_to = _real("ratio_to", ratio_to)
-    for name, v in (("ratio_from", ratio_from), ("ratio_to", ratio_to)):
-        if not (math.isfinite(v) and v > 1.0):
-            raise ValueError(f"{name} must be finite and > 1, got {v!r}")
+    ratio_from = _real("ratio_from", ratio_from, 1, strict=True)
+    ratio_to = _real("ratio_to", ratio_to, 1, strict=True)
     manifest = (("sweep", "ratio"), ("mu", repr(template.mu)),
                 ("rel_tol", repr(template.rel_tol)),
                 ("l_cap", str(template.l_cap)))
@@ -104,12 +100,9 @@ def sweep_mass(template: ProblemSpec, mu_values: Sequence[float],
     if not isinstance(mu_values, Iterable):
         raise ValueError(
             f"mu_values must be a list of numbers, got {mu_values!r}")
-    mus = [_real("mass value", m) for m in mu_values]
+    mus = [_real("mass value", m, 0) for m in mu_values]
     if not mus:
         raise ValueError("mu_values must be non-empty")
-    for m in mus:
-        if not (math.isfinite(m) and m >= 0.0):
-            raise ValueError(f"mass values must be finite and >= 0, got {m!r}")
     if any(b <= a for a, b in zip(mus, mus[1:])):
         raise ValueError("mu_values must be strictly ascending")
     manifest = (("sweep", "mu"), ("ratio", repr(template.ratio)),

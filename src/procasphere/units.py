@@ -20,22 +20,13 @@ HBAR_C_J_M = 3.1615267734966903e-26
 def convert_units(a1_m: float, a2_m: float, mass_ev: float = 0.0
                   ) -> tuple[float, float]:
     """(ratio, mu) from shell radii in meters and a field mass in eV."""
-    a1 = _real("a1_m", a1_m)
-    a2 = _real("a2_m", a2_m)
-    mass = _real("mass_ev", mass_ev)
-    if not (math.isfinite(a1) and a1 > 0.0):
-        raise ValueError(f"a1_m must be finite and > 0, got {a1_m!r}")
-    if not (math.isfinite(a2) and a2 > a1):
-        raise ValueError(
-            f"a2_m must be finite and larger than a1_m, got {a2_m!r}")
-    if not (math.isfinite(mass) and mass >= 0.0):
-        raise ValueError(f"mass_ev must be finite and >= 0, got {mass_ev!r}")
+    a1 = _real("a1_m", a1_m, 0, strict=True)
+    a2 = _real("a2_m", a2_m, a1, strict=True)
+    mass = _real("mass_ev", mass_ev, 0)
     return a2 / a1, mass * a1 / HBAR_C_EV_M
 
 
 def energy_scale_joules(a1_m: float) -> float:
     """E0 = hbar*c/(2*pi*a1) in joules; multiplies dimensionless energies."""
-    a1 = _real("a1_m", a1_m)
-    if not (math.isfinite(a1) and a1 > 0.0):
-        raise ValueError(f"a1_m must be finite and > 0, got {a1_m!r}")
+    a1 = _real("a1_m", a1_m, 0, strict=True)
     return HBAR_C_J_M / (2.0 * math.pi * a1)

@@ -7,6 +7,7 @@ test_oracle.py and test_goldens.py.
 """
 
 import math
+import re
 import sys
 import threading
 
@@ -124,6 +125,16 @@ def test_validation_errors():
                  (1, None), (1, [1.0])):
         with pytest.raises(ValueError):
             eval_family(l, z)
+    # The argument must be finite and > 0. The least positive double
+    # passes that rule and leaves the chain range, whose floor 2**-64
+    # passes.
+    for z in (0.0, -0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"argument must be finite and > 0, got {z!r}")):
+            eval_family(1, z)
+    with pytest.raises(ValueError, match=r"2\*\*-64 <= z"):
+        eval_family(1, math.nextafter(0.0, math.inf))
+    assert eval_family(1, 2.0 ** -64).z == 2.0 ** -64
 
 
 def test_miller_start_rule():

@@ -1,11 +1,19 @@
 """Tests of the TE and TM mode factors and their determinant routes."""
 
 import math
+import re
 
 import mpmath
 import pytest
 
-from procasphere import ProblemSpec, _core_py, _rules, energy, force
+from procasphere import (
+    ProblemSpec,
+    _core_py,
+    _rules,
+    determinants,
+    energy,
+    force,
+)
 from procasphere.backend import kernel
 from procasphere.determinants import (
     DivergenceError,
@@ -22,6 +30,12 @@ from procasphere.determinants import (
     reference_expansion_coefficients,
 )
 from procasphere.oracle import check_goldens, golden_path
+
+# The doubles next to the bounds 0 and 1 of the real rule, and a valid point.
+TINY = math.nextafter(0.0, math.inf)
+ABOVE_ONE = math.nextafter(1.0, math.inf)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+POINT = dict(l=1, xi_hat=1.0, mu=0.5, ratio=1.5)
 
 # A broad but quick grid reused by several tests below.
 GRID = [
@@ -51,6 +65,20 @@ def test_spectral_point_validation():
     for xi_hat, mu in ((True, 0.0), (1.0, False), ("1.0", 0.0), (None, 0.0)):
         with pytest.raises(ValueError):
             SpectralPoint(l=2, xi_hat=xi_hat, mu=mu, ratio=1.5)
+    # The real rule at its bounds: xi_hat and mu finite and >= 0, ratio
+    # finite and > 1. The bound of xi_hat and mu, -0.0 and the next double
+    # past each bound pass.
+    for name, rule, refused, passed in (
+            ("xi_hat", ">= 0", (-TINY,) + NON_FINITE, (0.0, -0.0, TINY)),
+            ("mu", ">= 0", (-TINY,) + NON_FINITE, (0.0, -0.0, TINY)),
+            ("ratio", "> 1", (1.0,) + NON_FINITE, (ABOVE_ONE,))):
+        for v in refused:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be finite and {rule}, got {v!r}")):
+                SpectralPoint(**{**POINT, name: v})
+        for v in passed:
+            assert repr(getattr(SpectralPoint(**{**POINT, name: v}), name)) \
+                == repr(v)
 
 
 def test_gamma_hat():
@@ -202,6 +230,21 @@ def test_massless_tm_validation_and_near_touching():
                  (1, True, 1.5), (1, "1.0", 1.5), (1, 1.0, None)):
         with pytest.raises(ValueError):
             log_delta_tm_massless(*args)
+    # The rule at its bounds: xi_hat finite and > 0, ratio finite and > 1.
+    # The least positive xi_hat passes the rule and leaves the chain range,
+    # whose floor 2**-64 passes.
+    for v in (0.0, -0.0) + NON_FINITE:
+        with pytest.raises(ValueError, match=re.escape(
+                f"xi_hat must be finite and > 0, got {v!r}")):
+            log_delta_tm_massless(1, v, 1.5)
+    for v in (1.0,) + NON_FINITE:
+        with pytest.raises(ValueError, match=re.escape(
+                f"ratio must be finite and > 1, got {v!r}")):
+            log_delta_tm_massless(1, 1e-3, v)
+    with pytest.raises(ValueError, match=r"2\*\*-64 <= z"):
+        log_delta_tm_massless(1, TINY, 1.5)
+    assert log_delta_tm_massless(1, 2.0 ** -64, 1.5) < 0.0
+    assert log_delta_tm_massless(1, 1e-3, ABOVE_ONE) < 0.0
     # Shells a few ulps apart: the mode ratio is within rounding of 1, yet
     # the log factor must come back finite and strongly negative, never NaN.
     v = log_delta_tm_massless(1, 1e-8, 1.0 + 1e-15)
@@ -224,6 +267,42 @@ def test_log1m_vs_mpmath():
 
 def test_divergence_error_is_arithmetic_error():
     assert issubclass(DivergenceError, ArithmeticError)
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_nan_from_the_node_batch_is_a_divergence(monkeypatch, mode):
+    # log_delta_te and log_delta_tm read one node of the kernel's batch; a
+    # NaN there, in either mode, raises DivergenceError naming the mode and
+    # the point. Real inputs do not reach it: at l = 1 and ratio 1 + 2**-52
+    # both logs are still finite.
+    real = kernel.log_delta_nodes
+    p = SpectralPoint(l=1, xi_hat=1e-3, mu=0.5, ratio=1.0 + 2.0 ** -52)
+    entry = {"TE": log_delta_te, "TM": log_delta_tm}[mode]
+    assert -40.0 < entry(p) < -30.0
+
+    class Stub:
+        @staticmethod
+        def log_delta_nodes(l, mu, ratio, code, xs):
+            te, tm = real(l, mu, ratio, code, xs)
+            return ((math.nan,), tm) if code == 0 else (te, (math.nan,))
+
+    monkeypatch.setattr(determinants, "kernel", Stub)
+    with pytest.raises(DivergenceError) as exc_info:
+        entry(p)
+    assert str(exc_info.value) == f"{mode} mode ratio reached 1 at {p}"
+
+
+def test_massless_tm_ratio_of_one_is_a_divergence(monkeypatch):
+    # With the outer shell's family stubbed to the inner one's, the mode
+    # ratio is exactly 1 and ln(1 - rho) is NaN: DivergenceError, not NaN.
+    real = determinants.eval_family
+    assert math.isfinite(log_delta_tm_massless(1, 1e-3, 1.0 + 2.0 ** -52))
+    monkeypatch.setattr(determinants, "eval_family",
+                        lambda l, z: real(l, 1e-3))
+    with pytest.raises(DivergenceError, match=re.escape(
+            "massless TM mode ratio reached 1 (l=1, xi_hat=0.001, "
+            "ratio=1.5)")):
+        log_delta_tm_massless(1, 1e-3, 1.5)
 
 
 @pytest.mark.parametrize("mu,calls", [(0.0, 2), (0.7, 3)])

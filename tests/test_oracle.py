@@ -7,6 +7,7 @@ precision. The frozen digit strings live in test_goldens.py.
 """
 
 import math
+import re
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -48,6 +49,44 @@ def test_oracle_argument_validation():
         oracle_log_delta(1, 1.0, -1.0, 1.5, "tm")
     with pytest.raises(ValueError):
         oracle_log_delta(1, 1.0, 0.0, 1.5, "em")
+    # The real rule at its bounds, in both modes: mu finite and >= 0, ratio
+    # finite and > 1, xi finite and > 0, or >= 0 for TE, which takes xi = 0
+    # with mu > 0.
+    # The nearest inputs that pass run; oracle_l_term refuses the same
+    # values, and its accepted runs are quadratures, left to the tests below.
+    tiny = math.nextafter(0.0, math.inf)
+    non_finite = (math.nan, math.inf, -math.inf)
+    for mode in ("te", "tm"):
+        xi_rule, xi_refused, xi_passed = (
+            (">= 0", (-tiny,), (0.0, -0.0, tiny)) if mode == "te"
+            else ("> 0", (0.0, -0.0), (tiny,)))
+        for i, rule, refused, passed in (
+                (1, f"xi must be finite and {xi_rule}",
+                 xi_refused + non_finite, xi_passed),
+                (2, "mu must be finite and >= 0", (-tiny,) + non_finite,
+                 (0.0, -0.0, tiny)),
+                (3, "ratio must be finite and > 1", (1.0,) + non_finite,
+                 (math.nextafter(1.0, math.inf),))):
+            for v in refused:
+                args = [1, 1.0, 0.5, 1.5, mode]
+                args[i] = v
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"{rule}, got {v!r}")):
+                    oracle_log_delta(*args)
+                if i > 1:
+                    l, _, mu, ratio, _ = args
+                    with pytest.raises(ValueError,
+                                       match=re.escape(f"{rule}, got {v!r}")):
+                        oracle_l_term(l, mu, ratio, mode)
+            for v in passed:
+                args = [1, 1.0, 0.5, 1.5, mode]
+                args[i] = v
+                assert oracle_log_delta(*args) < 0
+    for xi in (0.0, -0.0):
+        with pytest.raises(ValueError, match="xi = 0 needs mu > 0"):
+            oracle_log_delta(1, xi, 0.0, 1.5, "te")
+    with pytest.raises(ValueError, match="xi must be a real number"):
+        oracle_log_delta(1, False, 0.5, 1.5, "te")
 
 
 def test_oracle_wronskian_in_high_precision():

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from procasphere import spectrum
 from procasphere.spectrum import (
     ConvergenceError,
+    EnergyResult,
     ProblemSpec,
     SweepRow,
     _gk15_combine,
@@ -23,6 +25,11 @@ from procasphere.spectrum import (
     sweep_mass,
     sweep_ratio,
 )
+
+
+# The doubles next to the bounds 1 and 0 of the real rule.
+ABOVE_ONE = math.nextafter(1.0, math.inf)
+TINY = math.nextafter(0.0, math.inf)
 
 
 def test_problem_spec_validation():
@@ -47,6 +54,18 @@ def test_problem_spec_validation():
             with pytest.raises(ValueError):
                 ProblemSpec(**{"ratio": 1.5, field: bad})
     assert ProblemSpec(ratio=1.5, mode="TE").mode == "te"
+    # The real rule at its bounds: ratio finite and > 1, mu finite and >= 0.
+    for ratio in (1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ratio must be finite and > 1, got {ratio!r}")):
+            ProblemSpec(ratio=ratio)
+    for mu in (-TINY, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu must be finite and >= 0, got {mu!r}")):
+            ProblemSpec(ratio=1.5, mu=mu)
+    assert ProblemSpec(ratio=ABOVE_ONE).ratio == ABOVE_ONE
+    for mu in (0.0, -0.0, TINY):
+        assert repr(ProblemSpec(ratio=1.5, mu=mu).mu) == repr(mu)
 
 
 def test_gk15_polynomial_exactness():
@@ -517,6 +536,23 @@ def test_energy_far_apart_follows_the_inverse_fourth_power():
 def test_default_fd_step():
     assert default_fd_step(ProblemSpec(ratio=2.0)) == 1e-3
     assert default_fd_step(ProblemSpec(ratio=1.004)) == pytest.approx(4e-4)
+    # The step is min(1e-3, (ratio - 1)/10) wherever the offsets ratio +-
+    # step and ratio +- step/2 round to within 1e-2 of themselves. Near
+    # contact (ratio - 1 up to about 2.2e-13) and from ratio + step = 2**36
+    # up there is no such step. At ratio - 1 = 1e-15 and 2e-15 the step is
+    # below the rounding of ratio, so force() would refuse it; at 3e-15 the
+    # rounded half step would be an ulp, 2.2e-16, about 40 % above its
+    # 1.5e-16; at 1e-14 up to 22 % off.
+    for ratio in (1.0 + 1e-15, 1.0 + 2e-15, 1.0 + 3e-15, 1.0 + 1e-14,
+                  1.0 + 2.2e-13, 2.0 ** 36 - 5e-4, 2.0 ** 36, 1e12):
+        with pytest.raises(ValueError, match=re.escape(f"ratio={ratio!r}")):
+            default_fd_step(ProblemSpec(ratio=ratio))
+    for ratio in (1.0 + 2.3e-13, 1.0 + 1e-12, 1.0 + 1e-7, 1.0001, 1.004,
+                  1.15, 2.0, 2.0 ** 36 - 1.0):
+        h = default_fd_step(ProblemSpec(ratio=ratio))
+        assert h == min(1e-3, (ratio - 1.0) / 10.0), ratio
+        for step in (h, -h, 0.5 * h, -0.5 * h):
+            assert abs((ratio + step) - ratio - step) <= 1e-2 * abs(step)
 
 
 def test_force_validation():
@@ -536,6 +572,14 @@ def test_force_validation():
     for ratio, h in ((1.5, 1e-16), (1.5, 2.0 ** -52), (2.0, 2.0 ** -51)):
         with pytest.raises(ValueError, match="fd_step"):
             force(replace(spec, ratio=ratio), fd_step=h)
+    # fd_step must be finite and > 0. The least positive step passes that
+    # rule, and the rounding check refuses it.
+    for h in (0.0, -0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"fd_step must be finite and > 0, got {h!r}")):
+            force(spec, fd_step=h)
+    with pytest.raises(ValueError, match="fd_step too small"):
+        force(spec, fd_step=TINY)
 
 
 def test_force_attractive_and_step_insensitive():
@@ -648,7 +692,13 @@ def test_sweep_ratio_table():
     assert table.rows[0].l_used == tot.l_used
 
 
-def test_sweep_ratio_validation():
+def _stub_energy(spec, threads=1):
+    # A sweep row's energy without the wave sum, for validation tests.
+    return EnergyResult(value=-2.0, abs_error_estimate=0.0, l_used=1,
+                        integrand_evals=0, per_l_terms=(), te=-1.0, tm=-1.0)
+
+
+def test_sweep_ratio_validation(monkeypatch):
     template = ProblemSpec(ratio=1.5, rel_tol=1e-4)
     with pytest.raises(ValueError):
         sweep_ratio(template, 1.3, 1.7, 1)
@@ -658,6 +708,16 @@ def test_sweep_ratio_validation():
         sweep_ratio(template, 1.0, 1.7, 3)
     with pytest.raises(ValueError):
         sweep_ratio(template, 1.3, math.inf, 3)
+    # Both ends must be finite and > 1; the next double above 1 passes.
+    for v in (1.0, math.nan, math.inf, -math.inf):
+        for name, ends in (("ratio_from", (v, 1.7)), ("ratio_to", (1.3, v))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be finite and > 1, got {v!r}")):
+                sweep_ratio(template, *ends, 3)
+    monkeypatch.setattr(spectrum, "energy", _stub_energy)
+    for ends in ((ABOVE_ONE, 1.7), (1.3, ABOVE_ONE)):
+        table = sweep_ratio(template, *ends, 2)
+        assert [r.param for r in table.rows] == list(ends)
 
 
 def test_sweep_mass_table():
@@ -670,7 +730,7 @@ def test_sweep_mass_table():
     assert totals[0] < totals[1] < totals[2] < 0.0
 
 
-def test_sweep_mass_validation():
+def test_sweep_mass_validation(monkeypatch):
     template = ProblemSpec(ratio=1.6, rel_tol=1e-4)
     with pytest.raises(ValueError):
         sweep_mass(template, [])
@@ -680,6 +740,16 @@ def test_sweep_mass_validation():
         sweep_mass(template, [0.5, 0.2])
     with pytest.raises(ValueError):
         sweep_mass(template, [-1.0, 0.5])
+    # Each mass must be finite and >= 0; 0, -0.0 and the least positive
+    # double pass.
+    for m in (-TINY, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mass value must be finite and >= 0, got {m!r}")):
+            sweep_mass(template, [m, 7.0])
+    monkeypatch.setattr(spectrum, "energy", _stub_energy)
+    for m in (0.0, -0.0, TINY):
+        table = sweep_mass(template, [m, 7.0])
+        assert [repr(r.param) for r in table.rows] == [repr(m), "7.0"]
 
 
 def test_sweep_row_failure_becomes_nan():

@@ -9,7 +9,8 @@ exported name must be the object its submodule defines. Every module that
 a bare import compiles stays below a step of CPython's parser at 4,096
 tokens. The scalar rules have one Python copy, _rules, which every module
 imports and both kernel twins hand out as their scalar entries; none
-reads a private name off the active kernel.
+reads a private name off the active kernel. Only the real-number rule,
+spectrum._real, tests a value for finiteness.
 """
 
 import ast
@@ -150,23 +151,48 @@ def _reads_kernel(node):
             or (isinstance(node, ast.Attribute) and node.attr == "kernel"))
 
 
-def test_no_module_reads_a_private_kernel_name():
-    # A private helper read off the active kernel would tie that module to
-    # a kernel export outside the public surface; the rules come from
-    # _rules instead.
+def _package_trees():
+    # (file name, syntax tree) of every .py under src/procasphere/.
     home = os.path.dirname(procasphere.__file__)
-    reads = []
     for folder, _, files in os.walk(home):
         for file in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(folder, file)
             with open(path, encoding="utf-8") as f:
-                tree = ast.parse(f.read(), path)
-            reads += [f"{file}:{node.lineno} kernel.{node.attr}"
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.Attribute)
-                      and node.attr.startswith("_")
-                      and _reads_kernel(node.value)]
+                yield file, ast.parse(f.read(), path)
+
+
+def test_no_module_reads_a_private_kernel_name():
+    # A private helper read off the active kernel would tie that module to
+    # a kernel export outside the public surface; the rules come from
+    # _rules instead.
+    reads = []
+    for file, tree in _package_trees():
+        reads += [f"{file}:{node.lineno} kernel.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and _reads_kernel(node.value)]
     assert reads == []
+
+
+def test_finiteness_is_checked_by_the_real_rule_alone():
+    # Every real input's range is checked by spectrum._real, which takes
+    # the bound; a hand-written isfinite test elsewhere would be a second
+    # copy of that rule.
+    uses = []
+    for file, tree in _package_trees():
+        if file == "spectrum.py":
+            rule = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "_real")
+            allowed = set(map(id, ast.walk(rule)))
+        else:
+            allowed = set()
+        uses += [f"{file}:{node.lineno}" for node in ast.walk(tree)
+                 if id(node) not in allowed
+                 and "isfinite" in (getattr(node, "attr", None),
+                                    getattr(node, "id", None))]
+    assert uses == []
 
 
 def test_every_name_is_its_submodules_object():
