@@ -26,7 +26,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.10.3"
+__version__ = "0.10.4"
 
 # The defining submodule of each name that loads on first use.
 _LAZY = dict.fromkeys((

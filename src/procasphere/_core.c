@@ -8,10 +8,12 @@
  * batch's node tuple. A record also keeps its node's upward runs after the
  * last order its fill made, and a fill of a later block at that node goes
  * on from there; neither the table nor a run that goes on changes a bit.
- * Its Python-visible surface is the pure twin's: six kernel functions, and
- * sr_norm, sr_mul, sr_add and gamma_arg, the very objects of _rules.py
- * (core_exec). The rules the chains run (c_norm, c_scale, c_exp_split,
- * c_log1m, c_block_top and c_gamma) stay static twins of that module.
+ * Its Python-visible surface is the pure twin's: log_delta_point and the
+ * two node entries, log_delta_nodes and dlog_delta_nodes, and family,
+ * s_pair, e_pair, sr_norm, sr_mul, sr_add and gamma_arg, the very objects
+ * of _rules.py (core_exec). The rules and chain steps the node fill runs
+ * (c_norm, c_exp_split, c_miller_start, c_steps, c_e_run, c_log1m,
+ * c_block_top and c_gamma) stay static twins of that module.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
@@ -70,22 +72,6 @@ typedef struct {
     double k;
 } SR;
 
-typedef struct {
-    double am;
-    double ak;
-    double bm;
-    double bk;
-} SRP;
-
-/* e_l and s_l at one argument, scaled, with q_e = e_{l-1}/e_l and
- * q_s = s_{l-1}/s_l. */
-typedef struct {
-    SR e;
-    double qe;
-    SR s;
-    double qs;
-} Chains;
-
 /* rho_TE and rho_TM at one node, and their derivatives in ratio. */
 typedef struct {
     double te;
@@ -141,13 +127,6 @@ static inline SR c_norm(double m, double k)
         return SR_ZERO;
     m = frexp(m, &e);
     return (SR){m, k + e};
-}
-
-static inline SR c_scale(double m, double k, double c)
-{
-    if (m == 0.0 || c == 0.0)
-        return SR_ZERO;
-    return c_norm(m * c, k);
 }
 
 
@@ -266,61 +245,6 @@ static void c_s_rows(long top, double z, double *qs)
     for (j = top; j >= lo; j--) {
         c_steps(j, 1, -1, z, &y, &ym, &off);
         qs[j - lo] = y / ym;
-    }
-}
-
-/* q_s from the Miller run of l's block top stopped at l; the Wronskian
- * s_l e_{l-1} + s_{l-1} e_l = 1 gives s_l = 1/(e_l (q_e + q_s)), a sum of
- * positives; as _chains. */
-static Chains c_chains(long l, double z)
-{
-    long start = c_miller_start(c_block_top(l), z);
-    double y, ym, off;
-    Chains c;
-    c_e_run(l, z, &y, &ym, &off);
-    c.e = c_norm(y, off);
-    c.qe = ym / y;
-    y = 1.0;
-    ym = off = 0.0;
-    c_steps(start, start - l + 1, -1, z, &y, &ym, &off);
-    c.qs = y / ym;
-    c.s = c_norm(1.0 / (c.e.m * (c.qe + c.qs)), -c.e.k);
-    return c;
-}
-
-static SRP c_e_pair(long l, double z)
-{
-    double y, ym, off;
-    SR p, q;
-    c_e_run(l, z, &y, &ym, &off);
-    p = c_norm(y, off);
-    q = c_norm(ym, off);
-    return (SRP){p.m, p.k, q.m, q.k};
-}
-
-static SRP c_s_pair(long l, double z)
-{
-    Chains c = c_chains(l, z);
-    SR b = c_scale(c.s.m, c.s.k, c.qs);
-    return (SRP){c.s.m, c.s.k, b.m, b.k};
-}
-
-/* (s, e, s', e', s - z s', e - z e') at z as six scaled pairs, flattened. */
-static void c_family(long l, double z, double *f)
-{
-    Chains c = c_chains(l, z);
-    double lz = l / z;
-    SR v[6];
-    int i;
-    v[0] = c.s;
-    v[1] = c.e;
-    v[2] = c_scale(c.s.m, c.s.k, c.qs - lz);
-    v[3] = c_scale(c.e.m, c.e.k, -(c.qe + lz));
-    v[4] = c_scale(c.s.m, c.s.k, (l + 1.0) - z * c.qs);
-    v[5] = c_scale(c.e.m, c.e.k, (l + 1.0) + z * c.qe);
-    for (i = 0; i < 6; i++) {
-        f[2 * i] = v[i].m;
-        f[2 * i + 1] = v[i].k;
     }
 }
 
@@ -566,20 +490,9 @@ static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return i == want;
 }
 
-/* Domains of the Python-visible functions, with the pure twin's messages.
- * Each returns 0 with ValueError set. */
-static int chain_ok(long l, double z)
-{
-    if (l >= 0 && l < L_END && z >= Z_MIN && z < Z_MAX)
-        return 1;
-    PyErr_SetString(PyExc_ValueError,
-                    "Riccati-Bessel chains need 0 <= l < 2**31 and "
-                    "2**-64 <= z < 2**32");
-    return 0;
-}
-
-/* Chains run at gamma and gamma * ratio, and in TM also at xi and
- * xi * ratio; TE alone takes any xi >= 0. */
+/* The domain of the mode factors, with the pure twin's message; returns 0
+ * with ValueError set. Chains run at gamma and gamma * ratio, and in TM also
+ * at xi and xi * ratio; TE alone takes any xi >= 0. */
 static int point_ok(long l, double xi, double mu, double ratio, long mode)
 {
     double xi_min = mode == 0 ? 0.0 : Z_MIN;
@@ -611,42 +524,6 @@ static PyObject *float_tuple(Py_ssize_t n, const double *v)
         PyTuple_SET_ITEM(tup, i, f);
     }
     return tup;
-}
-
-static PyObject *srp_tuple(SRP r)
-{
-    return float_tuple(4, (const double[]){r.am, r.ak, r.bm, r.bk});
-}
-
-static PyObject *py_s_pair(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    long l;
-    double z;
-    if (!unpack("s_pair", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
-        return NULL;
-    return srp_tuple(c_s_pair(l, z));
-}
-
-static PyObject *py_e_pair(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    long l;
-    double z;
-    if (!unpack("e_pair", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
-        return NULL;
-    return srp_tuple(c_e_pair(l, z));
-}
-
-static PyObject *py_family(PyObject *Py_UNUSED(self), PyObject *const *args,
-                           Py_ssize_t nargs)
-{
-    long l;
-    double z, f[12];
-    if (!unpack("family", args, nargs, "ld", &l, &z) || !chain_ok(l, z))
-        return NULL;
-    c_family(l, z, f);
-    return float_tuple(12, f);
 }
 
 static PyObject *py_log_delta_point(PyObject *Py_UNUSED(self),
@@ -734,18 +611,17 @@ static PyObject *py_dlog_delta_nodes(PyObject *Py_UNUSED(self),
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef core_methods[] = {
-    FASTCALL(s_pair),
-    FASTCALL(e_pair),
-    FASTCALL(family),
     FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
     FASTCALL(dlog_delta_nodes),
     {NULL, NULL, 0, NULL},
 };
 
-/* The scalar entries, the _rules objects themselves on both twins. */
+/* The scalar and lone-chain entries, the _rules objects themselves on both
+ * twins. */
 static const char *const RULES[] = {"sr_norm", "sr_mul", "sr_add",
-                                    "gamma_arg", NULL};
+                                    "gamma_arg", "family", "s_pair",
+                                    "e_pair", NULL};
 
 static int core_exec(PyObject *mod)
 {
@@ -755,7 +631,14 @@ static int core_exec(PyObject *mod)
               || PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0;
     for (name = RULES; !err && *name != NULL; name++) {
         PyObject *f = PyObject_GetAttrString(rules, *name);
-        err = f == NULL || PyModule_AddObjectRef(mod, *name, f) < 0;
+        /* The method table's entries are added before exec, so a C entry
+         * of a _rules name would be replaced here unseen: refuse it. */
+        if (f != NULL && PyObject_HasAttrString(mod, *name))
+            PyErr_Format(PyExc_ImportError,
+                         "_core.%s is both a C entry and a _rules object",
+                         *name);
+        err = PyErr_Occurred() != NULL
+              || PyModule_AddObjectRef(mod, *name, f) < 0;
         Py_XDECREF(f);
     }
     Py_XDECREF(rules);

@@ -10,10 +10,11 @@ factor 2j + 1 from a table of doubles, where the C twin converts its loop
 counter; both give the same exact double. The flat tuple-passing style (no
 classes, no numpy) is deliberate: it transcribes one-to-one into C doubles.
 
-The scalar rules, the scaled primitives sr_norm, sr_mul, sr_add and
-_sr_scale, gamma_arg, _exp_split, _log1m and the block rule, come from
-_rules, their one Python copy, which the rest of the package imports too;
-the C twin follows those its chains run in static functions of its own.
+The scalar rules (the scaled primitives, gamma_arg, _exp_split, _log1m
+and the block rule), the chain constants and steps, and the lone chains
+family, s_pair and e_pair come from _rules, their one Python copy, which
+the rest of the package imports too; the C twin follows those its node
+fill runs in static functions of its own.
 
 Each argument needs e_l from the upward recurrence and the ratio
 q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
@@ -43,8 +44,8 @@ rows and runs together; it holds the nodes of one (mu, ratio), of any
 block, and is cleared for another or when full. Every kept double is the
 one a fresh fill makes, by the same steps on the same doubles, so no hit,
 miss, run that goes on or clear changes a bit. Each chain function has
-one C counterpart: _e_run, _fill and _chains are c_e_run, c_fill and
-c_chains, and the table lookup in _nodes is c_rows.
+one C counterpart: _rules._e_run and _fill are c_e_run and c_fill, and
+the table lookup in _nodes is c_rows.
 
 A fill makes its rows in two loops, with a lane per chain: an upward loop
 runs the e chains at gamma, gamma * ratio and, for TM with a mass,
@@ -63,7 +64,7 @@ forms again per node.
 One node batch (_nodes) reads its node list from the table, or checks
 its nodes and fills their rows into a new one, and forms each node's mode
 factors in one loop over the list; log_delta_point is a batch of one
-node. family, s_pair and e_pair run their chains afresh.
+node.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
@@ -73,50 +74,21 @@ The ratio derivative of each mode factor comes from the same chains: ratio
 enters only the outer shell's arguments, and the derivative of each
 logarithmic derivative d = z f'/f follows from the Riccati equation.
 
-Public surface, the same on both twins: s_pair, e_pair, family,
-log_delta_point, log_delta_nodes and dlog_delta_nodes, and the _rules
-objects sr_norm, sr_mul, sr_add and gamma_arg themselves.
+Public surface, the same on both twins: log_delta_point, log_delta_nodes
+and dlog_delta_nodes, and the _rules objects family, s_pair, e_pair,
+sr_norm, sr_mul, sr_add and gamma_arg themselves.
 """
 
-import itertools
 import math
 import operator
-import struct
 
-from ._rules import (_BLOCK, _block_top, _exp_split, _log1m, _sr_scale,
-                     gamma_arg, sr_add, sr_mul, sr_norm)
+from ._rules import (_BIG, _BLOCK, _DOWN, _L_END, _STEP, _Z_MAX, _Z_MIN,
+                     _block_top, _down, _exp_split, _log1m, _miller_start,
+                     _steps, _up, e_pair, family, gamma_arg, s_pair, sr_add,
+                     sr_mul, sr_norm)
 
 BACKEND = "pure"
 
-# Chain rescale: mantissas above _BIG move down by the exact power of two
-# 2**-_STEP. An offset that starts as a float stays one; a fill's start as
-# an int (see _fill).
-_STEP = 128
-_DOWN = 2.0 ** -_STEP
-_BIG = 1e250
-# The odd factors 2j + 1 of the chain step as doubles, for j < _ODD_N, in
-# a read-only buffer. A chain iterates over a slice of its memoryview,
-# which copies nothing; past the table it makes each further factor with
-# float() as it goes. Every factor is the exact double 2.0 * j + 1.0
-# (j < 2**52).
-_ODD_N = 4096
-_ODD = memoryview(
-    struct.pack(f"{_ODD_N}d", *range(1, 2 * _ODD_N, 2))).cast("d")
-# Chain arguments stay in [_Z_MIN, _Z_MAX). Above, the ln 2 split's
-# products stop being exact (past 2**33 ln 2 ~ 5.95e9); a Miller chain at
-# z = 2**32 starts near order 4.7e5 (see _miller_start), so that limit is
-# set by the split, not by the recurrence. Below, one step's factor
-# (2j + 1)/z could pass 2**128 and overflow between two rescales; at
-# z >= 2**-64 it stays below that for every order below 2**60.
-_Z_MIN = 2.0 ** -64
-_Z_MAX = 2.0 ** 32
-# Miller start constant 45 / asinh(1) (frozen bit pattern shared with the
-# compiled twin): a start L with L**2 - l**2 >= _MILLER_T * z leaves a seed
-# share of at most e**-45 at order l.
-_MILLER_T = float.fromhex("0x1.98740f2ce783bp+5")
-# Orders stay below 2**31, which a C long holds on every platform; the
-# rescale headroom (2**60) and the exact odd factors (2**52) lie far above.
-_L_END = 2 ** 31
 # Node table of the mode factors: a batch's node tuple -> (block, tm,
 # node list), the list holding per node its rows, the chains of every
 # order of block = (top, mu, ratio) at that node (see _fill), and the
@@ -150,82 +122,17 @@ _NODES_BLOCK = None
 _RUNS = {}
 # Out-of-domain calls raise ValueError here and in the compiled twin, with
 # the same messages.
-_CHAIN_DOMAIN = ("Riccati-Bessel chains need 0 <= l < 2**31 and "
-                 "2**-64 <= z < 2**32")
 _POINT_DOMAIN = (
     "mode factors need 1 <= l < 2**31, mode 0, 1 or 2, a finite mu >= 0, a "
     "finite ratio > 1, a finite xi >= 2**-64 (xi >= 0 in mode 0), "
     "sqrt(xi^2 + mu^2) >= 2**-64 and sqrt(xi^2 + mu^2) * ratio < 2**32")
 
 
-# -- modified Riccati-Bessel chains ------------------------------------------
-
-def _miller_start(l, z):
-    # Start order of the downward recurrence for s_l(z). From the uniform
-    # asymptotics of I_nu and K_nu (DLMF 10.41), the seed's share at order
-    # l after a start at L is about exp(-2 * integral_l^L asinh(nu/z) dnu).
-    # Up to nu = z, asinh(nu/z) >= asinh(1) * nu/z, so L**2 - l**2 >= T z
-    # with T = 45/asinh(1) keeps that share below e**-45 ~ 3e-20. Past z
-    # the inequality fails, so a bound above z falls back to max(l, z) + 26:
-    # for nu >= z, asinh(nu/z) >= asinh(1), so those 26 steps alone give
-    # e**-45.8, at z < l as well as at z > l.
-    b = math.ceil(math.sqrt(float(l) * float(l) + _MILLER_T * z)) + 1
-    if b <= z:
-        return b
-    return int(max(float(l), z)) + 26
-
-
-def _steps(cs, z, y, ym, off):
-    # The three-term step t = ym + c/z * y of both chains, over the odd
-    # factors c = 2j + 1 in cs: y is the newest value, ym the one before,
-    # and a y above _BIG moves both down by 2**-_STEP and adds _STEP to
-    # the offset.
-    big = _BIG
-    for c in cs:
-        y, ym = ym + c / z * y, y
-        if y > big:
-            y *= _DOWN
-            ym *= _DOWN
-            off += _STEP
-    return y, ym, off
-
-
-def _up(n, l):
-    # The factors 2j + 1 for j = n, n + 1, ..., l - 1.
-    if l <= _ODD_N:
-        return _ODD[n:l]
-    return itertools.chain(
-        _ODD[n:], map(float, range(2 * max(n, _ODD_N) + 1, 2 * l, 2)))
-
-
-def _down(start, l):
-    # The factors 2j + 1 for j = start, start - 1, ..., l.
-    if start < _ODD_N:
-        return _ODD[l:start + 1][::-1]
-    far = map(float, range(2 * start + 1, 2 * max(l, _ODD_N), -2))
-    return itertools.chain(far, _ODD[l:][::-1])
-
+# -- a fill's chain lanes ---------------------------------------------------
 
 def _block_lo(top):
     # The lowest order of top's block.
     return max(top - _BLOCK + 1, 0)
-
-
-# An upward e run goes from order 0 up, or a fill's from the order where
-# an earlier fill at its node left it (see _fill). A downward Miller run
-# for q_s
-# starts at _miller_start(top, z) for the top order of a block, and that
-# start serves every order of the block: L**2 - l**2 >= L**2 - top**2 >=
-# _MILLER_T * z, and a fallback start max(top, z) + 26 leaves 26 steps at
-# orders >= z above any l. After the step of order j a Miller run holds
-# y = s_{j-1} and ym = s_j at one offset, so q_s of order j is y/ym there;
-# only the ratio is read, so the offset is not kept.
-
-def _e_run(l, z):
-    # The upward run from e_{-1} = e_0 = exp(-z) to order l: (e_l, e_{l-1},
-    # offset), both members at the one offset.
-    m, k = _exp_split(-z)
-    return _steps(_up(0, l), z, m, m, k)
 
 
 # A node's fill runs its chains as lanes of its two loops (see _fill). Each
@@ -261,54 +168,6 @@ def _trio_steps(cs, z, y, ym, off, zr, yr, ymr, offr, zx, yx, ymx):
         if yx > big:
             yx, ymx = yx * _DOWN, ymx * _DOWN
     return y, ym, off, yr, ymr, offr, yx, ymx
-
-
-def _check_chain(l, z):
-    if not 0 <= l < _L_END or not _Z_MIN <= z < _Z_MAX:
-        raise ValueError(_CHAIN_DOMAIN)
-
-
-def _chains(l, z):
-    # (e_l scaled, q_e, s_l scaled, q_s) at z, after the domain check: e_l
-    # and q_e from one upward run to l, q_s from the Miller run of l's block
-    # top stopped at l; e_l > 0, so frexp is sr_norm. The Wronskian
-    # s_l e_{l-1} + s_{l-1} e_l = 1 gives s_l = 1/(e_l (q_e + q_s)), a sum of
-    # positives.
-    _check_chain(l, z)
-    y, ym, off = _e_run(l, z)
-    em, e = math.frexp(y)
-    ek = off + e
-    qe = ym / y
-    y, ym, _ = _steps(_down(_miller_start(_block_top(l), z), l), z, 1.0, 0.0,
-                      0.0)
-    qs = y / ym
-    sm, sk = sr_norm(1.0 / (em * (qe + qs)), -ek)
-    return em, ek, qe, sm, sk, qs
-
-
-def s_pair(l, z):
-    """(s_l, s_{l-1}) scaled; s_{-1} = cosh z. Requires l >= 0 and
-    2**-64 <= z < 2**32."""
-    sm, sk, qs = _chains(l, z)[3:]
-    return (sm, sk) + _sr_scale(sm, sk, qs)
-
-
-def e_pair(l, z):
-    """(e_l, e_{l-1}) scaled; e_{-1} = e_0 = exp(-z). Upward is the stable
-    direction for the decaying solution, so no normalization pass is needed."""
-    _check_chain(l, z)
-    b, a, k = _e_run(l, z)
-    return sr_norm(b, k) + sr_norm(a, k)
-
-
-def family(l, z):
-    """(s, e, s', e', s - z s', e - z e') as six scaled pairs, flattened."""
-    em, ek, qe, sm, sk, qs = _chains(l, z)
-    lz = l / z
-    return ((sm, sk, em, ek) + _sr_scale(sm, sk, qs - lz)
-            + _sr_scale(em, ek, -(qe + lz))
-            + _sr_scale(sm, sk, (l + 1.0) - z * qs)
-            + _sr_scale(em, ek, (l + 1.0) + z * qe))
 
 
 # -- mode determinants -------------------------------------------------------

@@ -5,8 +5,9 @@ setup.py plus strict warnings, once per session, and loaded by file path,
 so the tests need only a C compiler, not an installed extension. The test
 process has imported the package before, so the load leaves the package's
 backend choice alone. A second build with the undefined-behaviour sanitizer
-runs the chain-cache tests and a whole energy, where any undefined
-behaviour in the kernel aborts the run.
+runs the chain-cache tests, the node batches at the chains' extremes and
+a whole energy, where any undefined behaviour in the kernel aborts the
+run.
 """
 
 import importlib.util

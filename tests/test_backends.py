@@ -6,10 +6,11 @@ on which backend happened to import.
 
 The compiled kernel under test, and a build of it with the
 undefined-behaviour sanitizer, come from the fixtures of conftest.py. The
-scalar entries sr_norm, sr_mul, sr_add and gamma_arg are the _rules
-objects on both twins (tests/test_surface.py); the twins' entries are
-still compared here, and the compiled chains' own copies of the rules are
-compared through the kernel entries.
+scalar entries sr_norm, sr_mul, sr_add and gamma_arg, and the lone chains
+family, s_pair and e_pair, are the _rules objects on both twins
+(tests/test_surface.py); the twins' entries are still compared here, and
+the compiled node fill's own copies of the rules and chain steps are
+compared through the node entries, at the chains' extremes too.
 """
 
 import dataclasses
@@ -126,14 +127,15 @@ def test_gamma_arg_bit_identical(compiled, xi, mu):
     assert compiled.gamma_arg(0.0, mu) == mu
 
 
-def test_family_bit_identical_on_grid(compiled):
+def _chain_points():
+    # (order, argument) pairs where the chains meet their extremes.
     points = [(l, z) for l in (0, 1, 2, 7, 40, 400, 1000)
               for z in (0.001, 0.03, 0.5, 3.0, 12.0, 29.9, 30.1, 60.0, 300.0,
                         1500.0, 20000.0)]
     # Around the Miller start switch, the root of z**2 = l**2 + T z: just
     # below and above it, past the first z that takes the new start, and
     # at 1.5x and 10x the root.
-    t = pure._MILLER_T
+    t = _rules._MILLER_T
     for l in (1, 7, 40, 400, 1000):
         root = 0.5 * (t + math.sqrt(t * t + 4.0 * l * l))
         points += [(l, z) for z in (root - 0.01, root + 0.01, root + 4.5,
@@ -148,7 +150,7 @@ def test_family_bit_identical_on_grid(compiled):
     # Past the end of the pure twin's factor table: orders on both sides of
     # its size, Miller starts max(l, z) + 26 just below, at and past it,
     # and a long Miller chain (about 3.3e5 steps) at z = 2**31.
-    n = pure._ODD_N
+    n = _rules._ODD_N
     points += [(l, z) for l in (n - 1, n, n + 1) for z in (30.0, 5000.0)]
     points += [(l, z) for l in (n - 27, n - 26, n - 25)
                for z in (0.5, 1000.0)]
@@ -158,10 +160,60 @@ def test_family_bit_identical_on_grid(compiled):
     # |n|; the floor 2**-64 above takes n = -1.
     top = math.nextafter(2.0 ** 32, 0.0)
     points += [(0, top), (1, top)]
-    for l, z in points:
-        assert pure.family(l, z) == compiled.family(l, z), (l, z)
-        assert pure.s_pair(l, z) == compiled.s_pair(l, z), (l, z)
-        assert pure.e_pair(l, z) == compiled.e_pair(l, z), (l, z)
+    return points
+
+
+CHAIN_POINTS = _chain_points()
+
+
+def test_family_bit_identical_on_grid(compiled):
+    # The lone chains are the _rules objects on both twins, so they agree
+    # at every point of CHAIN_POINTS; the compiled twin's own chain steps
+    # are compared there through its node entries (next test).
+    for name in ("family", "s_pair", "e_pair"):
+        assert getattr(compiled, name) is getattr(pure, name), name
+        assert getattr(pure, name) is vars(_rules)[name], name
+
+
+# Consecutive batches of the next test alternate between these ratios, so
+# that each clears both twins' node tables and fills its nodes afresh.
+NEAR_ONE = (1.0 + 2.0 ** -20, 1.0 + 2.0 ** -19)
+
+
+def _landing(z, ratio):
+    # The node x with x * ratio == z exactly, or None.
+    x = z / ratio
+    for _ in range(4):
+        if x * ratio == z:
+            return x
+        x = math.nextafter(x, 0.0 if x * ratio > z else math.inf)
+    return None
+
+
+@pytest.mark.parametrize("backend", ["compiled", "ubsan"])
+def test_chain_extremes_bit_identical_in_node_batches(request, backend):
+    # At each point (l, z) of CHAIN_POINTS, a massless batch of l's block
+    # (order 1 for l = 0) whose chains run at z: a node at z, where gamma
+    # is z, and a node at z / ratio, where gamma * ratio is z, each where
+    # both of its arguments lie in the chain range. Its fill runs the
+    # compiled upward run from order 0 (c_e_run, c_exp_split) and the
+    # Miller run of l's block top (c_miller_start, c_steps) at z, as the
+    # lone chains at (l, z) do; the compiled and UBSan builds must give the
+    # pure twin's bits in both node entries.
+    kernel = request.getfixturevalue(backend)
+    lo, hi = _rules._Z_MIN, _rules._Z_MAX
+    for i, (l, z) in enumerate(CHAIN_POINTS):
+        ratio = NEAR_ONE[i % 2]
+        x = _landing(z, ratio)
+        assert x is not None or z / ratio < lo, (l, z)
+        xs = tuple(v for v in (z, x)
+                   if v is not None and lo <= v and v * ratio < hi)
+        assert xs, (l, z)
+        args = (max(l, 1), 0.0, ratio, 2, xs)
+        for entry in ("log_delta_nodes", "dlog_delta_nodes"):
+            want = getattr(pure, entry)(*args)
+            got = getattr(kernel, entry)(*args)
+            assert repr(got) == repr(want), (entry, l, z)
 
 
 GRID = [(l, xi, mu, ratio)

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from procasphere import _core_py, spectrum
+from procasphere import _core_py, _rules, spectrum
 from procasphere.bessel import eval_family
 
 
@@ -141,14 +141,14 @@ def test_miller_start_rule():
     # The downward recurrence starts at the smallest order b = ceil(sqrt(l**2
     # + T z)) + 1 that leaves a seed share of at most e**-45, with
     # T = 45/asinh(1), wherever b <= z, and at max(l, z) + 26 otherwise.
-    t = _core_py._MILLER_T
+    t = _rules._MILLER_T
     assert t == pytest.approx(45.0 / math.asinh(1.0), rel=1e-15)
-    assert _core_py._miller_start(1, 1e6) <= 7200
-    assert _core_py._miller_start(1, 2.0 ** 32) < 4.7e5
+    assert _rules._miller_start(1, 1e6) <= 7200
+    assert _rules._miller_start(1, 2.0 ** 32) < 4.7e5
     for l in (1, 7, 40, 400, 1000, 5000):
         for z in (30.5, 51.0, 51.1, 55.6, 73.0, 80.0, 426.3, 431.0, 1025.9,
                   1031.0, 5100.0, 1e4, 1e6, 2.0 ** 32 - 1.0):
-            start = _core_py._miller_start(l, z)
+            start = _rules._miller_start(l, z)
             bound = math.ceil(math.sqrt(l * l + t * z)) + 1
             if bound > z:
                 assert start == int(max(l, z)) + 26, (l, z)
@@ -182,30 +182,30 @@ def _ref_top(l):
 
 
 def _ref_e_pair(l, z):
-    m, k = _core_py._exp_split(-z)
+    m, k = _rules._exp_split(-z)
     b, a, k = _ref_steps(range(l), z, m, m, k)
-    return _core_py.sr_norm(b, k) + _core_py.sr_norm(a, k)
+    return _rules.sr_norm(b, k) + _rules.sr_norm(a, k)
 
 
 def _ref_chains(l, z):
     em, ek, e0m, e0k = _ref_e_pair(l, z)
     qe = e0m / em * 2.0 ** (e0k - ek)
-    start = _core_py._miller_start(_ref_top(l), z)
+    start = _rules._miller_start(_ref_top(l), z)
     y, ym, _ = _ref_steps(range(start, l - 1, -1), z, 1.0, 0.0, 0.0)
     qs = y / ym
-    sm, sk = _core_py.sr_norm(1.0 / (em * (qe + qs)), -ek)
+    sm, sk = _rules.sr_norm(1.0 / (em * (qe + qs)), -ek)
     return em, ek, qe, sm, sk, qs
 
 
 def _ref_s_pair(l, z):
     sm, sk, qs = _ref_chains(l, z)[3:]
-    return (sm, sk) + _core_py._sr_scale(sm, sk, qs)
+    return (sm, sk) + _rules._sr_scale(sm, sk, qs)
 
 
 def _ref_family(l, z):
     em, ek, qe, sm, sk, qs = _ref_chains(l, z)
     lz = l / z
-    scale = _core_py._sr_scale
+    scale = _rules._sr_scale
     return ((sm, sk, em, ek) + scale(sm, sk, qs - lz)
             + scale(em, ek, -(qe + lz))
             + scale(sm, sk, (l + 1.0) - z * qs)
@@ -219,7 +219,7 @@ def test_chains_match_plain_step_loop():
     # the orders ascend, so the kernel goes on from its kept upward run:
     # across the block edges 1 | 2 and 17 | 18, up to the table's end, and
     # past it on lazily made factors.
-    n = _core_py._ODD_N
+    n = _rules._ODD_N
     points = [(l, z) for l in (0, 1, 15, 16, 17, 18, n - 1, n, n + 1, n + 2,
                                 n + 300)
               for z in (0.5, 30.0, 5000.0)]
@@ -227,20 +227,20 @@ def test_chains_match_plain_step_loop():
     # which every z below covers at these orders.
     for start in (n - 1, n, n + 1):
         for z in (0.5, 30.0, 1000.0):
-            assert _core_py._miller_start(start - 26, z) == start, z
+            assert _rules._miller_start(start - 26, z) == start, z
             points.append((start - 26, z))
     # Block top 4049, whose fallback start int(z) + 26 falls just below, at
     # and just past the table's end, read at the top and at a lower order.
     for start, z in ((n - 1, 4069.5), (n, 4070.5), (n + 1, 4071.5)):
-        assert _core_py._miller_start(4049, z) == start, z
+        assert _rules._miller_start(4049, z) == start, z
         points += [(4040, z), (4049, z)]
     # An upward run that crosses the table's end in one go.
     points += [(1, 7.0), (n + 40, 7.0)]
     points += [(5000, 1e6), (1, 2.0 ** 31)]
     for l, z in points:
-        assert repr(_core_py.e_pair(l, z)) == repr(_ref_e_pair(l, z)), (l, z)
-        assert repr(_core_py.s_pair(l, z)) == repr(_ref_s_pair(l, z)), (l, z)
-        assert repr(_core_py.family(l, z)) == repr(_ref_family(l, z)), (l, z)
+        assert repr(_rules.e_pair(l, z)) == repr(_ref_e_pair(l, z)), (l, z)
+        assert repr(_rules.s_pair(l, z)) == repr(_ref_s_pair(l, z)), (l, z)
+        assert repr(_rules.family(l, z)) == repr(_ref_family(l, z)), (l, z)
 
 
 # The single-run references of a fill's lanes: one chain run alone per
@@ -250,7 +250,7 @@ def _e_rows(top, z):
     # block's lowest order and after each further step. Both members of the
     # run carry one offset, so q_e is one division.
     lo = max(top - 15, 0)
-    y, ym, _ = _core_py._e_run(lo, z)
+    y, ym, _ = _rules._e_run(lo, z)
     qes = [ym / y]
     for j in range(lo, top):
         y, ym, _ = _ref_steps((j,), z, y, ym, 0.0)
@@ -261,7 +261,7 @@ def _e_rows(top, z):
 def _s_rows(top, z):
     # q_s = s_{l-1}/s_l, top order first: the Miller run started for top,
     # read after the step of each order of the block.
-    start = _core_py._miller_start(top, z)
+    start = _rules._miller_start(top, z)
     y, ym, _ = _ref_steps(range(start, top, -1), z, 1.0, 0.0, 0.0)
     qs = []
     for j in range(top, max(top - 15, 0) - 1, -1):
@@ -281,8 +281,8 @@ def _single_lane_rows(top, xi, mu, ratio):
     qsg, qsr, qsx = (_s_rows(top, z)[::-1] for z in (g, gr, xi))
     rows = []
     for o, l in enumerate(range(max(top - 15, 0), top + 1)):
-        egm, egk = _core_py.e_pair(l, g)[:2]
-        erm, erk = _core_py.e_pair(l, gr)[:2]
+        egm, egk = _rules.e_pair(l, g)[:2]
+        erm, erk = _rules.e_pair(l, gr)[:2]
         a = erm / egm
         rows += [a * a, int(2.0 * (erk - egk)), qeg[o], qer[o], qsg[o],
                  qsr[o], qsx[o], qex[o]]
@@ -291,9 +291,9 @@ def _single_lane_rows(top, xi, mu, ratio):
 
 def _rescales(z, top, up):
     # Whether a lone run at z rescales before the last order of top's block.
-    ms, lo = _core_py._miller_start, max(top - 15, 0)
+    ms, lo = _rules._miller_start, max(top - 15, 0)
     if up:
-        m, k = _core_py._exp_split(-z)
+        m, k = _rules._exp_split(-z)
         return _ref_steps(range(top), z, m, m, k)[2] > k
     return _ref_steps(range(ms(top, z), lo - 1, -1), z, 1.0, 0.0, 0.0)[2] > 0
 
@@ -305,8 +305,8 @@ def test_paired_lanes_match_single_lane_runs():
     # Miller run starts first, with equal starts, in block {0, 1}, with
     # starts and tops around the end of the factor table, and when one lane
     # rescales and the others do not.
-    ms = _core_py._miller_start
-    n = _core_py._ODD_N
+    ms = _rules._miller_start
+    n = _rules._ODD_N
     # At top 17 the lower argument starts higher: 55 by the fallback,
     # 55 * 1.1 by the bound.
     assert ms(17, 55.0) == 81 and ms(17, 55.0 * 1.1) == 60
@@ -317,7 +317,7 @@ def test_paired_lanes_match_single_lane_runs():
     assert not _rescales(1e-15 * 1e6, 17, True)
     assert _rescales(1e-5, 17, False)
     assert not _rescales(1e-5 * 100.0, 17, False)
-    past = _core_py._block_top(n + 4)
+    past = _rules._block_top(n + 4)
     assert past > n
     cases = [(17, 55.0, 0.0, 1.1), (17, 55.0, 3.0, 1.1),
              (17, 0.5, 0.0, 1.5), (1, 2.0, 0.0, 1.3), (1, 2.0, 0.7, 1.3),

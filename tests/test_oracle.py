@@ -12,7 +12,7 @@ import re
 import pytest
 from mpmath import mp, mpf, workdps
 
-from procasphere import _core_py as pure
+from procasphere import _rules
 from procasphere.backend import kernel
 from procasphere.bessel import eval_family
 from procasphere.determinants import (
@@ -138,7 +138,7 @@ def _s_pair_error(points):
     # against the 40-digit oracle.
     worst = 0.0
     for l, z in points:
-        s1m, s1k, s0m, s0k = pure.s_pair(l, z)
+        s1m, s1k, s0m, s0k = _rules.s_pair(l, z)
         with workdps(50):
             for m, k, order in ((s1m, s1k, l), (s0m, s0k, l - 1)):
                 ref = mp_s(order, mpf(z))
@@ -164,7 +164,7 @@ def test_miller_start_rule_vs_oracle():
     # start bound L**2 - l**2 >= T z fits below z: just below the root (old
     # start max(l, z) + 26), just above it, past the first z that takes the
     # new start, and at 1.5x and 10x the root.
-    t = pure._MILLER_T
+    t = _rules._MILLER_T
     points = []
     for l in (1, 7, 40, 400, 1000):
         root = 0.5 * (t + math.sqrt(t * t + 4.0 * l * l))

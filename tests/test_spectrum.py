@@ -157,6 +157,28 @@ def test_short_frame_fails_fast():
     assert exc_info.value.evals == 76
 
 
+def test_exhausted_budget_raises(monkeypatch):
+    # A TE factor that oscillates 1e9 times faster than it decays keeps the
+    # panels' Gauss-Kronrod errors above the target however far they are
+    # bisected: the first wave raises once its evaluations reach the
+    # budget of 40,000, with the partial sum its panels reached.
+    class Stub:
+        @staticmethod
+        def log_delta_nodes(l, mu, ratio, mode, xs):
+            te = tuple(-math.exp(-x) * (1.0 + 0.5 * math.sin(1e9 * x))
+                       for x in xs)
+            return te, (-0.0,) * len(te)
+
+    monkeypatch.setattr(spectrum, "kernel", Stub)
+    with pytest.raises(ConvergenceError) as exc_info:
+        energy(ProblemSpec(1.5, rel_tol=1e-6, mode="te"))
+    error = exc_info.value
+    assert str(error) == "quadrature budget exhausted at l=1"
+    assert error.evals >= 40000
+    assert error.l_reached == 1
+    assert math.isfinite(error.partial_sum)
+
+
 def test_waves_of_a_block_share_their_frame(monkeypatch):
     # Blocks of 16 orders, {0, 1}, {2, ..., 17}, {18, ..., 33}, are the
     # kernels' chain blocks. Every wave evaluates its five start panels and

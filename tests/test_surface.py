@@ -7,10 +7,11 @@ loads its Bessel, determinant, scaled-arithmetic, unit and sweep modules on
 first use: a fresh energy run or CLI command must not load them, yet every
 exported name must be the object its submodule defines. Every module that
 a bare import compiles stays below a step of CPython's parser at 4,096
-tokens. The scalar rules have one Python copy, _rules, which every module
-imports and both kernel twins hand out as their scalar entries; none
-reads a private name off the active kernel. Only the real-number rule,
-spectrum._real, tests a value for finiteness.
+tokens. The scalar rules and the lone chains (family, s_pair and e_pair)
+have one Python copy, _rules, which every module imports and both kernel
+twins hand out as their entries; none reads a private name off the
+active kernel. Only the real-number rule, spectrum._real, tests a value
+for finiteness.
 """
 
 import ast
@@ -116,9 +117,11 @@ def test_pure_kernel_stays_below_the_parser_step():
 
 # The scalar rules each module takes from _rules, as (its name, the rule).
 RULE_USERS = {
-    "_core_py": [(n, n) for n in ("_BLOCK", "_block_top", "_exp_split",
-                                  "_log1m", "_sr_scale", "gamma_arg",
-                                  "sr_add", "sr_mul", "sr_norm")],
+    "_core_py": [(n, n) for n in (
+        "_BIG", "_BLOCK", "_DOWN", "_L_END", "_STEP", "_Z_MAX", "_Z_MIN",
+        "_block_top", "_down", "_exp_split", "_log1m", "_miller_start",
+        "_steps", "_up", "e_pair", "family", "gamma_arg", "s_pair", "sr_add",
+        "sr_mul", "sr_norm")],
     "scaledrep": [("_exp_split", "_exp_split"), ("_sr_scale", "_sr_scale"),
                   ("sr_add", "sr_add"), ("sr_mul", "sr_mul"),
                   ("_norm", "sr_norm")],
@@ -128,7 +131,8 @@ RULE_USERS = {
     "_workers": [("_block_top", "_block_top")],
 }
 # The kernel entries that both twins hand out as the _rules objects.
-SCALAR_ENTRIES = ("sr_norm", "sr_mul", "sr_add", "gamma_arg")
+SCALAR_ENTRIES = ("sr_norm", "sr_mul", "sr_add", "gamma_arg", "family",
+                  "s_pair", "e_pair")
 
 
 def test_scalar_rules_are_the_rules_objects(request):
