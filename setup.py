@@ -14,8 +14,8 @@ setup(
             ["src/procasphere/_core.c"],
             # -ffp-contract=off: the pure backend must be bit-identical,
             # so fused multiply-adds are off the table. -std=c11 is the
-            # standard tests/test_backends.py builds and checks; the
-            # kernel's per-thread chain cache is C11 _Thread_local.
+            # standard the test builds of tests/conftest.py use; the
+            # kernel's per-thread node table is C11 _Thread_local.
             extra_compile_args=["-O2", "-ffp-contract=off", "-std=c11"],
             optional=True,
         )

@@ -8,12 +8,11 @@
  * batch's node tuple. A record also keeps its node's upward runs after the
  * last order its fill made, and a fill of a later block at that node goes
  * on from there; neither the table nor a run that goes on changes a bit.
- * Its Python-visible surface is the pure twin's: log_delta_point and the
- * two node entries, log_delta_nodes and dlog_delta_nodes, and family,
- * s_pair, e_pair, sr_norm, sr_mul, sr_add and gamma_arg, the very objects
- * of _rules.py (core_exec). The rules and chain steps the node fill runs
- * (c_norm, c_exp_split, c_miller_start, c_steps, c_e_run, c_log1m,
- * c_block_top and c_gamma) stay static twins of that module.
+ * Its Python-visible surface is the pure twin's: BACKEND and the two node
+ * entries, log_delta_nodes and dlog_delta_nodes, and its module exec
+ * imports nothing. The rules and chain steps the node fill runs (c_norm,
+ * c_exp_split, c_miller_start, c_steps, c_e_run, c_log1m, c_block_top and
+ * c_gamma) are static twins of those in _rules.py.
  *
  * Lockstep with _core_py.py: every chain and every mode factor performs the
  * same floating-point operations on the same doubles in the same order, so
@@ -34,7 +33,6 @@
 #include <Python.h>
 
 #include <math.h>
-#include <stdarg.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -454,42 +452,6 @@ static Modes c_core_point(long l, double xi, double mu, double ratio,
 
 /* -- Python-visible surface (mirrors _core_py signatures) ----------------- */
 
-/* Convert positional arguments by a format of 'd' (double), 'l' (long) and
- * 'O' (borrowed object). An order or a mode goes through PyLong_AsLong, so
- * a float raises TypeError, as operator.index does in the pure twin.
- * Returns 0 with an exception set. */
-static int unpack(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                  const char *fmt, ...)
-{
-    Py_ssize_t want = (Py_ssize_t)strlen(fmt);
-    Py_ssize_t i;
-    va_list ap;
-    if (nargs != want) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s() takes %zd positional arguments but %zd were given",
-                     name, want, nargs);
-        return 0;
-    }
-    va_start(ap, fmt);
-    for (i = 0; i < want; i++) {
-        if (fmt[i] == 'l') {
-            long *out = va_arg(ap, long *);
-            *out = PyLong_AsLong(args[i]);
-            if (*out == -1 && PyErr_Occurred())
-                break;
-        } else if (fmt[i] == 'O') {
-            *va_arg(ap, PyObject **) = args[i];
-        } else {
-            double *out = va_arg(ap, double *);
-            *out = PyFloat_AsDouble(args[i]);
-            if (*out == -1.0 && PyErr_Occurred())
-                break;
-        }
-    }
-    va_end(ap);
-    return i == want;
-}
-
 /* The domain of the mode factors, with the pure twin's message; returns 0
  * with ValueError set. Chains run at gamma and gamma * ratio, and in TM also
  * at xi and xi * ratio; TE alone takes any xi >= 0. */
@@ -526,20 +488,6 @@ static PyObject *float_tuple(Py_ssize_t n, const double *v)
     return tup;
 }
 
-static PyObject *py_log_delta_point(PyObject *Py_UNUSED(self),
-                                    PyObject *const *args, Py_ssize_t nargs)
-{
-    long l, mode;
-    double xi, mu, ratio;
-    Modes r;
-    if (!unpack("log_delta_point", args, nargs, "ldddl",
-                &l, &xi, &mu, &ratio, &mode)
-        || !point_ok(l, xi, mu, ratio, mode))
-        return NULL;
-    r = c_core_point(l, xi, mu, ratio, mode, 0);
-    return PyFloat_FromDouble(c_log1m(r.te) + c_log1m(r.tm));
-}
-
 /* (TE per node, TM per node): ln Delta, or with deriv d ln Delta / d ratio;
  * -0.0 for a mode not requested, as in the pure twin. */
 static PyObject *nodes(const char *name, PyObject *const *args,
@@ -547,14 +495,23 @@ static PyObject *nodes(const char *name, PyObject *const *args,
 {
     long l, mode;
     double mu, ratio;
-    PyObject *xs, *seq, *te, *tm, *out = NULL;
+    PyObject *seq, *te, *tm, *out = NULL;
     double *buf;
     Py_ssize_t n, i;
-    if (!unpack(name, args, nargs, "lddlO",
-                &l, &mu, &ratio, &mode, &xs))
+    /* The arguments convert in order, up to the first failure. l and mode
+     * go through PyLong_AsLong, so a float raises TypeError, as
+     * operator.index does in the pure twin. */
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError,
+                            "%s() takes 5 positional arguments but %zd were "
+                            "given", name, nargs);
+    if (((l = PyLong_AsLong(args[0])) == -1 && PyErr_Occurred())
+        || ((mu = PyFloat_AsDouble(args[1])) == -1.0 && PyErr_Occurred())
+        || ((ratio = PyFloat_AsDouble(args[2])) == -1.0 && PyErr_Occurred())
+        || ((mode = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
         return NULL;
     /* A tuple copy: converting an item cannot resize what is being read. */
-    seq = PySequence_Tuple(xs);
+    seq = PySequence_Tuple(args[4]);
     if (seq == NULL)
         return NULL;
     n = PyTuple_GET_SIZE(seq);
@@ -611,38 +568,14 @@ static PyObject *py_dlog_delta_nodes(PyObject *Py_UNUSED(self),
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef core_methods[] = {
-    FASTCALL(log_delta_point),
     FASTCALL(log_delta_nodes),
     FASTCALL(dlog_delta_nodes),
     {NULL, NULL, 0, NULL},
 };
 
-/* The scalar and lone-chain entries, the _rules objects themselves on both
- * twins. */
-static const char *const RULES[] = {"sr_norm", "sr_mul", "sr_add",
-                                    "gamma_arg", "family", "s_pair",
-                                    "e_pair", NULL};
-
 static int core_exec(PyObject *mod)
 {
-    PyObject *rules = PyImport_ImportModule("procasphere._rules");
-    const char *const *name;
-    int err = rules == NULL
-              || PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0;
-    for (name = RULES; !err && *name != NULL; name++) {
-        PyObject *f = PyObject_GetAttrString(rules, *name);
-        /* The method table's entries are added before exec, so a C entry
-         * of a _rules name would be replaced here unseen: refuse it. */
-        if (f != NULL && PyObject_HasAttrString(mod, *name))
-            PyErr_Format(PyExc_ImportError,
-                         "_core.%s is both a C entry and a _rules object",
-                         *name);
-        err = PyErr_Occurred() != NULL
-              || PyModule_AddObjectRef(mod, *name, f) < 0;
-        Py_XDECREF(f);
-    }
-    Py_XDECREF(rules);
-    return -err;
+    return PyModule_AddStringConstant(mod, "BACKEND", "compiled");
 }
 
 static PyModuleDef_Slot core_slots[] = {
@@ -650,9 +583,7 @@ static PyModuleDef_Slot core_slots[] = {
     {0, NULL},
 };
 
-/* Multi-phase init. Exec imports procasphere._rules, and so the package if
- * it is not loaded yet, whose backend choice imports procasphere._core: a
- * loader by file path registers the module in sys.modules before exec. */
+/* Multi-phase init; exec imports nothing. */
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     "_core",

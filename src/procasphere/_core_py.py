@@ -10,11 +10,10 @@ factor 2j + 1 from a table of doubles, where the C twin converts its loop
 counter; both give the same exact double. The flat tuple-passing style (no
 classes, no numpy) is deliberate: it transcribes one-to-one into C doubles.
 
-The scalar rules (the scaled primitives, gamma_arg, _exp_split, _log1m
-and the block rule), the chain constants and steps, and the lone chains
-family, s_pair and e_pair come from _rules, their one Python copy, which
-the rest of the package imports too; the C twin follows those its node
-fill runs in static functions of its own.
+The scalar rules the node fill runs (_exp_split, _log1m and the block
+rule) and the chain constants and steps come from _rules, their one
+Python copy, which the rest of the package imports too; the C twin
+follows them in static functions of its own.
 
 Each argument needs e_l from the upward recurrence and the ratio
 q_s = s_{l-1}/s_l from one downward Miller run; s_l itself follows from the
@@ -63,8 +62,7 @@ forms again per node.
 
 One node batch (_nodes) reads its node list from the table, or checks
 its nodes and fills their rows into a new one, and forms each node's mode
-factors in one loop over the list; log_delta_point is a batch of one
-node.
+factors in one loop over the list.
 
 A mode factor is ln(1 - rho) of a round trip between the shells, and
 rho < 1 is a plain double: rho_TE for TE, and rho_TE (tr M - rho_TE det M)
@@ -74,9 +72,8 @@ The ratio derivative of each mode factor comes from the same chains: ratio
 enters only the outer shell's arguments, and the derivative of each
 logarithmic derivative d = z f'/f follows from the Riccati equation.
 
-Public surface, the same on both twins: log_delta_point, log_delta_nodes
-and dlog_delta_nodes, and the _rules objects family, s_pair, e_pair,
-sr_norm, sr_mul, sr_add and gamma_arg themselves.
+Public surface, the same on both twins: BACKEND, log_delta_nodes and
+dlog_delta_nodes. backend assembles the package's kernel from them.
 """
 
 import math
@@ -84,8 +81,7 @@ import operator
 
 from ._rules import (_BIG, _BLOCK, _DOWN, _L_END, _STEP, _Z_MAX, _Z_MIN,
                      _block_top, _down, _exp_split, _log1m, _miller_start,
-                     _steps, _up, e_pair, family, gamma_arg, s_pair, sr_add,
-                     sr_mul, sr_norm)
+                     _steps, _up)
 
 BACKEND = "pure"
 
@@ -439,11 +435,6 @@ def _nodes(l, mu, ratio, mode, xs, deriv):
     # A mode not requested reads -0.0 at every node.
     none = (-0.0,) * len(xs)
     return tuple(te) or none, tuple(tmv) or none
-
-
-def log_delta_point(l, xi, mu, ratio, mode):
-    te, tm = _nodes(l, mu, ratio, mode, (xi,), False)
-    return te[0] + tm[0]
 
 
 def log_delta_nodes(l, mu, ratio, mode, xs):

@@ -2,10 +2,11 @@
 
 Scaled values are (mantissa, scale) pairs meaning m * 2**k with |m| in
 [0.5, 1), the range of frexp, and k integer-valued, so renormalising and
-aligning are exact and only mantissa products and sums round. Both
-kernel twins export sr_norm, sr_mul, sr_add, gamma_arg, family, s_pair and
-e_pair as these very objects, and the rest of the package imports its
-rules from here. The lone chains (family, s_pair and e_pair) run one
+aligning are exact and only mantissa products and sums round. The
+package imports its rules and lone chains from here, and neither kernel
+twin exports any of them: bessel calls family, and backend.kernel hands
+out sr_norm, sr_mul, sr_add, gamma_arg, family, s_pair and e_pair as
+these very objects. The lone chains (family, s_pair and e_pair) run one
 argument's upward run and Miller run afresh; the pure twin's node fill
 runs the same steps as lanes (_core_py._fill), and the C twin's node fill
 runs static copies (c_norm, c_exp_split, c_miller_start, c_steps,

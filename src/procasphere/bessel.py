@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import kernel
+from ._rules import family
 from .scaledrep import ScaledReal
 from .spectrum import _integer, _real
 
@@ -42,7 +42,7 @@ def eval_family(l: int, z: float) -> RBFamily:
     _integer("order", l, 0)
     v = _real("argument", z, 0, strict=True)
     (sm, sk, em, ek, spm, spk, epm, epk,
-     stm, stk, etm, etk) = kernel.family(l, v)
+     stm, stk, etm, etk) = family(l, v)
     return RBFamily(
         l=l,
         z=v,

@@ -131,10 +131,19 @@ def _problem(inputs: dict) -> ProblemSpec:
                        mode=inputs["mode"])
 
 
+def _si_radius(inputs: dict):
+    """The inner radius in meters if the inputs ask for SI values, else
+    None. An si that is not true or false is a usage error."""
+    si = inputs["si"]
+    if not isinstance(si, bool):
+        raise UsageError(f"si must be true or false, got {si!r}")
+    return inputs["a1_m"] if si else None
+
+
 def _energy(inputs: dict) -> dict:
     spec = _problem(inputs)
     threads = inputs["threads"]
-    si_a1 = inputs["a1_m"] if inputs["si"] else None
+    si_a1 = _si_radius(inputs)
     r = energy(spec, threads=threads)
     result = {
         "e_te": r.te,
@@ -156,7 +165,7 @@ def _energy(inputs: dict) -> dict:
 def _force(inputs: dict) -> dict:
     spec = _problem(inputs)
     threads = inputs["threads"]
-    si_a1 = inputs["a1_m"] if inputs["si"] else None
+    si_a1 = _si_radius(inputs)
     fd_step = inputs["fd_step"]
     f = force(spec, fd_step=fd_step, threads=threads)
     result = {"force": f, "fd_step": fd_step, "mode": spec.mode}

@@ -2,12 +2,12 @@
 
 The compiled kernel under test is built from ``_core.c`` with the flags of
 setup.py plus strict warnings, once per session, and loaded by file path,
-so the tests need only a C compiler, not an installed extension. The test
-process has imported the package before, so the load leaves the package's
-backend choice alone. A second build with the undefined-behaviour sanitizer
-runs the chain-cache tests, the node batches at the chains' extremes and
-a whole energy, where any undefined behaviour in the kernel aborts the
-run.
+so the tests need only a C compiler, not an installed extension. The
+build imports nothing and is not put in sys.modules, so the load leaves
+the package's backend choice alone. A second build with the
+undefined-behaviour sanitizer runs the chain-cache tests, the node
+batches at the chains' extremes and a whole energy, where any undefined
+behaviour in the kernel aborts the run.
 """
 
 import importlib.util

@@ -5,12 +5,12 @@ kernel entry point must agree to the last bit, so that results never depend
 on which backend happened to import.
 
 The compiled kernel under test, and a build of it with the
-undefined-behaviour sanitizer, come from the fixtures of conftest.py. The
-scalar entries sr_norm, sr_mul, sr_add and gamma_arg, and the lone chains
-family, s_pair and e_pair, are the _rules objects on both twins
-(tests/test_surface.py); the twins' entries are still compared here, and
-the compiled node fill's own copies of the rules and chain steps are
-compared through the node entries, at the chains' extremes too.
+undefined-behaviour sanitizer, come from the fixtures of conftest.py. Each
+twin is only its node batch (tests/test_surface.py): the scalar rules and
+the lone chains (family, s_pair and e_pair) have one copy, _rules, which
+backend.kernel hands out, and a mode factor at one node is a one-node
+batch. The compiled node fill's own copies of the rules and chain steps
+are compared through the node entries, at the chains' extremes too.
 """
 
 import dataclasses
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from procasphere import _core_py as pure
 from procasphere import _rules, bessel, determinants, spectrum
+from procasphere.backend import kernel as active
 
 
 def _kernel(request, backend):
@@ -34,14 +35,19 @@ def _kernel(request, backend):
     return pure if backend == "pure" else request.getfixturevalue(backend)
 
 
+def _point(kernel, l, xi, mu, ratio, mode):
+    # A twin's mode factor at one node: te + tm of a one-node batch.
+    te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, (xi,))
+    return te[0] + tm[0]
+
+
 def test_backend_tags(compiled):
     assert pure.BACKEND == "pure"
     assert compiled.BACKEND == "compiled"
 
 
-# What the package and the benchmark call; nothing else is public.
-SURFACE = {"sr_norm", "sr_mul", "sr_add", "gamma_arg", "s_pair", "e_pair",
-           "family", "log_delta_point", "log_delta_nodes", "dlog_delta_nodes"}
+# What the package calls; nothing else is public.
+SURFACE = {"log_delta_nodes", "dlog_delta_nodes"}
 
 
 def test_twins_export_the_same_callables(compiled):
@@ -71,13 +77,14 @@ scales = st.integers(min_value=-100000, max_value=100000).map(float)
 
 @settings(max_examples=250, deadline=None)
 @given(mantissas, scales, mantissas, scales)
-def test_scalar_primitives_bit_identical(compiled, m1, k1, m2, k2):
-    assert pure.sr_norm(m1 * 2.5, k1) == compiled.sr_norm(m1 * 2.5, k1)
-    assert pure.sr_mul(m1, k1, m2, k2) == compiled.sr_mul(m1, k1, m2, k2)
-    assert pure.sr_add(m1, k1, m2, k2) == compiled.sr_add(m1, k1, m2, k2)
+def test_scalar_primitives_bit_identical(m1, k1, m2, k2):
+    # The kernel's primitives are the _rules ones on both backends.
+    assert _rules.sr_norm(m1 * 2.5, k1) == active.sr_norm(m1 * 2.5, k1)
+    assert _rules.sr_mul(m1, k1, m2, k2) == active.sr_mul(m1, k1, m2, k2)
+    assert _rules.sr_add(m1, k1, m2, k2) == active.sr_add(m1, k1, m2, k2)
     # Renormalising is exact: the mantissa lands in [0.5, 1) and the value
     # m * 2**k is unchanged.
-    m, k = compiled.sr_norm(m1 * 2.5, k1)
+    m, k = _rules.sr_norm(m1 * 2.5, k1)
     assert 0.5 <= abs(m) < 1.0
     assert math.ldexp(m, int(k - k1)) == m1 * 2.5
 
@@ -120,11 +127,11 @@ def test_non_finite_operands_agree(x):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1e8),
        st.floats(min_value=0.0, max_value=1e8))
-def test_gamma_arg_bit_identical(compiled, xi, mu):
-    assert pure.gamma_arg(xi, mu) == compiled.gamma_arg(xi, mu)
+def test_gamma_arg_bit_identical(xi, mu):
+    assert _rules.gamma_arg(xi, mu) == active.gamma_arg(xi, mu)
     # Exact in the single-parameter limits.
-    assert compiled.gamma_arg(xi, 0.0) == xi
-    assert compiled.gamma_arg(0.0, mu) == mu
+    assert _rules.gamma_arg(xi, 0.0) == xi
+    assert _rules.gamma_arg(0.0, mu) == mu
 
 
 def _chain_points():
@@ -167,12 +174,13 @@ CHAIN_POINTS = _chain_points()
 
 
 def test_family_bit_identical_on_grid(compiled):
-    # The lone chains are the _rules objects on both twins, so they agree
-    # at every point of CHAIN_POINTS; the compiled twin's own chain steps
-    # are compared there through its node entries (next test).
+    # The lone chains have one copy, _rules, on both backends, so they
+    # agree at every point of CHAIN_POINTS; neither twin has its own, and
+    # the compiled twin's chain steps are compared there through its node
+    # entries (next test).
     for name in ("family", "s_pair", "e_pair"):
-        assert getattr(compiled, name) is getattr(pure, name), name
-        assert getattr(pure, name) is vars(_rules)[name], name
+        assert getattr(active, name) is vars(_rules)[name], name
+        assert not hasattr(pure, name) and not hasattr(compiled, name), name
 
 
 # Consecutive batches of the next test alternate between these ratios, so
@@ -230,8 +238,8 @@ GRID += [(l, xi, mu, ratio)
 def test_log_delta_bit_identical_on_grid(compiled):
     for l, xi, mu, ratio in GRID:
         for mode in (0, 1, 2):
-            a = pure.log_delta_point(l, xi, mu, ratio, mode)
-            b = compiled.log_delta_point(l, xi, mu, ratio, mode)
+            a = _point(pure, l, xi, mu, ratio, mode)
+            b = _point(compiled, l, xi, mu, ratio, mode)
             assert a == b, (l, xi, mu, ratio, mode)
 
 
@@ -251,10 +259,10 @@ def test_log_delta_nodes_bit_identical(compiled):
             # value bit for bit, in every mode.
             for want, got in ((0, a), (1, b)):
                 if mode in (want, 2):
-                    assert got == pure.log_delta_point(4, x, 0.5, 1.6, want)
+                    assert got == _point(pure, 4, x, 0.5, 1.6, want)
                 else:
                     assert got == 0.0 and math.copysign(1.0, got) == -1.0
-            point = pure.log_delta_point(4, x, 0.5, 1.6, mode)
+            point = _point(pure, 4, x, 0.5, 1.6, mode)
             assert (a + b).hex() == point.hex()
     # Near contact at l = 1 and small xi, rho is about 0.99 in both modes,
     # so ln(1 - rho) takes its branch from rho = 1/2 up (below -ln 2).
@@ -299,9 +307,9 @@ def test_non_integer_order_raises(compiled):
     # An order is an index: truncating 3.5 to 3 would answer another question.
     for kernel in (pure, compiled):
         with pytest.raises(TypeError):
-            kernel.log_delta_point(3.5, 1.0, 0.5, 1.5, 2)
-        with pytest.raises(TypeError):
-            kernel.s_pair(2.9, 1.0)
+            _point(kernel, 3.5, 1.0, 0.5, 1.5, 2)
+    with pytest.raises(TypeError):
+        _rules.s_pair(2.9, 1.0)
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
@@ -314,15 +322,15 @@ def test_mode_and_order_are_indices(request, backend):
     for bad in (1.5, 1.0):
         for l, mode in ((5, bad), (bad, 1)):
             with pytest.raises(TypeError) as exc_info:
-                kernel.log_delta_point(l, 1.0, 0.5, 1.3, mode)
+                _point(kernel, l, 1.0, 0.5, 1.3, mode)
             assert str(exc_info.value) == msg
             for name in ("log_delta_nodes", "dlog_delta_nodes"):
                 for xs in ([1.0], []):
                     with pytest.raises(TypeError) as exc_info:
                         getattr(kernel, name)(l, 0.5, 1.3, mode, xs)
                     assert str(exc_info.value) == msg, (name, l, mode, xs)
-    assert (repr(kernel.log_delta_point(True, 1.0, 0.5, 1.3, True))
-            == repr(kernel.log_delta_point(1, 1.0, 0.5, 1.3, 1)))
+    assert (repr(_point(kernel, True, 1.0, 0.5, 1.3, True))
+            == repr(_point(kernel, 1, 1.0, 0.5, 1.3, 1)))
     for name in ("log_delta_nodes", "dlog_delta_nodes"):
         f = getattr(kernel, name)
         assert (repr(f(True, 0.5, 1.3, True, [1.0, 2.0]))
@@ -330,7 +338,8 @@ def test_mode_and_order_are_indices(request, backend):
 
 
 # Out-of-domain calls: (function name, arguments). Both kernels raise
-# ValueError before computing anything.
+# ValueError before computing anything; the lone chains are the _rules
+# ones, and log_delta_point is a one-node batch (_entry).
 OUT_OF_DOMAIN = [
     ("s_pair", (-1, 1.0)),
     ("s_pair", (2, 0.0)),
@@ -391,31 +400,37 @@ OUT_OF_DOMAIN = [
 ]
 
 
+def _entry(kernel, name):
+    if name == "log_delta_point":
+        return lambda *args: _point(kernel, *args)
+    return getattr(kernel, name, None) or vars(_rules)[name]
+
+
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_out_of_domain_raises(compiled, backend):
     kernel = pure if backend == "pure" else compiled
     for name, args in OUT_OF_DOMAIN:
         with pytest.raises(ValueError):
-            getattr(kernel, name)(*args)
+            _entry(kernel, name)(*args)
     # The one zero-frequency node in the domain: massive TE, which
     # log_delta_te serves. Both kernels agree on it, and on a TE node below
     # the floor whose gamma, the mass, is above it.
-    v = kernel.log_delta_point(2, 0.0, 0.5, 1.5, 0)
+    v = _point(kernel, 2, 0.0, 0.5, 1.5, 0)
     assert math.isfinite(v) and v < 0.0
-    assert v == pure.log_delta_point(2, 0.0, 0.5, 1.5, 0)
+    assert v == _point(pure, 2, 0.0, 0.5, 1.5, 0)
     assert kernel.log_delta_nodes(2, 0.5, 1.5, 0, [0.0]) == ((v,), (0.0,))
-    assert kernel.log_delta_point(2, 1e-100, 0.5, 1.5, 0) == v
+    assert _point(kernel, 2, 1e-100, 0.5, 1.5, 0) == v
     # Also where the Miller run at gamma = mu starts above the one at
     # gamma * ratio (81 against 60 in the block of order 2).
-    w = kernel.log_delta_point(2, 0.0, 55.0, 1.1, 0)
-    assert math.isfinite(w) and w == pure.log_delta_point(2, 0.0, 55.0, 1.1, 0)
+    w = _point(kernel, 2, 0.0, 55.0, 1.1, 0)
+    assert math.isfinite(w) and w == _point(pure, 2, 0.0, 55.0, 1.1, 0)
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_library_rejects_orders_from_2_31(compiled, backend, monkeypatch):
-    # The domain checks refuse the order before any chain runs.
+    # The domain checks refuse the order before any chain runs; the
+    # Bessel accessor runs the _rules chains on both backends.
     kernel = pure if backend == "pure" else compiled
-    monkeypatch.setattr(bessel, "kernel", kernel)
     monkeypatch.setattr(determinants, "kernel", kernel)
     with pytest.raises(ValueError, match=r"l < 2\*\*31"):
         bessel.eval_family(2 ** 31, 1.0)
@@ -727,21 +742,18 @@ def test_force_bit_identical(compiled, monkeypatch, ratio, mu, rel_tol):
 
 
 def test_compiled_energy_loads_no_pure_twin(compiled):
-    # On the compiled backend the wave framing, determinants and scaledrep
-    # take their scalar rules from _rules, and the kernel hands out the
-    # _rules objects as its scalar entries, so an energy run, serial or on
-    # forked workers, the determinant routes, selftest and the golden
-    # checks never load the pure twin. The build's exec imports
-    # procasphere._rules, and with it the package, which picks its
-    # backend then: so the child registers this build as procasphere._core
-    # before it runs exec, as the importlib documentation does.
+    # On the compiled backend every module takes its scalar rules and lone
+    # chains from _rules, so an energy run, serial or on forked workers,
+    # the determinant routes, selftest and the golden checks never load
+    # the pure twin. The child registers this build as procasphere._core,
+    # where the package's backend choice finds it.
     code = "\n".join((
         "import importlib.util, json, sys",
         "spec = importlib.util.spec_from_file_location(",
         f"    'procasphere._core', {compiled.__file__!r})",
         "core = importlib.util.module_from_spec(spec)",
-        "sys.modules['procasphere._core'] = core",
         "spec.loader.exec_module(core)",
+        "sys.modules['procasphere._core'] = core",
         "import procasphere",
         "assert procasphere.active_backend() == 'compiled'",
         "spec = procasphere.ProblemSpec(ratio=1.5, mu=0.5, rel_tol=1e-3)",
@@ -775,4 +787,5 @@ def test_default_backend_is_compiled():
         "procasphere._core", reason="compiled kernel not built in place")
     from procasphere.backend import active_backend, kernel
     assert active_backend() == "compiled"
-    assert kernel is built
+    for name in ("BACKEND", "log_delta_nodes", "dlog_delta_nodes"):
+        assert getattr(kernel, name) is getattr(built, name), name

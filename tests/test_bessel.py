@@ -275,7 +275,7 @@ def _single_lane_rows(top, xi, mu, ratio):
     # e_l from e_pair's upward run to each order, q_e rows lowest order
     # first, q_s rows reversed from top first. A fill keeps its scales as
     # ints, so nn is the int of the gap e_pair's float scales give.
-    g = _core_py.gamma_arg(xi, mu)
+    g = _rules.gamma_arg(xi, mu)
     gr = g * ratio
     qeg, qer, qex = (_e_rows(top, z) for z in (g, gr, xi * ratio))
     qsg, qsr, qsx = (_s_rows(top, z)[::-1] for z in (g, gr, xi))
@@ -339,19 +339,19 @@ def test_paired_lanes_match_single_lane_runs():
                    (n + 1, 4076, 4089),
                (4065, 5000.0, 100.0, 1.5): (n + 2, n + 2, 4113)}
     for (top, xi, mu, ratio), starts in massive.items():
-        g = _core_py.gamma_arg(xi, mu)
+        g = _rules.gamma_arg(xi, mu)
         assert (ms(top, xi), ms(top, g), ms(top, g * ratio)) == starts
     # Of the upward lanes only the one at xi * ratio rescales, and of the
     # Miller lanes only the one at xi.
     for (xi, mu, ratio), up in (((1e-16, 1e-9, 10.0), True),
                                 ((1e-5, 1e-3, 2.0), False)):
-        g = _core_py.gamma_arg(xi, mu)
+        g = _rules.gamma_arg(xi, mu)
         x = xi * ratio if up else xi
         assert [_rescales(z, 17, up) for z in (x, g, g * ratio)] == [
             True, False, False], (xi, mu, ratio)
         massive[(17, xi, mu, ratio)] = None
     for top, xi, mu, ratio in cases + list(massive):
-        g = _core_py.gamma_arg(xi, mu)
+        g = _rules.gamma_arg(xi, mu)
         block = (top, mu, ratio)
         got = _core_py._fill(block, xi, g, True, None)[0]
         want = _single_lane_rows(top, xi, mu, ratio)

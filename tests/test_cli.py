@@ -312,3 +312,32 @@ def test_version_matches_pyproject():
     assert meta["project"]["version"] == procasphere.__version__
     assert run_cli("--version").stdout.split() == ["procasphere",
                                                    procasphere.__version__]
+
+
+@pytest.mark.parametrize("command", ["energy", "force"])
+def test_replay_reads_si_as_a_bool(tmp_path, capsys, command):
+    # si is true or false. Any other value in an edited manifest is a
+    # parameter error, as a non-real ratio is: "no" must not ask for SI
+    # values, nor 0 quietly decline them. true and false replay as before.
+    from procasphere import cli
+
+    docs = {}
+    for si, flags in ((True, ["--a1-m", "0.01", "--a2-m", "0.015", "--si"]),
+                      (False, ["--ratio", "1.5"])):
+        assert cli.main([command, *flags, "--rel-tol", "1e-3"]) == 0
+        docs[si] = json.loads(capsys.readouterr().out)
+        assert docs[si]["manifest"]["inputs"]["si"] is si
+        assert ("force_newtons" in docs[si]["result"]
+                or "e_total_joules" in docs[si]["result"]) is si
+    for i, si in enumerate(("no", 0, None, [], True, False)):
+        doc = json.loads(json.dumps(docs[si is True]))
+        doc["manifest"]["inputs"]["si"] = si
+        path = tmp_path / f"si_{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["replay", str(path)])
+        out, err = capsys.readouterr()
+        if isinstance(si, bool):
+            assert code == 0 and out.startswith("replay ok"), (si, err)
+        else:
+            assert code == 2, (si, out, err)
+            assert err == f"error: si must be true or false, got {si!r}\n"

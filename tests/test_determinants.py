@@ -29,7 +29,7 @@ from procasphere.determinants import (
     log_delta_tm_massless,
     reference_expansion_coefficients,
 )
-from procasphere.oracle import check_goldens, golden_path
+from procasphere.oracle import check_goldens, golden_path, oracle_dlog_delta
 
 # The doubles next to the bounds 0 and 1 of the real rule, and a valid point.
 TINY = math.nextafter(0.0, math.inf)
@@ -328,7 +328,7 @@ def test_massless_tm_point_reuses_chains(monkeypatch, mu, calls):
     _core_py._NODES.clear()
     _core_py._RUNS.clear()
     _core_py.log_delta_nodes(5, mu, 1.5, 2, [2.0])
-    g = _core_py.gamma_arg(2.0, mu)
+    g = _rules.gamma_arg(2.0, mu)
     assert len(args["s"]) == len(args["e"]) == calls
     assert sorted(args["s"]) == sorted({g, g * 1.5, 2.0})
     assert sorted(args["e"]) == sorted({g, g * 1.5, 2.0 * 1.5})
@@ -351,3 +351,46 @@ def test_results_come_from_the_node_batch(monkeypatch, tmp_path):
     path.write_text("\n".join(rows) + "\n")
     checked, _, failures = check_goldens(path)
     assert checked == len(rows) >= 10 and not failures
+
+
+# The grid of the attraction test, fixed before its first run: ratios from
+# near contact to far apart, masses from none to heavy, low and high
+# orders, and 40 nodes X 2**(-k/2), k < 40, from the massless frame edge
+# X = (45 + 2 l ln ratio) / (2 (ratio - 1)) of the spectral sum, with l
+# for the block top.
+ATTRACTION_RATIOS = (1.001, 1.01, 1.2, 2.0, 20.0)
+ATTRACTION_MUS = (0.0, 1e-3, 0.5, 8.0, 500.0)
+ATTRACTION_LS = (1, 3, 30, 300)
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled", "ubsan"])
+def test_ratio_derivative_is_never_negative(request, backend):
+    # The paper's claim that the force attracts, node by node: with
+    # force = -sum (2l+1) int d ln Delta_l / d ratio dxi and positive
+    # quadrature weights, every computed force is <= 0 if no TE or TM
+    # derivative value is negative. None is, or NaN, on the grid; where
+    # rho underflows a value is exactly 0. At the three smallest non-zero
+    # values, the oracle's derivative has their sign.
+    twin = (_core_py if backend == "pure"
+            else request.getfixturevalue(backend))
+    values = []
+    for ratio in ATTRACTION_RATIOS:
+        for mu in ATTRACTION_MUS:
+            for l in ATTRACTION_LS:
+                edge = ((45.0 + 2.0 * l * math.log(ratio))
+                        / (2.0 * (ratio - 1.0)))
+                xs = tuple(x for x in (edge * 2.0 ** (-k / 2.0)
+                                       for k in range(40))
+                           if _rules._Z_MIN <= x
+                           and _rules.gamma_arg(x, mu) * ratio < _rules._Z_MAX)
+                te, tm = twin.dlog_delta_nodes(l, mu, ratio, 2, xs)
+                for mode, vs in (("te", te), ("tm", tm)):
+                    values += [(v, l, x, mu, ratio, mode)
+                               for x, v in zip(xs, vs)]
+    assert len(values) == 8000
+    bad = [v for v in values if math.isnan(v[0]) or v[0] < 0.0]
+    assert bad == []
+    smallest = sorted(v for v in values if v[0] > 0.0)[:3]
+    for v, l, x, mu, ratio, mode in smallest:
+        assert oracle_dlog_delta(l, x, mu, ratio, mode) > 0, (v, l, x, mu,
+                                                               ratio, mode)

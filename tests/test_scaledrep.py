@@ -160,3 +160,36 @@ def test_norm_helper_bounds():
         assert math.log2(abs(nm)) + nk == pytest.approx(
             math.log2(abs(m)) + k, abs=1e-12)
     assert _norm(0.0, 17.0) == (0.0, 0.0)
+
+
+def test_mixed_types_fall_back_to_type_error():
+    # An operand that is not a ScaledReal (nor, for * and /, a number)
+    # gets NotImplemented from each operator, so Python raises TypeError,
+    # and == answers False.
+    a = ScaledReal.from_float(2.0)
+    for op in (lambda: a + 1.0, lambda: 1.0 + a, lambda: a - 1.0,
+               lambda: 1.0 - a, lambda: a * "x", lambda: a * None,
+               lambda: a / "x", lambda: "x" / a, lambda: a < 1.0,
+               lambda: a <= 1.0, lambda: 1.0 <= a):
+        with pytest.raises(TypeError):
+            op()
+    assert (ScaledReal.from_float(3.0) == 3.0) is False
+    assert ScaledReal.from_float(3.0) != 3.0
+
+
+def test_equal_values_hash_equal():
+    for x in (0.0, 1.0, -2.5, 1e300, 3e-300):
+        a, b = ScaledReal.from_float(x), ScaledReal.from_float(x)
+        assert a == b and hash(a) == hash(b), x
+    # A -0.0 mantissa equals a 0.0 one, and so hashes the same.
+    neg, pos = ScaledReal(-0.0, 0.0), ScaledReal(0.0, 0.0)
+    assert neg == pos and hash(neg) == hash(pos)
+    assert len({neg, pos, ScaledReal.zero()}) == 1
+
+
+def test_repr_evaluates_back():
+    for a in (ScaledReal.from_float(-0.1), ScaledReal.from_log(5000.0),
+              ScaledReal.zero(), ScaledReal(-0.0, 3.0)):
+        back = eval(repr(a), {"ScaledReal": ScaledReal})
+        assert back == a
+        assert repr(back) == repr(a)

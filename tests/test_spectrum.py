@@ -197,8 +197,6 @@ def test_waves_of_a_block_share_their_frame(monkeypatch):
     batches = []
 
     class Recorder:
-        gamma_arg = staticmethod(kernel.gamma_arg)
-
         @staticmethod
         def log_delta_nodes(l, mu, ratio, mode, xs):
             batches.append(tuple(xs))
@@ -238,8 +236,6 @@ def test_nan_at_a_start_node_names_it(monkeypatch, at):
     bad = []
 
     class Stub:
-        gamma_arg = staticmethod(kernel.gamma_arg)
-
         @staticmethod
         def log_delta_nodes(l, mu, ratio, mode, xs):
             te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, xs)

@@ -2,15 +2,18 @@
 
 Every exported name must resolve, and eval_family, the one Bessel
 accessor, must return exactly the leading pairs of the kernel's s_pair and
-e_pair, the entries the benchmark times and the chains run on. The package
+e_pair, the entries the benchmark times and the chains run on. Each kernel
+twin is only its node batch (BACKEND, log_delta_nodes and
+dlog_delta_nodes), and the compiled one imports nothing; backend alone
+assembles the kernel the package reads. The package
 loads its Bessel, determinant, scaled-arithmetic, unit and sweep modules on
 first use: a fresh energy run or CLI command must not load them, yet every
 exported name must be the object its submodule defines. Every module that
 a bare import compiles stays below a step of CPython's parser at 4,096
 tokens. The scalar rules and the lone chains (family, s_pair and e_pair)
-have one Python copy, _rules, which every module imports and both kernel
-twins hand out as their entries; none reads a private name off the
-active kernel. Only the real-number rule, spectrum._real, tests a value
+have one Python copy, _rules, which every module imports and
+backend.kernel hands out; none reads a private name off the active
+kernel. Only the real-number rule, spectrum._real, tests a value
 for finiteness.
 """
 
@@ -21,11 +24,12 @@ import os
 import subprocess
 import sys
 import tokenize
+import types
 
 import pytest
 
 import procasphere
-from procasphere import _rules, oracle, spectrum, sweeps
+from procasphere import _core_py, _rules, oracle, spectrum, sweeps
 from procasphere.backend import kernel
 from procasphere.bessel import eval_family
 
@@ -120,8 +124,8 @@ RULE_USERS = {
     "_core_py": [(n, n) for n in (
         "_BIG", "_BLOCK", "_DOWN", "_L_END", "_STEP", "_Z_MAX", "_Z_MIN",
         "_block_top", "_down", "_exp_split", "_log1m", "_miller_start",
-        "_steps", "_up", "e_pair", "family", "gamma_arg", "s_pair", "sr_add",
-        "sr_mul", "sr_norm")],
+        "_steps", "_up")],
+    "bessel": [("family", "family")],
     "scaledrep": [("_exp_split", "_exp_split"), ("_sr_scale", "_sr_scale"),
                   ("sr_add", "sr_add"), ("sr_mul", "sr_mul"),
                   ("_norm", "sr_norm")],
@@ -130,7 +134,7 @@ RULE_USERS = {
                  ("gamma_arg", "gamma_arg")],
     "_workers": [("_block_top", "_block_top")],
 }
-# The kernel entries that both twins hand out as the _rules objects.
+# The kernel entries that backend.kernel hands out as the _rules objects.
 SCALAR_ENTRIES = ("sr_norm", "sr_mul", "sr_add", "gamma_arg", "family",
                   "s_pair", "e_pair")
 
@@ -140,12 +144,43 @@ def test_scalar_rules_are_the_rules_objects(request):
         namespace = vars(importlib.import_module(f"procasphere.{module}"))
         for name, rule in pairs:
             assert namespace[name] is vars(_rules)[rule], (module, name)
-    # The compiled twin last: without a C compiler its build skips the
-    # test after the checks above have run.
-    for twin in (kernel, request.getfixturevalue("compiled")):
+    for name in SCALAR_ENTRIES:
+        assert getattr(kernel, name) is vars(_rules)[name], name
+    # The twins last, which hold none of them: without a C compiler the
+    # compiled build skips the test after the checks above have run.
+    for twin in (_core_py, request.getfixturevalue("compiled")):
         for name in SCALAR_ENTRIES:
-            assert getattr(twin, name) is vars(_rules)[name], (
-                twin.BACKEND, name)
+            assert not hasattr(twin, name), (twin.BACKEND, name)
+
+
+# Each twin's public names: its node batch and its tag.
+NODE_BATCH = {"BACKEND", "log_delta_nodes", "dlog_delta_nodes"}
+
+
+@pytest.mark.parametrize("build", ["pure", "compiled", "ubsan"])
+def test_each_twin_is_only_its_node_batch(request, build):
+    twin = _core_py if build == "pure" else request.getfixturevalue(build)
+    assert {name for name, value in vars(twin).items()
+            if not (name.startswith("_")
+                    or isinstance(value, types.ModuleType))} == NODE_BATCH
+
+
+def test_compiled_exec_imports_no_package_module(compiled):
+    # Executing the build, in a fresh interpreter, adds no procasphere
+    # module to sys.modules: the C twin imports nothing.
+    code = "\n".join((
+        "import importlib.util, json, sys",
+        "spec = importlib.util.spec_from_file_location(",
+        f"    'procasphere._core', {compiled.__file__!r})",
+        "core = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(core)",
+        "assert core.BACKEND == 'compiled'",
+        "print(json.dumps(sorted(sys.modules)))"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = json.loads(r.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.partition(".")[0] == "procasphere"] == []
 
 
 def _reads_kernel(node):
