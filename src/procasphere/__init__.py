@@ -26,7 +26,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.10.5"
+__version__ = "0.10.6"
 
 # The defining submodule of each name that loads on first use.
 _LAZY = dict.fromkeys((

@@ -12,6 +12,13 @@ forked worker j makes blocks j, j + n, .... A worker's waves come back
 exact, as struct "ddqdd". Any wave that a worker does not send, the
 calling process makes itself, so an error is raised there as the serial
 loop raises it, and an error past the stop never is.
+
+Each worker starts on a CPU other than the calling process's and is then
+free to run on any CPU the caller may: some Linux kernels leave a fresh
+fork on its parent's CPU for its whole life, and two busy processes on
+one CPU run no faster than one. Where the CPU mask, /proc/self/stat or
+os.sched_setaffinity is missing or refuses, a worker starts where the
+kernel put it.
 """
 
 import itertools
@@ -32,6 +39,32 @@ def _blocks(l_cap):
         hi = min(_block_top(lo), l_cap)
         yield range(lo, hi + 1)
         lo = hi + 1
+
+
+def _placement():
+    # (the CPU this process is on, the CPUs it may run on), or None where
+    # either cannot be read. The CPU is field 39 of /proc/self/stat, the
+    # 37th after the parenthesised command name, which may hold spaces.
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+        return cpu, os.sched_getaffinity(0)
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None
+
+
+def _leave(cpu, mask, j):
+    # Moves worker j off cpu, its parent's, onto the ((j - 1) mod m)-th of
+    # the m other CPUs of mask, so workers spread, then gives it back the
+    # whole mask, so the kernel may move it later.
+    others = sorted(mask - {cpu})
+    if not others:
+        return
+    try:
+        os.sched_setaffinity(0, {others[(j - 1) % len(others)]})
+        os.sched_setaffinity(0, mask)
+    except (AttributeError, OSError):
+        pass
 
 
 def _serve(blocks, wave, args, token, out):
@@ -62,6 +95,9 @@ def forked_waves(l_cap, wave, args, workers):
     fds = []    # the pipe ends this process holds
     lanes = []  # (token write end, result reader) per worker
     pids = []
+    # Read here, not in a worker: a worker that the kernel already placed
+    # elsewhere would leave its own CPU for the caller's.
+    place = _placement()
     try:
         for j in range(1, workers):
             made = len(fds)
@@ -82,6 +118,8 @@ def forked_waves(l_cap, wave, args, workers):
                 # The worker never returns into the caller's frames, and
                 # leaves without running atexit or flushing stdio.
                 try:
+                    if place is not None:
+                        _leave(*place, j)
                     for fd in fds:
                         if fd not in (tok_r, res_w):
                             os.close(fd)

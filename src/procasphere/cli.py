@@ -385,7 +385,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                    help="hard ceiling on the partial-wave order")
     p.add_argument("--threads", type=int, default=1,
                    help="processes for each wave sum, at most one per CPU "
-                        "this process may use; forked workers make some of "
+                        "this process may use; forked workers, each started "
+                        "on a CPU other than this process's, make some of "
                         "the blocks of waves. Recorded in the manifest; no "
                         "count changes the result (default: 1)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"),

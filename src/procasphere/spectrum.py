@@ -470,6 +470,8 @@ def energy(spec: ProblemSpec, threads: int = 1) -> EnergyResult:
     the blocks {1}, {2..17}, {18..33}, ... go round-robin to this process
     and to forked workers, each at most one block ahead of the sum, and
     every worker is stopped and reaped before the call returns or raises.
+    Each worker starts on a CPU other than this process's, then may run on
+    any CPU this process may; this process's own CPU mask is untouched.
     Where os.fork is missing, or another thread is running, the waves run
     on this process alone, and where a fork fails, on the workers that
     started. No thread count changes a bit of the result or of an error.
@@ -511,8 +513,9 @@ def force(spec: ProblemSpec, fd_step: float | None = None,
     calls at rel_tol/100 so cancellation in the differences does not eat
     the requested accuracy; a step whose half rounds away at ratio raises
     ValueError. threads runs either wave sum (each energy() call's, on the
-    finite-difference route) on up to that many processes, as in energy(),
-    and changes no bit of the result.
+    finite-difference route) on up to that many processes, each worker
+    started on a CPU other than this process's, as in energy(), and
+    changes no bit of the result.
     """
     inner = replace(spec, rel_tol=spec.rel_tol / 100.0)
     if fd_step is None:

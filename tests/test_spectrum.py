@@ -5,11 +5,12 @@ import json
 import math
 import os
 import re
+import threading
 from dataclasses import replace
 
 import pytest
 
-from procasphere import spectrum
+from procasphere import _workers, spectrum
 from procasphere.spectrum import (
     ConvergenceError,
     EnergyResult,
@@ -489,6 +490,83 @@ def test_second_fork_failing_keeps_the_first_worker(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     assert repr(spectrum._wave_sum(FAKE_SPEC, _fake_wave, 3)) == want
     assert len(forks) == 1
+
+
+def _no_fork(*args):
+    pytest.fail("os.fork was called")
+
+
+def test_one_cpu_runs_the_waves_here(monkeypatch):
+    # threads=2 on a one-CPU mask starts no worker.
+    spec = ProblemSpec(ratio=1.3, mu=0.5, rel_tol=1e-5)
+    want = repr(energy(spec))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    assert repr(energy(spec, threads=2)) == want
+
+
+def test_second_thread_runs_the_waves_here(monkeypatch):
+    # A fork copies only the calling thread, so while another thread lives
+    # threads=2 starts no worker, however many CPUs there are.
+    spec = ProblemSpec(ratio=1.3, mu=0.5, rel_tol=1e-5)
+    want = repr(energy(spec))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        assert repr(energy(spec, threads=2)) == want
+    finally:
+        done.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+@pytest.fixture
+def movable():
+    # A real mask of at least two CPUs, which this process may change and
+    # whose CPU it can read.
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+            and os.path.exists("/proc/self/stat")):
+        pytest.skip("no os.fork, os.sched_setaffinity or /proc/self/stat")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than two allowed CPUs")
+
+
+def test_worker_leaves_the_cpu_it_is_told(movable):
+    # A child told to leave CPU c runs elsewhere, with the mask it started
+    # with, for each c this process may run on.
+    mask = os.sched_getaffinity(0)
+    for c in sorted(mask)[:4]:
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(r)
+                _workers._leave(c, mask, 1)
+                cpu, now = _workers._placement()
+                os.write(w, json.dumps([cpu, sorted(now)]).encode())
+            finally:
+                os._exit(0)
+        os.close(w)
+        with os.fdopen(r, "rb") as f:
+            report = f.read()
+        os.waitpid(pid, 0)
+        cpu, now = json.loads(report)
+        assert cpu != c and cpu in mask, (c, cpu)
+        assert now == sorted(mask), c
+
+
+def test_threaded_sum_keeps_the_callers_mask(movable):
+    spec = ProblemSpec(ratio=1.3, mu=0.5, rel_tol=1e-5)
+    mask = os.sched_getaffinity(0)
+    want = repr(energy(spec))
+    assert repr(energy(spec, threads=2)) == want
+    _no_child_left()
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_energy_cap_exhaustion():
