@@ -26,7 +26,7 @@ from .spectrum import (
     l_term,
 )
 
-__version__ = "0.10.6"
+__version__ = "0.10.7"
 
 # The defining submodule of each name that loads on first use.
 _LAZY = dict.fromkeys((

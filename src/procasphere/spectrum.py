@@ -12,7 +12,8 @@ whole block. The frame's panels end on a power of two, so consecutive
 blocks share their panel nodes too, and the kernel's upward runs at those
 nodes go on from block to block. A wave's start, its five panels and the
 tail node, is one kernel batch of 76 nodes, and the frame's nodes are made
-once per block: the last frame is kept.
+once per block: the last frame is kept. Each bisection step is one batch
+too, of 30 nodes: the halves of the worst panel, left then right.
 
 Everything is deterministic by construction: panels are refined by a
 first-maximum scan, sums are accumulated in a fixed order, and each wave's
@@ -219,11 +220,13 @@ def _gk15_combine(fv, h: float):
     return h * k15, abs(h * (k15 - g7))
 
 
-def _integrand(l: int, mu: float, ratio: float, mode: int, xs,
-               deriv: bool):
-    # (TE, TM, te + tm) at the nodes xs, one kernel batch. te + tm is the
-    # requested mode's log (with deriv, its ratio derivative) bit for bit:
-    # a mode not requested reads -0.0.
+def _panels(l: int, mu: float, ratio: float, mode: int, spans, xs,
+            deriv: bool):
+    # One kernel batch at xs, the 15 _panel_nodes of each span (a, b, h) in
+    # order, then any further node (the tail X): a record [a, b, integral,
+    # error, TE integral, TM integral] per span, and te + tm at every node,
+    # which is the requested mode's log (with deriv, its ratio derivative)
+    # bit for bit, as a mode not requested reads -0.0.
     nodes = kernel.dlog_delta_nodes if deriv else kernel.log_delta_nodes
     try:
         te, tm = nodes(l, mu, ratio, mode, xs)
@@ -239,19 +242,12 @@ def _integrand(l: int, mu: float, ratio: float, mode: int, xs,
                 raise ConvergenceError(
                     f"mode factor not finite at l={l}, xi_hat={x!r}",
                     l_reached=l)
-    return te, tm, fv
-
-
-def _combine(a: float, b: float, h: float, te, tm, fv):
-    # [a, b, integral, error, TE integral, TM integral] from 15 node values.
-    val, err = _gk15_combine(fv, h)
-    return [a, b, val, err, h * _k15(te), h * _k15(tm)]
-
-
-def _panel(l: int, mu: float, ratio: float, mode: int, a: float, b: float,
-           deriv: bool):
-    xs, h = _panel_nodes(a, b)
-    return _combine(a, b, h, *_integrand(l, mu, ratio, mode, xs, deriv))
+    records = []
+    for p, (a, b, h) in enumerate(spans):
+        at = slice(15 * p, 15 * p + 15)
+        val, err = _gk15_combine(fv[at], h)
+        records.append([a, b, val, err, h * _k15(te[at]), h * _k15(tm[at])])
+    return records, fv
 
 
 @functools.lru_cache(maxsize=1)
@@ -302,11 +298,7 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
     d = (45.0 + 2.0 * top * math.log(ratio)) / (2.0 * (ratio - 1.0))
     X = math.sqrt(d * (d + 2.0 * mu))
     xs, spans = _frame(X)
-    te, tm, fv = _integrand(l, mu, ratio, mode, xs, deriv)
-    panels = []
-    for p, (a, b, h) in enumerate(spans):
-        at = slice(15 * p, 15 * p + 15)
-        panels.append(_combine(a, b, h, te[at], tm[at], fv[at]))
+    panels, fv = _panels(l, mu, ratio, mode, spans, xs, deriv)
     evals = len(xs)
 
     # The tail past X: an exponential with local rate 2*(ratio-1)*X/gamma(X),
@@ -348,10 +340,15 @@ def _wave(l: int, mu: float, ratio: float, mode: int, rel_tol: float,
             if panels[i][3] > wmax:
                 worst = i
                 wmax = panels[i][3]
+        # Both halves are one batch; the left takes the worst's place.
         a, b = panels[worst][:2]
         mid = 0.5 * (a + b)
-        panels[worst] = _panel(l, mu, ratio, mode, a, mid, deriv)
-        panels.append(_panel(l, mu, ratio, mode, mid, b, deriv))
+        left, hl = _panel_nodes(a, mid)
+        right, hr = _panel_nodes(mid, b)
+        (panels[worst], last), _ = _panels(
+            l, mu, ratio, mode, ((a, mid, hl), (mid, b, hr)), left + right,
+            deriv)
+        panels.append(last)
         evals += 30
 
     panels.sort(key=lambda p: p[0])

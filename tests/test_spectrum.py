@@ -226,13 +226,16 @@ def test_waves_of_a_block_share_their_frame(monkeypatch):
     assert starts[34][:75] != starts[50][:75]
 
 
-@pytest.mark.parametrize("at", [3, 4 * 15 + 7, 75],
-                         ids=["panel-1", "panel-4", "tail"])
-def test_nan_at_a_start_node_names_it(monkeypatch, at):
-    # A wave's start is one kernel batch, checked for NaN by one sum. A NaN
-    # at any of its nodes, in the first panel, in the fourth or at the tail
-    # node X, raises ConvergenceError naming that node; a batch without
-    # one passes.
+@pytest.mark.parametrize("size,at", [(76, 3), (76, 4 * 15 + 7), (76, 75),
+                                     (30, 15 + 7)],
+                         ids=["panel-1", "panel-4", "tail",
+                              "bisection-right"])
+def test_nan_at_a_start_node_names_it(monkeypatch, size, at):
+    # A wave's start is one kernel batch, checked for NaN by one sum, and so
+    # is each bisection step, both halves of the worst panel. A NaN at any
+    # node of the start, in the first panel, in the fourth or at the tail
+    # node X, or in the right half of the first bisection step, raises
+    # ConvergenceError naming that node; a batch without one passes.
     kernel = spectrum.kernel
     bad = []
 
@@ -240,20 +243,99 @@ def test_nan_at_a_start_node_names_it(monkeypatch, at):
         @staticmethod
         def log_delta_nodes(l, mu, ratio, mode, xs):
             te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, xs)
-            if bad and len(xs) == 76:
+            if bad and len(xs) == size:
                 te = te[:at] + (math.nan,) + te[at + 1:]
                 bad.append(xs[at])
             return te, tm
 
-    want = _l_term_full(20, 0.5, 1.3, 2, 1e-6)
+    want = _l_term_full(20, 0.5, 1.3, 2, 1e-9)
+    assert want[2] > 76
     monkeypatch.setattr(spectrum, "kernel", Stub)
-    assert repr(_l_term_full(20, 0.5, 1.3, 2, 1e-6)) == repr(want)
+    assert repr(_l_term_full(20, 0.5, 1.3, 2, 1e-9)) == repr(want)
     bad.append(None)
     with pytest.raises(ConvergenceError) as exc_info:
-        _l_term_full(20, 0.5, 1.3, 2, 1e-6)
+        _l_term_full(20, 0.5, 1.3, 2, 1e-9)
     assert str(exc_info.value) == (
         f"mode factor not finite at l=20, xi_hat={bad[-1]!r}")
     assert exc_info.value.l_reached == 20
+
+
+def _wave_batches(monkeypatch, *args):
+    # _l_term_full(*args) and the kernel batches it made, in order.
+    kernel = spectrum.kernel
+    batches = []
+
+    class Recorder:
+        @staticmethod
+        def log_delta_nodes(l, mu, ratio, mode, xs):
+            batches.append(tuple(xs))
+            return kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+
+    monkeypatch.setattr(spectrum, "kernel", Recorder)
+    result = _l_term_full(*args)
+    monkeypatch.setattr(spectrum, "kernel", kernel)
+    return result, batches
+
+
+def test_a_bisection_step_is_one_batch(monkeypatch):
+    # Each bisection step evaluates both halves of a panel of the wave as
+    # one kernel batch: the 15 nodes of the left half, then the 15 of the
+    # right. A node's value never depends on its batch, so the step's two
+    # records are those of two batches of one half each.
+    result, batches = _wave_batches(monkeypatch, 20, 0.5, 1.3, 2, 1e-9)
+    steps = (result[2] - 76) // 30
+    assert steps >= 2 and len(batches) == 1 + steps
+    # Follow the panels from the frame of the start's tail node X on: each
+    # step's batch halves exactly one panel there.
+    xs, spans = spectrum._frame(batches[0][-1])
+    assert batches[0] == xs
+    edges = [(a, b) for a, b, _ in spans]
+    for batch in batches[1:]:
+        found = []
+        for a, b in edges:
+            mid = 0.5 * (a + b)
+            left, hl = _panel_nodes(a, mid)
+            right, hr = _panel_nodes(mid, b)
+            if batch == tuple(left + right):
+                found.append((a, b))
+                both = spectrum._panels(20, 0.5, 1.3, 2,
+                                        ((a, mid, hl), (mid, b, hr)),
+                                        left + right, False)[0]
+                alone = [spectrum._panels(20, 0.5, 1.3, 2, (span,), nodes,
+                                          False)[0][0]
+                         for span, nodes in (((a, mid, hl), left),
+                                             ((mid, b, hr), right))]
+                assert repr(both) == repr(alone)
+        assert len(found) == 1
+        a, b = found[0]
+        edges.remove((a, b))
+        edges += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+
+
+def test_range_error_in_a_bisection_step_names_its_inputs(monkeypatch):
+    # A node of the right half of a bisection step outside the chain range
+    # raises the kernel's ValueError with the wave's inputs in front. The
+    # kernel checks every node of a batch before it evaluates any, so the
+    # range error wins over a NaN in the step's left half.
+    kernel = spectrum.kernel
+    step = _wave_batches(monkeypatch, 20, 0.5, 1.3, 2, 1e-9)[1][1]
+
+    class Stub:
+        @staticmethod
+        def log_delta_nodes(l, mu, ratio, mode, xs):
+            xs = tuple(xs)
+            if step[15 + 7] in xs:
+                raise ValueError("xi out of range")
+            te, tm = kernel.log_delta_nodes(l, mu, ratio, mode, xs)
+            if step[3] in xs:
+                at = xs.index(step[3])
+                te = te[:at] + (math.nan,) + te[at + 1:]
+            return te, tm
+
+    monkeypatch.setattr(spectrum, "kernel", Stub)
+    with pytest.raises(ValueError, match=re.escape(
+            "ratio=1.3, mu=0.5, l=20: xi out of range")):
+        _l_term_full(20, 0.5, 1.3, 2, 1e-9)
 
 
 def test_energy_bookkeeping():
